@@ -14,11 +14,21 @@ with:
 
 Every identity occurrence carries a :class:`~repro.core.identity.Mark`.
 Instances are immutable; all operations return new lists.
+
+Internally a list is a tuple of ``{node: mark}`` dicts holding marks as plain
+ints (``Mark`` values): the ``⊕`` folds run once per neighbour per round, and
+enum construction dominated their cost.  The public accessors (:attr:`levels`,
+:meth:`level`, :meth:`mark_of`, iteration, ``repr``) hand out
+:class:`~repro.core.identity.Mark` members, so identity tests such as
+``mark is Mark.NONE`` keep working.  Only untrusted input (the constructor and
+:meth:`AncestorList.from_wire`) is canonicalized; every operation builds its
+result canonical by construction and skips that pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .identity import Mark, NodeId
 
@@ -28,32 +38,79 @@ __all__ = ["AncestorList", "WireList"]
 #: pairs sorted by ``str(node)`` — hashable, comparable and JSON-friendly.
 WireList = Tuple[Tuple[Tuple[NodeId, int], ...], ...]
 
+#: Internal level: identity -> mark value (0, 1 or 2).
+_Level = Dict[NodeId, int]
 
-def _normalize(levels: Sequence[Mapping[NodeId, Mark]],
-               dedupe: bool = True) -> Tuple[Dict[NodeId, Mark], ...]:
-    """Canonicalize levels: optional cross-level dedup, strip trailing empties."""
-    cleaned: list = []
+#: Mark members indexed by their value.
+_MARKS: Tuple[Mark, ...] = tuple(Mark)
+#: Accepted mark spellings (members, ints, anything equal to them) -> plain int.
+_MARK_VALUES: Dict[Mark, int] = {mark: int(mark) for mark in Mark}
+
+
+def _mark_value(mark: object) -> int:
+    """Validate an untrusted mark and return its plain int value."""
+    value = _MARK_VALUES.get(mark)
+    if value is None:
+        value = int(Mark(mark))  # raises ValueError for a non-mark
+    return value
+
+
+def _normalize(levels: Sequence[Mapping[NodeId, Mark]]) -> Tuple[_Level, ...]:
+    """Canonicalize untrusted levels: int marks, cross-level dedup, no trailing empties."""
+    cleaned: List[_Level] = []
     seen: Dict[NodeId, int] = {}
     for index, level in enumerate(levels):
-        new_level: Dict[NodeId, Mark] = {}
+        new_level: _Level = {}
         for node, mark in level.items():
-            mark = Mark(mark)
-            if dedupe and node in seen:
+            mark = _mark_value(mark)
+            if node in seen:
                 # Keep the occurrence at the smallest level; if the duplicate is
                 # at the same level, keep the strongest mark.
                 if seen[node] == index:
-                    prev = new_level.get(node, Mark.NONE)
-                    new_level[node] = Mark(max(prev, mark))
+                    new_level[node] = max(new_level[node], mark)
                 continue
-            if node in new_level:
-                new_level[node] = Mark(max(new_level[node], mark))
-            else:
-                new_level[node] = mark
-                seen[node] = index
+            new_level[node] = mark
+            seen[node] = index
         cleaned.append(new_level)
     while cleaned and not cleaned[-1]:
         cleaned.pop()
     return tuple(cleaned)
+
+
+def _fold(head: Sequence[_Level], tails: Iterable[Sequence[_Level]],
+          shift: int) -> List[_Level]:
+    """``head ⊕ rᵏ(tail₁) ⊕ rᵏ(tail₂) ⊕ …`` with ``k = shift``, in one pass.
+
+    A level-wise union keeping each identity's strongest mark, followed by a
+    single dedupe (an identity stays only at its smallest level).  Identities
+    enter each level in first-appearance order, which is the order the
+    pairwise chain of ``⊕`` produces too.  Inputs must be canonical and are
+    not modified; trailing empty levels are left to the caller.
+    """
+    merged: List[_Level] = []
+    # Marks are rare: levels are unioned with dict.update (last mark wins)
+    # and the strongest non-zero mark of each (level, identity) is restored
+    # afterwards — assigning an existing key keeps its position.
+    strongest: Dict[Tuple[int, NodeId], int] = {}
+    for levels, offset in chain(((head, 0),), ((tail, shift) for tail in tails)):
+        missing = len(levels) + offset - len(merged)
+        if missing > 0:
+            merged.extend({} for _ in range(missing))
+        for index, level in enumerate(levels, offset):
+            merged[index].update(level)
+            if any(level.values()):
+                for node, mark in level.items():
+                    if mark > strongest.get((index, node), 0):
+                        strongest[index, node] = mark
+    for (index, node), mark in strongest.items():
+        merged[index][node] = mark
+    seen: Set[NodeId] = set()
+    for index, level in enumerate(merged):
+        if not seen.isdisjoint(level):
+            merged[index] = level = {node: mark for node, mark in level.items()
+                                     if node not in seen}
+        seen.update(level)
+    return merged
 
 
 class AncestorList:
@@ -75,26 +132,42 @@ class AncestorList:
     # ------------------------------------------------------------ constructors
 
     @classmethod
+    def _trusted(cls, levels: Sequence[_Level]) -> "AncestorList":
+        """Wrap canonical int-mark levels, dropping trailing empty levels.
+
+        The levels must hold no identity twice and are shared, not copied:
+        callers hand over dicts nothing else mutates.
+        """
+        end = len(levels)
+        while end and not levels[end - 1]:
+            end -= 1
+        alist = object.__new__(cls)
+        alist._levels = tuple(levels[:end])
+        alist._hash = None
+        return alist
+
+    @classmethod
     def singleton(cls, node: NodeId, mark: Mark = Mark.NONE) -> "AncestorList":
         """The list ``({node})`` — a node's initial knowledge, or a rejected sender."""
-        return cls(({node: Mark(mark)},))
+        return cls._trusted(({node: _mark_value(mark)},))
 
     @classmethod
     def from_levels(cls, levels: Sequence[Iterable[NodeId]]) -> "AncestorList":
         """Build an unmarked list from plain sets of identities per level."""
-        return cls(tuple({node: Mark.NONE for node in level} for level in levels))
+        return cls(tuple(dict.fromkeys(level, 0) for level in levels))
 
     @classmethod
     def from_wire(cls, wire: WireList) -> "AncestorList":
         """Rebuild a list from its wire representation."""
-        return cls(tuple({node: Mark(mark) for node, mark in level} for level in wire))
+        return cls(tuple(dict(level) for level in wire))
 
     # ----------------------------------------------------------------- queries
 
     @property
     def levels(self) -> Tuple[Dict[NodeId, Mark], ...]:
         """Levels as a tuple of ``{node: mark}`` dict copies."""
-        return tuple(dict(level) for level in self._levels)
+        return tuple({node: _MARKS[mark] for node, mark in level.items()}
+                     for level in self._levels)
 
     def __len__(self) -> int:
         """Number of levels — ``s(list)`` in the paper's pseudo-code."""
@@ -106,12 +179,14 @@ class AncestorList:
     def level(self, index: int) -> Dict[NodeId, Mark]:
         """The set of identities (with marks) at distance ``index``; empty if absent."""
         if 0 <= index < len(self._levels):
-            return dict(self._levels[index])
+            return {node: _MARKS[mark] for node, mark in self._levels[index].items()}
         return {}
 
     def level_nodes(self, index: int) -> Set[NodeId]:
         """Identities at distance ``index`` regardless of mark."""
-        return set(self.level(index))
+        if 0 <= index < len(self._levels):
+            return set(self._levels[index])
+        return set()
 
     def nodes(self) -> Set[NodeId]:
         """All identities appearing in the list."""
@@ -124,14 +199,14 @@ class AncestorList:
         """Identities appearing with :attr:`Mark.NONE` (the view candidates)."""
         out: Set[NodeId] = set()
         for level in self._levels:
-            out.update(node for node, mark in level.items() if mark is Mark.NONE)
+            out.update(node for node, mark in level.items() if not mark)
         return out
 
     def marked_nodes(self) -> Set[NodeId]:
         """Identities carrying a single or double mark."""
         out: Set[NodeId] = set()
         for level in self._levels:
-            out.update(node for node, mark in level.items() if mark is not Mark.NONE)
+            out.update(node for node, mark in level.items() if mark)
         return out
 
     def contains(self, node: NodeId) -> bool:
@@ -148,16 +223,20 @@ class AncestorList:
                 return index
         return None
 
+    def positions(self) -> Dict[NodeId, int]:
+        """Mapping identity -> level index (marked identities included)."""
+        return {node: index for index, level in enumerate(self._levels) for node in level}
+
     def mark_of(self, node: NodeId) -> Optional[Mark]:
         """Mark carried by ``node`` or ``None`` when absent."""
         for level in self._levels:
             if node in level:
-                return level[node]
+                return _MARKS[level[node]]
         return None
 
     def has_empty_level(self) -> bool:
         """Whether any (non-trailing) level is empty — a malformed list."""
-        return any(not level for level in self._levels)
+        return not all(self._levels)
 
     def size(self) -> int:
         """Total number of identities across all levels."""
@@ -170,15 +249,7 @@ class AncestorList:
 
     def merge(self, other: "AncestorList") -> "AncestorList":
         """The ``⊕`` operator: level-wise union with duplicate removal."""
-        merged = []
-        for index in range(max(len(self._levels), len(other._levels))):
-            level: Dict[NodeId, Mark] = {}
-            for source in (self, other):
-                if index < len(source._levels):
-                    for node, mark in source._levels[index].items():
-                        level[node] = Mark(max(level.get(node, Mark.NONE), mark))
-            merged.append(level)
-        return AncestorList(merged)
+        return AncestorList._trusted(_fold(self._levels, (other._levels,), 0))
 
     def __or__(self, other: "AncestorList") -> "AncestorList":
         return self.merge(other)
@@ -186,18 +257,28 @@ class AncestorList:
     def shifted(self) -> "AncestorList":
         """The ``r`` endomorphism: prepend an empty level (one additional hop)."""
         if not self._levels:
-            return AncestorList()
-        return AncestorList(({},) + self._levels)
+            return self
+        return AncestorList._trusted(({},) + self._levels)
 
     def ant(self, other: "AncestorList") -> "AncestorList":
         """The ``ant`` r-operator: ``self ⊕ r(other)``."""
         return self.merge(other.shifted())
 
+    def ant_fold(self, others: Iterable["AncestorList"]) -> "AncestorList":
+        """``self ant l1 ant l2 ant … ant lk`` in one pass.
+
+        Equal to the pairwise chain ``self.ant(l1).ant(l2)…`` (``⊕`` is
+        associative and ``r`` distributes over it), but the union and the
+        dedupe run once instead of once per list.
+        """
+        return AncestorList._trusted(
+            _fold(self._levels, (other._levels for other in others), 1))
+
     def truncated(self, max_levels: int) -> "AncestorList":
         """Keep the first ``max_levels`` levels (pseudo-code line 28)."""
         if max_levels < 0:
             raise ValueError("max_levels must be non-negative")
-        return AncestorList(self._levels[:max_levels])
+        return AncestorList._trusted(self._levels[:max_levels])
 
     def without_marked(self, keep: Iterable[NodeId] = ()) -> "AncestorList":
         """Remove marked identities except those listed in ``keep``.
@@ -208,11 +289,9 @@ class AncestorList:
         empty levels are preserved (such a list is then rejected by goodList).
         """
         keep = set(keep)
-        levels = []
-        for level in self._levels:
-            levels.append({node: mark for node, mark in level.items()
-                           if mark is Mark.NONE or node in keep})
-        return AncestorList(levels)
+        return AncestorList._trusted([
+            {node: mark for node, mark in level.items() if not mark or node in keep}
+            for level in self._levels])
 
     def sanitized_for(self, receiver: NodeId) -> "AncestorList":
         """Apply the reception filtering of pseudo-code line 2 for ``receiver``.
@@ -226,13 +305,12 @@ class AncestorList:
         (the subsequent ``goodList`` test then fails and only the sender's
         identity is kept, single-marked).
         """
-        levels = []
-        for level in self._levels:
-            levels.append({
-                node: mark for node, mark in level.items()
-                if mark is Mark.NONE or (node == receiver and mark is Mark.SINGLE)
-            })
-        return AncestorList(levels)
+        # Marks sit on direct neighbours only: unmarked levels are shared as is.
+        return AncestorList._trusted([
+            {node: mark for node, mark in level.items()
+             if not mark or (mark == 1 and node == receiver)}
+            if any(level.values()) else level
+            for level in self._levels])
 
     def restricted_to(self, members: Iterable[NodeId]) -> "AncestorList":
         """Keep only the (unmarked) identities belonging to ``members``.
@@ -242,19 +320,16 @@ class AncestorList:
         DESIGN.md, "Compatibility is evaluated between established groups").
         """
         members = set(members)
-        levels = []
-        for level in self._levels:
-            levels.append({node: mark for node, mark in level.items()
-                           if node in members and mark is Mark.NONE})
-        return AncestorList(levels)
+        return AncestorList._trusted([
+            {node: mark for node, mark in level.items() if not mark and node in members}
+            for level in self._levels])
 
     def without_nodes(self, nodes: Iterable[NodeId]) -> "AncestorList":
         """Remove the given identities entirely (used for effective-length computations)."""
         drop = set(nodes)
-        levels = []
-        for level in self._levels:
-            levels.append({node: mark for node, mark in level.items() if node not in drop})
-        return AncestorList(levels)
+        return AncestorList._trusted([
+            {node: mark for node, mark in level.items() if node not in drop}
+            for level in self._levels])
 
     def stripped(self, receiver: Optional[NodeId] = None) -> "AncestorList":
         """Effective list used by the compatibility test.
@@ -266,30 +341,25 @@ class AncestorList:
         Proposition 13).
         """
         drop: Set[NodeId] = set() if receiver is None else {receiver}
-        levels = []
-        for level in self._levels:
-            levels.append({node: mark for node, mark in level.items()
-                           if mark is Mark.NONE and node not in drop})
-        return AncestorList(levels)
+        return AncestorList._trusted([
+            {node: mark for node, mark in level.items() if not mark and node not in drop}
+            for level in self._levels])
 
     def relabel_mark(self, node: NodeId, mark: Mark) -> "AncestorList":
         """Return a copy where ``node`` (if present) carries ``mark``."""
-        levels = []
-        for level in self._levels:
-            new_level = dict(level)
-            if node in new_level:
-                new_level[node] = Mark(mark)
-            levels.append(new_level)
-        return AncestorList(levels)
+        for index, level in enumerate(self._levels):
+            if node in level:
+                levels = list(self._levels)
+                levels[index] = {**level, node: _mark_value(mark)}
+                return AncestorList._trusted(levels)
+        return self
 
     # ---------------------------------------------------------------- equality
 
     def to_wire(self) -> WireList:
         """Canonical, hashable wire representation."""
-        return tuple(
-            tuple(sorted(((node, int(mark)) for node, mark in level.items()),
-                         key=lambda item: str(item[0])))
-            for level in self._levels)
+        return tuple(tuple(sorted(level.items(), key=lambda item: str(item[0])))
+                     for level in self._levels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AncestorList):
@@ -302,12 +372,9 @@ class AncestorList:
         return self._hash
 
     def __repr__(self) -> str:
-        def fmt(level: Dict[NodeId, Mark]) -> str:
-            parts = []
-            for node in sorted(level, key=str):
-                mark = level[node]
-                suffix = {Mark.NONE: "", Mark.SINGLE: "'", Mark.DOUBLE: "''"}[mark]
-                parts.append(f"{node}{suffix}")
-            return "{" + ",".join(parts) + "}"
+        def fmt(level: _Level) -> str:
+            suffixes = ("", "'", "''")
+            return "{" + ",".join(f"{node}{suffixes[level[node]]}"
+                                  for node in sorted(level, key=str)) + "}"
 
         return "(" + ", ".join(fmt(level) for level in self._levels) + ")"

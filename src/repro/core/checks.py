@@ -71,10 +71,9 @@ def good_list(received: AncestorList, receiver: NodeId, dmax: int) -> bool:
         return False
     if received.has_empty_level():
         return False
-    if receiver in received.level(1):
+    if received.position_of(receiver) == 1:
         return True
-    mark = received.mark_of(receiver)
-    return mark is Mark.NONE
+    return received.mark_of(receiver) is Mark.NONE
 
 
 def group_span(alist: AncestorList, members: Optional[Iterable[NodeId]] = None,
@@ -91,16 +90,6 @@ def group_span(alist: AncestorList, members: Optional[Iterable[NodeId]] = None,
     if exclude:
         restricted = restricted.without_nodes(exclude)
     return max(len(restricted) - 1, 0)
-
-
-def _positions(alist: AncestorList) -> Dict[NodeId, int]:
-    """Mapping identity -> level, marks included (a marked direct neighbour still
-    witnesses a one-hop path)."""
-    out: Dict[NodeId, int] = {}
-    for index, level in enumerate(alist.levels):
-        for node in level:
-            out.setdefault(node, index)
-    return out
 
 
 def merged_pair_bound(pos_local: Dict[NodeId, int], pos_received: Dict[NodeId, int],
@@ -165,8 +154,9 @@ def compatible_list(local: AncestorList, received: AncestorList, receiver: NodeI
         q = group_span(received, sender_exclusive, exclude={receiver})
         return p + 1 + q <= dmax
 
-    pos_local = _positions(local)
-    pos_received = _positions(received)
+    # Marks are included: a marked direct neighbour still witnesses a one-hop path.
+    pos_local = local.positions()
+    pos_received = received.positions()
     # The local node is at distance 0 from itself whatever (possibly corrupted)
     # occurrence of its identity the list contains.
     pos_local[receiver] = 0

@@ -14,11 +14,20 @@ pseudo-code line 8).  A message therefore carries:
 
 Messages are plain frozen dataclasses: they can be copied, compared, hashed
 and — importantly for fault-injection experiments — corrupted.
+
+A broadcast hands the same message object to every receiver, so the decoded
+ancestor list and priority map are computed once per message, on first use,
+and shared.  Both are immutable (the priority map is a read-only view).  The
+decoded forms are a cache, not state: they take no part in equality, hashing,
+``repr`` or pickling, so a message crossing a process boundary ships only its
+wire fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .ancestor_list import AncestorList, WireList
@@ -49,20 +58,24 @@ class GRPMessage:
         return cls(sender=sender, wire_list=alist.to_wire(), priorities=prio,
                    group_priority=group_priority, view=view_tuple)
 
-    @property
+    @cached_property
     def ancestor_list(self) -> AncestorList:
-        """The carried ancestor list, decoded."""
+        """The carried ancestor list, decoded once."""
         return AncestorList.from_wire(self.wire_list)
 
-    @property
-    def priority_map(self) -> Dict[NodeId, int]:
-        """Priorities as a mapping node -> oldness."""
-        return {node: value for node, value in self.priorities}
+    @cached_property
+    def priority_map(self) -> Mapping[NodeId, int]:
+        """Priorities as a read-only mapping node -> oldness."""
+        return MappingProxyType(dict(self.priorities))
 
-    @property
+    @cached_property
     def view_set(self) -> FrozenSet[NodeId]:
         """The sender's view as a frozenset."""
         return frozenset(self.view) if self.view else frozenset({self.sender})
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Only the wire fields travel; the decoded caches are rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def size_estimate(self) -> int:
         """Rough payload size in "identity slots" (used by the overhead metrics).

@@ -369,10 +369,8 @@ class GRPNode(Process):
 
     def _combine(self, accepted: Mapping[NodeId, AncestorList]) -> AncestorList:
         """Fold the accepted lists with ``ant`` starting from the local singleton."""
-        result = AncestorList.singleton(self.node_id)
-        for sender in sorted(accepted, key=str):
-            result = result.ant(accepted[sender])
-        return result
+        return AncestorList.singleton(self.node_id).ant_fold(
+            accepted[sender] for sender in sorted(accepted, key=str))
 
     def _view_conflict_losers(self) -> Set[NodeId]:
         """Members of the local view evicted because another member double-marked them.

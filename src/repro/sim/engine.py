@@ -4,9 +4,9 @@ The GRP protocol (and every other protocol in this repository) runs on top of a
 small, deterministic, seeded discrete-event simulator.  The design follows the
 classic event-list approach:
 
-* the :class:`Simulator` keeps a priority queue of :class:`Event` objects keyed
-  by ``(time, sequence_number)`` so that ties are broken deterministically in
-  scheduling order;
+* the :class:`Simulator` keeps a priority queue of ``(time, seq, event)``
+  tuples, so that ties are broken deterministically in scheduling order (the
+  sequence number is unique: the :class:`Event` itself is never compared);
 * callbacks registered with :meth:`Simulator.schedule` are invoked with the
   simulator clock already advanced to the event time;
 * events can be cancelled through the :class:`EventHandle` returned at
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,21 +35,21 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used inconsistently (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A single scheduled callback.
 
-    Events are ordered by ``(time, seq)``; the payload fields do not take part
-    in comparisons.
+    The queue orders events by the ``(time, seq)`` key stored next to them;
+    events themselves are not comparable.
     """
 
     time: float
     seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    callback: Callable[..., Any]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    cancelled: bool = False
+    done: bool = False
 
 
 class EventHandle:
@@ -93,7 +93,7 @@ class Simulator:
 
     def __init__(self, seed: Optional[int] = None, start_time: float = 0.0):
         self._now: float = float(start_time)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         # A plain int, not itertools.count(): counts don't pickle, and the
         # sharded snapshot-restore path serializes built simulators wholesale.
         self._next_seq = 0
@@ -175,9 +175,9 @@ class Simulator:
                 f"cannot schedule at {time} which is before current time {self._now}")
         seq = self._next_seq
         self._next_seq += 1
-        event = Event(time=float(time), seq=seq, callback=callback,
-                      args=args, kwargs=kwargs)
-        heapq.heappush(self._queue, event)
+        time = float(time)
+        event = Event(time, seq, callback, args, kwargs)
+        heapq.heappush(self._queue, (time, seq, event))
         self._pending += 1
         if self._obs_scheduled is not None:
             self._obs_scheduled.inc()
@@ -206,21 +206,21 @@ class Simulator:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq0 = self._next_seq
-        events = [Event(time=float(now + delay), seq=seq0 + k,
-                        callback=callback, args=tuple(args))
-                  for k, (delay, args) in enumerate(zip(delays, args_seq))]
-        self._next_seq = seq0 + len(events)
-        if len(self._queue) < 4 * len(events):
-            self._queue.extend(events)
+        times = [float(now + delay) for delay in delays]
+        entries = [(time, seq, Event(time, seq, callback, tuple(args)))
+                   for seq, time, args in zip(range(seq0, seq0 + len(times)), times, args_seq)]
+        self._next_seq = seq0 + len(entries)
+        if len(self._queue) < 4 * len(entries):
+            self._queue.extend(entries)
             heapq.heapify(self._queue)
         else:
-            for event in events:
-                heapq.heappush(self._queue, event)
-        self._pending += len(events)
+            for entry in entries:
+                heapq.heappush(self._queue, entry)
+        self._pending += len(entries)
         if obs is not None:
-            self._obs_scheduled.inc(len(events))
-            obs.record_span("sim.schedule_many", now, t0, {"events": len(events)})
-        return [EventHandle(event, self) for event in events]
+            self._obs_scheduled.inc(len(entries))
+            obs.record_span("sim.schedule_many", now, t0, {"events": len(entries)})
+        return [EventHandle(event, self) for _, _, event in entries]
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel an event previously returned by :meth:`schedule`."""
@@ -230,9 +230,10 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def advance_clock(self, time: float) -> None:
         """Move the clock forward to ``time`` without executing anything.
@@ -282,7 +283,7 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue was empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             event.done = True
@@ -386,8 +387,8 @@ class Simulator:
 
     def drain(self) -> Iterable[Event]:
         """Remove and return every pending event (used by tests)."""
-        events = [e for e in self._queue if not e.cancelled]
-        for event in self._queue:
+        events = [event for _, _, event in self._queue if not event.cancelled]
+        for _, _, event in self._queue:
             # Mark drained events done so a late EventHandle.cancel() does not
             # decrement the pending counter below zero.
             event.done = True

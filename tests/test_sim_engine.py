@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import pickle
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -349,3 +351,94 @@ class TestTimers:
             PeriodicTimer(simulator, -1.0, lambda: None)
         with pytest.raises(SimulationError):
             PeriodicTimer(simulator, 1.0, lambda: None, jitter=1.5)
+
+
+class Log:
+    """Picklable callback target: a simulator pickled with pending events
+    carries its callbacks along, so they must be bound methods of picklable
+    objects."""
+
+    def __init__(self):
+        self.entries = []
+
+    def record(self, tag):
+        self.entries.append(tag)
+
+
+class TestHeapOrder:
+    """The queue holds ``(time, seq, event)`` tuples: the unique ``seq`` breaks
+    every tie, so the event objects are never compared."""
+
+    def test_equal_times_pop_in_seq_order_on_the_push_path(self, simulator):
+        log = Log()
+        for tag in range(20):
+            # Identical callbacks and times: only seq tells them apart.
+            simulator.schedule(1.0, log.record, tag)
+        simulator.run()
+        assert log.entries == list(range(20))
+
+    def test_equal_times_pop_in_seq_order_on_the_heapify_path(self, simulator):
+        log = Log()
+        simulator.schedule(1.0, log.record, "before")
+        # A batch this large relative to the heap is heapified in place.
+        simulator.schedule_many([1.0] * 50, log.record, [(tag,) for tag in range(50)])
+        simulator.schedule(1.0, log.record, "after")
+        simulator.run()
+        assert log.entries == ["before"] + list(range(50)) + ["after"]
+
+    def test_equal_times_pop_in_seq_order_on_the_sifting_batch_path(self, simulator):
+        log = Log()
+        for tag in range(40):
+            simulator.schedule(2.0, log.record, ("single", tag))
+        # Small relative to the heap: pushed one by one.
+        simulator.schedule_many([2.0] * 5, log.record, [(("batch", k),) for k in range(5)])
+        simulator.run()
+        assert log.entries == ([("single", tag) for tag in range(40)]
+                               + [("batch", k) for k in range(5)])
+
+    def test_cancelled_events_are_skipped_on_both_paths(self, simulator):
+        log = Log()
+        single = [simulator.schedule(1.0, log.record, ("single", k)) for k in range(4)]
+        batch = simulator.schedule_many([1.0] * 4, log.record, [(("batch", k),) for k in range(4)])
+        single[1].cancel()
+        batch[0].cancel()
+        batch[3].cancel()
+        assert simulator.pending_events == 5
+        assert simulator.peek_time() == 1.0
+        simulator.run()
+        assert log.entries == [("single", 0), ("single", 2), ("single", 3),
+                               ("batch", 1), ("batch", 2)]
+        assert simulator.pending_events == 0
+
+    def test_cancelled_head_is_skipped_by_peek(self, simulator):
+        first = simulator.schedule(1.0, lambda: None)
+        simulator.schedule(2.0, lambda: None)
+        first.cancel()
+        assert simulator.peek_time() == 2.0
+
+    def test_pickled_simulator_resumes_in_the_same_order(self):
+        def build():
+            sim = Simulator(seed=7)
+            log = Log()
+            for k in range(10):
+                sim.schedule(float(k % 3), log.record, ("single", k))
+            sim.schedule_many([1.0, 0.0, 2.0, 1.0], log.record,
+                              [(("batch", k),) for k in range(4)])
+            sim.schedule(1.0, log.record, "cancelled").cancel()
+            return sim, log
+
+        sim, log = build()
+        sim.run(until=0.5)
+        restored_sim, restored_log = pickle.loads(pickle.dumps((sim, log)))
+        sim.run()
+        restored_sim.run()
+        assert restored_log.entries == log.entries
+        assert restored_sim.processed_events == sim.processed_events
+        assert restored_sim.pending_events == sim.pending_events == 0
+        # Scheduling after the restore keeps extending the same seq order.
+        for target, target_log in ((sim, log), (restored_sim, restored_log)):
+            target.schedule(0.0, target_log.record, "x")
+            target.schedule(0.0, target_log.record, "y")
+            target.run()
+        assert restored_log.entries == log.entries
+        assert log.entries[-2:] == ["x", "y"]
