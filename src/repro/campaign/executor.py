@@ -6,11 +6,12 @@ therefore bit-identical aggregate tables), because every task is fully seeded
 and shares nothing with its siblings.  Only ``wall_time`` is allowed to differ
 between backends.
 
-Workers cap their trace memory through
+Deployments attach no trace recorder unless a caller passes one (see
+:func:`repro.core.protocol.build_grp_network`).  For recorders that callers
+do attach inside a task, workers cap the stored records through
 :attr:`repro.sim.trace.TraceRecorder.default_max_records` (set from
 ``CampaignSpec.max_trace_records`` around each task), so long campaigns cannot
-grow worker memory without bound; per-category trace *counters* stay exact, so
-overhead metrics are unaffected.
+grow worker memory without bound; per-category trace *counters* stay exact.
 
 Failure policy
 --------------

@@ -82,9 +82,12 @@ class CampaignSpec:
     quick:
         Use the quick workload sizes (the full sizes otherwise).
     max_trace_records:
-        Bound on stored trace records inside each worker (oldest records are
-        dropped beyond it; per-category counters stay exact).  ``None`` keeps
-        traces unbounded — avoid for long campaigns.
+        Bound on the records stored by each trace recorder a caller attaches
+        inside a worker (oldest records are dropped beyond it; per-category
+        counters stay exact).  Deployments attach no recorder by default, so
+        this bounds only opt-in recorders.  ``None`` keeps them unbounded.
+        It stays part of the spec hash, so existing spec hashes, task ids
+        and stores keep resuming.
     scenarios:
         Scenario-axis cells: every experiment runs once per entry (specs or
         their ``as_dict`` forms).  Empty means "no scenario axis": each

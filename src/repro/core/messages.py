@@ -65,8 +65,12 @@ class GRPMessage:
 
     @cached_property
     def priority_map(self) -> Mapping[NodeId, int]:
-        """Priorities as a read-only mapping node -> oldness."""
-        return MappingProxyType(dict(self.priorities))
+        """Priorities as a read-only mapping node -> int oldness.
+
+        The ``int`` conversion happens here, once per message, so every
+        receiver can merge the map into its table without converting again.
+        """
+        return MappingProxyType({node: int(value) for node, value in self.priorities})
 
     @cached_property
     def view_set(self) -> FrozenSet[NodeId]:

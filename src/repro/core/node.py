@@ -128,6 +128,8 @@ class GRPNode(Process):
         self._conflict_streaks: Dict[NodeId, int] = {}
         self._tc_timer: Optional[PeriodicTimer] = None
         self._ts_timer: Optional[PeriodicTimer] = None
+        # (alist, view, priority revision, message) of the last built message.
+        self._outgoing: Optional[Tuple[AncestorList, FrozenSet[NodeId], int, GRPMessage]] = None
         # Protocol observatory hook, captured once (PR-7 contract: with obs
         # off, compute() pays exactly one attribute check).
         self._obs = _obs_current()
@@ -151,6 +153,35 @@ class GRPNode(Process):
     def in_group(self) -> bool:
         """Whether the node currently belongs to a group of more than one member."""
         return len(self.view) > 1
+
+    def outgoing_message(self) -> GRPMessage:
+        """The message a send would broadcast now: the list with priorities.
+
+        Built once per protocol state and reused until the state changes.  A
+        message is a function of the ancestor list, the view and the priority
+        table only; the list and the view are immutable and replaced (never
+        mutated) by ``compute()``, ``on_activate()`` and ``corrupt_state()``,
+        and the table bumps its ``revision`` on every mutation, so the cache
+        is keyed on the identity of the first two plus the revision.  The
+        key holds references, not ``id()`` values, so it cannot be fooled
+        by a recycled address and stays valid across pickling (which
+        preserves shared references).  Reusing the object also lets every
+        receiver share its decoded ancestor list and priority map.
+        """
+        alist, view, revision = self.alist, self.view, self.priorities.revision
+        cached = self._outgoing
+        if (cached is not None and cached[0] is alist and cached[1] is view
+                and cached[2] == revision):
+            return cached[3]
+        message = GRPMessage.build(
+            sender=self.node_id,
+            alist=alist,
+            priorities=self.priorities.snapshot(alist.nodes() | {self.node_id}),
+            group_priority=self.group_priority(),
+            view=view,
+        )
+        self._outgoing = (alist, view, revision, message)
+        return message
 
     # -------------------------------------------------------------- lifecycle
 
@@ -200,15 +231,8 @@ class GRPNode(Process):
 
     def _on_ts_expired(self) -> None:
         """Paper lines 7-9: broadcast the current list with priorities."""
-        message = GRPMessage.build(
-            sender=self.node_id,
-            alist=self.alist,
-            priorities=self.priorities.snapshot(self.alist.nodes() | {self.node_id}),
-            group_priority=self.group_priority(),
-            view=self.view,
-        )
         self.sends += 1
-        self.broadcast(message)
+        self.broadcast(self.outgoing_message())
 
     def _on_tc_expired(self) -> None:
         """Paper lines 3-6: compute, then expire stale neighbour messages.

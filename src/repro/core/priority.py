@@ -38,6 +38,9 @@ class PriorityTable:
         self.owner = owner
         self._own = int(initial)
         self._known: Dict[NodeId, int] = {}
+        #: Bumped by every mutation; keys the owner's outgoing-message cache
+        #: (:meth:`repro.core.node.GRPNode.outgoing_message`).
+        self.revision = 0
 
     # ----------------------------------------------------------------- state
 
@@ -49,6 +52,7 @@ class PriorityTable:
     def set_own(self, value: int) -> None:
         """Overwrite the local counter (fault injection / initialisation)."""
         self._own = int(value)
+        self.revision += 1
 
     def oldness_of(self, node: NodeId) -> Optional[int]:
         """Last known counter of ``node`` (``None`` when unknown)."""
@@ -72,21 +76,28 @@ class PriorityTable:
     # --------------------------------------------------------------- updates
 
     def learn(self, priorities: Mapping[NodeId, int]) -> None:
-        """Merge counters carried by a received message (latest value wins)."""
-        for node, oldness in priorities.items():
-            if node == self.owner:
-                continue
-            self._known[node] = int(oldness)
+        """Merge counters carried by a received message (latest value wins).
+
+        Values are stored as given: callers pass int counters (a decoded
+        :attr:`repro.core.messages.GRPMessage.priority_map` is already
+        int-valued).  The owner's own entry is never learned.
+        """
+        known = self._known
+        known.update(priorities)
+        known.pop(self.owner, None)
+        self.revision += 1
 
     def forget_except(self, keep: Iterable[NodeId]) -> None:
         """Drop counters of identities no longer relevant (keeps memory bounded)."""
         keep = set(keep)
         self._known = {node: value for node, value in self._known.items() if node in keep}
+        self.revision += 1
 
     def tick(self, in_group: bool) -> None:
         """Pseudo-code line 32: the counter grows only while the node is alone."""
         if not in_group:
             self._own += 1
+            self.revision += 1
 
     # ----------------------------------------------------------- comparisons
 

@@ -33,14 +33,18 @@ class GRPDeployment:
     nodes:
         Mapping node id -> :class:`GRPNode`.
     trace:
-        The trace recorder shared by the network and the metric collectors.
+        The trace recorder the network records ``send``/``receive``/``drop``
+        events into, or ``None`` (the default).  Recording is opt-in:
+        with no recorder the network takes its zero-delay and batched
+        delivery fast paths, and a recorder only observes — attaching one
+        changes no view, counter or random draw of the run.
     scenario_metadata:
         Structural facts published by the scenario builder (e.g. the member
         lists of a clustered layout); empty for unstructured scenarios.
     """
 
     def __init__(self, sim: Simulator, network: Network, nodes: Dict[Hashable, GRPNode],
-                 trace: TraceRecorder, config: GRPConfig):
+                 trace: Optional[TraceRecorder], config: GRPConfig):
         self.sim = sim
         self.network = network
         self.nodes = nodes
@@ -82,7 +86,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
                       loss_probability: float = 0.0,
                       mobility=None,
                       seed: Optional[int] = None,
-                      trace_categories: Optional[set] = None,
+                      trace: Optional[TraceRecorder] = None,
                       use_spatial_index: bool = True) -> GRPDeployment:
     """Build a GRP deployment from node positions.
 
@@ -106,15 +110,17 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
     seed:
         Master seed; sub-streams are derived for the simulator, the channel and
         the mobility model.
-    trace_categories:
-        Categories stored (not only counted) by the trace recorder.
+    trace:
+        Optional recorder for the network's ``send``/``receive``/``drop``
+        events.  None is attached by default, which keeps the delivery
+        fast paths on; pass a :class:`~repro.sim.trace.TraceRecorder` to
+        record a run (it reproduces the unrecorded run bit for bit).
     use_spatial_index:
         Serve neighbour queries from the network's spatial index (default);
         disable to force the brute-force scans, e.g. for cross-checking runs.
     """
     seeds = SeedSequenceFactory(seed)
     sim = Simulator(seed=seeds.seed_for("simulator"))
-    trace = TraceRecorder(keep_categories=trace_categories)
     if radio is None:
         radio = UnitDiskRadio(radio_range)
     if channel is None:

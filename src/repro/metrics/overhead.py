@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.messages import GRPMessage
 from repro.core.protocol import GRPDeployment
 
 __all__ = ["OverheadSummary", "overhead_summary"]
@@ -51,14 +50,7 @@ def overhead_summary(deployment: GRPDeployment, duration: float) -> OverheadSumm
     payload_sizes = []
     computations = 0
     for node in nodes.values():
-        message = GRPMessage.build(
-            sender=node.node_id,
-            alist=node.alist,
-            priorities=node.priorities.snapshot(node.alist.nodes() | {node.node_id}),
-            group_priority=node.group_priority(),
-            view=node.view,
-        )
-        payload_sizes.append(message.size_estimate())
+        payload_sizes.append(node.outgoing_message().size_estimate())
         computations += node.computations
     return OverheadSummary(
         duration=float(duration),

@@ -25,7 +25,10 @@ class FaultInjector:
 
     The injector works against the public state-mutation API of
     :class:`repro.core.node.GRPNode` (``corrupt_state``) so it stays decoupled
-    from the node internals.
+    from the node internals.  ``trace`` is opt-in: pass a
+    :class:`~repro.sim.trace.TraceRecorder` to record one ``fault.<kind>``
+    entry per injection; with ``None`` (the default) only :attr:`injected`
+    counts them.
     """
 
     def __init__(self, network, rng: Optional[np.random.Generator] = None,

@@ -70,7 +70,6 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.messages import GRPMessage
 from repro.mobility.churn import ChurnEvent, ChurnSchedule
 from repro.net.channel import CollisionChannel, LossyChannel, PerfectChannel
 from repro.net.network import Network
@@ -748,14 +747,7 @@ class ShardWorld:
             for nid, node in nodes.items():
                 if nid not in owned_set:
                     continue
-                message = GRPMessage.build(
-                    sender=node.node_id,
-                    alist=node.alist,
-                    priorities=node.priorities.snapshot(node.alist.nodes() | {node.node_id}),
-                    group_priority=node.group_priority(),
-                    view=node.view,
-                )
-                payload_sizes.append(message.size_estimate())
+                payload_sizes.append(node.outgoing_message().size_estimate())
                 computations += node.computations
             parts["payload_total"] = sum(payload_sizes)
             parts["payload_count"] = len(payload_sizes)

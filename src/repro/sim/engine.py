@@ -21,6 +21,7 @@ sub-streams, making every run fully reproducible from a single seed.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -264,42 +265,14 @@ class Simulator:
         scheduled during the window that still fall inside it are executed by
         the same call (zero-delay cascades stay local).
         """
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if (next_time > end) if inclusive else (next_time >= end):
-                break
-            if self.step():
-                executed += 1
-        return executed
+        return self._execute(end, inclusive, max_events)[0]
 
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue was empty.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
-                continue
-            event.done = True
-            self._pending -= 1
-            self._now = event.time
-            obs = self._obs
-            if obs is None:
-                event.callback(*event.args, **event.kwargs)
-            else:
-                t0 = obs.clock()
-                event.callback(*event.args, **event.kwargs)
-                obs.record_span("sim.event_pop", event.time, t0)
-                self._obs_events.inc()
-            self._processed += 1
-            return True
-        return False
+        return self._execute(math.inf, True, 1)[0] == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation.
@@ -322,22 +295,52 @@ class Simulator:
         t0 = obs.clock() if obs is not None else 0
         self._running = True
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = float(until)
-                    break
-                if self.step():
-                    executed += 1
+            executed, bounded = self._execute(
+                math.inf if until is None else until, True, max_events)
+            if bounded:
+                self._now = float(until)
         finally:
             self._running = False
             if obs is not None:
                 obs.record_span("sim.run", self._now, t0, {"events": executed})
         return executed
+
+    def _execute(self, end: float, inclusive: bool,
+                 max_events: Optional[int]) -> Tuple[int, bool]:
+        """The event loop shared by :meth:`run`, :meth:`run_window` and :meth:`step`.
+
+        Pops ``(time, seq, event)`` entries straight off the heap, discarding
+        cancelled ones, and executes events up to ``end`` (inclusive or not)
+        and at most ``max_events`` of them.  Returns the number executed and
+        whether the loop stopped at a live event beyond the bound (``False``
+        when the queue drained or ``max_events`` was reached).
+        """
+        queue = self._queue
+        heappop = heapq.heappop
+        obs = self._obs
+        limit = math.inf if max_events is None else max_events
+        executed = 0
+        while queue and executed < limit:
+            time, _seq, event = queue[0]
+            if event.cancelled:
+                heappop(queue)
+                continue
+            if time > end or (time == end and not inclusive):
+                return executed, True
+            heappop(queue)
+            event.done = True
+            self._pending -= 1
+            self._now = time
+            if obs is None:
+                event.callback(*event.args, **event.kwargs)
+            else:
+                t0 = obs.clock()
+                event.callback(*event.args, **event.kwargs)
+                obs.record_span("sim.event_pop", time, t0)
+                self._obs_events.inc()
+            self._processed += 1
+            executed += 1
+        return executed, False
 
     def run_until_empty(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain (bounded by ``max_events``)."""

@@ -127,7 +127,9 @@ class PeriodicTimer:
             return self._period
         low = self._period * (1.0 - self._jitter)
         high = self._period * (1.0 + self._jitter)
-        return float(self._rng.uniform(low, high))
+        # Generator.uniform(low, high) computes exactly this from one
+        # random() draw; spelling it out skips numpy's argument handling.
+        return low + (high - low) * self._rng.random()
 
     def start(self) -> None:
         """Start the timer (idempotent)."""

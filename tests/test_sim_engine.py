@@ -2,8 +2,12 @@
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import observing
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 
@@ -442,3 +446,136 @@ class TestHeapOrder:
             target.run()
         assert restored_log.entries == log.entries
         assert log.entries[-2:] == ["x", "y"]
+
+
+class TestEventLoop:
+    """``run``, ``run_window`` and ``step`` share one loop that pops the heap
+    directly; these pin the contract each of them keeps."""
+
+    def schedule_ties(self, sim, log):
+        for tag in range(6):
+            sim.schedule(1.0 + (tag % 3), log.record, tag)
+
+    def test_run_and_run_window_keep_time_seq_order(self):
+        expected = [0, 3, 1, 4, 2, 5]
+        for drive in (lambda sim: sim.run(),
+                      lambda sim: sim.run_window(10.0)):
+            sim, log = Simulator(seed=1), Log()
+            self.schedule_ties(sim, log)
+            assert drive(sim) == 6
+            assert log.entries == expected
+
+    def test_run_until_is_inclusive_and_moves_the_clock_to_a_live_bound(self, simulator):
+        log = Log()
+        simulator.schedule(2.0, log.record, "at")
+        simulator.schedule(2.5, log.record, "after")
+        assert simulator.run(until=2.0) == 1
+        assert log.entries == ["at"]
+        assert simulator.now == 2.0
+        assert simulator.run(until=2.2) == 0
+        assert simulator.now == 2.2
+
+    def test_run_window_boundary(self, simulator):
+        log = Log()
+        simulator.schedule(1.0, log.record, "a")
+        simulator.schedule(2.0, log.record, "b")
+        assert simulator.run_window(2.0) == 1
+        assert log.entries == ["a"] and simulator.now == 1.0
+        assert simulator.run_window(2.0, inclusive=True) == 1
+        assert log.entries == ["a", "b"] and simulator.now == 2.0
+
+    def test_max_events_on_both_entry_points(self):
+        for drive in (lambda sim: sim.run(max_events=3),
+                      lambda sim: sim.run_window(100.0, max_events=3)):
+            sim, log = Simulator(seed=1), Log()
+            self.schedule_ties(sim, log)
+            assert drive(sim) == 3
+            assert log.entries == [0, 3, 1]
+            assert sim.pending_events == 3 and sim.now == 2.0
+
+    def test_cancelled_head_events_are_discarded(self):
+        for drive in (lambda sim: sim.run(until=1.5),
+                      lambda sim: sim.run_window(1.5)):
+            sim = Simulator(seed=1)
+            dead = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+            sim.schedule(2.0, lambda: None)
+            for handle in dead:
+                handle.cancel()
+            assert drive(sim) == 0
+            # The cancelled heads are gone; the live event beyond the bound stays.
+            assert len(sim._queue) == 1 and sim.pending_events == 1
+            assert sim.processed_events == 0
+
+    def test_step_skips_cancelled_events(self, simulator):
+        log = Log()
+        simulator.schedule(1.0, log.record, "dead").cancel()
+        simulator.schedule(2.0, log.record, "live")
+        assert simulator.step()
+        assert log.entries == ["live"] and simulator.now == 2.0
+        assert not simulator.step()
+
+    def test_clock_stays_put_when_the_queue_drains(self):
+        for drive in (lambda sim: sim.run(until=5.0),
+                      lambda sim: sim.run_window(5.0)):
+            sim = Simulator(seed=1)
+            sim.schedule(1.0, lambda: None)
+            dead = sim.schedule(3.0, lambda: None)
+            dead.cancel()
+            assert drive(sim) == 1
+            assert sim.now == 1.0
+
+    def test_events_scheduled_inside_the_window_run_in_the_same_call(self, simulator):
+        log = Log()
+
+        def cascade():
+            log.record("first")
+            simulator.schedule(0.0, log.record, "zero-delay")
+            simulator.schedule(0.5, log.record, "inside")
+            simulator.schedule(5.0, log.record, "outside")
+
+        simulator.schedule(1.0, cascade)
+        assert simulator.run_window(2.0) == 3
+        assert log.entries == ["first", "zero-delay", "inside"]
+
+    def test_observed_runs_emit_event_pop_spans(self):
+        with observing() as ctx:
+            sim = Simulator(seed=1)
+            for k in range(5):
+                sim.schedule(float(k), lambda: None)
+            sim.run(until=2.0)
+            sim.run_window(10.0)
+        assert sim.processed_events == 5
+        assert ctx.span_stats("sim.event_pop").count == 5
+        assert ctx.span_stats("sim.run").count == 1
+        assert ctx.registry.as_dict()["counters"]["sim.events"] == 5
+
+
+class TestTimerJitterDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           period=st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+           jitter=st.floats(0.0, 0.99, allow_nan=False),
+           fires=st.integers(1, 40))
+    def test_delays_and_generator_state_match_uniform(self, seed, period, jitter, fires):
+        sim = Simulator(seed=0)
+        times = []
+        timer = PeriodicTimer(sim, period, lambda: times.append(sim.now), jitter=jitter,
+                              rng=np.random.default_rng(seed))
+        timer.start()
+        sim.run(max_events=fires)
+
+        reference = np.random.default_rng(seed)
+        expected, now = [], 0.0
+        for _ in range(fires):
+            if jitter == 0.0:
+                delay = period
+            else:
+                delay = float(reference.uniform(period * (1.0 - jitter),
+                                                period * (1.0 + jitter)))
+            now = float(now + delay)
+            expected.append(now)
+        if jitter != 0.0:
+            # The timer has drawn the delay of its next, still pending expiration.
+            reference.uniform(period * (1.0 - jitter), period * (1.0 + jitter))
+        assert times == expected
+        assert timer._rng.bit_generator.state == reference.bit_generator.state
