@@ -5,25 +5,33 @@ operations executed on every node at every timer expiration — the ``ant``
 combination of the received lists and the full ``compute()`` procedure — so
 performance regressions of the core data structures are caught early.
 
-Three rows:
+Five rows:
 
 * ``ant_fold_us`` — one n-way fold ``v ant l1 ant … ant l8``
   (:meth:`AncestorList.ant_fold`) over eight neighbour lists;
 * ``compute_us`` — one ``GRPNode.compute()`` of a fresh node holding eight
-  freshly built messages (so the decode of each message is included);
+  freshly built messages (so the receiver-side work on each message is
+  included);
 * ``fold_vs_pairwise_speedup`` — the public pairwise chain
   ``singleton(v).ant(l1).ant(l2)…`` over the same lists divided by the fold;
-  the two results are checked equal in the run.  Budget: >= 2x.
+  the two results are checked equal in the run.  Budget: >= 2x;
+* ``build_us`` — one ``GRPMessage.build`` of the folded list with its
+  priorities and view (wire fields encoded on demand, so not here);
+* ``build_vs_eager_speedup`` — the eagerly encoded message (every wire field
+  built up front, as a receiver in another process needs it) divided by
+  ``build``; the two messages are checked equal and pickled to the same
+  bytes in the run.  Budget: >= 3x.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_core_microbenchmarks.py``;
 ``--quick`` takes fewer samples for CI smoke runs and ``--json PATH`` writes a
 ``bench-emit/v1`` envelope (see ``benchmarks/_emit.py``).  Exits non-zero when
-the fold misses its speedup budget or disagrees with the pairwise chain.
+a speedup misses its budget or a fast result disagrees with its reference.
 """
 
 from __future__ import annotations
 
 import argparse
+import pickle
 import statistics
 import time
 from typing import Callable, List
@@ -36,6 +44,7 @@ from repro.core.node import GRPConfig, GRPNode
 
 FANOUT = 8
 SPEEDUP_BUDGET = 2.0
+BUILD_SPEEDUP_BUDGET = 3.0
 
 
 def build_neighbour_lists(fanout: int = FANOUT, depth: int = 4) -> List[AncestorList]:
@@ -60,6 +69,22 @@ def pairwise(lists: List[AncestorList]) -> AncestorList:
 
 def fold(lists: List[AncestorList]) -> AncestorList:
     return AncestorList.singleton("v").ant_fold(lists)
+
+
+def message_state(folded: AncestorList):
+    """Arguments of one send of ``v`` holding ``folded``: every listed node's
+    priority and a view of the first two levels."""
+    priorities = {node: index for index, node in enumerate(sorted(folded.nodes()))}
+    view = frozenset(folded.level_nodes(0) | folded.level_nodes(1))
+    return "v", folded, priorities, (0, "v"), view
+
+
+def eager_build(sender, alist, priorities, group_priority, view) -> GRPMessage:
+    """The message with every wire field encoded up front (the reference)."""
+    prio = tuple(sorted(((node, int(value)) for node, value in priorities.items()),
+                        key=lambda item: str(item[0])))
+    return GRPMessage(sender, wire_list=alist.to_wire(), priorities=prio,
+                      group_priority=group_priority, view=tuple(sorted(view, key=str)))
 
 
 def loaded_node(config: GRPConfig, lists: List[AncestorList]) -> GRPNode:
@@ -115,11 +140,25 @@ def main() -> int:
     speedup = statistics.median(pairwise_us) / ant_fold_us
     compute_cost = compute_us(config, lists, calls // 4, samples)
 
+    state = message_state(folded)
+    built, eager = GRPMessage.build(*state), eager_build(*state)
+    build_identical = built == eager and pickle.dumps(built) == pickle.dumps(eager)
+    build_us, eager_us = [], []
+    for _ in range(samples):
+        build_us.append(mean_call_us(lambda: GRPMessage.build(*state), calls))
+        eager_us.append(mean_call_us(lambda: eager_build(*state), calls))
+    build_cost = statistics.median(build_us)
+    build_speedup = statistics.median(eager_us) / build_cost
+
     print(f"ant fold ({FANOUT} neighbours):      {ant_fold_us:9.2f} us")
     print(f"pairwise ant chain ({FANOUT} lists): {statistics.median(pairwise_us):9.2f} us")
     print(f"fold vs pairwise speedup:        {speedup:9.2f} x "
           f"(budget >= {SPEEDUP_BUDGET}x; results identical: {identical})")
     print(f"compute() with {FANOUT} messages:     {compute_cost:9.2f} us")
+    print(f"message build ({folded.size()} ids):      {build_cost:9.2f} us")
+    print(f"eagerly encoded message:         {statistics.median(eager_us):9.2f} us")
+    print(f"build vs eager speedup:          {build_speedup:9.2f} x "
+          f"(budget >= {BUILD_SPEEDUP_BUDGET}x; equal, same pickle: {build_identical})")
 
     if args.json:
         _emit.emit(args.json, bench="core", quick=args.quick, rows=[
@@ -127,17 +166,29 @@ def main() -> int:
             _emit.row("compute_us", round(compute_cost, 3), "us", direction="max"),
             _emit.row("fold_vs_pairwise_speedup", round(speedup, 3), "x",
                       budget=SPEEDUP_BUDGET),
+            _emit.row("build_us", round(build_cost, 3), "us", direction="max"),
+            _emit.row("build_vs_eager_speedup", round(build_speedup, 3), "x",
+                      budget=BUILD_SPEEDUP_BUDGET),
         ], meta={"fanout": FANOUT, "calls": calls, "samples": samples,
                  "pairwise_us": round(statistics.median(pairwise_us), 3),
-                 "fold_matches_pairwise": identical})
+                 "fold_matches_pairwise": identical,
+                 "eager_build_us": round(statistics.median(eager_us), 3),
+                 "build_matches_eager": build_identical})
 
+    status = 0
     if not identical:
         print("ERROR: the n-way fold disagrees with the pairwise ant chain")
-        return 1
+        status = 1
+    if not build_identical:
+        print("ERROR: the built message differs from the eagerly encoded one")
+        status = 1
     if speedup < SPEEDUP_BUDGET:
         print("WARNING: n-way fold below its speedup budget over the pairwise chain")
-        return 1
-    return 0
+        status = 1
+    if build_speedup < BUILD_SPEEDUP_BUDGET:
+        print("WARNING: message build below its speedup budget over eager encoding")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -123,11 +123,12 @@ class AncestorList:
         removed (smallest level wins) and trailing empty levels are dropped.
     """
 
-    __slots__ = ("_levels", "_hash")
+    __slots__ = ("_levels", "_hash", "_positions")
 
     def __init__(self, levels: Sequence[Mapping[NodeId, Mark]] = ()):
         self._levels = _normalize(levels)
         self._hash: Optional[int] = None
+        self._positions: Optional[Dict[NodeId, int]] = None
 
     # ------------------------------------------------------------ constructors
 
@@ -144,6 +145,7 @@ class AncestorList:
         alist = object.__new__(cls)
         alist._levels = tuple(levels[:end])
         alist._hash = None
+        alist._positions = None
         return alist
 
     @classmethod
@@ -218,21 +220,25 @@ class AncestorList:
 
     def position_of(self, node: NodeId) -> Optional[int]:
         """Level index of ``node`` or ``None`` when absent."""
-        for index, level in enumerate(self._levels):
-            if node in level:
-                return index
-        return None
+        return self.positions().get(node)
 
     def positions(self) -> Dict[NodeId, int]:
-        """Mapping identity -> level index (marked identities included)."""
-        return {node: index for index, level in enumerate(self._levels) for node in level}
+        """Mapping identity -> level index (marked identities included).
+
+        Built once per list and shared by every caller: the returned dict is
+        read-only by contract and must not be modified.
+        """
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = {node: index
+                                           for index, level in enumerate(self._levels)
+                                           for node in level}
+        return positions
 
     def mark_of(self, node: NodeId) -> Optional[Mark]:
         """Mark carried by ``node`` or ``None`` when absent."""
-        for level in self._levels:
-            if node in level:
-                return _MARKS[level[node]]
-        return None
+        index = self.positions().get(node)
+        return None if index is None else _MARKS[self._levels[index][node]]
 
     def has_empty_level(self) -> bool:
         """Whether any (non-trailing) level is empty — a malformed list."""
@@ -287,10 +293,15 @@ class AncestorList:
         identities are neighbour-local information and must not be propagated.
         Trailing empty levels produced by the removal are dropped; intermediate
         empty levels are preserved (such a list is then rejected by goodList).
+        Unmarked levels are shared as is, and a list without marks is returned
+        unchanged.
         """
         keep = set(keep)
+        if not any(any(level.values()) for level in self._levels):
+            return self
         return AncestorList._trusted([
             {node: mark for node, mark in level.items() if not mark or node in keep}
+            if any(level.values()) else level
             for level in self._levels])
 
     def sanitized_for(self, receiver: NodeId) -> "AncestorList":

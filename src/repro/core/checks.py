@@ -44,7 +44,7 @@ Interpretation notes (see DESIGN.md for the full discussion)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from .ancestor_list import AncestorList
 from .identity import Mark, NodeId
@@ -67,9 +67,7 @@ def good_list(received: AncestorList, receiver: NodeId, dmax: int) -> bool:
     pseudo-code does — makes every radio-range boundary flap demote an
     established member and breaks continuity in situations where ΠT holds.
     """
-    if len(received) > dmax + 1:
-        return False
-    if received.has_empty_level():
+    if len(received) > dmax + 1 or received.has_empty_level():
         return False
     if received.position_of(receiver) == 1:
         return True
@@ -137,10 +135,11 @@ def compatible_list(local: AncestorList, received: AncestorList, receiver: NodeI
         Members of the sender's established group (shipped in the message).
         ``None`` means the whole unmarked content of ``received``.
     """
-    local_view: Set[NodeId] = (set(local_members) if local_members is not None
-                               else set(local.unmarked_nodes()) | {receiver})
-    sender_view: Set[NodeId] = (set(sender_members) if sender_members is not None
-                                else set(received.stripped(receiver=receiver).nodes()))
+    # frozenset() of a frozenset (a view) is the same object: no copy.
+    local_view: FrozenSet[NodeId] = (frozenset(local_members) if local_members is not None
+                                     else frozenset(local.unmarked_nodes() | {receiver}))
+    sender_view: FrozenSet[NodeId] = (frozenset(sender_members) if sender_members is not None
+                                      else frozenset(received.stripped(receiver=receiver).nodes()))
     local_exclusive = local_view - sender_view
     sender_exclusive = sender_view - local_view - {receiver}
     if not sender_exclusive or not local_exclusive:
@@ -154,17 +153,30 @@ def compatible_list(local: AncestorList, received: AncestorList, receiver: NodeI
         q = group_span(received, sender_exclusive, exclude={receiver})
         return p + 1 + q <= dmax
 
-    # Marks are included: a marked direct neighbour still witnesses a one-hop path.
+    # Marks are included: a marked direct neighbour still witnesses a one-hop
+    # path.  The position maps are the lists' shared caches: read only.
     pos_local = local.positions()
     pos_received = received.positions()
-    # The local node is at distance 0 from itself whatever (possibly corrupted)
-    # occurrence of its identity the list contains.
-    pos_local[receiver] = 0
+    remote = [(y, pos_local.get(y), pos_received.get(y)) for y in sender_exclusive]
+    # merged_pair_bound(...) <= dmax for every cross pair, inlined: a pair
+    # passes as soon as one of its routes is short enough.
     for x in local_exclusive:
-        for y in sender_exclusive:
+        # The local node is at distance 0 from itself whatever (possibly
+        # corrupted) occurrence of its identity the list contains.
+        px_local = 0 if x == receiver else pos_local.get(x)
+        px_recv = pos_received.get(x)
+        for y, py_local, py_recv in remote:
             if x == y:
                 continue
-            bound = merged_pair_bound(pos_local, pos_received, x, y)
-            if bound > dmax:
-                return False
+            if px_local is not None:
+                if py_recv is not None and px_local + 1 + py_recv <= dmax:
+                    continue
+                if py_local is not None and px_local + py_local <= dmax:
+                    continue
+            if px_recv is not None:
+                if py_recv is not None and px_recv + py_recv <= dmax:
+                    continue
+                if py_local is not None and py_local + 1 + px_recv <= dmax:
+                    continue
+            return False
     return True

@@ -166,7 +166,8 @@ class GRPNode(Process):
         key holds references, not ``id()`` values, so it cannot be fooled
         by a recycled address and stays valid across pickling (which
         preserves shared references).  Reusing the object also lets every
-        receiver share its decoded ancestor list and priority map.
+        receiver share its receiver-side candidate list
+        (:meth:`GRPMessage.candidate_for`) and its position maps.
         """
         alist, view, revision = self.alist, self.view, self.priorities.revision
         cached = self._outgoing
@@ -261,14 +262,14 @@ class GRPNode(Process):
         old_view = self.view if obs is not None else None
 
         # Learn the priorities carried by the received messages.
-        for message in self.msg_set.values():
-            self.priorities.learn(message.priority_map)
+        self.priorities.learn(*(message.priority_map for message in self.msg_set.values()))
 
-        # Step 1 — check the received lists (pseudo-code lines 1-9).
+        # Step 1 — check the received lists (pseudo-code lines 1-9).  The
+        # accepted lists are inserted in sorted sender order, the fold order.
         accepted: Dict[NodeId, AncestorList] = {}
         for sender in sorted(self.msg_set, key=str):
             message = self.msg_set[sender]
-            candidate = message.ancestor_list.sanitized_for(self.node_id)
+            candidate = message.candidate_for(self.node_id)
             if not good_list(candidate, self.node_id, dmax):
                 candidate = AncestorList.singleton(sender, Mark.SINGLE)
             elif sender not in self.view and not compatible_list(
@@ -285,6 +286,7 @@ class GRPNode(Process):
         # Step 3 — too-far arbitration (lines 14-29).
         if len(new_list) == dmax + 2:
             far_nodes = new_list.level_nodes(dmax + 1)
+            replaced = False
             for far_node in sorted(far_nodes, key=str):
                 self._far_streaks[far_node] = self._far_streaks.get(far_node, 0) + 1
                 persistent = self._far_streaks[far_node] >= self.config.exclusion_patience
@@ -296,18 +298,20 @@ class GRPNode(Process):
                     # apart than Dmax end up on opposite sides of a double-marked
                     # edge (Proposition 5), at the cost of the local node leaving
                     # the providers' group.
-                    for sender in sorted(accepted, key=str):
-                        provider = accepted[sender]
-                        if far_node not in provider.level_nodes(dmax):
-                            continue
-                        accepted[sender] = AncestorList.singleton(sender, Mark.DOUBLE)
+                    for sender, provider in accepted.items():
+                        if provider.positions().get(far_node) == dmax:
+                            accepted[sender] = AncestorList.singleton(sender, Mark.DOUBLE)
+                            replaced = True
                     self._far_streaks.pop(far_node, None)
             # Identities that are no longer observed at the forbidden level stop
             # accumulating their exclusion streak.
             for node in list(self._far_streaks):
                 if node not in far_nodes:
                     del self._far_streaks[node]
-            new_list = self._combine(accepted).truncated(dmax + 1)
+            # Re-folding unchanged lists would rebuild the same list.
+            if replaced:
+                new_list = self._combine(accepted)
+            new_list = new_list.truncated(dmax + 1)
         else:
             self._far_streaks.clear()
 
@@ -336,12 +340,8 @@ class GRPNode(Process):
 
         # Step 4 — quarantine update and view extraction (lines 30-31).
         candidates = (self.alist.unmarked_nodes() | {self.node_id}) - vetoed
-        if self.config.quarantine_enabled:
-            self.quarantine.update(candidates)
-            eligible = {node for node in candidates if self.quarantine.is_cleared(node)}
-        else:
-            self.quarantine.update(candidates)
-            eligible = set(candidates)
+        cleared = self.quarantine.update(candidates)
+        eligible = cleared if self.config.quarantine_enabled else candidates
         self.view = frozenset(eligible | {self.node_id})
 
         # Step 5 — priority update (line 32).
@@ -392,9 +392,12 @@ class GRPNode(Process):
             self._obs_head = head
 
     def _combine(self, accepted: Mapping[NodeId, AncestorList]) -> AncestorList:
-        """Fold the accepted lists with ``ant`` starting from the local singleton."""
-        return AncestorList.singleton(self.node_id).ant_fold(
-            accepted[sender] for sender in sorted(accepted, key=str))
+        """Fold the accepted lists with ``ant`` starting from the local singleton.
+
+        Folds in ``accepted``'s insertion order, which ``compute()`` keeps
+        sorted by sender.
+        """
+        return AncestorList.singleton(self.node_id).ant_fold(accepted.values())
 
     def _view_conflict_losers(self) -> Set[NodeId]:
         """Members of the local view evicted because another member double-marked them.

@@ -75,15 +75,17 @@ class PriorityTable:
 
     # --------------------------------------------------------------- updates
 
-    def learn(self, priorities: Mapping[NodeId, int]) -> None:
-        """Merge counters carried by a received message (latest value wins).
+    def learn(self, *priorities: Mapping[NodeId, int]) -> None:
+        """Merge the counters carried by received messages (latest value wins).
 
-        Values are stored as given: callers pass int counters (a decoded
-        :attr:`repro.core.messages.GRPMessage.priority_map` is already
-        int-valued).  The owner's own entry is never learned.
+        All maps are merged in one pass, in the order given.  Values are
+        stored as given: callers pass int counters (a message's
+        :attr:`repro.core.messages.GRPMessage.priority_map` is int-valued).
+        The owner's own entry is never learned.
         """
         known = self._known
-        known.update(priorities)
+        for mapping in priorities:
+            known.update(mapping)
         known.pop(self.owner, None)
         self.revision += 1
 
@@ -134,10 +136,7 @@ class PriorityTable:
 
     def snapshot(self, nodes: Iterable[NodeId]) -> Dict[NodeId, int]:
         """Counters for the given identities (used to build outgoing messages)."""
-        out: Dict[NodeId, int] = {}
-        for node in nodes:
-            oldness = self.oldness_of(node)
-            if oldness is not None:
-                out[node] = oldness
+        known = self._known  # never holds the owner (see learn)
+        out = {node: known[node] for node in nodes if node in known}
         out[self.owner] = self._own
         return out

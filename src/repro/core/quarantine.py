@@ -48,23 +48,25 @@ class QuarantineTracker:
 
     # --------------------------------------------------------------- updates
 
-    def update(self, current_members: Iterable[NodeId]) -> None:
-        """One computation round (pseudo-code line 30).
+    def update(self, current_members: Iterable[NodeId]) -> Set[NodeId]:
+        """One computation round (pseudo-code line 30); returns :meth:`cleared`.
 
         New identities get a counter of ``Dmax``; already tracked identities
         with a non-null counter are decremented; identities that left the list
         are forgotten.  The owner always stays at zero.
         """
         current = set(current_members) | {self.owner}
+        owner, dmax, old = self.owner, self.dmax, self._counters
         new_counters: Dict[NodeId, int] = {}
+        cleared: Set[NodeId] = set()
         for node in current:
-            if node == self.owner:
-                new_counters[node] = 0
-            elif node in self._counters:
-                new_counters[node] = max(0, self._counters[node] - 1)
-            else:
-                new_counters[node] = self.dmax
+            value = old.get(node) if node != owner else 0
+            value = dmax if value is None else max(0, value - 1)
+            new_counters[node] = value
+            if not value:
+                cleared.add(node)
         self._counters = new_counters
+        return cleared
 
     def reset(self, node: NodeId) -> None:
         """Restart the quarantine of ``node`` (used by fault injection)."""
