@@ -1,35 +1,35 @@
-"""Delivery-pipeline benchmark: vectorized vs per-receiver broadcast path.
+"""Delivery-pipeline benchmark: CSR batched vs grid-scan broadcast path.
 
 Two measurements over the raw network substrate (no protocol on top):
 
 * **Broadcast-step throughput** — every node broadcasts into no-op receivers
   over a churning 1000-node dense field (mobility steps interleaved with
   hello-beacon rounds, the regime that dominates the paper's experiments).
-  The vectorized pipeline serves receiver lists from the incremental
-  link-state cache, decides whole batches through ``decide_batch`` and
-  bulk-schedules delayed deliveries; the baseline is the per-receiver scan
-  (``vectorized_delivery=False``).  Both paths replay seeded runs
-  bit-identically — the benchmark asserts identical delivery counters.
+  The vectorized pipeline serves receiver lists from the CSR link state,
+  decides whole batches through ``decide_batch`` and bulk-schedules delayed
+  deliveries; the baseline is the per-receiver grid-candidate scan, reached
+  through :class:`ScanUnitDiskRadio` (a unit disk that reports no uniform
+  link radius).  Both paths replay seeded runs bit-identically — the
+  benchmark asserts identical delivery counters.
 * **Topology refresh under mobility** — per mobility step, move a mobile
   subset of the field and re-read the neighbourhoods of the movers (what a
-  protocol reacting to mobility inspects).  Incremental link-state patches
-  only the movers' links; the baseline recomputes the snapshot from the grid.
+  protocol reacting to mobility inspects).  The CSR link state patches only
+  the movers' links; the baseline (the same grid-scan radio) recomputes the
+  snapshot from the grid.
   A full-sweep row (query *every* node) and an all-mobile row are included
   for transparency — when every node moves every step, patching every link
   from both endpoints approaches the cost of one rebuild and the incremental
   advantage fades; the win lives exactly where the ISSUE/ROADMAP motivate it
   (most links stable between steps).
 
-A third table scales the array backend alone to a 10,000-node field at the
+A third table scales the CSR path alone to a 10,000-node field at the
 same density (the scan path is O(n) per broadcast and would take minutes
 there): the row must finish well inside a 60 s wall-clock budget.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_delivery.py``; ``--quick``
 shrinks the scenarios for CI smoke runs, ``--json PATH`` writes a
 ``bench-emit/v1`` envelope (see ``benchmarks/_emit.py``; the legacy payload
-rides in its ``meta`` key) for artifact tracking, and
-``--dict-state`` swaps the vectorized side onto the dict-based link-state
-cache to cross-check the array backend (on by default).  Full-mode targets:
+rides in its ``meta`` key) for artifact tracking.  Full-mode targets:
 >= 6x broadcast-step throughput on the lossy dense mobile field (measured
 ~10x with the array backend), >= 5x topology refresh with the 10% mobile
 subset, and the 10k-node row under budget.
@@ -55,6 +55,17 @@ from repro.sim.process import Process
 from repro.sim.randomness import SeedSequenceFactory
 
 
+class ScanUnitDiskRadio(UnitDiskRadio):
+    """A unit disk that hides its uniform link radius.
+
+    The network then serves it from the grid-candidate scan instead of the
+    CSR link state: the per-receiver baseline of every row below.
+    """
+
+    def uniform_link_radius(self):
+        return None
+
+
 class NullProcess(Process):
     """Receiver that does nothing (keeps protocol cost out of the timing)."""
 
@@ -63,9 +74,8 @@ class NullProcess(Process):
 
 
 def build_network(n: int, area: float, radio_range: float, seed: int,
-                  vectorized: bool, channel_kind: str,
-                  array_state: bool = True) -> Tuple[Simulator, Network,
-                                                     RandomWaypointMobility]:
+                  vectorized: bool, channel_kind: str) -> Tuple[Simulator, Network,
+                                                                RandomWaypointMobility]:
     seeds = SeedSequenceFactory(seed)
     positions = random_positions(range(n), area=(area, area), rng=seeds.stream("placement"))
     sim = Simulator(seed=seed)
@@ -76,8 +86,8 @@ def build_network(n: int, area: float, radio_range: float, seed: int,
                                rng=seeds.stream("channel"))
     else:
         channel = PerfectChannel()
-    network = Network(sim, radio=UnitDiskRadio(radio_range), channel=channel,
-                      vectorized_delivery=vectorized, array_state=array_state)
+    radio_cls = UnitDiskRadio if vectorized else ScanUnitDiskRadio
+    network = Network(sim, radio=radio_cls(radio_range), channel=channel)
     for node, pos in positions.items():
         network.add_node(NullProcess(node), pos)
     mobility = RandomWaypointMobility((area, area), min_speed=5.0, max_speed=15.0,
@@ -89,7 +99,7 @@ def build_network(n: int, area: float, radio_range: float, seed: int,
 
 def time_broadcast_steps(vectorized: bool, channel_kind: str, n: int, area: float,
                          steps: int, rounds_per_step: int,
-                         seed: int = 7, array_state: bool = True) -> Tuple[float, int]:
+                         seed: int = 7) -> Tuple[float, int]:
     """(broadcasts/second, messages_delivered) over a churning field.
 
     One "step" = one mobility step followed by ``rounds_per_step`` hello
@@ -97,7 +107,7 @@ def time_broadcast_steps(vectorized: bool, channel_kind: str, n: int, area: floa
     drained through the simulator after each step.
     """
     sim, network, mobility = build_network(n, area, 100.0, seed, vectorized,
-                                           channel_kind, array_state=array_state)
+                                           channel_kind)
     nodes = network.node_ids
     count = 0
     start = time.perf_counter()
@@ -113,20 +123,17 @@ def time_broadcast_steps(vectorized: bool, channel_kind: str, n: int, area: floa
 
 
 def broadcast_rows(n: int, area: float, steps: int, rounds_per_step: int,
-                   repeats: int, array_state: bool = True) -> List[Dict[str, object]]:
+                   repeats: int) -> List[Dict[str, object]]:
     rows = []
     for kind in ("lossy", "perfect", "delayed"):
         best = {"vectorized": 0.0, "scan": 0.0}
         delivered: Dict[str, int] = {}
         # Interleave the two pipelines within each repeat so transient
-        # machine load penalizes both sides equally.  The scan baseline is
-        # always the scalar reference; ``array_state`` selects the state
-        # backend behind the vectorized side (SoA/CSR vs dict cache).
+        # machine load penalizes both sides equally.
         for _ in range(repeats):
             for label, vectorized in (("vectorized", True), ("scan", False)):
                 rate, count = time_broadcast_steps(
-                    vectorized, kind, n, area, steps, rounds_per_step,
-                    array_state=array_state and vectorized)
+                    vectorized, kind, n, area, steps, rounds_per_step)
                 best[label] = max(best[label], rate)
                 delivered[label] = count
         # The two paths must be *the same simulation*, not merely similar.
@@ -146,15 +153,14 @@ def broadcast_rows(n: int, area: float, steps: int, rounds_per_step: int,
 # -------------------------------------------------------------------- refresh
 
 def time_refresh_steps(vectorized: bool, n: int, area: float, movers: int,
-                       steps: int, query: str, seed: int = 11,
-                       array_state: bool = True) -> Tuple[float, int]:
+                       steps: int, query: str, seed: int = 11) -> Tuple[float, int]:
     """(mobility steps/second, total neighbour count) for one refresh regime.
 
     ``query`` selects the per-step read load: ``"movers"`` re-reads the
     neighbourhoods of the nodes that moved, ``"all"`` sweeps every node.
     """
     sim, network, mobility = build_network(n, area, 100.0, seed, vectorized,
-                                           "perfect", array_state=array_state)
+                                           "perfect")
     mobile = list(range(movers))
     network.topology()
     network.neighbors_of(0)  # warm both pipelines
@@ -171,7 +177,7 @@ def time_refresh_steps(vectorized: bool, n: int, area: float, movers: int,
 
 
 def refresh_rows(n: int, area: float, steps: int,
-                 repeats: int, array_state: bool = True) -> List[Dict[str, object]]:
+                 repeats: int) -> List[Dict[str, object]]:
     regimes = [
         ("10% mobile, read movers", max(1, n // 10), "movers"),
         ("10% mobile, read all", max(1, n // 10), "all"),
@@ -184,8 +190,7 @@ def refresh_rows(n: int, area: float, steps: int,
         for _ in range(repeats):
             for label, vectorized in (("incremental", True), ("rebuild", False)):
                 rate, total = time_refresh_steps(
-                    vectorized, n, area, movers, steps, query,
-                    array_state=array_state and vectorized)
+                    vectorized, n, area, movers, steps, query)
                 best[label] = max(best[label], rate)
                 totals[label] = total
         assert totals["incremental"] == totals["rebuild"], (
@@ -204,7 +209,7 @@ def refresh_rows(n: int, area: float, steps: int,
 
 def scale_row(n: int, steps: int, rounds_per_step: int,
               budget_s: float = 60.0) -> Dict[str, object]:
-    """One array-backend row at large ``n``, same density as the 1000-node field.
+    """One CSR-path row at large ``n``, same density as the 1000-node field.
 
     The per-receiver scan is O(n) per broadcast, so no scan baseline is run
     here (it would take minutes at 10k nodes — which is the point).  The row
@@ -213,7 +218,7 @@ def scale_row(n: int, steps: int, rounds_per_step: int,
     area = 1000.0 * math.sqrt(n / 1000.0)  # constant density: ~31 neighbours
     start = time.perf_counter()
     rate, delivered = time_broadcast_steps(True, "lossy", n, area, steps,
-                                           rounds_per_step, array_state=True)
+                                           rounds_per_step)
     wall = time.perf_counter() - start
     return {
         "scenario": "dense mobile field / lossy (array backend)",
@@ -234,14 +239,9 @@ def main() -> int:
                         help="small scenarios for CI smoke runs")
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
                         help="also write the result rows as JSON")
-    parser.add_argument("--dict-state", action="store_true",
-                        help="run the vectorized side on the dict-based "
-                             "link-state cache instead of the array backend "
-                             "(cross-check; array backend is the default)")
     parser.add_argument("--no-scale", action="store_true",
                         help="skip the 10,000-node array-backend row")
     args = parser.parse_args()
-    array_state = not args.dict_state
 
     if args.quick:
         n, area, steps, rounds, refresh_steps, repeats = 250, 500.0, 2, 2, 4, 1
@@ -254,15 +254,12 @@ def main() -> int:
         bcast_target, refresh_target = 6.0, 5.0
         scale_steps, scale_rounds = 2, 2
 
-    backend = "array" if array_state else "dict"
-    bcast = broadcast_rows(n, area, steps, rounds, repeats,
-                           array_state=array_state)
-    print_table(bcast, title=f"broadcast-step throughput: vectorized pipeline "
-                             f"({backend} state) vs per-receiver scan")
-    refresh = refresh_rows(n, area, refresh_steps, repeats,
-                           array_state=array_state)
+    bcast = broadcast_rows(n, area, steps, rounds, repeats)
+    print_table(bcast, title="broadcast-step throughput: CSR batched pipeline "
+                             "vs per-receiver grid scan")
+    refresh = refresh_rows(n, area, refresh_steps, repeats)
     print_table(refresh, title="topology refresh under mobility: incremental "
-                               "link-state vs full recompute")
+                               "CSR link state vs full grid recompute")
     scale = None
     if not args.no_scale:
         scale = scale_row(10_000, scale_steps, scale_rounds)
@@ -297,7 +294,6 @@ def main() -> int:
         # (perf_trajectory.py reads both shapes).
         _emit.emit(args.json, bench="delivery", quick=args.quick, rows=rows,
                    meta={
-                       "state_backend": backend,
                        "broadcast": bcast,
                        "refresh": refresh,
                        "scale": scale,

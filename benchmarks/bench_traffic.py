@@ -1,16 +1,18 @@
 """Traffic-subsystem benchmark: application messages through the group layer.
 
 Measures the end-to-end application-message path of :mod:`repro.traffic` —
-generator timers → group-scoped injection → network broadcast (vectorized
-link-state pipeline) → app-handler dispatch → delivery-ledger accounting —
+generator timers → group-scoped injection → network broadcast (batched CSR
+pipeline) → app-handler dispatch → delivery-ledger accounting —
 over a dense mobile field with a static grid-cell group partition and no
 protocol on top, so the timing isolates the traffic subsystem itself.
 
 Two pipelines run the identical seeded workload:
 
-* ``vectorized`` — the link-state receiver cache + batched channel decisions
-  (``Network(vectorized_delivery=True)``, the default);
-* ``scan`` — the per-receiver fallback path.
+* ``vectorized`` — the CSR receiver batches + batched channel decisions
+  (the production path of a unit-disk radio);
+* ``scan`` — the per-receiver grid-candidate scan, reached through
+  :class:`ScanUnitDiskRadio` (a unit disk that reports no uniform link
+  radius).
 
 The ledgers of both runs must agree bit-exactly (sends, receptions, per-group
 rows) — the benchmark asserts it, making every CI run a determinism check.
@@ -46,6 +48,13 @@ from repro.traffic import TrafficDriver, TrafficSpec
 RADIO_RANGE = 100.0
 
 
+class ScanUnitDiskRadio(UnitDiskRadio):
+    """A unit disk that hides its uniform link radius: the grid-scan baseline."""
+
+    def uniform_link_radius(self):
+        return None
+
+
 class AppHost(Process):
     """Receiver that runs no protocol (keeps protocol cost out of the timing)."""
 
@@ -76,8 +85,9 @@ def build(n: int, area: float, seed: int, vectorized: bool) -> Tuple[Simulator, 
                            rng=seeds.stream("channel"))
     mobility = RandomWaypointMobility((area, area), min_speed=5.0, max_speed=15.0,
                                       rng=seeds.stream("mobility"))
-    network = Network(sim, radio=UnitDiskRadio(RADIO_RANGE), channel=channel,
-                      mobility=mobility, vectorized_delivery=vectorized)
+    radio_cls = UnitDiskRadio if vectorized else ScanUnitDiskRadio
+    network = Network(sim, radio=radio_cls(RADIO_RANGE), channel=channel,
+                      mobility=mobility)
     for node, pos in positions.items():
         network.add_node(AppHost(node), pos)
     groups = grid_groups(positions, RADIO_RANGE)

@@ -20,9 +20,9 @@ import os
 
 from repro.core.predicates import evaluate_configuration
 from repro.experiments.runner import run_with_sampler
-from repro.experiments.scenarios import static_random
 from repro.metrics.convergence import stabilization_time
 from repro.net.faults import FaultInjector
+from repro.scenarios import ScenarioSpec, build
 
 QUICK = os.environ.get("REPRO_QUICK", "") == "1"
 
@@ -34,7 +34,8 @@ def legitimate_now(deployment) -> bool:
 
 
 def main() -> None:
-    deployment = static_random(n=16, area=300.0, radio_range=120.0, dmax=3, seed=5)
+    deployment = build(ScenarioSpec.create("static_random", n=16, area=300.0,
+                                           radio_range=120.0, dmax=3), seed=5)
     print("Fault-recovery demo — 16 static nodes, Dmax = 3\n")
 
     sampler = run_with_sampler(deployment, duration=40.0 if QUICK else 60.0)

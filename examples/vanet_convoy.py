@@ -22,16 +22,17 @@ import os
 
 from repro.baselines.maxmin import MaxMinDCluster
 from repro.experiments.runner import attach_baseline, run_with_sampler
-from repro.experiments.scenarios import vanet_highway
 from repro.metrics.groups import average_membership_churn, mean_group_lifetime
 from repro.metrics.report import print_table
+from repro.scenarios import ScenarioSpec, build
 
 QUICK = os.environ.get("REPRO_QUICK", "") == "1"
 
 
 def run_variant(label, views_provider=None, seed=21):
-    deployment = vanet_highway(n=18, road_length=2000.0, radio_range=200.0, dmax=3,
-                               base_speed=25.0, seed=seed)
+    deployment = build(ScenarioSpec.create("vanet_highway", n=18, road_length=2000.0,
+                                           radio_range=200.0, dmax=3, base_speed=25.0),
+                       seed=seed)
     driver = None
     if views_provider == "max-min":
         driver = attach_baseline(deployment, MaxMinDCluster(), period=2.0)

@@ -6,13 +6,6 @@ therefore bit-identical aggregate tables), because every task is fully seeded
 and shares nothing with its siblings.  Only ``wall_time`` is allowed to differ
 between backends.
 
-Deployments attach no trace recorder unless a caller passes one (see
-:func:`repro.core.protocol.build_grp_network`).  For recorders that callers
-do attach inside a task, workers cap the stored records through
-:attr:`repro.sim.trace.TraceRecorder.default_max_records` (set from
-``CampaignSpec.max_trace_records`` around each task), so long campaigns cannot
-grow worker memory without bound; per-category trace *counters* stay exact.
-
 Failure policy
 --------------
 ``CampaignSpec.task_timeout`` bounds the wall clock of each task *attempt*
@@ -185,7 +178,6 @@ def _failure_outcome(task: CampaignTask, error: BaseException,
 
 
 def execute_task(task: CampaignTask,
-                 max_trace_records: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: int = 0,
                  obs: bool = False,
@@ -209,7 +201,6 @@ def execute_task(task: CampaignTask,
     # Imported lazily: the experiment suite sits above the campaign layer.
     from repro.experiments.suite import ALL_EXPERIMENTS, run_experiment
     from repro.obs import ObsContext, observing, profiling
-    from repro.sim.trace import TraceRecorder
 
     if task.experiment.upper() not in ALL_EXPERIMENTS:
         # A malformed spec is a configuration error, not a task failure:
@@ -225,8 +216,6 @@ def execute_task(task: CampaignTask,
     attempts = 1 + max(0, retries)
     last_error: Optional[Exception] = None
     for attempt in range(1, attempts + 1):
-        previous_cap = TraceRecorder.default_max_records
-        TraceRecorder.default_max_records = max_trace_records
         result = None
         # A fresh context per attempt: a retried attempt must not inherit the
         # half-collected metrics of the crashed one.
@@ -248,8 +237,6 @@ def execute_task(task: CampaignTask,
                 last_error = exc
                 continue
             wall_time = time.perf_counter() - attempt_start
-        finally:
-            TraceRecorder.default_max_records = previous_cap
         return TaskOutcome(
             task_id=task.task_id, experiment=task.experiment, replicate=task.replicate,
             seed=task.seed, quick=task.quick, description=result.description,
@@ -329,8 +316,7 @@ def run_campaign(spec: CampaignSpec,
         if progress is not None:
             progress(outcome)
 
-    worker = functools.partial(execute_task, max_trace_records=spec.max_trace_records,
-                               timeout=spec.task_timeout, retries=spec.task_retries,
+    worker = functools.partial(execute_task, timeout=spec.task_timeout, retries=spec.task_retries,
                                obs=spec.obs, obs_heap=spec.obs_heap,
                                profile_dir=profile_dir)
     if jobs > 1 and len(pending) > 1:

@@ -82,12 +82,10 @@ class CampaignSpec:
     quick:
         Use the quick workload sizes (the full sizes otherwise).
     max_trace_records:
-        Bound on the records stored by each trace recorder a caller attaches
-        inside a worker (oldest records are dropped beyond it; per-category
-        counters stay exact).  Deployments attach no recorder by default, so
-        this bounds only opt-in recorders.  ``None`` keeps them unbounded.
-        It stays part of the spec hash, so existing spec hashes, task ids
-        and stores keep resuming.
+        Kept for spec-hash compatibility only: it is validated and part of
+        the spec hash, so existing spec hashes, task ids and stores keep
+        resuming, but no experiment attaches a trace recorder and the
+        executor no longer reads it.  ``None`` or a count >= 0.
     scenarios:
         Scenario-axis cells: every experiment runs once per entry (specs or
         their ``as_dict`` forms).  Empty means "no scenario axis": each

@@ -86,8 +86,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
                       loss_probability: float = 0.0,
                       mobility=None,
                       seed: Optional[int] = None,
-                      trace: Optional[TraceRecorder] = None,
-                      use_spatial_index: bool = True) -> GRPDeployment:
+                      trace: Optional[TraceRecorder] = None) -> GRPDeployment:
     """Build a GRP deployment from node positions.
 
     Parameters
@@ -115,9 +114,6 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         events.  None is attached by default, which keeps the delivery
         fast paths on; pass a :class:`~repro.sim.trace.TraceRecorder` to
         record a run (it reproduces the unrecorded run bit for bit).
-    use_spatial_index:
-        Serve neighbour queries from the network's spatial index (default);
-        disable to force the brute-force scans, e.g. for cross-checking runs.
     """
     seeds = SeedSequenceFactory(seed)
     sim = Simulator(seed=seeds.seed_for("simulator"))
@@ -133,8 +129,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         channel.set_rng(seeds.stream("channel"))
     if mobility is not None and hasattr(mobility, "set_rng"):
         mobility.set_rng(seeds.stream("mobility"))
-    network = Network(sim, radio=radio, channel=channel, mobility=mobility, trace=trace,
-                      use_spatial_index=use_spatial_index)
+    network = Network(sim, radio=radio, channel=channel, mobility=mobility, trace=trace)
     nodes: Dict[Hashable, GRPNode] = {}
     for node_id in sorted(positions, key=str):
         node = GRPNode(node_id, config)

@@ -1,13 +1,12 @@
-"""Experiment harness: scenarios, runner and the E1..E10 reproduction suite."""
+"""Experiment harness: runner and the E1..E11 reproduction suite.
+
+Workloads come from the scenario registry (:mod:`repro.scenarios`).
+"""
 
 from .runner import ExperimentResult, attach_baseline, run_with_sampler, sweep
-from .scenarios import (line_topology, manet_waypoint, ring_of_clusters, rpgm_scenario,
-                        static_random, two_cluster_topology, vanet_highway)
 from .suite import ALL_EXPERIMENTS, run_experiment
 
 __all__ = [
     "ExperimentResult", "attach_baseline", "run_with_sampler", "sweep",
-    "line_topology", "manet_waypoint", "ring_of_clusters", "rpgm_scenario",
-    "static_random", "two_cluster_topology", "vanet_highway",
     "ALL_EXPERIMENTS", "run_experiment",
 ]

@@ -45,7 +45,6 @@ from repro.sim.randomness import derive_seed
 from repro.traffic import TrafficSpec, attach_traffic, get_traffic, normalize_traffic_spec
 
 from .runner import ExperimentResult, attach_baseline, run_with_sampler
-from .scenarios import line_topology, ring_of_clusters, static_random, two_cluster_topology
 
 __all__ = [
     "e1_stabilization",
@@ -169,7 +168,8 @@ def e2_safety(quick: bool = True, seed: int = 2,
     _note_undeclared(result, scenario, ("dmax",))
     for dmax in dmaxes:
         if scenario is None:
-            static = static_random(n=n, area=260.0, radio_range=100.0, dmax=dmax, seed=seed)
+            static = _workload(None, seed, "static_random", n=n, area=260.0,
+                               radio_range=100.0, forced={"dmax": dmax})
             static_sampler = run_with_sampler(static, duration=duration, warmup=40.0)
             mobile = _workload(None, seed, "manet_waypoint", n=n, area=260.0,
                                radio_range=100.0, speed=2.0, forced={"dmax": dmax})
@@ -399,8 +399,9 @@ def e9_merging(quick: bool = True, seed: int = 9,
     _structural_note(result, scenario, "E9")
     # Part 1 — two stabilized clusters brought into range must merge in O(Dmax).
     for dmax in ([2, 3] if quick else [2, 3, 4]):
-        deployment, left, right = two_cluster_topology(cluster_size=3, gap=400.0, spacing=30.0,
-                                                       radio_range=90.0, dmax=dmax, seed=seed)
+        deployment = _workload(None, seed, "two_cluster_topology", cluster_size=3,
+                               gap=400.0, spacing=30.0, radio_range=90.0, dmax=dmax)
+        right = deployment.scenario_metadata["right"]
         run_with_sampler(deployment, duration=50.0)
         # Teleport the right cluster next to the left one (still respecting Dmax).
         shift = 400.0 - 60.0
@@ -420,10 +421,9 @@ def e9_merging(quick: bool = True, seed: int = 9,
     # Part 2 — ring of groups willing to merge: group priorities prevent livelock.
     for label, use_group_prio in (("group priorities", True), ("node priorities only", False)):
         config = GRPConfig(dmax=3, use_group_priorities=use_group_prio)
-        deployment, clusters = ring_of_clusters(cluster_count=4, cluster_size=3,
-                                                ring_radius=110.0, cluster_radius=18.0,
-                                                radio_range=120.0, dmax=3, seed=seed,
-                                                config=config)
+        deployment = _workload(None, seed, "ring_of_clusters", config=config,
+                               cluster_count=4, cluster_size=3, ring_radius=110.0,
+                               cluster_radius=18.0, radio_range=120.0, dmax=3)
         sampler = run_with_sampler(deployment, duration=90.0 if quick else 160.0)
         final = sampler.last
         result.add_row(scenario=f"ring of 4 clusters ({label})", dmax=3,
@@ -452,8 +452,8 @@ def e10_compatibility(quick: bool = True, seed: int = 10,
     chain_n = 6
     for label, optimized in (("optimized", True), ("naive", False)):
         config = GRPConfig(dmax=3, optimized_compatibility=optimized)
-        deployment = line_topology(n=chain_n, spacing=45.0, radio_range=50.0, dmax=3,
-                                   seed=seed, config=config)
+        deployment = _workload(None, seed, "line_topology", config=config,
+                               n=chain_n, spacing=45.0, radio_range=50.0, dmax=3)
         sampler = run_with_sampler(deployment, duration=duration)
         final = sampler.last
         sizes = sorted(len(g) for g in set(final.groups.values()))

@@ -40,10 +40,9 @@ Determinism
 -----------
 CSR adjacency rows are sorted by node *insertion order* (the same
 ``Network._order`` counter every scan path sorts by), so receiver lists and
-snapshot edge insertion orders are identical to the dict-based
-:class:`~repro.net.linkstate.LinkStateCache` and to the brute-force scans —
-stochastic channels consume their RNG streams identically whichever backend
-produced the candidate list.
+snapshot edge insertion orders are identical to the grid and brute-force
+scans — stochastic channels consume their RNG streams identically whichever
+path produced the candidate list.
 """
 
 from __future__ import annotations
@@ -201,8 +200,8 @@ class ArrayLinkState:
     Valid only for radios exposing a single inclusive link radius
     (:meth:`repro.net.radio.RadioModel.uniform_link_radius`), for which the
     link relation is symmetric and a pure distance threshold — the regime of
-    every stock scenario.  Non-uniform radios keep the dict-based incremental
-    cache.
+    every stock scenario.  Non-uniform radios take the network's grid-candidate
+    scan.
 
     The CSR arrays are refreshed lazily (first query after any position /
     membership delta).  Two refresh strategies share the same filtered arc
@@ -215,9 +214,8 @@ class ArrayLinkState:
       ``mark_rows_dirty``, fed by ``Network`` moves and bulk position
       writes), re-derive just the arcs with a moved endpoint from the cell
       binning cached at the last full rebuild, and splice them into the kept
-      remainder of the CSR.  The array analogue of the dict cache's
-      per-delta patching (:mod:`repro.net.linkstate`), with the same
-      guard-band + scalar ``math.hypot`` re-check — the patched CSR is
+      remainder of the CSR, with the same guard-band + scalar
+      ``math.hypot`` re-check as the rebuild — the patched CSR is
       provably byte-identical to what :meth:`_rebuild` would produce (see
       the :meth:`_patch` docstring for the argument).
 
@@ -226,9 +224,9 @@ class ArrayLinkState:
     the same, because a wholesale vectorized rebuild is then cheaper than
     patch bookkeeping.
 
-    Query results mirror :class:`~repro.net.linkstate.LinkStateCache`
-    bit-for-bit: same link membership (guard-banded squared-distance filter,
-    see module docstring), same insertion-order sorting of adjacency.
+    Query results mirror the network's scan paths bit-for-bit: same link
+    membership (guard-banded squared-distance filter, see module docstring),
+    same insertion-order sorting of adjacency.
     """
 
     #: Patch only when at most this fraction of rows is dirty (past it, a
@@ -737,26 +735,8 @@ class ArrayLinkState:
         row = self.store.row_of[node]
         return self._recv_rows[indptr[row]:indptr[row + 1]]
 
-    def out_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Link partners of ``node`` (dict-cache API mirror)."""
-        return self.out_neighbors_sorted(node)
-
     def in_neighbors(self, node: Hashable) -> List[Hashable]:
         """Nodes with a link into ``node`` — the out-partners (symmetric links)."""
-        return self.out_neighbors_sorted(node)
-
-    def has_arc(self, u: Hashable, v: Hashable) -> bool:
-        """Whether the (symmetric) link ``u -> v`` currently exists."""
-        self._ensure()
-        row_u = self.store.row_of.get(u)
-        row_v = self.store.row_of.get(v)
-        if row_u is None or row_v is None:
-            return False
-        indptr = self._indptr
-        return bool((self._indices[indptr[row_u]:indptr[row_u + 1]] == row_v).any())
-
-    def symmetric_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Alias of :meth:`out_neighbors_sorted` (uniform links are symmetric)."""
         return self.out_neighbors_sorted(node)
 
     def symmetric_edges(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:

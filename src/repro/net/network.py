@@ -11,45 +11,52 @@ to drop it.  Delivery happens after the channel delay, through the process
 
 Neighbour engine
 ----------------
-When the radio reports a finite :meth:`~repro.net.radio.RadioModel.max_range`,
-the network serves vicinity and topology queries from a
-:class:`~repro.net.spatialindex.UniformGridIndex` over the node positions
-instead of scanning every process, making broadcasts and snapshots cost
-O(local density) instead of O(N).  Topology snapshots are additionally cached
-behind a *generation stamp*: every position change (``set_position``, mobility
-steps), membership change (``add_node`` / ``remove_node``) and activation
-change bumps the generation, and a snapshot is rebuilt only when its stamp is
-stale.  Stock radios notify the network of in-place parameter mutations
-(their setters call :meth:`~repro.net.radio.RadioModel.notify_mutation`);
-custom radios mutated through private state must be followed by an explicit
-:meth:`Network.invalidate_topology`.  Radios with unbounded range
-(``max_range() is None``) keep the original brute-force scan, still behind the
-same snapshot cache.
+The network computes the vicinity relation one of three ways, chosen only by
+what the radio reports:
 
-Vectorized delivery pipeline
-----------------------------
-On top of the grid, the network maintains an incremental
-:class:`~repro.net.linkstate.LinkStateCache`: the directed edge set
-``u -> v iff link_exists(u, v)`` is patched per delta (only the links of
-moved / added / removed nodes are re-tested), so topology refreshes under
-mobility no longer rescan candidate pairs.  Broadcasts from radios whose
-vicinity test is deterministic
-(:meth:`~repro.net.radio.RadioModel.deterministic_vicinity`) take a batched
-fast path: the receiver list is served from the sender's cached out-links
-(zero distance tests), the channel decides the whole batch in one
+* **CSR link state** — the radio has a uniform link radius
+  (:meth:`~repro.net.radio.RadioModel.uniform_link_radius`) and a bounded
+  :meth:`~repro.net.radio.RadioModel.max_range`.  The links live in the
+  int32 CSR :class:`~repro.net.arraystate.ArrayLinkState` over the
+  :class:`~repro.net.arraystate.NodeArrayStore`, patched in place for small
+  position deltas and rebuilt for large ones.  Every registered scenario
+  takes this path.
+* **Grid-candidate scan** — the radio has a bounded ``max_range()`` but no
+  uniform radius (per-node ranges).  Broadcasts of a stochastic-vicinity
+  radio take it too (its snapshots still come from the CSR when it has a
+  uniform link radius).  Candidates come from a
+  :class:`~repro.net.spatialindex.UniformGridIndex` and the radio tests
+  each one.
+* **Brute-force scan** — ``max_range()`` is ``None``: every other node is a
+  candidate.  Tests use it as the reference for the two paths above.
+
+Topology snapshots are cached behind a *generation stamp*: every position
+change (``set_position``, mobility steps), membership change (``add_node`` /
+``remove_node``) and activation change bumps the generation, and a snapshot
+is rebuilt only when its stamp is stale.  Stock radios notify the network of
+in-place parameter mutations (their setters call
+:meth:`~repro.net.radio.RadioModel.notify_mutation`); custom radios mutated
+through private state must be followed by an explicit
+:meth:`Network.invalidate_topology`.
+
+Batched delivery
+----------------
+On the CSR path, broadcasts from radios whose vicinity test is deterministic
+(:meth:`~repro.net.radio.RadioModel.deterministic_vicinity`) are batched: the
+receiver list is served from the sender's CSR row (zero distance tests), the
+channel decides the whole batch in one
 :meth:`~repro.net.channel.ChannelModel.decide_batch` call (vectorized RNG
 draws consuming the identical stream as the scalar loop), and purely-delayed
 batches are bulk-inserted through
-:meth:`~repro.sim.engine.Simulator.schedule_many`.  ``vectorized_delivery=
-False`` (or a stochastic-vicinity radio, or a disabled/unavailable spatial
-index) falls back to the original per-receiver scan; seeded runs replay
-bit-identically on either path — the invariant ``tests/test_replay_
-determinism.py`` enforces at 500 nodes.  One contract makes this exact:
-processes must not *synchronously* broadcast or flip activation from inside
-``on_message`` (every protocol in this repository does both through timers);
-the batched path decides the whole receiver batch ahead of its same-tick
-deliveries, so a synchronous side effect would interleave channel draws — or
-shrink the receiver set — differently than the scalar path.
+:meth:`~repro.sim.engine.Simulator.schedule_many`.  The two scan paths run
+the per-receiver loop; seeded runs replay bit-identically on all three paths
+— the invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
+One contract makes this exact: processes must not *synchronously* broadcast
+or flip activation from inside ``on_message`` (every protocol in this
+repository does both through timers); the batched path decides the whole
+receiver batch ahead of its same-tick deliveries, so a synchronous side
+effect would interleave channel draws — or shrink the receiver set —
+differently than the scalar path.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ from repro.sim.trace import TraceRecorder
 from .arraystate import ArrayLinkState, NodeArrayStore
 from .channel import ChannelModel, PerfectChannel
 from .geometry import Point
-from .linkstate import LinkStateCache
 from .radio import RadioModel
 from .spatialindex import UniformGridIndex
 from .topology import snapshot_graph
@@ -92,52 +98,22 @@ class Network:
     trace:
         Optional trace recorder; the network records ``send``, ``receive`` and
         ``drop`` events into it.
-    use_spatial_index:
-        Serve neighbour queries from a uniform grid index when the radio has a
-        bounded range (default).  Disable to force the brute-force scans, e.g.
-        to benchmark or to cross-check the index.
-    vectorized_delivery:
-        Serve broadcasts and topology queries from the incremental link-state
-        cache with batched channel decisions (default).  Disable to force the
-        original per-receiver scan, e.g. to benchmark or to cross-check the
-        pipeline; seeded runs are bit-identical either way.  Requires the
-        spatial index (it degrades to the scan path otherwise).
-    array_state:
-        Keep node state mirrored in contiguous numpy arrays
-        (:class:`~repro.net.arraystate.NodeArrayStore`) and serve the
-        vectorized pipeline from the CSR
-        :class:`~repro.net.arraystate.ArrayLinkState` whenever the radio has a
-        uniform link radius (default).  Disable to force the dict-based
-        incremental cache, e.g. to benchmark or to cross-check the array
-        backend; seeded runs are bit-identical either way.
-    incremental_csr:
-        Serve small position deltas by patching the CSR adjacency in place
-        (default) instead of rebuilding it wholesale; membership changes and
-        large deltas always rebuild.  Disable to force the full rebuild as
-        the reference path; seeded runs are bit-identical either way (the
-        patch provably reproduces the rebuild's arrays).
+
+    The neighbour engine (CSR link state, grid scan or brute-force scan) is
+    chosen by the radio alone; see the module docstring.
     """
 
     def __init__(self, sim: Simulator, radio: RadioModel,
                  channel: Optional[ChannelModel] = None,
                  mobility: Optional[Any] = None,
-                 trace: Optional[TraceRecorder] = None,
-                 use_spatial_index: bool = True,
-                 vectorized_delivery: bool = True,
-                 array_state: bool = True,
-                 incremental_csr: bool = True):
+                 trace: Optional[TraceRecorder] = None):
         self.sim = sim
         self.radio = radio
         self.channel = channel if channel is not None else PerfectChannel()
         self.mobility = mobility
         self.trace = trace
-        self._linkstate: Optional[LinkStateCache] = None
         self._store: Optional[NodeArrayStore] = None
         self._array_ls: Optional[ArrayLinkState] = None
-        self.use_spatial_index = bool(use_spatial_index)
-        self.vectorized_delivery = bool(vectorized_delivery)
-        self.array_state = bool(array_state)
-        self.incremental_csr = bool(incremental_csr)
         self._processes: Dict[Hashable, Process] = {}
         self._positions: Dict[Hashable, Point] = {}
         self._order: Dict[Hashable, int] = {}
@@ -155,16 +131,16 @@ class Network:
         self._mobility_handle = None
         self._position_listeners: List[Callable[[float, Dict[Hashable, Point]], None]] = []
         self._index: Optional[UniformGridIndex] = None
-        #: sender -> (generation, linkstate, active sorted receivers, their
-        #: processes as list and object ndarray, their store rows or None);
+        #: sender -> (generation, link state, active sorted receivers, their
+        #: processes as list and object ndarray, their store rows);
         #: hello-beacon traffic re-broadcasts between topology changes, so the
         #: filtered receiver batch is reused until a position/membership/
         #: activation change bumps the generation or a radio change replaces
-        #: the link-state cache.
+        #: the CSR link state.
         self._receiver_cache: Dict[Hashable,
-                                   Tuple[int, Any, List[Hashable],
+                                   Tuple[int, ArrayLinkState, List[Hashable],
                                          List[Process], np.ndarray,
-                                         Optional[np.ndarray]]] = {}
+                                         np.ndarray]] = {}
         self._generation = 0
         self._topo_cache: Optional[nx.Graph] = None
         self._topo_cache_key: Optional[Tuple[int, Optional[float]]] = None
@@ -195,12 +171,6 @@ class Network:
         als = self._array_ls
         if als is not None:
             als._obs = obs
-        cache = self._linkstate
-        if cache is not None:
-            cache._obs_moves = (obs.registry.counter("topology.patch_moves")
-                                if obs else None)
-            cache._obs_rebuilds = (obs.registry.counter("topology.dict_rebuilds")
-                                   if obs else None)
 
     def __setstate__(self, state):
         """Re-register the radio mutation listener after unpickling.
@@ -229,76 +199,6 @@ class Network:
         """Monotonic counter bumped on every position/membership/activation change."""
         return self._generation
 
-    @property
-    def use_spatial_index(self) -> bool:
-        """Whether neighbour queries go through the uniform grid index.
-
-        Disabling also drops the link-state cache (it cannot be maintained
-        without the grid), so the brute-force baseline pays zero incremental
-        upkeep; re-enabling rebuilds both on the next query.
-        """
-        return self._use_spatial_index
-
-    @use_spatial_index.setter
-    def use_spatial_index(self, value: bool) -> None:
-        self._use_spatial_index = bool(value)
-        if not self._use_spatial_index:
-            self._linkstate = None
-            self._array_ls = None
-
-    @property
-    def vectorized_delivery(self) -> bool:
-        """Whether the batched link-state pipeline is enabled.
-
-        Disabling drops the link-state cache, so the scan path pays zero
-        incremental maintenance (important when benchmarking it);
-        re-enabling rebuilds the cache on the next query.
-        """
-        return self._vectorized_delivery
-
-    @vectorized_delivery.setter
-    def vectorized_delivery(self, value: bool) -> None:
-        self._vectorized_delivery = bool(value)
-        if not self._vectorized_delivery:
-            self._linkstate = None
-            self._array_ls = None
-
-    @property
-    def array_state(self) -> bool:
-        """Whether node state is mirrored into the contiguous array store.
-
-        Disabling drops the store and the CSR link-state; the vectorized
-        pipeline then runs on the dict-based incremental cache.  Re-enabling
-        rebuilds both from the node table on the next query.
-        """
-        return self._array_state
-
-    @array_state.setter
-    def array_state(self, value: bool) -> None:
-        self._array_state = bool(value)
-        if not self._array_state:
-            self._store = None
-            self._array_ls = None
-
-    @property
-    def incremental_csr(self) -> bool:
-        """Whether small position deltas patch the CSR instead of rebuilding.
-
-        Toggling propagates to a live :class:`ArrayLinkState`; turning the
-        patch path off additionally forces one full rebuild so every later
-        refresh runs the reference path from reference state.
-        """
-        return self._incremental_csr
-
-    @incremental_csr.setter
-    def incremental_csr(self, value: bool) -> None:
-        self._incremental_csr = bool(value)
-        als = getattr(self, "_array_ls", None)
-        if als is not None:
-            als.incremental = self._incremental_csr
-            if not self._incremental_csr:
-                als.mark_dirty()
-
     def position_of(self, node_id: Hashable) -> Point:
         """Current position of ``node_id``."""
         return self._positions[node_id]
@@ -322,8 +222,7 @@ class Network:
         and a batch that moves nobody leaves every cache warm (no
         generation bump).
         """
-        if (self._store is not None and self._linkstate is None
-                and self._index is None and len(positions) > 1):
+        if (self._store is not None and self._index is None and len(positions) > 1):
             # Bulk path: membership validated with one C-level subset check,
             # coordinates coerced by one array conversion — no per-node
             # python validation.  Exotic inputs the conversion cannot digest
@@ -353,10 +252,10 @@ class Network:
                               coords: np.ndarray) -> None:
         """Masked-array tail of the batch teleports (store-only mirrors).
 
-        Only valid when neither the grid index nor the dict link-state cache
-        exists (both need per-node deltas): changed rows are detected and
-        written in whole-array operations, the position dict is patched for
-        the movers only, and the generation bumps once iff anything moved.
+        Only valid when the grid index does not exist (it needs per-node
+        deltas): changed rows are detected and written in whole-array
+        operations, the position dict is patched for the movers only, and
+        the generation bumps once iff anything moved.
         """
         store = self._store
         rows = np.fromiter(map(store.row_of.__getitem__, ids),
@@ -376,17 +275,15 @@ class Network:
     def _apply_position_updates(self, updates: Dict[Hashable, Point]) -> None:
         """Apply pre-validated position updates with one generation bump.
 
-        On the array backend (store present, no dict link-state to patch
-        per-node) changed rows are written in a single masked array
-        assignment; otherwise each changed node goes through
-        :meth:`_apply_move` so the grid index and the dict cache see their
-        per-node deltas.  Either way, unchanged nodes cost nothing and a
-        batch that moves nobody leaves every cache warm.
+        On the CSR path (store present, no grid index to patch per node)
+        changed rows are written in a single masked array assignment;
+        otherwise each changed node goes through :meth:`_apply_move` so the
+        grid index sees its per-node deltas.  Either way, unchanged nodes
+        cost nothing and a batch that moves nobody leaves every cache warm.
         """
         if not updates:
             return
-        if (self._store is not None and self._linkstate is None
-                and self._index is None and len(updates) > 1):
+        if (self._store is not None and self._index is None and len(updates) > 1):
             self._bulk_position_update(
                 list(updates), np.fromiter(updates.values(),
                                            dtype=np.dtype((np.float64, 2)),
@@ -401,28 +298,25 @@ class Network:
             self._generation += 1
 
     def _apply_move(self, node_id: Hashable, pos: Point) -> None:
-        """Move one node, mirroring the grid index, store and link-state caches."""
+        """Move one node, mirroring the grid index, store and CSR link state."""
         self._positions[node_id] = pos
         if self._store is not None:
             self._store.update(node_id, pos)
         if self._index is not None:
             self._index.update(node_id, pos)
-        if self._linkstate is not None:
-            self._linkstate.on_move(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_row_dirty(self._store.row_of[node_id])
 
     def invalidate_topology(self) -> None:
         """Force the next snapshot/neighbour query to recompute.
 
-        Drops the incremental link-state cache too: a radio mutated in place
-        can flip arbitrary links without any node moving, so no delta knows
-        which links to re-test.  Stock radios call this automatically through
+        Drops the CSR link state too: a radio mutated in place can flip
+        arbitrary links without any node moving, so no delta knows which
+        links to re-test.  Stock radios call this automatically through
         their mutation listeners; custom radios mutated via private state must
         call it explicitly.
         """
         self._generation += 1
-        self._linkstate = None
         # A mutation can change the uniform link radius too; the node store
         # itself only mirrors positions and survives radio changes.
         self._array_ls = None
@@ -466,8 +360,6 @@ class Network:
                                process._active)
         if self._index is not None:
             self._index.insert(process.node_id, pos)
-        if self._linkstate is not None:
-            self._linkstate.on_insert(process.node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._generation += 1
@@ -481,8 +373,6 @@ class Network:
             self._store.remove(node_id)
         if self._index is not None:
             self._index.remove(node_id)
-        if self._linkstate is not None:
-            self._linkstate.on_remove(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._receiver_cache.pop(node_id, None)
@@ -569,8 +459,6 @@ class Network:
 
     def _spatial_index(self) -> Optional[UniformGridIndex]:
         """The grid index, (re)built on demand; ``None`` on the brute-force path."""
-        if not self.use_spatial_index:
-            return None
         max_range = self.radio.max_range()
         if max_range is None or max_range <= 0:
             return None
@@ -582,8 +470,8 @@ class Network:
         """The array mirror of the node table, built on demand.
 
         Once built it is maintained incrementally by every membership /
-        position / activation mutation, so the rebuild-from-scratch below
-        only runs after ``array_state`` is toggled back on.
+        position / activation mutation, so the loop below runs once per
+        network.
         """
         store = self._store
         if store is None:
@@ -612,62 +500,30 @@ class Network:
         candidates.sort(key=self._order.__getitem__)
         return candidates
 
-    def _link_state(self):
-        """The link-state cache, (re)built on demand.
+    def _link_state(self) -> Optional[ArrayLinkState]:
+        """The CSR link state, (re)built on demand.
 
-        Three-way dispatch.  With ``array_state`` on and a uniform-link-radius
-        radio, the CSR :class:`~repro.net.arraystate.ArrayLinkState` serves
-        every query straight from the node store.  Non-uniform radios fall
-        back to the dict-based incremental :class:`LinkStateCache`.  ``None``
-        whenever the vectorized pipeline is off or the spatial index is
-        unavailable (unbounded radio / index disabled) — callers then take
-        the scan paths.  A radius change — assigned through a notifying
-        setter or mutated silently — is auto-detected per query, exactly as
-        the ``max_range`` check always did for the dict cache.
+        ``None`` unless the radio has a uniform link radius and a bounded
+        ``max_range()``; callers then take the grid or brute-force scan.
+        A radio that reports ``max_range() is None`` opts out of every
+        spatial structure even when it inherits a uniform radius (e.g. a
+        custom always-hear radio).  A radius change — assigned through a
+        notifying setter or mutated silently — is auto-detected per query.
         """
-        if not self.vectorized_delivery:
-            return None
-        if self._array_state and self._use_spatial_index:
-            als = self._array_ls
-            radius = self.radio.uniform_link_radius()
-            if als is not None and als.radius == radius:
-                return als
-            # A uniform radius only qualifies alongside a bounded max_range:
-            # radios that report max_range() is None opt out of every spatial
-            # structure (e.g. custom always-hear radios that inherit a stock
-            # uniform_link_radius) and keep the brute-force scan.
-            if (radius is not None and radius > 0
-                    and self.radio.max_range() is not None):
-                # now_fn is a bound method, not a lambda, so a built network
-                # stays picklable (sharded snapshot-restore builds).
-                als = ArrayLinkState(radius, self._node_store(),
-                                     now_fn=self._sim_now,
-                                     obs=self._obs,
-                                     incremental=self._incremental_csr)
-                self._array_ls = als
-                return als
-            self._array_ls = None
-        cache = self._linkstate
-        if (cache is not None and self.use_spatial_index
-                and cache.index is self._index
-                and cache.radius == self.radio.max_range()):
-            # Fast path (per broadcast / per neighbour query): deltas keep the
-            # cache fresh and every stock-radio mutation notifies us.  The
-            # radius check preserves the pre-existing contract for custom
-            # radios mutated silently: a mutation that changes max_range() is
-            # auto-detected (as the snapshot cache key always did); only
-            # mutations that leave max_range() untouched require an explicit
-            # invalidate_topology().
-            return cache
-        index = self._spatial_index()
-        if index is None:
-            return None
-        radius = self.radio.max_range()
-        if cache is None or cache.radius != radius or cache.index is not index:
-            cache = LinkStateCache(radius, self.radio, self._positions,
-                                   self._order, index, obs=self._obs)
-            self._linkstate = cache
-        return cache
+        als = self._array_ls
+        radius = self.radio.uniform_link_radius()
+        if als is not None and als.radius == radius:
+            return als
+        if (radius is not None and radius > 0
+                and self.radio.max_range() is not None):
+            # now_fn is a bound method, not a lambda, so a built network
+            # stays picklable (sharded snapshot-restore builds).
+            als = ArrayLinkState(radius, self._node_store(),
+                                 now_fn=self._sim_now, obs=self._obs)
+        else:
+            als = None
+        self._array_ls = als
+        return als
 
     def _sim_now(self) -> float:
         """Sim-clock reader handed to lazily built caches (picklable)."""
@@ -683,8 +539,8 @@ class Network:
         before the channel delay elapses; ``messages_delivered`` counts only
         messages handed to an active process.
 
-        Radios with a deterministic vicinity take the batched fast path: the
-        receiver list comes straight from the link-state cache (no distance
+        Radios with a deterministic vicinity on the CSR path take the batched
+        fast path: the receiver list comes straight from the CSR (no distance
         tests), the channel decides the whole batch at once, and purely
         delayed batches are bulk-scheduled.  Every divergence-relevant step
         (receiver order, RNG consumption, trace records, event sequence
@@ -726,7 +582,7 @@ class Network:
                 self.sim.schedule(decision.delay, self._deliver, sender, receiver, payload)
         return accepted
 
-    def _receiver_batch(self, linkstate: Any, sender: Hashable):
+    def _receiver_batch(self, linkstate: ArrayLinkState, sender: Hashable):
         """Cached ``(receivers, procs, procs_arr, rows)`` for one sender.
 
         Keyed on (generation, link-state instance): every position/membership/
@@ -735,9 +591,9 @@ class Network:
         replaces the link-state instance.  Caching the process objects (list
         + object ndarray) next to the ids lets delivery loops skip one dict
         lookup per receiver and gather accepted subsets with one masked
-        index.  ``rows`` holds the receivers' store-row indices on the array
-        backend (``None`` on the dict cache); the sharded executor gathers
-        per-receiver ownership from it with one indexing operation.  Shared
+        index.  ``rows`` holds the receivers' store-row indices; the sharded
+        executor gathers per-receiver ownership from it with one indexing
+        operation.  Shared
         by the stock batched broadcast and the ownership-aware sharded
         variant (:mod:`repro.shard`), which must consume receivers in exactly
         this order to stay bit-identical.
@@ -748,27 +604,18 @@ class Network:
             gen_c, ls_c, receivers, procs, procs_arr, rows = cached
             if gen_c == generation and ls_c is linkstate:
                 return receivers, procs, procs_arr, rows
-        if type(linkstate) is ArrayLinkState:
-            receivers, procs_arr = linkstate.active_receivers(sender, generation)
-            procs = procs_arr.tolist()
-            rows = linkstate.active_receiver_rows(sender, generation)
-        else:
-            processes = self._processes
-            receivers = [r for r in linkstate.out_neighbors_sorted(sender)
-                         if processes[r]._active]
-            procs = [processes[r] for r in receivers]
-            procs_arr = np.empty(len(procs), dtype=object)
-            procs_arr[:] = procs
-            rows = None
+        receivers, procs_arr = linkstate.active_receivers(sender, generation)
+        procs = procs_arr.tolist()
+        rows = linkstate.active_receiver_rows(sender, generation)
         self._receiver_cache[sender] = (generation, linkstate, receivers,
                                         procs, procs_arr, rows)
         return receivers, procs, procs_arr, rows
 
-    def _broadcast_batched(self, linkstate: Any, sender: Hashable,
+    def _broadcast_batched(self, linkstate: ArrayLinkState, sender: Hashable,
                            payload: Any) -> int:
         """Batched tail of :meth:`broadcast` (deterministic-vicinity radios).
 
-        The sender's cached out-links *are* the vicinity, so the per-receiver
+        The sender's CSR row *is* the vicinity, so the per-receiver
         distance test disappears; active receivers keep insertion order, so
         the channel consumes its RNG exactly as the scalar loop would.
         """
@@ -917,10 +764,7 @@ class Network:
             return self._topo_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            if type(linkstate) is ArrayLinkState:
-                graph = self._symmetric_from_arraystate(linkstate)
-            else:
-                graph = self._symmetric_from_linkstate(linkstate)
+            graph = self._symmetric_from_arraystate(linkstate)
             self._topo_cache = graph
             self._topo_cache_key = key
             return graph
@@ -945,25 +789,6 @@ class Network:
             graph.add_edges_from(edges)
         self._topo_cache = graph
         self._topo_cache_key = key
-        return graph
-
-    def _symmetric_from_linkstate(self, linkstate: LinkStateCache) -> nx.Graph:
-        """Symmetric snapshot from cached links — zero link re-tests.
-
-        Nodes are visited in insertion order and each adjacency is served
-        pre-sorted, so edge insertion order is exactly the lexicographic
-        ``(order[u], order[v])`` order of the scan-based builds — downstream
-        graph algorithms replay identically.
-        """
-        active = self.active_nodes()
-        graph = nx.Graph()
-        graph.add_nodes_from(n for n in self._positions if n in active)
-        order = self._order
-        for u in graph:
-            u_order = order[u]
-            for v in linkstate.out_neighbors_sorted(u):
-                if order[v] > u_order and v in active and linkstate.has_arc(v, u):
-                    graph.add_edge(u, v)
         return graph
 
     def _active_node_lists(self, store: NodeArrayStore) -> Tuple[List[Hashable], np.ndarray]:
@@ -996,16 +821,6 @@ class Network:
         graph.add_edges_from(linkstate.directed_arcs(active_rows))
         return graph
 
-    def _directed_from_linkstate(self, linkstate: LinkStateCache) -> nx.DiGraph:
-        """Directed snapshot from cached links — zero link re-tests."""
-        active = self.active_nodes()
-        graph = nx.DiGraph()
-        graph.add_nodes_from(n for n in self._positions if n in active)
-        for u in graph:
-            graph.add_edges_from((u, v) for v in linkstate.out_neighbors_sorted(u)
-                                 if v in active)
-        return graph
-
     def _directed_snapshot(self) -> nx.DiGraph:
         """Current directed-link graph, rebuilt only when the stamp is stale."""
         key = self._cache_key()
@@ -1013,10 +828,7 @@ class Network:
             return self._directed_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            if type(linkstate) is ArrayLinkState:
-                graph = self._directed_from_arraystate(linkstate)
-            else:
-                graph = self._directed_from_linkstate(linkstate)
+            graph = self._directed_from_arraystate(linkstate)
             self._directed_cache = graph
             self._directed_cache_key = key
             return graph
@@ -1065,26 +877,22 @@ class Network:
     def neighbors_of(self, node_id: Hashable) -> Set[Hashable]:
         """Symmetric neighbours of ``node_id`` in the current snapshot.
 
-        Served straight from the link-state cache when available — O(degree)
+        Served straight from the CSR link state when available — O(degree)
         per query, no graph construction; a warm symmetric snapshot is reused
         otherwise.
         """
         linkstate = self._link_state()
         if linkstate is not None:
-            # The cache mirrors the process table, so membership is settled by
+            # The store mirrors the process table, so membership is settled by
             # the process lookup alone.
-            processes = self._processes
-            proc = processes.get(node_id)
+            proc = self._processes.get(node_id)
             if proc is None or not proc._active:
                 return set()
-            if type(linkstate) is ArrayLinkState:
-                store = linkstate.store
-                rows = linkstate.out_rows(node_id)
-                if rows.size:
-                    rows = rows[store.active[rows]]
-                return set(store.ids[rows].tolist()) if rows.size else set()
-            return {w for w in linkstate.symmetric_neighbors(node_id)
-                    if processes[w]._active}
+            store = linkstate.store
+            rows = linkstate.out_rows(node_id)
+            if rows.size:
+                rows = rows[store.active[rows]]
+            return set(store.ids[rows].tolist()) if rows.size else set()
         graph = self._symmetric_snapshot()
         if node_id not in graph:
             return set()

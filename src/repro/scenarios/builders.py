@@ -1,9 +1,10 @@
 """Registered scenario builders.
 
-The nine historical workloads of ``repro.experiments.scenarios`` live here as
-registry entries (that module keeps thin deprecated aliases), plus three newer
+The nine historical workloads live here as registry entries, plus three newer
 regimes: urban Manhattan-grid mobility, flash-crowd join/leave bursts, and a
-sparse intermittently-connected field over a lossy delayed channel.
+sparse intermittently-connected field over a lossy delayed channel.  Build
+one with ``repro.scenarios.build(ScenarioSpec.create(name, **params),
+seed=seed)``.
 
 Every builder is a pure function of ``(seed, config, **params)``: all random
 streams derive from the seed (via :class:`~repro.sim.randomness.SeedSequenceFactory`),
@@ -229,20 +230,18 @@ def rpgm_scenario(*, seed: int, config: Optional[GRPConfig], group_sizes: Tuple[
      _p("dmax", "int", 3, "group diameter bound"),
      _p("speed", "float", 10.0, "max node speed (min is half of it)"),
      _p("pause_time", "float", 0.0, "pause at each waypoint"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability"),
-     _p("use_spatial_index", "bool", True, "serve neighbour queries from the grid index")],
+     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
     tags=("mobile", "large"))
 def large_manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                          radio_range: float, dmax: int, speed: float, pause_time: float,
-                         loss_probability: float, use_spatial_index: bool) -> GRPDeployment:
+                         loss_probability: float) -> GRPDeployment:
     cfg = _config(config, dmax)
     seeds = SeedSequenceFactory(seed)
     mobility = RandomWaypointMobility((area, area), min_speed=speed * 0.5, max_speed=speed,
                                       pause_time=pause_time, rng=seeds.stream("mobility"))
     positions = mobility.initial_positions(range(n))
     return build_grp_network(positions, cfg, radio_range=radio_range, mobility=mobility,
-                             loss_probability=loss_probability, seed=seed,
-                             use_spatial_index=use_spatial_index)
+                             loss_probability=loss_probability, seed=seed)
 
 
 @scenario(
@@ -255,21 +254,19 @@ def large_manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area
      _p("lane_count", "int", 6, "number of lanes"),
      _p("base_speed", "float", 25.0, "nominal speed of the slowest lane"),
      _p("spacing", "float", 15.0, "initial bumper-to-bumper spacing"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability"),
-     _p("use_spatial_index", "bool", True, "serve neighbour queries from the grid index")],
+     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
     tags=("mobile", "vanet", "large"))
 def dense_highway_convoy(*, seed: int, config: Optional[GRPConfig], n: int,
                          road_length: float, radio_range: float, dmax: int, lane_count: int,
-                         base_speed: float, spacing: float, loss_probability: float,
-                         use_spatial_index: bool) -> GRPDeployment:
+                         base_speed: float, spacing: float,
+                         loss_probability: float) -> GRPDeployment:
     cfg = _config(config, dmax)
     seeds = SeedSequenceFactory(seed)
     mobility = HighwayMobility(road_length=road_length, lane_count=lane_count,
                                base_speed=base_speed, rng=seeds.stream("mobility"))
     positions = mobility.initial_positions(range(n), spacing=spacing)
     return build_grp_network(positions, cfg, radio_range=radio_range, mobility=mobility,
-                             loss_probability=loss_probability, seed=seed,
-                             use_spatial_index=use_spatial_index)
+                             loss_probability=loss_probability, seed=seed)
 
 
 # ------------------------------------------------------------- new regimes
@@ -365,14 +362,12 @@ def flash_crowd(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
      _p("hotspot_sigma", "float", 2_000.0, "gaussian spread of one hotspot"),
      _p("loss_probability", "float", 0.05, "per-receiver message loss probability"),
      _p("min_delay", "float", 0.05, "minimum channel delivery delay"),
-     _p("max_delay", "float", 0.05, "maximum channel delivery delay"),
-     _p("use_spatial_index", "bool", True, "serve neighbour queries from the grid index")],
+     _p("max_delay", "float", 0.05, "maximum channel delivery delay")],
     tags=("static", "large", "urban"))
 def city_scale(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                radio_range: float, dmax: int, hotspot_count: int,
                hotspot_fraction: float, hotspot_sigma: float, loss_probability: float,
-               min_delay: float, max_delay: float,
-               use_spatial_index: bool) -> GRPDeployment:
+               min_delay: float, max_delay: float) -> GRPDeployment:
     """Static mega-city: the sharding and store benchmarks' reference workload.
 
     A ``hotspot_fraction`` share of the nodes cluster around gaussian city
@@ -393,7 +388,7 @@ def city_scale(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
     channel = LossyChannel(loss_probability=loss_probability, min_delay=min_delay,
                            max_delay=max_delay)
     return build_grp_network(positions, cfg, radio_range=radio_range, channel=channel,
-                             seed=seed, use_spatial_index=use_spatial_index)
+                             seed=seed)
 
 
 def _hotspot_field(rng, n: int, area: float, hotspot_count: int,
@@ -432,15 +427,14 @@ def _hotspot_field(rng, n: int, area: float, hotspot_count: int,
      _p("pause_time", "float", 5.0, "waypoint pause duration"),
      _p("loss_probability", "float", 0.05, "per-receiver message loss probability"),
      _p("min_delay", "float", 0.05, "minimum channel delivery delay"),
-     _p("max_delay", "float", 0.05, "maximum channel delivery delay"),
-     _p("use_spatial_index", "bool", True, "serve neighbour queries from the grid index")],
+     _p("max_delay", "float", 0.05, "maximum channel delivery delay")],
     tags=("mobile", "large", "urban"))
 def city_scale_mobile(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                       radio_range: float, dmax: int, hotspot_count: int,
                       hotspot_fraction: float, hotspot_sigma: float,
                       mover_fraction: float, speed: float, pause_time: float,
-                      loss_probability: float, min_delay: float, max_delay: float,
-                      use_spatial_index: bool) -> GRPDeployment:
+                      loss_probability: float, min_delay: float,
+                      max_delay: float) -> GRPDeployment:
     """``city_scale`` with a circulating minority: the incremental-CSR workload.
 
     The static hotspot field of :func:`city_scale` plus
@@ -465,8 +459,7 @@ def city_scale_mobile(*, seed: int, config: Optional[GRPConfig], n: int, area: f
     channel = LossyChannel(loss_probability=loss_probability, min_delay=min_delay,
                            max_delay=max_delay)
     return build_grp_network(positions, cfg, radio_range=radio_range, channel=channel,
-                             mobility=mobility, seed=seed,
-                             use_spatial_index=use_spatial_index)
+                             mobility=mobility, seed=seed)
 
 
 @scenario(

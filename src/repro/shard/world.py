@@ -49,9 +49,11 @@ replaces the built lossy channel; the reference fingerprint is this engine at
 rather than silently diverging: :class:`~repro.net.channel.CollisionChannel`
 (receiver-side state couples senders), the ``bursty_pubsub`` traffic pattern
 (driver-level publisher selection draws over the node census, which differs
-per shard) and network subclasses.  Cross-shard deliveries that share an
-exact timestamp with an event at the receiving shard are applied after that
-event rather than seq-interleaved with it; GRP stores receptions
+per shard), network subclasses, and radios without a uniform link radius
+or with a stochastic vicinity (sharded delivery runs on the CSR link state
+only).  Cross-shard deliveries that share an exact timestamp with an event
+at the receiving shard are applied after that event rather than
+seq-interleaved with it; GRP stores receptions
 commutatively and never broadcasts synchronously from handlers, and all
 stock send/timer times are continuous random draws, so same-instant
 cross-shard races do not arise in supported workloads.  Receiver-side
@@ -105,7 +107,7 @@ class ShardSpec:
 
     A pure value object: every worker process reconstructs its world from
     this spec alone, so the spec must capture everything the single-process
-    run would configure (scenario, backend flags, churn, traffic).
+    run would configure (scenario, churn, traffic).
     """
 
     scenario: str
@@ -113,10 +115,6 @@ class ShardSpec:
     seed: int
     duration: float
     shards: int = 1
-    use_spatial_index: bool = True
-    vectorized_delivery: bool = True
-    array_state: bool = True
-    incremental_csr: bool = True
     churn: Tuple[Tuple[float, Hashable, bool], ...] = ()
     traffic: Optional[Tuple[str, Tuple[Tuple[str, object], ...]]] = None
     traffic_seed: Optional[int] = None
@@ -127,9 +125,7 @@ class ShardSpec:
 
     @classmethod
     def create(cls, scenario: str, *, seed: int, duration: float, shards: int = 1,
-               params: Optional[Dict[str, object]] = None,
-               use_spatial_index: bool = True, vectorized_delivery: bool = True,
-               array_state: bool = True, incremental_csr: bool = True, churn=(),
+               params: Optional[Dict[str, object]] = None, churn=(),
                traffic: Optional[str] = None,
                traffic_params: Optional[Dict[str, object]] = None,
                traffic_seed: Optional[int] = None,
@@ -148,10 +144,6 @@ class ShardSpec:
         return cls(scenario=str(scenario),
                    params=tuple(sorted((params or {}).items())),
                    seed=int(seed), duration=float(duration), shards=int(shards),
-                   use_spatial_index=bool(use_spatial_index),
-                   vectorized_delivery=bool(vectorized_delivery),
-                   array_state=bool(array_state),
-                   incremental_csr=bool(incremental_csr),
                    churn=tuple(churn_rows),
                    traffic=traffic_value, traffic_seed=traffic_seed,
                    fingerprint=bool(fingerprint))
@@ -252,52 +244,27 @@ class ShardNetwork(Network):
         now = self.sim.now
         if self.trace is not None:
             self.trace.record(now, "send", sender=sender)
-        linkstate = self._link_state() if self._det_vicinity else None
-        if linkstate is not None:
-            receivers, _procs, _procs_arr, rows = self._receiver_batch(
-                linkstate, sender)
-            if not receivers:
-                return 0
-            # Always the boxed batch decision: its RNG consumption equals the
-            # scalar loop's by the decide_batch contract, and unlike the
-            # fast hook it reports the per-receiver delays the ownership
-            # dispatch needs.  (decide_batch_fast consumes the RNG
-            # identically, so the shards=1 reference stays bit-compatible.)
-            batch = self.channel.decide_batch(sender, receivers, now)
-            if rows is not None and self.trace is None:
-                return self._shard_dispatch_fast(sender, payload, receivers,
-                                                 rows, batch, now)
-            return self._shard_dispatch(sender, payload, receivers,
-                                        batch.delivered, batch.delays,
-                                        batch.reasons, now)
-        sender_pos = self._positions[sender]
-        owner, me = self._shard_owner, self._shard_id
-        outbox = self._shard_outbox
-        accepted = 0
-        for receiver in self._vicinity_candidates(sender):
-            proc = self._processes[receiver]
-            if not proc._active:
-                continue
-            receiver_pos = self._positions[receiver]
-            if not self.radio.in_vicinity(sender, receiver, sender_pos, receiver_pos):
-                continue
-            decision = self.channel.decide(sender, receiver, now)
-            if not decision.delivered:
-                self.messages_dropped += 1
-                if self._obs_dropped is not None:
-                    self._obs_dropped.inc()
-                if self.trace is not None:
-                    self.trace.record(now, "drop", sender=sender, receiver=receiver,
-                                      reason=decision.reason)
-                continue
-            accepted += 1
-            if owner[receiver] != me:
-                outbox.append((now + decision.delay, sender, receiver, payload))
-            elif decision.delay <= 0:
-                self._deliver(sender, receiver, payload)
-            else:
-                self.sim.schedule(decision.delay, self._deliver, sender, receiver, payload)
-        return accepted
+        linkstate = self._link_state()
+        if linkstate is None:
+            raise ShardUnsupportedError(
+                "the radio no longer reports a uniform link radius; sharded "
+                "delivery runs on the CSR link state only")
+        receivers, _procs, _procs_arr, rows = self._receiver_batch(
+            linkstate, sender)
+        if not receivers:
+            return 0
+        # Always the boxed batch decision: its RNG consumption equals the
+        # scalar loop's by the decide_batch contract, and unlike the fast
+        # hook it reports the per-receiver delays the ownership dispatch
+        # needs.  (decide_batch_fast consumes the RNG identically, so the
+        # shards=1 reference stays bit-compatible.)
+        batch = self.channel.decide_batch(sender, receivers, now)
+        if self.trace is None:
+            return self._shard_dispatch_fast(sender, payload, receivers,
+                                             rows, batch, now)
+        return self._shard_dispatch(sender, payload, receivers,
+                                    batch.delivered, batch.delays,
+                                    batch.reasons, now)
 
     def _shard_dispatch(self, sender: Hashable, payload: Any,
                         receivers: List[Hashable], delivered, delays,
@@ -344,7 +311,7 @@ class ShardNetwork(Network):
     def _shard_dispatch_fast(self, sender: Hashable, payload: Any,
                              receivers: List[Hashable], rows: Any,
                              batch: Any, now: float) -> int:
-        """Mask-partitioned ownership dispatch for array-backed receiver sets.
+        """Mask-partitioned ownership dispatch over the CSR receiver rows.
 
         Bit-identical to :meth:`_shard_dispatch` under the caller's
         ``trace is None`` gate: drops consume no event seqs (bulk-counted),
@@ -486,18 +453,19 @@ class ShardWorld:
             raise ShardUnsupportedError(
                 f"cannot shard a {type(network).__name__}; only the stock Network "
                 "supports the ownership rebind")
-        network.use_spatial_index = spec.use_spatial_index
-        network.vectorized_delivery = spec.vectorized_delivery
-        network.array_state = spec.array_state
-        network.incremental_csr = spec.incremental_csr
-
-        lookahead = ShardWorld._swap_channel(network, spec.seed)
-
-        max_range = network.radio.max_range()
+        radio = network.radio
+        max_range = radio.max_range()
         if max_range is None or max_range <= 0:
             raise ShardUnsupportedError(
                 "sharding needs a bounded radio (max_range() > 0) to derive "
                 "spatial tiles and halo widths")
+        if radio.uniform_link_radius() is None or not radio.deterministic_vicinity():
+            raise ShardUnsupportedError(
+                f"cannot shard a {type(radio).__name__} without a uniform link "
+                "radius and a deterministic vicinity: sharded delivery runs on "
+                "the CSR link state only")
+
+        lookahead = ShardWorld._swap_channel(network, spec.seed)
         return deployment, lookahead
 
     @staticmethod

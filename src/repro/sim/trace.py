@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "TraceRecorder"]
 
@@ -35,19 +35,11 @@ class TraceRecorder:
     long benchmark runs (counters are always maintained for every category).
     ``max_records`` bounds the stored history: beyond it the *oldest* records
     are dropped (a sliding window over the most recent events), while the
-    per-category counters keep counting every event exactly.  Long-lived
-    campaign workers rely on this so their memory stays O(max_records)
-    however long the run.
+    per-category counters keep counting every event exactly, so a recorder's
+    memory stays O(max_records) however long the run.
     """
 
-    #: Cap applied when a recorder is built without an explicit
-    #: ``max_records``; the campaign executor sets it around each worker task
-    #: so every deployment created inside the task is bounded.
-    default_max_records: ClassVar[Optional[int]] = None
-
     def __init__(self, keep_categories: Optional[set] = None, max_records: Optional[int] = None):
-        if max_records is None:
-            max_records = type(self).default_max_records
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         self._counts: Counter = Counter()
         self._keep = keep_categories

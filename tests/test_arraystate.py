@@ -203,8 +203,8 @@ class TestArrayLinkStateExactness:
 class TestIncrementalPatchEquivalence:
     """The incremental CSR patch must be *byte*-identical to a full rebuild.
 
-    Mirrors ``tests/test_linkstate.py``'s randomized delta-sequence test for
-    the dict cache: after every batch of row moves, the patched ``_indptr``/
+    Complements ``tests/test_linkstate.py``'s randomized delta-sequence test
+    at the array level: after every batch of row moves, the patched ``_indptr``/
     ``_indices`` arenas must equal those a fresh full rebuild produces —
     same arcs, same receiver order, same dtypes — including coincident
     points, nodes exactly at range and cell-edge placements, and moves that
@@ -351,7 +351,7 @@ class TestIncrementalPatchEquivalence:
 class TestNetworkArrayBackend:
     def build(self, n=30, r=120.0, seed=5, area=400.0):
         sim = Simulator(seed=seed)
-        network = Network(sim, radio=UnitDiskRadio(r), array_state=True)
+        network = Network(sim, radio=UnitDiskRadio(r))
         rng = np.random.default_rng(seed)
         for i in range(n):
             network.add_node(Idle(i), (float(rng.uniform(0, area)),
@@ -361,18 +361,6 @@ class TestNetworkArrayBackend:
     def test_array_backend_engaged_for_uniform_radio(self):
         network = self.build()
         assert isinstance(network._link_state(), ArrayLinkState)
-
-    def test_neighbors_match_dict_backend(self):
-        fast = self.build()
-        slow = self.build()
-        slow.array_state = False
-        assert slow._link_state() is not None
-        assert not isinstance(slow._link_state(), ArrayLinkState)
-        for node in fast.node_ids:
-            assert fast.neighbors_of(node) == slow.neighbors_of(node)
-        assert set(fast.topology().edges) == set(slow.topology().edges)
-        assert (set(fast.directed_topology().edges)
-                == set(slow.directed_topology().edges))
 
 
 # ------------------------------------------------- decide_batch_fast parity

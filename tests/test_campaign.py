@@ -325,14 +325,6 @@ class TestExecutor:
         with pytest.raises(ValueError):
             run_campaign(small_spec(), jobs=0)
 
-    def test_execute_task_applies_trace_cap(self):
-        from repro.sim.trace import TraceRecorder
-        spec = small_spec(max_trace_records=10)
-        execute_task(spec.expand()[0], max_trace_records=spec.max_trace_records)
-        # The cap is scoped to the task: the global default is restored after.
-        assert TraceRecorder.default_max_records is None
-        assert TraceRecorder().max_records is None
-
 
 class TestFailurePolicy:
     """Per-task timeout + bounded retries -> structured failure rows."""

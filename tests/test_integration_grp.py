@@ -9,11 +9,16 @@ from repro.core.node import GRPConfig
 from repro.core.predicates import agreement, legitimate, safety
 from repro.core.protocol import build_grp_network
 from repro.experiments.runner import run_with_sampler
-from repro.experiments.scenarios import line_topology, static_random, two_cluster_topology
 from repro.metrics.continuity import continuity_summary
 from repro.metrics.convergence import stabilization_time
 from repro.metrics.groups import max_group_diameter
 from repro.net.geometry import line_positions
+from repro.scenarios import ScenarioSpec, build
+
+
+def scenario(name, seed, **params):
+    """Build the registered scenario ``name`` with explicit ``params``."""
+    return build(ScenarioSpec.create(name, **params), seed=seed)
 
 
 class TestTwoNodes:
@@ -36,7 +41,7 @@ class TestTwoNodes:
 
 class TestChainTopologies:
     def test_three_node_chain_dmax_one_splits(self):
-        deployment = line_topology(n=3, spacing=40.0, radio_range=50.0, dmax=1, seed=7)
+        deployment = scenario("line_topology", 7, n=3, spacing=40.0, radio_range=50.0, dmax=1)
         sampler = run_with_sampler(deployment, duration=40.0)
         final = sampler.last
         assert final.report.legitimate
@@ -44,14 +49,14 @@ class TestChainTopologies:
         assert sizes == [1, 2]
 
     def test_chain_of_five_respects_dmax(self):
-        deployment = line_topology(n=5, spacing=40.0, radio_range=50.0, dmax=2, seed=3)
+        deployment = scenario("line_topology", 3, n=5, spacing=40.0, radio_range=50.0, dmax=2)
         sampler = run_with_sampler(deployment, duration=60.0)
         final = sampler.last
         assert final.report.legitimate
         assert max_group_diameter([final]) <= 2
 
     def test_whole_chain_groups_when_dmax_large_enough(self):
-        deployment = line_topology(n=4, spacing=40.0, radio_range=50.0, dmax=3, seed=5)
+        deployment = scenario("line_topology", 5, n=4, spacing=40.0, radio_range=50.0, dmax=3)
         deployment.run(50.0)
         views = deployment.views()
         assert legitimate(views, deployment.topology(), 3)
@@ -60,20 +65,20 @@ class TestChainTopologies:
 
 class TestSelfStabilization:
     def test_random_graph_reaches_legitimate_configuration(self):
-        deployment = static_random(n=10, area=220.0, radio_range=100.0, dmax=3, seed=11)
+        deployment = scenario("static_random", 11, n=10, area=220.0, radio_range=100.0, dmax=3)
         sampler = run_with_sampler(deployment, duration=70.0)
         assert stabilization_time(sampler.samples) is not None
         final = sampler.last
         assert final.report.legitimate
 
     def test_group_diameter_never_exceeds_dmax_after_convergence(self):
-        deployment = static_random(n=10, area=220.0, radio_range=100.0, dmax=2, seed=13)
+        deployment = scenario("static_random", 13, n=10, area=220.0, radio_range=100.0, dmax=2)
         sampler = run_with_sampler(deployment, duration=60.0, warmup=40.0)
         assert max_group_diameter(sampler.samples) <= 2
 
     def test_recovery_after_memory_corruption(self):
         from repro.net.faults import FaultInjector
-        deployment = static_random(n=8, area=200.0, radio_range=100.0, dmax=2, seed=17)
+        deployment = scenario("static_random", 17, n=8, area=200.0, radio_range=100.0, dmax=2)
         deployment.run(40.0)
         injector = FaultInjector(deployment.network, rng=deployment.sim.spawn_rng())
         injector.random_memory_corruption(fraction=0.5, ghost_pool=["ghost-a", "ghost-b"])
@@ -87,9 +92,10 @@ class TestSelfStabilization:
 
 class TestMergingAndContinuity:
     def test_two_clusters_merge_when_brought_into_range(self):
-        deployment, left, right = two_cluster_topology(cluster_size=2, gap=400.0,
-                                                       spacing=30.0, radio_range=60.0,
-                                                       dmax=3, seed=19)
+        deployment = scenario("two_cluster_topology", 19, cluster_size=2, gap=400.0,
+                              spacing=30.0, radio_range=60.0, dmax=3)
+        left = deployment.scenario_metadata["left"]
+        right = deployment.scenario_metadata["right"]
         deployment.run(30.0)
         views = deployment.views()
         assert views[left[0]] == frozenset(left)
@@ -106,7 +112,7 @@ class TestMergingAndContinuity:
         assert legitimate(views, deployment.topology(), 3)
 
     def test_no_member_lost_on_static_topology_after_formation(self):
-        deployment = static_random(n=10, area=220.0, radio_range=100.0, dmax=3, seed=23)
+        deployment = scenario("static_random", 23, n=10, area=220.0, radio_range=100.0, dmax=3)
         sampler = run_with_sampler(deployment, duration=60.0, warmup=20.0)
         summary = continuity_summary(sampler.transitions)
         assert summary.violations_under_topological == 0
@@ -144,8 +150,8 @@ class TestChurn:
 
 class TestLossyChannel:
     def test_convergence_with_moderate_message_loss(self):
-        deployment = static_random(n=8, area=200.0, radio_range=100.0, dmax=3, seed=37,
-                                   loss_probability=0.2)
+        deployment = scenario("static_random", 37, n=8, area=200.0, radio_range=100.0,
+                              dmax=3, loss_probability=0.2)
         deployment.run(80.0)
         views = deployment.views()
         graph = deployment.topology()

@@ -1,13 +1,15 @@
-"""Randomized equivalence of incremental link-state maintenance vs rebuild.
+"""Randomized equivalence of the network's link relation vs a from-scratch rebuild.
 
-The :class:`repro.net.linkstate.LinkStateCache` patches only the links of the
-nodes a delta touches; its one correctness obligation is that after *any*
-sequence of moves, insertions, removals, churn and radio mutations, the stored
-directed edge set is identical to a from-scratch recomputation over the
-current positions.  These tests drive a network through long randomized delta
-sequences (with several radios, densities and seeds) and compare the cache
-against a brute-force rebuild after every step — including the reverse
-adjacency and the sorted-candidate view the broadcast path consumes.
+The network serves links from the CSR :class:`repro.net.arraystate.ArrayLinkState`
+for uniform-radius radios (patched per delta or rebuilt) and from the
+grid-candidate scan otherwise.  The one correctness obligation of both is
+that after *any* sequence of moves, insertions, removals, churn and radio
+mutations, the served link set is identical to a brute-force recomputation
+over the current positions.  These tests drive a network through long
+randomized delta sequences (with several radios, densities and seeds) and
+compare it against the brute-force rebuild after every few steps — the CSR's
+forward and reverse adjacency and sorted receiver view where the radio has a
+uniform radius, the directed and symmetric snapshots otherwise.
 """
 
 import numpy as np
@@ -18,15 +20,17 @@ from repro.net.radio import AsymmetricRangeRadio, ProbabilisticDiskRadio, UnitDi
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
+from reference_backends import BRUTE_FORCE, GRID_SCAN, use_backend
+
 
 class Idle(Process):
     def on_message(self, sender, payload):
         pass
 
 
-def brute_force_arcs(network):
-    """Directed link set recomputed from scratch (all nodes, active or not)."""
-    nodes = list(network.node_ids)
+def brute_force_arcs(network, nodes=None):
+    """Directed link set recomputed from scratch (all nodes unless given)."""
+    nodes = list(network.node_ids) if nodes is None else nodes
     positions = network.positions
     radio = network.radio
     arcs = set()
@@ -37,27 +41,33 @@ def brute_force_arcs(network):
     return arcs
 
 
-def cache_arcs(cache):
-    return set(cache.arcs())
+def assert_links_consistent(network):
+    """The served link set ≡ the brute-force rebuild.
+
+    On the CSR path: forward arcs, reverse adjacency and the insertion-ordered
+    receiver view.  On the grid-scan path: the directed and symmetric
+    snapshots (active nodes only, as the snapshots are).
+    """
+    linkstate = network._link_state()
+    if linkstate is not None:
+        expected = brute_force_arcs(network)
+        assert set(linkstate.arcs()) == expected
+        reverse = {(u, v) for v in network.node_ids for u in linkstate.in_neighbors(v)}
+        assert reverse == expected
+        for u in network.node_ids:
+            orders = [network._order[v] for v in linkstate.out_neighbors_sorted(u)]
+            assert orders == sorted(orders)
+        return
+    active = [n for n in network.node_ids if network.process(n).active]
+    expected = brute_force_arcs(network, active)
+    assert set(network.directed_topology().edges) == expected
+    symmetric = {frozenset(arc) for arc in expected if arc[::-1] in expected}
+    assert {frozenset(e) for e in network.topology().edges} == symmetric
 
 
-def assert_cache_consistent(network):
-    """Cache ≡ rebuild, forward ≡ reverse adjacency, sorted view ≡ out-set."""
-    cache = network._link_state()
-    assert cache is not None
-    expected = brute_force_arcs(network)
-    assert cache_arcs(cache) == expected
-    reverse = {(u, v) for v in network.node_ids for u in cache.in_neighbors(v)}
-    assert reverse == expected
-    for u in network.node_ids:
-        assert set(cache.out_neighbors_sorted(u)) == set(cache.out_neighbors(u))
-        orders = [network._order[v] for v in cache.out_neighbors_sorted(u)]
-        assert orders == sorted(orders)
-
-
-def build_network(radio, n, area, seed, array_state=True):
+def build_network(radio, n, area, seed):
     sim = Simulator(seed=seed)
-    network = Network(sim, radio=radio, array_state=array_state)
+    network = Network(sim, radio=radio)
     rng = np.random.default_rng(seed)
     for i in range(n):
         network.add_node(Idle(i), (rng.uniform(0, area), rng.uniform(0, area)))
@@ -71,14 +81,14 @@ RADIOS = [
 ]
 
 
-@pytest.mark.parametrize("array_state", [True, False],
-                         ids=["array", "dict"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("radio_factory", RADIOS)
-def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed, array_state):
-    network, rng = build_network(radio_factory(), n=40, area=600.0, seed=seed,
-                                 array_state=array_state)
-    assert_cache_consistent(network)
+def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed):
+    network, rng = build_network(radio_factory(), n=40, area=600.0, seed=seed)
+    # Uniform-radius radios take the CSR, the per-node-range radio the grid scan.
+    assert (network._link_state() is None) == isinstance(network.radio,
+                                                          AsymmetricRangeRadio)
+    assert_links_consistent(network)
     next_id = 40
     for step in range(60):
         op = rng.integers(0, 10)
@@ -99,38 +109,41 @@ def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed, array_st
             next_id += 1
         elif op < 8 and len(nodes) > 5:  # removal
             network.remove_node(nodes[int(rng.integers(0, len(nodes)))])
-        else:  # churn: flips must not disturb the (activity-blind) cache
+        else:  # churn: flips must not disturb the (activity-blind) CSR
             node = nodes[int(rng.integers(0, len(nodes)))]
             if network.process(node).active:
                 network.deactivate_node(node)
             else:
                 network.activate_node(node)
         if step % 5 == 0 or step > 50:
-            assert_cache_consistent(network)
-    assert_cache_consistent(network)
+            assert_links_consistent(network)
+    assert_links_consistent(network)
 
 
 def test_radio_mutation_forces_rebuild():
     radio = UnitDiskRadio(80.0)
     network, rng = build_network(radio, n=30, area=500.0, seed=11)
-    before = cache_arcs(network._link_state())
+    before = set(network._link_state().arcs())
     radio.radio_range = 200.0  # property setter notifies the network
-    after = cache_arcs(network._link_state())
+    after = set(network._link_state().arcs())
     assert after == brute_force_arcs(network)
     assert after != before  # densification at 500x500/30 nodes is certain
-    assert_cache_consistent(network)
+    assert_links_consistent(network)
 
 
 def test_asymmetric_range_override_rebuilds():
     radio = AsymmetricRangeRadio(90.0)
     network, _ = build_network(radio, n=25, area=400.0, seed=13)
-    assert_cache_consistent(network)
+    assert network._link_state() is not None  # override-free: uniform radius
+    assert_links_consistent(network)
     radio.set_range(0, 400.0)  # non-uniform growth: node 0 reaches everyone
-    cache = network._link_state()
-    assert all(cache.has_arc(0, v) for v in network.node_ids if v != 0)
-    assert_cache_consistent(network)
+    assert network._link_state() is None  # per-node ranges: grid scan
+    directed = network.directed_topology()
+    assert all(directed.has_edge(0, v) for v in network.node_ids if v != 0)
+    assert_links_consistent(network)
     radio.clear_range(0)
-    assert_cache_consistent(network)
+    assert network._link_state() is not None
+    assert_links_consistent(network)
 
 
 def test_symmetric_neighbors_match_topology():
@@ -138,25 +151,27 @@ def test_symmetric_neighbors_match_topology():
     for _ in range(3):
         node = int(rng.integers(0, 35))
         network.deactivate_node(node)
-    cache = network._link_state()
+    linkstate = network._link_state()
     graph = network.topology()
     for node in network.node_ids:
         assert network.neighbors_of(node) == (
             set(graph.neighbors(node)) if node in graph else set())
-    # symmetric_neighbors is activity-blind; neighbors_of filters activity.
+    # The CSR is activity-blind; neighbors_of filters activity.
     for node in network.node_ids:
-        sym = set(cache.symmetric_neighbors(node))
+        sym = set(linkstate.out_neighbors_sorted(node))
         assert {w for w in sym if network.process(w).active
                 and network.process(node).active} == network.neighbors_of(node)
 
 
 def test_cache_disabled_paths_still_agree():
-    """vectorized_delivery=False serves identical snapshots via the scan path."""
+    """The grid-scan and brute-force references serve identical snapshots."""
     fast, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
-    slow, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
-    slow.vectorized_delivery = False
-    assert slow._link_state() is None
-    assert set(fast.topology().edges) == set(slow.topology().edges)
-    assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)
-    for node in fast.node_ids:
-        assert fast.neighbors_of(node) == slow.neighbors_of(node)
+    for backend in (GRID_SCAN, BRUTE_FORCE):
+        slow, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
+        use_backend(slow, backend)
+        assert slow._link_state() is None
+        assert (slow._spatial_index() is None) == (backend == BRUTE_FORCE)
+        assert set(fast.topology().edges) == set(slow.topology().edges)
+        assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)
+        for node in fast.node_ids:
+            assert fast.neighbors_of(node) == slow.neighbors_of(node)

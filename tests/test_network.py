@@ -413,44 +413,6 @@ class TestCustomRadioContract:
         assert network.topology_generation == before + 1
 
 
-class TestVectorizedToggle:
-    def test_disabling_drops_linkstate_maintenance(self):
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.broadcast("a", "x")  # builds the (array) link-state cache
-        assert network._array_ls is not None
-        network.vectorized_delivery = False
-        # scan path pays zero maintenance on either backend
-        assert network._array_ls is None and network._linkstate is None
-        network.set_position("a", (1, 0))  # must not touch a dead cache
-        assert network.neighbors_of("a") == {"b"}
-        network.vectorized_delivery = True
-        assert network.broadcast("a", "y") == 1  # rebuilt on demand
-
-    def test_disabling_drops_dict_linkstate_too(self):
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.array_state = False
-        network.broadcast("a", "x")  # builds the dict link-state cache
-        assert network._linkstate is not None
-        network.vectorized_delivery = False
-        assert network._linkstate is None
-        network.set_position("a", (1, 0))
-        assert network.neighbors_of("a") == {"b"}
-        network.vectorized_delivery = True
-        assert network.broadcast("a", "y") == 1
-
-    def test_disabling_array_state_falls_back_to_dict_cache(self):
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.broadcast("a", "x")
-        assert network._array_ls is not None
-        network.array_state = False
-        assert network._array_ls is None and network._store is None
-        assert network.broadcast("a", "y") == 1  # dict cache built on demand
-        assert network._linkstate is not None
-        network.array_state = True  # store rebuilt from the node table
-        assert network.neighbors_of("a") == {"b"}
-        assert network._store is not None
-
-
 class TestInPlaceMobilityModels:
     def test_model_mutating_its_input_still_updates_the_engine(self):
         """Models receive a copy: in-place mutation + return keeps working."""
@@ -476,14 +438,3 @@ class TestInPlaceMobilityModels:
         # Index/link-state followed the move: still neighbours at new spots.
         assert network.neighbors_of("a") == {"b"}
         assert network.broadcast("a", "x") == 1
-
-    def test_disabling_spatial_index_also_drops_linkstate(self):
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.broadcast("a", "x")
-        assert network._array_ls is not None
-        network.use_spatial_index = False
-        assert network._array_ls is None and network._linkstate is None
-        network.set_position("a", (1, 0))  # brute baseline: no upkeep
-        assert network.neighbors_of("a") == {"b"}
-        network.use_spatial_index = True
-        assert network.broadcast("a", "y") == 1

@@ -1,54 +1,53 @@
-"""Deterministic replay at scale, across every neighbour/delivery backend.
+"""Deterministic replay at scale, across the three neighbour engines.
 
-The spatial index and the vectorized delivery pipeline (link-state receiver
-lists + batched channel decisions + bulk scheduling) are pure query/dispatch
-optimizations: a seeded run must unfold *identically* whether neighbour
-queries go through the grid or the brute-force scan, whether broadcasts
-take the batched fast path or the per-receiver loop, and whether the state
-behind them is the contiguous array store (SoA positions + CSR link-state)
-or the dict-based incremental cache.  These tests run a
-500-node mobile lossy GRP deployment once per backend combination and require
-bit-identical event counts, message counters, group assignments, topology
-edges and metric reports across all of them (plus a same-seed rerun).
+The network computes the vicinity relation one of three ways, chosen by the
+radio: the production CSR link state (batched receiver lists + batched
+channel decisions + bulk scheduling), the grid-candidate scan and the
+brute-force scan (the test-only references of ``tests/reference_backends.py``).
+These are pure query/dispatch choices: a seeded run must unfold
+*identically* on all three.  These tests run a 500-node mobile lossy GRP
+deployment once per engine and require bit-identical event counts, message
+counters, group assignments, topology edges, metric reports and post-run RNG
+states across them (plus a same-seed rerun and an observed run).
 
 The traffic-laden variant layers an application workload
 (:mod:`repro.traffic`) on top of a smaller deployment: application sends,
 replies and relays interleave with protocol messages on the same event queue
-and the same channel RNG stream, so any backend divergence — in either the
+and the same channel RNG stream, so any engine divergence — in either the
 protocol or the traffic subsystem — shows up as a ledger or counter mismatch.
 """
 
 import pytest
 
-from repro.experiments.scenarios import manet_waypoint
 from repro.metrics.overhead import overhead_summary
 from repro.mobility.churn import ChurnEvent, ChurnSchedule
 from repro.obs import ObsContext, observing
+from repro.scenarios import ScenarioSpec, build
 from repro.traffic import TrafficSpec, attach_traffic
+
+from reference_backends import BRUTE_FORCE, GRID_SCAN, PRODUCTION, use_backend
 
 N = 500
 DURATION = 3.0
 SEED = 2024
 
-#: (use_spatial_index, vectorized_delivery, array_state, incremental_csr)
-#: backend combinations.  The vectorized pipeline sits on top of the index,
-#: so (False, True, *, *) degrades to the scan path — included to prove the
-#: degradation is seamless.  The array axis pins the SoA/CSR backend against
-#: the dict-based incremental cache (and against the scalar scan) on the
-#: same seeds: the reference combination serves receiver batches from
-#: :class:`ArrayLinkState`, the ``dictstate`` one from
-#: :class:`LinkStateCache`, and both must replay bit-identically.  The
-#: ``nopatch`` cell disables the incremental CSR patch so every topology
-#: refresh is a full rebuild — any divergence convicts the patch path.
+#: Matrix cell -> neighbour engine.  In the cell names "indexed" is the
+#: grid index, "scalar" the per-receiver scan loop and "vectorized" the
+#: batched CSR path.
 BACKENDS = {
-    "indexed+vectorized": (True, True, True, True),
-    "indexed+vectorized+nopatch": (True, True, True, False),
-    "indexed+vectorized+dictstate": (True, True, False, True),
-    "indexed+scalar": (True, False, True, True),
-    "indexed+scalar+dictstate": (True, False, False, True),
-    "brute+scalar": (False, False, False, True),
-    "brute+vectorized-degraded": (False, True, True, True),
+    "indexed+vectorized": PRODUCTION,
+    "indexed+scalar": GRID_SCAN,
+    "brute+scalar": BRUTE_FORCE,
 }
+
+
+def manet(n, area, backend):
+    """The replay world: a mobile lossy random-waypoint field on ``backend``."""
+    deployment = build(ScenarioSpec.create(
+        "manet_waypoint", n=n, area=area, radio_range=100.0, dmax=3, speed=10.0,
+        loss_probability=0.05), seed=SEED)
+    use_backend(deployment.network, backend)
+    return deployment
 
 
 def rng_fingerprint(deployment):
@@ -62,14 +61,8 @@ def rng_fingerprint(deployment):
     return states
 
 
-def run_once(use_spatial_index, vectorized_delivery, array_state=True,
-             incremental_csr=True):
-    deployment = manet_waypoint(n=N, area=1500.0, radio_range=100.0, dmax=3,
-                                speed=10.0, seed=SEED, loss_probability=0.05)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
-    deployment.network.array_state = array_state
-    deployment.network.incremental_csr = incremental_csr
+def run_once(backend=PRODUCTION):
+    deployment = manet(N, 1500.0, backend)
     churn = ChurnSchedule([ChurnEvent(time=1.0, node_id=i, active=False) for i in range(25)]
                           + [ChurnEvent(time=2.0, node_id=i, active=True) for i in range(25)])
     churn.install(deployment.network)
@@ -90,7 +83,7 @@ def run_once(use_spatial_index, vectorized_delivery, array_state=True,
 
 @pytest.fixture(scope="module")
 def runs():
-    return {name: run_once(*flags) for name, flags in BACKENDS.items()}
+    return {name: run_once(backend) for name, backend in BACKENDS.items()}
 
 
 @pytest.mark.parametrize("backend", [name for name in BACKENDS
@@ -101,7 +94,7 @@ def test_backends_replay_identically(runs, backend):
 
 
 def test_rerun_with_same_seed_is_identical(runs):
-    assert run_once(True, True, True, True) == runs["indexed+vectorized"]
+    assert run_once() == runs["indexed+vectorized"]
 
 
 def test_obs_enabled_replay_is_bit_identical(runs):
@@ -110,7 +103,7 @@ def test_obs_enabled_replay_is_bit_identical(runs):
     — deliveries, event counts, topology, and the post-run RNG states (the
     obs layer never consumes randomness)."""
     with observing(ObsContext()) as ctx:
-        observed = run_once(True, True, True, True)
+        observed = run_once()
     assert observed == runs["indexed+vectorized"]
     export = ctx.export()
     assert export["counters"]["sim.events"] == observed["processed_events"]
@@ -133,14 +126,8 @@ TRAFFIC_N = 200
 TRAFFIC_DURATION = 8.0
 
 
-def run_traffic_once(use_spatial_index, vectorized_delivery, array_state=True,
-                     incremental_csr=True):
-    deployment = manet_waypoint(n=TRAFFIC_N, area=900.0, radio_range=100.0, dmax=3,
-                                speed=10.0, seed=SEED, loss_probability=0.05)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
-    deployment.network.array_state = array_state
-    deployment.network.incremental_csr = incremental_csr
+def run_traffic_once(backend=PRODUCTION):
+    deployment = manet(TRAFFIC_N, 900.0, backend)
     driver = attach_traffic(
         deployment, TrafficSpec.create("request_reply", interval=1.0), seed=SEED)
     churn = ChurnSchedule([ChurnEvent(time=1.0, node_id=i, active=False)
@@ -163,12 +150,13 @@ def run_traffic_once(use_spatial_index, vectorized_delivery, array_state=True,
         "replies": ledger.replies_matched,
         "group_rows": ledger.group_rows(),
         "totals": ledger.totals(TRAFFIC_DURATION),
+        "rng_state": rng_fingerprint(deployment),
     }
 
 
 @pytest.fixture(scope="module")
 def traffic_runs():
-    return {name: run_traffic_once(*flags) for name, flags in BACKENDS.items()}
+    return {name: run_traffic_once(backend) for name, backend in BACKENDS.items()}
 
 
 @pytest.mark.parametrize("backend", [name for name in BACKENDS
@@ -179,8 +167,7 @@ def test_traffic_backends_replay_identically(traffic_runs, backend):
 
 
 def test_traffic_rerun_with_same_seed_is_identical(traffic_runs):
-    assert (run_traffic_once(True, True, True, True)
-            == traffic_runs["indexed+vectorized"])
+    assert run_traffic_once() == traffic_runs["indexed+vectorized"]
 
 
 def test_traffic_actually_flowed(traffic_runs):
@@ -192,46 +179,35 @@ def test_traffic_actually_flowed(traffic_runs):
 
 # ------------------------------------------------- sharded executor on top
 
-#: The sharded executor (:mod:`repro.shard`) joins the backend matrix as a
-#: new axis: the same 500-node world, split across worker shards by spatial
+#: The sharded executor (:mod:`repro.shard`) joins the matrix as a new
+#: axis: the same 500-node world, split across worker shards by spatial
 #: tile, must reproduce the ``shards=1`` fingerprint bit for bit — counters,
 #: views, edges, overhead report and the post-run RNG states (root sim
 #: stream + every per-sender channel stream).  The reference is the sharded
 #: engine at one shard: sharding swaps the global channel RNG for per-sender
 #: streams, so its fingerprint family is its own, anchored at k=1 where the
-#: whole run takes the stock single-process pipeline.
-SHARD_CELLS = {
-    "2shards+arraystate+vectorized": (2, True, True, True),
-    "2shards+arraystate+nopatch": (2, True, True, False),
-    "2shards+dictstate+vectorized": (2, False, True, True),
-    "2shards+arraystate+scalar": (2, True, False, True),
-    "2shards+dictstate+scalar": (2, False, False, True),
-    "4shards+arraystate+vectorized": (4, True, True, True),
-    "4shards+dictstate+scalar": (4, False, False, True),
-}
+#: whole run takes the stock single-process pipeline.  Sharded delivery runs
+#: on the production CSR engine (array state + vectorized delivery) only.
+SHARD_CELLS = {"2shards+arraystate+vectorized": 2, "4shards+arraystate+vectorized": 4}
 
 SHARD_CHURN = (tuple((1.0, i, False) for i in range(25))
                + tuple((2.0, i, True) for i in range(25)))
 
 
-def shard_spec(shards, array_state=True, vectorized=True, incremental=True):
+def shard_spec(shards):
     from repro.shard import ShardSpec
 
     return ShardSpec.create(
         "manet_waypoint",
         params={"n": N, "area": 1500.0, "radio_range": 100.0, "dmax": 3,
                 "speed": 10.0, "loss_probability": 0.05},
-        seed=SEED, duration=DURATION, shards=shards,
-        array_state=array_state, vectorized_delivery=vectorized,
-        incremental_csr=incremental, churn=SHARD_CHURN)
+        seed=SEED, duration=DURATION, shards=shards, churn=SHARD_CHURN)
 
 
-def run_sharded_once(shards, array_state=True, vectorized=True, incremental=True,
-                     transport="inproc", build="replicate"):
+def run_sharded_once(shards, transport="inproc", build="replicate"):
     from repro.shard import run_sharded
 
-    result = run_sharded(shard_spec(shards, array_state, vectorized, incremental),
-                         transport=transport, build=build)
+    result = run_sharded(shard_spec(shards), transport=transport, build=build)
     return result.fingerprint, result.stats
 
 
@@ -243,9 +219,7 @@ def sharded_reference():
 
 @pytest.mark.parametrize("cell", list(SHARD_CELLS))
 def test_sharded_backends_replay_identically(sharded_reference, cell):
-    shards, array_state, vectorized, incremental = SHARD_CELLS[cell]
-    fingerprint, stats = run_sharded_once(shards, array_state, vectorized,
-                                          incremental)
+    fingerprint, stats = run_sharded_once(SHARD_CELLS[cell])
     assert fingerprint == sharded_reference, (
         f"sharded 500-node run diverged between 1 shard and {cell}")
     # The split must be real: nodes crossing tile boundaries force actual
@@ -337,26 +311,27 @@ def test_sharded_traffic_actually_flowed(sharded_traffic_reference):
 
 # ------------------------------------- incremental CSR patch, engaged regime
 
-#: ``manet_waypoint`` moves every node every tick, so the matrix's
-#: ``nopatch`` cell above mostly proves the flag is harmless there (the
-#: dirty fraction exceeds the patch threshold and the refresh falls back to
-#: full rebuilds).  This section pins the patch path *while it is actually
+#: ``manet_waypoint`` moves every node every tick, so its dirty fraction
+#: exceeds the patch threshold and most CSR refreshes there are full
+#: rebuilds.  This section pins the patch path *while it is actually
 #: running*: a scaled-down ``city_scale_mobile`` field, where only a sparse
 #: mover subset dirties rows each tick, must replay bit-identically with
 #: patching on and off — and the on-run must prove patches happened.
 
 
-def run_sparse_mobile_once(incremental_csr):
-    from repro.scenarios.registry import build
-    from repro.scenarios.spec import ScenarioSpec
-
+def run_sparse_mobile_once(incremental):
     deployment = build(ScenarioSpec.create(
         "city_scale_mobile", n=400, area=2000.0, hotspot_sigma=200.0,
         mover_fraction=0.02), seed=SEED)
-    deployment.network.incremental_csr = incremental_csr
-    deployment.run(4.0)
     network = deployment.network
-    linkstate = network._array_ls
+    linkstate = network._link_state()
+    if not incremental:
+        # The rebuild reference: every refresh runs the full rebuild from
+        # rebuilt state.
+        linkstate.incremental = False
+        linkstate.mark_dirty()
+    deployment.run(4.0)
+    assert network._array_ls is linkstate
     fingerprint = {
         "processed_events": deployment.sim.processed_events,
         "sent": network.messages_sent,
@@ -366,7 +341,7 @@ def run_sparse_mobile_once(incremental_csr):
         "edges": {frozenset(e) for e in deployment.topology().edges},
         "rng_state": rng_fingerprint(deployment),
     }
-    return fingerprint, (linkstate.patch_count if linkstate is not None else 0)
+    return fingerprint, linkstate.patch_count
 
 
 def test_incremental_patch_replays_identically_when_engaged():

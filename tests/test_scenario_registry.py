@@ -139,15 +139,6 @@ class TestRegistry:
 
 
 class TestBuild:
-    def test_build_matches_legacy_alias_bit_for_bit(self):
-        from repro.experiments.scenarios import static_random
-        legacy = static_random(n=6, area=100.0, radio_range=40.0, dmax=2, seed=5)
-        registry = build(ScenarioSpec.create("static_random", n=6, area=100.0,
-                                             radio_range=40.0, dmax=2), seed=5)
-        legacy.run(15.0)
-        registry.run(15.0)
-        assert legacy.views() == registry.views()
-
     def test_build_is_deterministic_per_seed(self):
         spec = ScenarioSpec.create("manhattan_grid", n=8, area=300.0, block_size=100.0)
         a = build(spec, seed=3)

@@ -188,6 +188,7 @@ class TestPerSenderChannel:
 from repro.core.node import GRPConfig  # noqa: E402
 from repro.core.protocol import build_grp_network  # noqa: E402
 from repro.net.network import Network  # noqa: E402
+from repro.net.radio import AsymmetricRangeRadio, ProbabilisticDiskRadio  # noqa: E402
 from repro.scenarios.registry import ScenarioParameter, scenario  # noqa: E402
 
 
@@ -220,6 +221,30 @@ def _subclassed_world(*, seed, config, n, dmax):
     return deployment
 
 
+@scenario("shardtest_asymmetric",
+          "per-node-range radio world (sharding must refuse it)",
+          [ScenarioParameter("n", "int", 6, "nodes"),
+           ScenarioParameter("dmax", "int", 3, "diameter bound")],
+          tags=("test",))
+def _asymmetric_world(*, seed, config, n, dmax):
+    positions = {i: (float(i * 30), 0.0) for i in range(n)}
+    radio = AsymmetricRangeRadio(50.0, ranges={0: 90.0})
+    return build_grp_network(positions, config or GRPConfig(dmax=dmax),
+                             radio=radio, seed=seed)
+
+
+@scenario("shardtest_probabilistic",
+          "stochastic-vicinity radio world (sharding must refuse it)",
+          [ScenarioParameter("n", "int", 6, "nodes"),
+           ScenarioParameter("dmax", "int", 3, "diameter bound")],
+          tags=("test",))
+def _probabilistic_world(*, seed, config, n, dmax):
+    positions = {i: (float(i * 30), 0.0) for i in range(n)}
+    radio = ProbabilisticDiskRadio(40.0, 60.0, band_probability=0.5)
+    return build_grp_network(positions, config or GRPConfig(dmax=dmax),
+                             radio=radio, seed=seed)
+
+
 class TestUnsupportedWorlds:
     def test_collision_channel_rejected(self):
         spec = ShardSpec.create("shardtest_collision", seed=1, duration=1.0, shards=2)
@@ -230,6 +255,14 @@ class TestUnsupportedWorlds:
         spec = ShardSpec.create("shardtest_subclassed_net", seed=1, duration=1.0,
                                 shards=2)
         with pytest.raises(ShardUnsupportedError):
+            ShardWorld(spec, 0)
+
+    @pytest.mark.parametrize("world", ["shardtest_asymmetric", "shardtest_probabilistic"])
+    def test_radio_without_csr_link_state_rejected(self, world):
+        # Sharded delivery runs on the CSR link state only: per-node ranges
+        # (no uniform link radius) or a stochastic vicinity cannot shard.
+        spec = ShardSpec.create(world, seed=1, duration=1.0, shards=2)
+        with pytest.raises(ShardUnsupportedError, match="uniform link radius"):
             ShardWorld(spec, 0)
 
     def test_bursty_pubsub_traffic_rejected(self):

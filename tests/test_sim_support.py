@@ -64,23 +64,6 @@ class TestTraceRecorder:
             trace.record(float(i), "x")
         assert seen == [0.0, 1.0, 2.0]
 
-    def test_default_max_records_class_knob(self):
-        # The campaign executor bounds worker memory through this class-level
-        # default; explicit arguments always win over it.
-        assert TraceRecorder.default_max_records is None
-        TraceRecorder.default_max_records = 2
-        try:
-            capped = TraceRecorder()
-            assert capped.max_records == 2
-            for i in range(5):
-                capped.record(float(i), "x")
-            assert len(capped) == 2 and capped.count("x") == 5
-            explicit = TraceRecorder(max_records=4)
-            assert explicit.max_records == 4
-        finally:
-            TraceRecorder.default_max_records = None
-        assert TraceRecorder().max_records is None
-
     def test_clear_preserves_bound(self):
         trace = TraceRecorder(max_records=2)
         for i in range(4):

@@ -21,6 +21,15 @@ from repro.net.topology import snapshot_graph
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
+from reference_backends import BRUTE_FORCE, reference_radio
+
+
+def make_network(sim, radio, use_index=True, **kwargs):
+    """A network on ``radio``, or on its brute-force reference if not ``use_index``."""
+    if not use_index:
+        radio = reference_radio(radio, BRUTE_FORCE)
+    return Network(sim, radio=radio, **kwargs)
+
 
 class Recorder(Process):
     """Test process recording every received (sender, payload)."""
@@ -151,7 +160,7 @@ def build_twins(positions, radio_factory, seed):
     nets = []
     for use_index in (True, False):
         sim = Simulator(seed=seed)
-        net = Network(sim, radio=radio_factory(), use_spatial_index=use_index)
+        net = make_network(sim, radio_factory(), use_index)
         for node, pos in positions.items():
             net.add_node(Recorder(node), pos)
         nets.append((sim, net))
@@ -226,7 +235,7 @@ def test_probabilistic_radio_equivalence():
         sim = Simulator(seed=5)
         radio = ProbabilisticDiskRadio(10.0, 25.0, band_probability=0.5,
                                        rng=np.random.default_rng(99))
-        net = Network(sim, radio=radio, use_spatial_index=use_index)
+        net = make_network(sim, radio, use_index)
         for node, pos in positions.items():
             net.add_node(Recorder(node), pos)
         for sender in net.node_ids:
@@ -246,8 +255,7 @@ def test_mobility_ghost_nodes_are_ignored(use_index):
             return dict(positions, ghost=(1.0, 1.0))
 
     sim = Simulator(seed=0)
-    net = Network(sim, radio=UnitDiskRadio(10.0), mobility=GhostMobility(),
-                  use_spatial_index=use_index)
+    net = make_network(sim, UnitDiskRadio(10.0), use_index, mobility=GhostMobility())
     net.add_node(Recorder("a"), (0, 0))
     net.add_node(Recorder("b"), (3, 0))
     net.neighbors_of("a")  # force index build before the first mobility step
@@ -270,7 +278,7 @@ def test_unbounded_radio_falls_back_to_brute_force():
             return None
 
     sim = Simulator(seed=0)
-    net = Network(sim, radio=EverywhereRadio(), use_spatial_index=True)
+    net = Network(sim, radio=EverywhereRadio())
     for i in range(5):
         net.add_node(Recorder(i), (i * 1000.0, 0.0))
     assert net._spatial_index() is None
@@ -284,7 +292,7 @@ def test_unbounded_radio_falls_back_to_brute_force():
 class TestSnapshotCache:
     def build(self, use_index=True):
         sim = Simulator(seed=0)
-        net = Network(sim, radio=UnitDiskRadio(10.0), use_spatial_index=use_index)
+        net = make_network(sim, UnitDiskRadio(10.0), use_index)
         for node, pos in {"a": (0, 0), "b": (5, 0), "c": (50, 0)}.items():
             net.add_node(Recorder(node), pos)
         return sim, net
@@ -324,7 +332,7 @@ class TestSnapshotCache:
     def test_growing_asymmetric_range_is_observed(self):
         sim = Simulator(seed=0)
         radio = AsymmetricRangeRadio(10.0)
-        net = Network(sim, radio=radio, use_spatial_index=True)
+        net = Network(sim, radio=radio)
         net.add_node(Recorder("a"), (0, 0))
         net.add_node(Recorder("b"), (30, 0))
         assert net.neighbors_of("a") == set()
@@ -338,7 +346,7 @@ class TestSnapshotCache:
     def test_invalidate_topology_after_in_place_radio_mutation(self):
         sim = Simulator(seed=0)
         radio = AsymmetricRangeRadio(10.0, ranges={"a": 40.0, "b": 40.0})
-        net = Network(sim, radio=radio, use_spatial_index=True)
+        net = Network(sim, radio=radio)
         net.add_node(Recorder("a"), (0, 0))
         net.add_node(Recorder("b"), (30, 0))
         assert net.neighbors_of("a") == {"b"}

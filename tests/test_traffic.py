@@ -21,6 +21,8 @@ from repro.traffic import (AppMessage, DeliveryLedger, TrafficSpec, attach_traff
                            format_traffic_catalog, get_traffic, normalize_traffic_spec,
                            traffic_names)
 
+from reference_backends import BRUTE_FORCE, GRID_SCAN, PRODUCTION, use_backend
+
 # --------------------------------------------------------------------- specs
 
 
@@ -192,24 +194,28 @@ class TestDeliveryLedger:
 
 # ------------------------------------------------- live deployments, replay
 
-#: (use_spatial_index, vectorized_delivery) combinations; the vectorized
-#: pipeline needs the index, so (False, True) degrades to the scan path.
+#: The production CSR engine and the two test-only reference engines of
+#: ``tests/reference_backends.py``.
 BACKENDS = {
-    "indexed+vectorized": (True, True),
-    "indexed+scalar": (True, False),
-    "brute+scalar": (False, False),
-    "brute+vectorized-degraded": (False, True),
+    "indexed+vectorized": PRODUCTION,
+    "indexed+scalar": GRID_SCAN,
+    "brute+scalar": BRUTE_FORCE,
 }
 
 
-def traffic_fingerprint(traffic_name, use_spatial_index=True, vectorized_delivery=True,
-                        n=40, duration=4.0, traffic_seed=77):
+def rng_states(deployment):
+    """Post-run states of the root sim stream and the channel stream."""
+    return (repr(deployment.sim.rng.bit_generator.state),
+            repr(deployment.network.channel._rng.bit_generator.state))
+
+
+def traffic_fingerprint(traffic_name, backend=PRODUCTION, n=40, duration=4.0,
+                        traffic_seed=77):
     """Full observable state of one seeded traffic run (for equality checks)."""
     deployment = build(ScenarioSpec.create(
         "manet_waypoint", n=n, area=450.0, radio_range=110.0, dmax=3, speed=8.0,
         loss_probability=0.05), seed=33)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
+    use_backend(deployment.network, backend)
     driver = attach_traffic(deployment, TrafficSpec.create(traffic_name),
                             seed=traffic_seed)
     deployment.run(duration)
@@ -224,18 +230,19 @@ def traffic_fingerprint(traffic_name, use_spatial_index=True, vectorized_deliver
         "app_receptions": driver.ledger.receptions,
         "group_rows": driver.ledger.group_rows(),
         "totals": driver.ledger.totals(duration),
+        "rng_state": rng_states(deployment),
     }
 
 
 class TestTrafficReplay:
     @pytest.mark.parametrize("traffic_name", ["request_reply", "state_sync"])
     def test_bit_identical_across_all_backends(self, traffic_name):
-        reference = traffic_fingerprint(traffic_name, *BACKENDS["indexed+vectorized"])
+        reference = traffic_fingerprint(traffic_name)
         assert reference["app_sent"] > 0 and reference["app_receptions"] > 0
-        for name, flags in BACKENDS.items():
-            if name == "indexed+vectorized":
+        for name, backend in BACKENDS.items():
+            if backend == PRODUCTION:
                 continue
-            assert traffic_fingerprint(traffic_name, *flags) == reference, (
+            assert traffic_fingerprint(traffic_name, backend) == reference, (
                 f"seeded {traffic_name} run diverged between "
                 f"indexed+vectorized and {name}")
 
