@@ -20,12 +20,11 @@ Two hot-path measurements ride along:
   (100k nodes full, 2k quick; 1% movers/step) timing the dirty-row patch
   against a per-step full rebuild, with a final CSR-equality check.  The
   patch must be >= 5x faster in full mode.
-- **snapshot-restore amortization** — the top shard count rebuilt via
-  ``build='snapshot'`` (one base build, workers unpickle), comparing
-  per-worker build time against restore time.  Full mode shortens the
-  simulated window for this leg (build cost is duration-independent) and
-  re-checks bit-identity against a fresh 1-shard reference at the same
-  duration.
+- **snapshot-restore amortization** — every run builds the world once and
+  has each worker unpickle it.  The bench times one scenario build
+  (:meth:`ShardWorld.build_base`) itself and compares it with the top shard
+  count's per-worker restore time: the cost each worker would pay if it
+  built the world on its own.
 
 Quick mode (CI) shrinks the city to 2,000 nodes and keeps every run
 in-process where noted; full mode runs the 100,000-node default city.
@@ -47,7 +46,7 @@ import _emit
 
 from repro.metrics.report import print_table
 from repro.net.arraystate import ArrayLinkState, NodeArrayStore
-from repro.shard import ShardSpec, run_sharded
+from repro.shard import ShardSpec, ShardWorld, run_sharded
 
 #: Full-mode wall budget (seconds) for the 100k-node single-shard reference
 #: on one core; measured ~121 s (1.20 M events, ~9.9 k events/s) on the
@@ -58,18 +57,13 @@ FULL_WALL_BUDGET_S = 300.0
 #: at 100k nodes / 1% movers per step (issue acceptance: >= 5x).
 CSR_PATCH_SPEEDUP_BUDGET = 5.0
 
-#: Full-mode floor for the snapshot-restore amortization: per-worker
-#: shard-independent phase, replicated scenario build vs snapshot unpickle.
-#: Measured ~2.8 s build vs ~0.6 s GC-paused restore at 100k nodes (~4.7x)
-#: uncontended; like the scaling target, enforced only with one core per
-#: worker — below that the concurrent workers time-slice the cores and
-#: their wall-clock phases measure contention, not amortization.
+#: Full-mode floor for the snapshot-restore amortization: one scenario
+#: build vs one worker's snapshot unpickle.  Measured ~2.8 s build vs
+#: ~0.6 s GC-paused restore at 100k nodes (~4.7x) uncontended; like the
+#: scaling target, enforced only with one core per worker — below that the
+#: concurrent workers time-slice the cores and their wall-clock restores
+#: measure contention, not amortization.
 SNAPSHOT_SPEEDUP_BUDGET = 2.0
-
-#: Simulated seconds for the full-mode snapshot-amortization leg.  Build and
-#: restore costs do not depend on the simulated duration, so this leg runs a
-#: short window to keep the (already measured) run phase cheap.
-AMORT_DURATION_FULL = 0.1
 
 #: Simulated seconds for the observability leg.  On the quick city the first
 #: multi-node groups form past t ~ 3 (tc = 1.0 plus the dmax = 3 quarantine),
@@ -78,20 +72,18 @@ AMORT_DURATION_FULL = 0.1
 OBS_DURATION = 4.0
 
 
-def bench_spec(quick: bool, shards: int, duration: float = None) -> ShardSpec:
+def bench_spec(quick: bool, shards: int) -> ShardSpec:
     """The benchmark workload at one shard count (same world throughout)."""
     if quick:
         params = {"n": 2_000, "area": 4_000.0, "hotspot_sigma": 300.0}
-        default_duration = 2.0
+        duration = 2.0
     else:
         params = {"n": 100_000}
-        default_duration = 1.0
+        duration = 1.0
     # Full mode skips the fingerprint extras (views over 100k nodes, payload
     # estimates); counters + RNG states still pin down bit-identity.
     return ShardSpec.create("city_scale", params=params, seed=2024,
-                            duration=default_duration if duration is None
-                            else duration,
-                            shards=shards, fingerprint=quick)
+                            duration=duration, shards=shards, fingerprint=quick)
 
 
 def refresh_bench(quick: bool, seed: int = 2024):
@@ -236,7 +228,7 @@ def main() -> int:
     reference = None
     serial = None
     identical_all = True
-    worker_build_by_count = {}
+    top_stats = None
     for shards in shard_counts:
         spec = bench_spec(args.quick, shards)
         start = time.perf_counter()
@@ -249,8 +241,7 @@ def main() -> int:
             identical = result.fingerprint == reference
             identical_all = identical_all and identical
         events = result.fingerprint["processed_events"]
-        worker_build_by_count[shards] = (result.stats["worker_build_s"],
-                                         result.stats["worker_base_phase_s"])
+        top_stats = result.stats
         rows.append({
             "shards": shards,
             "transport": transport_for(shards),
@@ -283,38 +274,24 @@ def main() -> int:
           f"rebuild {refresh['rebuild_mean_s'] * 1e3:.2f} ms, "
           f"{csr_speedup:.1f}x, identical={refresh['identical']}")
 
-    # --- snapshot-restore amortization at the top shard count.  Build cost
-    # is independent of the simulated duration, so full mode runs a short
-    # window (with its own 1-shard reference for the identity check); quick
-    # mode reuses the main-grid duration and reference.
-    amort_duration = spec1.duration if args.quick else AMORT_DURATION_FULL
-    if amort_duration == spec1.duration:
-        amort_reference = reference
-    else:
-        amort_reference = run_sharded(
-            bench_spec(args.quick, 1, duration=amort_duration),
-            transport="inproc").fingerprint
-    snap_result = run_sharded(
-        bench_spec(args.quick, top_count, duration=amort_duration),
-        transport=transport_for(top_count), build="snapshot")
-    snap_identical = snap_result.fingerprint == amort_reference
-    identical_all = identical_all and snap_identical
-    replicated_total, replicated_phase = worker_build_by_count[top_count]
-    restore_total = snap_result.stats["worker_build_s"]
-    restore_phase = snap_result.stats["worker_base_phase_s"]
+    # --- snapshot-restore amortization at the top shard count: one scenario
+    # build, timed here, against each worker's snapshot unpickle.  Only the
+    # shard-independent phase is compared; the shard-specific finalize runs
+    # after either and would just dilute the signal.
+    t0 = time.perf_counter()
+    ShardWorld.build_base(bench_spec(args.quick, top_count))
+    base_build_s = time.perf_counter() - t0
+    restore_total = top_stats["worker_build_s"]
+    restore_phase = top_stats["worker_base_phase_s"]
     mean = lambda xs: sum(xs) / len(xs)
-    # The speedup row compares the shard-independent phase only (scenario
-    # build vs snapshot unpickle) — the shard-specific _finalize half runs
-    # identically in both modes and would just dilute the signal.
-    snap_speedup = (mean(replicated_phase) / mean(restore_phase)
+    snap_speedup = (base_build_s / mean(restore_phase)
                     if mean(restore_phase) > 0 else float("inf"))
     print(f"snapshot restore ({top_count} shards, "
           f"{transport_for(top_count)}): base build+pickle "
-          f"{snap_result.stats['base_build_s']:.2f} s; per-worker base phase "
-          f"build {mean(replicated_phase):.2f} s -> restore "
+          f"{top_stats['base_build_s']:.2f} s; scenario build "
+          f"{base_build_s:.2f} s -> per-worker restore "
           f"{mean(restore_phase):.2f} s ({snap_speedup:.1f}x); per-worker "
-          f"total {mean(replicated_total):.2f} s -> {mean(restore_total):.2f} s; "
-          f"identical={snap_identical}")
+          f"total {mean(restore_total):.2f} s")
 
     # --- observability leg: obs-on vs obs-off identity plus event coverage.
     obs = None
@@ -373,13 +350,10 @@ def main() -> int:
                          "snapshot": {
                              "shards": top_count,
                              "transport": transport_for(top_count),
-                             "duration": amort_duration,
-                             "base_build_s": snap_result.stats["base_build_s"],
-                             "replicated_worker_build_s": replicated_total,
-                             "replicated_worker_base_phase_s": replicated_phase,
+                             "base_build_s": top_stats["base_build_s"],
+                             "scenario_build_s": base_build_s,
                              "snapshot_worker_build_s": restore_total,
                              "snapshot_worker_base_phase_s": restore_phase,
-                             "identical": snap_identical,
                          },
                          "obs": obs})
 

@@ -162,37 +162,6 @@ class NodeArrayStore:
         row = self.row_of[node]
         return (float(self.xy[row, 0]), float(self.xy[row, 1]))
 
-    # ---------------------------------------------------- shard tile queries
-
-    def x_band_rows(self, x_lo: float, x_hi: float) -> np.ndarray:
-        """Row indices whose x-coordinate lies in ``[x_lo, x_hi)``.
-
-        One vectorized comparison over the live rows; ``-inf`` / ``+inf``
-        bounds select an open-ended band (the first / last tile of a sharded
-        field).  Row indices are only stable until the next removal — use
-        them immediately (gather :attr:`ids`) rather than caching.
-        """
-        xs = self.xy[: self.n, 0]
-        return np.nonzero((xs >= x_lo) & (xs < x_hi))[0]
-
-    def interior_rows(self, x_lo: float, x_hi: float, margin: float) -> np.ndarray:
-        """Rows of the ``[x_lo, x_hi)`` band that are at least ``margin``
-        away from both band edges — the complement of the halo slice.
-
-        A sender here can only reach receivers inside the band (unit-disk
-        reach ``margin`` cannot cross an edge), so the sharded delivery path
-        may skip per-receiver ownership checks for these rows.
-        """
-        return self.x_band_rows(x_lo + margin, x_hi - margin)
-
-    def halo_rows(self, x_lo: float, x_hi: float, margin: float) -> np.ndarray:
-        """Rows of the ``[x_lo, x_hi)`` band within ``margin`` of either band
-        edge — the halo slice whose sends may cross a shard boundary."""
-        xs = self.xy[: self.n, 0]
-        in_band = (xs >= x_lo) & (xs < x_hi)
-        near_edge = (xs < x_lo + margin) | (xs >= x_hi - margin)
-        return np.nonzero(in_band & near_edge)[0]
-
 
 class ArrayLinkState:
     """Symmetric uniform-radius link set as CSR adjacency over array rows.
@@ -272,7 +241,6 @@ class ArrayLinkState:
         self._recv_indptr: List[int] = [0]
         self._recv_ids = np.empty(0, dtype=object)
         self._recv_procs = np.empty(0, dtype=object)
-        self._recv_rows = np.empty(0, dtype=np.int64)
         # Incremental-patch bookkeeping: which rows moved since the last CSR
         # refresh (``_dirty_rows``), which rows' cached-binning cell is
         # outdated though their CSR rows are current (``_stale_rows``), and
@@ -698,7 +666,6 @@ class ArrayLinkState:
         self._recv_indptr = csum[self._indptr[:n + 1]].tolist()
         self._recv_ids = self.store.ids[kept]
         self._recv_procs = self.store.procs[kept]
-        self._recv_rows = kept
         self._active_token = token
 
     def active_receivers(self, node: Hashable,
@@ -719,21 +686,6 @@ class ArrayLinkState:
         lo = indptr[row]
         hi = indptr[row + 1]
         return self._recv_ids[lo:hi].tolist(), self._recv_procs[lo:hi]
-
-    def active_receiver_rows(self, node: Hashable, token: object) -> np.ndarray:
-        """Store-row indices of the batch :meth:`active_receivers` returns.
-
-        Same token discipline and ordering as :meth:`active_receivers`; the
-        rows are only stable until the next membership change (callers key
-        their caches on the same generation token).  The sharded executor
-        gathers per-receiver ownership from these in one indexing operation.
-        """
-        if (token != self._active_token or self._dirty
-                or self._built_n != self.store.n):
-            self._refresh_active(token)
-        indptr = self._recv_indptr
-        row = self.store.row_of[node]
-        return self._recv_rows[indptr[row]:indptr[row + 1]]
 
     def in_neighbors(self, node: Hashable) -> List[Hashable]:
         """Nodes with a link into ``node`` — the out-partners (symmetric links)."""

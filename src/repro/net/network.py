@@ -46,8 +46,9 @@ On the CSR path, broadcasts from radios whose vicinity test is deterministic
 receiver list is served from the sender's CSR row (zero distance tests), the
 channel decides the whole batch in one
 :meth:`~repro.net.channel.ChannelModel.decide_batch` call (vectorized RNG
-draws consuming the identical stream as the scalar loop), and purely-delayed
-batches are bulk-inserted through
+draws consuming the identical stream as the scalar loop), and when no drop
+record is needed (no trace, or nothing dropped) drops are counted in bulk
+and positive-delay receivers are bulk-inserted through
 :meth:`~repro.sim.engine.Simulator.schedule_many`.  The two scan paths run
 the per-receiver loop; seeded runs replay bit-identically on all three paths
 — the invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
@@ -57,6 +58,18 @@ repository does both through timers); the batched path decides the whole
 receiver batch ahead of its same-tick deliveries, so a synchronous side
 effect would interleave channel draws — or shrink the receiver set —
 differently than the scalar path.
+
+Receiver partition
+------------------
+A sharded run (:mod:`repro.shard`) installs a partition with
+:meth:`Network.set_partition`: an owner map, this worker's shard id and an
+outbox list.  The channel still decides the whole receiver batch, but an
+accepted receiver owned by another shard is appended to the outbox as
+``(now + delay, sender, receiver, payload)``, in receiver order, instead of
+being delivered here.  The "owned elsewhere" mask is cached next to each
+sender's receivers, so a static world computes it once per sender.  A
+partitioned network delivers on the CSR link state only: if the radio stops
+providing one, :meth:`Network.broadcast` raises.
 """
 
 from __future__ import annotations
@@ -132,7 +145,7 @@ class Network:
         self._position_listeners: List[Callable[[float, Dict[Hashable, Point]], None]] = []
         self._index: Optional[UniformGridIndex] = None
         #: sender -> (generation, link state, active sorted receivers, their
-        #: processes as list and object ndarray, their store rows);
+        #: processes as list and object ndarray, the "owned elsewhere" mask);
         #: hello-beacon traffic re-broadcasts between topology changes, so the
         #: filtered receiver batch is reused until a position/membership/
         #: activation change bumps the generation or a radio change replaces
@@ -140,7 +153,10 @@ class Network:
         self._receiver_cache: Dict[Hashable,
                                    Tuple[int, ArrayLinkState, List[Hashable],
                                          List[Process], np.ndarray,
-                                         np.ndarray]] = {}
+                                         Optional[np.ndarray]]] = {}
+        #: (owner map, shard id, outbox) of a sharded run; see
+        #: :meth:`set_partition`.
+        self._partition: Optional[Tuple[Mapping[Hashable, int], int, list]] = None
         self._generation = 0
         self._topo_cache: Optional[nx.Graph] = None
         self._topo_cache_key: Optional[Tuple[int, Optional[float]]] = None
@@ -158,6 +174,10 @@ class Network:
         self._obs_broadcasts = obs.registry.counter("net.broadcasts") if obs else None
         self._obs_delivered = obs.registry.counter("net.delivered") if obs else None
         self._obs_dropped = obs.registry.counter("net.dropped") if obs else None
+        #: Set by :meth:`set_partition` on observed sharded runs only, so an
+        #: unsharded broadcast pays one attribute test for the split.
+        self._obs_halo_sends = None
+        self._obs_interior_sends = None
 
     def recapture_obs(self) -> None:
         """Re-point the cached obs handles (and the lazily built link-state
@@ -171,6 +191,22 @@ class Network:
         als = self._array_ls
         if als is not None:
             als._obs = obs
+
+    def set_partition(self, owner_of: Mapping[Hashable, int], shard_id: int,
+                      outbox: list) -> None:
+        """Deliver only to receivers that ``owner_of`` maps to ``shard_id``.
+
+        Every other accepted receiver is appended to ``outbox`` as
+        ``(receive time, sender, receiver, payload)``.  Observed runs count
+        each broadcast as a ``shard.halo_sends`` (its receiver batch holds
+        at least one receiver owned elsewhere) or a ``shard.interior_sends``.
+        """
+        self._partition = (owner_of, shard_id, outbox)
+        self._receiver_cache.clear()
+        obs = self._obs
+        self._obs_halo_sends = obs.registry.counter("shard.halo_sends") if obs else None
+        self._obs_interior_sends = (obs.registry.counter("shard.interior_sends")
+                                    if obs else None)
 
     def __setstate__(self, state):
         """Re-register the radio mutation listener after unpickling.
@@ -557,6 +593,11 @@ class Network:
         linkstate = self._link_state() if self._det_vicinity else None
         if linkstate is not None:
             return self._broadcast_batched(linkstate, sender, payload)
+        if self._partition is not None:
+            raise RuntimeError(
+                "a partitioned network delivers on the CSR link state only, and "
+                "the radio no longer reports a uniform link radius and a "
+                "deterministic vicinity")
         sender_pos = self._positions[sender]
         accepted = 0
         for receiver in self._vicinity_candidates(sender):
@@ -583,7 +624,7 @@ class Network:
         return accepted
 
     def _receiver_batch(self, linkstate: ArrayLinkState, sender: Hashable):
-        """Cached ``(receivers, procs, procs_arr, rows)`` for one sender.
+        """Cached ``(receivers, procs, procs_arr, remote)`` for one sender.
 
         Keyed on (generation, link-state instance): every position/membership/
         activation change bumps the generation, and any radio change —
@@ -591,25 +632,29 @@ class Network:
         replaces the link-state instance.  Caching the process objects (list
         + object ndarray) next to the ids lets delivery loops skip one dict
         lookup per receiver and gather accepted subsets with one masked
-        index.  ``rows`` holds the receivers' store-row indices; the sharded
-        executor gathers per-receiver ownership from it with one indexing
-        operation.  Shared
-        by the stock batched broadcast and the ownership-aware sharded
-        variant (:mod:`repro.shard`), which must consume receivers in exactly
-        this order to stay bit-identical.
+        index.  ``remote`` is the bool "owned elsewhere" mask over the
+        receivers under an installed partition, or ``None`` when every
+        receiver is delivered here.
         """
         generation = self._generation
         cached = self._receiver_cache.get(sender)
         if cached is not None:
-            gen_c, ls_c, receivers, procs, procs_arr, rows = cached
+            gen_c, ls_c, receivers, procs, procs_arr, remote = cached
             if gen_c == generation and ls_c is linkstate:
-                return receivers, procs, procs_arr, rows
+                return receivers, procs, procs_arr, remote
         receivers, procs_arr = linkstate.active_receivers(sender, generation)
         procs = procs_arr.tolist()
-        rows = linkstate.active_receiver_rows(sender, generation)
+        remote = None
+        partition = self._partition
+        if partition is not None and receivers:
+            owner, me = partition[0], partition[1]
+            mask = np.fromiter((owner[r] != me for r in receivers), dtype=bool,
+                               count=len(receivers))
+            if mask.any():
+                remote = mask
         self._receiver_cache[sender] = (generation, linkstate, receivers,
-                                        procs, procs_arr, rows)
-        return receivers, procs, procs_arr, rows
+                                        procs, procs_arr, remote)
+        return receivers, procs, procs_arr, remote
 
     def _broadcast_batched(self, linkstate: ArrayLinkState, sender: Hashable,
                            payload: Any) -> int:
@@ -618,27 +663,33 @@ class Network:
         The sender's CSR row *is* the vicinity, so the per-receiver
         distance test disappears; active receivers keep insertion order, so
         the channel consumes its RNG exactly as the scalar loop would.
+        Accepted receivers owned by another shard go to the partition's
+        outbox (see :meth:`set_partition`).
         """
-        receivers, procs, procs_arr, _rows = self._receiver_batch(linkstate, sender)
+        receivers, procs, procs_arr, remote = self._receiver_batch(linkstate, sender)
+        if self._obs_halo_sends is not None:
+            (self._obs_interior_sends if remote is None
+             else self._obs_halo_sends).inc()
         if not receivers:
             return 0
         now = self.sim.now
         channel = self.channel
         trace = self.trace
         obs = self._obs
-        if (trace is None and self._stock_deliver
-                and not getattr(payload, "is_app_payload", False)):
+        direct = (remote is None and trace is None and self._stock_deliver
+                  and not getattr(payload, "is_app_payload", False))
+        if direct:
             # Hottest path of dense-field runs (a quarter-million deliveries
             # per simulated second at 1000 nodes): with no trace, no app
-            # payload and only stock ``deliver`` implementations, probe the
-            # channel's zero-delay fast hook — it answers only when every
-            # delay is 0.0, with RNG consumption and counters identical to
-            # ``decide_batch``, so no :class:`BatchDecisions` (nor its
-            # delivered/delay lists) is ever materialized.  Semantics match
-            # ``_deliver`` exactly: a receiver deactivated by an earlier
-            # delivery of this very batch is still skipped, and stock
-            # ``deliver`` routes a non-app payload to ``on_message``
-            # regardless of any attached app handler.
+            # payload, no remote receiver and only stock ``deliver``
+            # implementations, probe the channel's zero-delay fast hook — it
+            # answers only when every delay is 0.0, with RNG consumption and
+            # counters identical to ``decide_batch``, so no
+            # :class:`BatchDecisions` (nor its delivered/delay lists) is ever
+            # materialized.  Semantics match ``_deliver`` exactly: a receiver
+            # deactivated by an earlier delivery of this very batch is still
+            # skipped, and stock ``deliver`` routes a non-app payload to
+            # ``on_message`` regardless of any attached app handler.
             if obs is None:
                 res = channel.decide_batch_fast(sender, receivers, now)
             else:
@@ -679,9 +730,8 @@ class Network:
         if batch.zero_delay:
             # Zero-delay batches from channels without the fast hook (e.g. a
             # collision-free CollisionChannel round) still get the direct
-            # dispatch under the same no-trace/no-app/stock conditions.
-            if (trace is None and self._stock_deliver
-                    and not getattr(payload, "is_app_payload", False)):
+            # dispatch under the same conditions.
+            if direct:
                 if accepted == n_receivers:
                     live = procs
                 elif batch.delivered_array is not None:
@@ -700,18 +750,53 @@ class Network:
                     self._obs_delivered.inc(ndelivered)
                     self._obs_dropped.inc(n_receivers - accepted)
                 return accepted
-        elif accepted == n_receivers and min(delays) > 0:
-            # Purely delayed, nothing dropped: one bulk heap insertion.  No
-            # callback runs between the decisions and the inserts, so the
-            # events get the same contiguous sequence numbers the scalar
-            # loop's individual pushes would.
-            self.sim.schedule_many(delays, self._deliver,
-                                   [(sender, receiver, payload) for receiver in receivers])
-            return accepted
+        elif trace is None or accepted == n_receivers:
+            # The bulk rule: no drop record is needed, so drops are counted
+            # in bulk, remote receivers go to the outbox in receiver order,
+            # and when every local delay is positive the locals take one
+            # heap insertion.  Drops and outbox appends consume no event
+            # seqs, and no callback runs between the decisions and the
+            # inserts, so the events get the same contiguous sequence
+            # numbers the per-index loop's individual pushes would.
+            if accepted == n_receivers and remote is None:
+                local, local_delays, out = None, delays, ()
+            else:
+                if accepted == n_receivers:
+                    kept = np.arange(n_receivers)
+                elif batch.delivered_array is not None:
+                    kept = np.flatnonzero(batch.delivered_array)
+                else:
+                    kept = np.flatnonzero(delivered)
+                if remote is None:
+                    out = ()
+                else:
+                    out = kept[remote[kept]].tolist()
+                    kept = kept[~remote[kept]]
+                local = kept.tolist()
+                local_delays = [delays[i] for i in local]
+            if not local_delays or min(local_delays) > 0:
+                if accepted < n_receivers:
+                    self.messages_dropped += n_receivers - accepted
+                    if obs is not None:
+                        self._obs_dropped.inc(n_receivers - accepted)
+                if out:
+                    outbox = self._partition[2]
+                    for i in out:
+                        outbox.append((now + delays[i], sender, receivers[i], payload))
+                if local_delays:
+                    local_receivers = (receivers if local is None
+                                       else [receivers[i] for i in local])
+                    self.sim.schedule_many(
+                        local_delays, self._deliver,
+                        [(sender, receiver, payload) for receiver in local_receivers])
+                return accepted
         reasons = batch.reasons
         schedule = self.sim.schedule
         deliver = self._deliver
         processes = self._processes
+        if remote is not None:
+            remote = remote.tolist()
+            outbox = self._partition[2]
         for i, receiver in enumerate(receivers):
             if not delivered[i]:
                 self.messages_dropped += 1
@@ -722,7 +807,9 @@ class Network:
                                  reason=reasons[i] if reasons is not None else "loss")
                 continue
             delay = delays[i]
-            if delay <= 0:
+            if remote is not None and remote[i]:
+                outbox.append((now + delay, sender, receiver, payload))
+            elif delay <= 0:
                 # _deliver inlined (call overhead matters even on this
                 # slower path); ``processes.get`` keeps the removed-node
                 # guard of the scalar loop.

@@ -256,8 +256,8 @@ def x_tile_cuts(xs: Sequence[float], cell_size: float, tiles: int) -> List[int]:
     ``total * (t+1) / tiles`` while reserving one column for each remaining
     tile, so no tile is ever an empty range when there are at least ``tiles``
     occupied columns.  The assignment is a pure function of the inputs —
-    deterministic across processes, the property the sharded executor's
-    replicated world construction relies on.
+    deterministic across processes, so every shard worker derives the same
+    ownership on its own.
     """
     if tiles < 1:
         raise ValueError("tiles must be >= 1")

@@ -1,11 +1,12 @@
 """Command-line front end for sharded runs: ``python -m repro.shard``.
 
 Runs one scenario split across ``--shards`` workers (``--transport
-inproc|mp``, ``--build replicate|snapshot``) and prints a deterministic
-summary of the merged fingerprint.  Stdout carries only protocol facts —
-counters, a canonical fingerprint digest, traffic totals — so two runs of
-the same spec (including an observed vs. unobserved pair) produce
-byte-identical stdout; wall-clock stats and the obs digest go to stderr.
+inproc|mp``; the world is built once and every worker restores the
+snapshot) and prints a deterministic summary of the merged fingerprint.
+Stdout carries only protocol facts — counters, a canonical fingerprint
+digest, traffic totals — so two runs of the same spec (including an
+observed vs. unobserved pair) produce byte-identical stdout; wall-clock
+stats and the obs digest go to stderr.
 
 ``--obs`` wraps every worker in its own :class:`~repro.obs.ObsContext` and
 ``--obs-out PATH`` (which implies ``--obs``) writes the merged export as a
@@ -18,7 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .runner import run_sharded
 from .world import ShardSpec
@@ -42,10 +43,6 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--transport", choices=("inproc", "mp"), default="inproc",
                         help="Worker transport: in-process reference or one "
                              "OS process per shard.")
-    parser.add_argument("--build", choices=("replicate", "snapshot"),
-                        default="replicate",
-                        help="Worker construction: re-run the scenario builder "
-                             "per worker, or build once and restore snapshots.")
     parser.add_argument("--traffic", type=str, default=None,
                         help="Optional application workload name.")
     parser.add_argument("--traffic-set", dest="traffic_set_params",
@@ -123,13 +120,12 @@ def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _summary_lines(spec: ShardSpec, transport: str, build: str,
-                   result) -> List[str]:
+def _summary_lines(spec: ShardSpec, transport: str, result) -> List[str]:
     fp = result.fingerprint
     lines = [
         f"sharded run: scenario={spec.scenario} seed={spec.seed} "
         f"duration={spec.duration} shards={spec.shards} "
-        f"transport={transport} build={build}",
+        f"transport={transport}",
         f"events={fp['processed_events']} sent={fp['sent']} "
         f"delivered={fp['delivered']} dropped={fp['dropped']}",
         f"fingerprint={fingerprint_digest(fp)}",
@@ -185,8 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         shards=args.shards, params=params,
         traffic=args.traffic, traffic_params=traffic_params or None,
         fingerprint=not args.no_fingerprint)
-    result = run_sharded(spec, transport=args.transport, build=args.build,
-                         obs=obs)
+    result = run_sharded(spec, transport=args.transport, obs=obs)
     if args.json:
         payload = {
             "scenario": spec.scenario,
@@ -194,7 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "duration": spec.duration,
             "shards": spec.shards,
             "transport": args.transport,
-            "build": args.build,
             "fingerprint_digest": fingerprint_digest(result.fingerprint),
             "events": result.fingerprint["processed_events"],
             "sent": result.fingerprint["sent"],
@@ -209,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for key in ("app_sent", "app_receptions", "requests", "replies")}
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in _summary_lines(spec, args.transport, args.build, result):
+        for line in _summary_lines(spec, args.transport, result):
             print(line)
     # Wall-clock facts and the obs digest stay on stderr so stdout is
     # byte-identical between observed and unobserved runs of the same spec.
@@ -227,7 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "duration": spec.duration,
                                    "shards": spec.shards,
                                    "transport": args.transport,
-                                   "build": args.build,
                                    "per_shard": len(result.obs["per_shard"])})
     return 0
 

@@ -75,36 +75,29 @@ class ShardRunResult:
 class _InprocHost:
     """A shard living in the coordinator's own process.
 
-    With ``obs`` on, the world is built under its own :class:`ObsContext`;
-    the capture-once contract means everything the world does afterwards
-    (windows, deliveries, protocol events) keeps landing in that context
-    even though it is deinstalled once construction returns — so several
-    in-process shards observe into disjoint contexts, exactly like the mp
-    transport's per-process ones.
+    With ``obs`` on, the world is restored under its own
+    :class:`ObsContext`; the capture-once contract means everything the
+    world does afterwards (windows, deliveries, protocol events) keeps
+    landing in that context even though it is deinstalled once construction
+    returns — so several in-process shards observe into disjoint contexts,
+    exactly like the mp transport's per-process ones.
     """
 
-    def __init__(self, spec: ShardSpec, shard_id: int,
-                 snapshot: Optional[bytes] = None, obs: bool = False):
+    def __init__(self, spec: ShardSpec, shard_id: int, snapshot: bytes,
+                 obs: bool = False):
         self.obs_ctx: Optional[ObsContext] = ObsContext() if obs else None
         t0 = time.perf_counter()
         if self.obs_ctx is not None:
             with observing(self.obs_ctx):
-                self.world = self._build(spec, shard_id, snapshot)
+                self.world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
         else:
-            self.world = self._build(spec, shard_id, snapshot)
+            self.world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
         self.build_s = time.perf_counter() - t0
         self.base_phase_s = self.world.base_phase_s
         self.peek = self.world.peek()
         self.lookahead = self.world.lookahead
         self.owners = self.world.owners
         self._out: List[OutboxEntry] = []
-
-    @staticmethod
-    def _build(spec: ShardSpec, shard_id: int,
-               snapshot: Optional[bytes]) -> ShardWorld:
-        if snapshot is not None:
-            return ShardWorld.from_snapshot(spec, shard_id, snapshot)
-        return ShardWorld(spec, shard_id)
 
     def submit_round(self, end: float, inclusive: bool) -> None:
         self._out = self.world.run_round(end, inclusive)
@@ -130,24 +123,20 @@ class _InprocHost:
 
 
 def _shard_worker_main(conn, spec: ShardSpec, shard_id: int,
-                       snapshot_path: Optional[str] = None,
-                       obs: bool = False) -> None:
+                       snapshot_path: str, obs: bool = False) -> None:
     """Serve one shard over a command pipe (runs in a spawned process).
 
     With ``obs`` on, the worker installs a fresh :class:`ObsContext` before
-    building its world (so every component captures it), times its pipe
+    restoring its world (so every component captures it), times its pipe
     waits as ``shard.barrier_wait`` spans, and ships the whole context back
     with the finish parts — contexts are plain picklable observation state.
     """
     try:
         ctx = _obs_enable(ObsContext()) if obs else None
         t0 = time.perf_counter()
-        if snapshot_path is not None:
-            with open(snapshot_path, "rb") as fh:
-                blob = fh.read()
-            world = ShardWorld.from_snapshot(spec, shard_id, blob)
-        else:
-            world = ShardWorld(spec, shard_id)
+        with open(snapshot_path, "rb") as fh:
+            blob = fh.read()
+        world = ShardWorld.from_snapshot(spec, shard_id, blob)
         build_s = time.perf_counter() - t0
         conn.send(("ready", world.peek(), world.lookahead, world.owners,
                    build_s, world.base_phase_s))
@@ -186,7 +175,7 @@ class _MpHost:
     """A shard living in its own spawned OS process."""
 
     def __init__(self, ctx, spec: ShardSpec, shard_id: int,
-                 snapshot_path: Optional[str] = None, obs: bool = False):
+                 snapshot_path: str, obs: bool = False):
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_worker_main,
                                 args=(child, spec, shard_id, snapshot_path, obs),
@@ -428,56 +417,49 @@ def _merge_obs(spec: ShardSpec, parts: List[Dict[str, Any]],
 # ---------------------------------------------------------------- entrypoint
 
 def run_sharded(spec: ShardSpec, transport: str = "inproc",
-                build: str = "replicate", obs: bool = False) -> ShardRunResult:
+                build: str = "snapshot", obs: bool = False) -> ShardRunResult:
     """Execute ``spec`` across ``spec.shards`` workers and merge the result.
 
-    ``transport='inproc'`` runs every shard in this process (deterministic
-    reference, zero IPC); ``transport='mp'`` spawns one OS process per shard
-    and coordinates over pipes.  ``build='replicate'`` has every worker run
-    the scenario builder itself; ``build='snapshot'`` builds once in the
-    coordinator, serializes the post-build state and has workers restore it
-    — O(build + k × restore) instead of O(k × build).  All four
-    combinations produce the same :class:`ShardRunResult` bit for bit.
+    The coordinator builds the world once, serializes the post-build state
+    and has every worker restore it.  ``transport='inproc'`` runs every
+    shard in this process (deterministic reference, zero IPC);
+    ``transport='mp'`` spawns one OS process per shard and coordinates over
+    pipes.  Both produce the same :class:`ShardRunResult` bit for bit.
+    ``build`` only accepts ``'snapshot'``, the one build mode.
 
     ``stats`` carries the wall-clock split: ``build_s`` (host construction,
-    including the one-time base build in snapshot mode), ``run_s`` (window
-    loop + finish), ``base_build_s`` (snapshot mode's single build +
-    pickle), ``worker_build_s`` (per-worker total construction time) and
-    ``worker_base_phase_s`` (the shard-independent slice of each worker's
-    construction — scenario build when replicated, snapshot unpickle when
-    restored — i.e. the part the snapshot path amortizes).
+    including the one-time base build), ``run_s`` (window loop + finish),
+    ``base_build_s`` (the single build + pickle), ``worker_build_s``
+    (per-worker total construction time) and ``worker_base_phase_s`` (each
+    worker's snapshot unpickle, the shard-independent slice of its
+    construction).
 
     ``obs=True`` runs every worker under its own :class:`~repro.obs.ObsContext`
-    (both transports, both build modes) and fills ``result.obs`` with the
-    per-shard exports plus their merged fold.  Observation never feeds back
-    into the simulation: an observed sharded run is bit-identical to the
-    unobserved one, post-run RNG states included.
+    (both transports) and fills ``result.obs`` with the per-shard exports
+    plus their merged fold.  Observation never feeds back into the
+    simulation: an observed sharded run is bit-identical to the unobserved
+    one, post-run RNG states included.
     """
     if transport not in ("inproc", "mp"):
         raise ValueError(f"unknown transport {transport!r}; use 'inproc' or 'mp'")
-    if build not in ("replicate", "snapshot"):
-        raise ValueError(f"unknown build mode {build!r}; use 'replicate' or 'snapshot'")
+    if build != "snapshot":
+        raise ValueError(f"unknown build mode {build!r}; the only mode is 'snapshot'")
     hosts: List[Any] = []
-    snapshot: Optional[bytes] = None
     snapshot_path: Optional[str] = None
-    base_build_s = 0.0
     t_start = time.perf_counter()
     try:
-        if build == "snapshot":
-            t0 = time.perf_counter()
-            snapshot = ShardWorld.snapshot_base(spec)
-            base_build_s = time.perf_counter() - t0
+        snapshot = ShardWorld.snapshot_base(spec)
+        base_build_s = time.perf_counter() - t_start
         if transport == "inproc":
             hosts = [_InprocHost(spec, shard, snapshot, obs)
                      for shard in range(spec.shards)]
         else:
-            if snapshot is not None:
-                # Ship the blob through the filesystem, not the spawn args:
-                # pickling it into every Process start would serialize it
-                # k times through the spawn pipe.
-                fd, snapshot_path = tempfile.mkstemp(suffix=".shardworld")
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(snapshot)
+            # Ship the blob through the filesystem, not the spawn args:
+            # pickling it into every Process start would serialize it k
+            # times through the spawn pipe.
+            fd, snapshot_path = tempfile.mkstemp(suffix=".shardworld")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(snapshot)
             ctx = multiprocessing.get_context("spawn")
             hosts = [_MpHost(ctx, spec, shard, snapshot_path, obs)
                      for shard in range(spec.shards)]
@@ -496,7 +478,6 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
         if obs:
             result.obs = _merge_obs(spec, parts,
                                     [host.obs_ctx for host in hosts])
-        result.stats["build"] = build
         result.stats["build_s"] = t_built - t_start
         result.stats["run_s"] = time.perf_counter() - t_built
         result.stats["base_build_s"] = base_build_s

@@ -8,12 +8,9 @@ across workers *by grid region*: the columns of the network's
 tile containing its initial position.  Ownership is **static**: protocol
 state lives at the owner for the whole run, so a mobile node that wanders
 into another tile's territory keeps its owner (its traffic just crosses the
-shard boundary more often).
-
-The *halo* of a tile is the band within one ``max_range`` of a tile edge:
-only senders positioned there can reach receivers owned by a neighbouring
-tile, which is what makes the interior-sender fast path of
-:class:`repro.shard.world.ShardNetwork` safe on static fields.
+shard boundary more often).  Which receivers of a broadcast are owned
+elsewhere is decided per receiver batch by the network's receiver partition
+(:meth:`repro.net.network.Network.set_partition`), not geometrically.
 """
 
 from __future__ import annotations
@@ -61,17 +58,3 @@ class TileMap:
     def assign(self, positions: Mapping[Hashable, Sequence[float]]) -> Dict[Hashable, int]:
         """Owner tile of every node, keyed by node id."""
         return {node: self.tile_of_x(pos[0]) for node, pos in positions.items()}
-
-    def x_interval(self, tile: int) -> Tuple[float, float]:
-        """Coordinate interval ``[lo, hi)`` covered by ``tile``'s columns.
-
-        The first tile is unbounded below, the last unbounded above.  A
-        position ``x`` satisfies ``lo <= x < hi`` exactly when
-        :meth:`tile_of_x` returns ``tile`` (same floor convention as
-        :meth:`~repro.net.spatialindex.UniformGridIndex.cell_key`).
-        """
-        if not 0 <= tile < self.tiles:
-            raise ValueError(f"tile {tile} out of range [0, {self.tiles})")
-        lo = -math.inf if tile == 0 else (self.cuts[tile - 1] + 1) * self.cell_size
-        hi = math.inf if tile == self.tiles - 1 else (self.cuts[tile] + 1) * self.cell_size
-        return lo, hi

@@ -1,22 +1,24 @@
-"""One shard's slice of a sharded world: spec, network override, lifecycle.
+"""One shard's slice of a sharded world: spec, ownership, lifecycle.
 
 Execution model
 ---------------
-Every shard worker builds the **entire** deployment from the scenario
-registry — construction, node start order, mobility, churn and topology are
-*replicated* bit-identically in every process (they are pure functions of the
-spec and seed).  What is *partitioned* is the compute: each node is owned by
-exactly one shard (the spatial tile containing its initial position, see
-:class:`repro.shard.tiles.TileMap`), and only the owner runs the node's
-protocol timers, computations, application traffic and sends.  Non-owned
-nodes are full local *mirrors*: they exist, hold positions, flip their active
-flags under churn — so receiver sets and topology snapshots match the
-single-process run exactly — but their timers are quiesced and they never
-receive a message locally.
+The coordinator builds the deployment once from the scenario registry and
+pickles it (:meth:`ShardWorld.snapshot_base`); every worker restores that
+one snapshot, so construction, node start order, mobility, churn and
+topology are *replicated* bit-identically in every process (they are pure
+functions of the spec and seed).  What is *partitioned* is the compute:
+each node is owned by exactly one shard (the spatial tile containing its
+initial position, see :class:`repro.shard.tiles.TileMap`), and only the
+owner runs the node's protocol timers, computations, application traffic
+and sends.  Non-owned nodes are full local *mirrors*: they exist, hold
+positions, flip their active flags under churn — so receiver sets and
+topology snapshots match the single-process run exactly — but their timers
+are quiesced and they never receive a message locally.
 
-Cross-shard delivery is captured at **send time**: when an owned sender's
-channel decision accepts a receiver owned elsewhere, the delivery is not
-scheduled locally but appended to the shard's outbox as
+Cross-shard delivery is captured at **send time** by the stock network's
+receiver partition (:meth:`repro.net.network.Network.set_partition`): when
+an owned sender's channel decision accepts a receiver owned elsewhere, the
+delivery is not scheduled locally but appended to the shard's outbox as
 ``(recv_time, sender, receiver, payload)``.  The coordinator exchanges
 outboxes between synchronized time windows and the receiver's owner applies
 them — inline (no event) when ``recv_time`` equals the window time, matching
@@ -51,12 +53,13 @@ rather than silently diverging: :class:`~repro.net.channel.CollisionChannel`
 (driver-level publisher selection draws over the node census, which differs
 per shard), network subclasses, and radios without a uniform link radius
 or with a stochastic vicinity (sharded delivery runs on the CSR link state
-only).  Cross-shard deliveries that share an exact timestamp with an event
-at the receiving shard are applied after that event rather than
-seq-interleaved with it; GRP stores receptions
-commutatively and never broadcasts synchronously from handlers, and all
-stock send/timer times are continuous random draws, so same-instant
-cross-shard races do not arise in supported workloads.  Receiver-side
+only, and a partitioned network raises if its radio stops providing one).
+Cross-shard deliveries that share an exact timestamp with an event at the
+receiving shard are applied after that event rather than seq-interleaved
+with it; GRP stores receptions commutatively and never broadcasts
+synchronously from handlers, and all stock send/timer times are continuous
+random draws, so same-instant cross-shard races do not arise in supported
+workloads.  Receiver-side
 staleness accounting of the traffic ledger is exact for zero-delay
 application channels (remote senders' newest-seq table is per shard);
 delayed application channels would report slightly lower staleness.
@@ -68,9 +71,7 @@ import gc
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.mobility.churn import ChurnEvent, ChurnSchedule
 from repro.net.channel import CollisionChannel, LossyChannel, PerfectChannel
@@ -86,8 +87,7 @@ from repro.traffic.spec import TrafficSpec
 from .channel import PerSenderChannel
 from .tiles import TileMap
 
-__all__ = ["ShardSpec", "ShardWorld", "ShardNetwork", "ShardUnsupportedError",
-           "SUPPORTED_TRAFFIC"]
+__all__ = ["ShardSpec", "ShardWorld", "ShardUnsupportedError", "SUPPORTED_TRAFFIC"]
 
 #: Traffic patterns whose random draws are per-node (invariant under
 #: partitioning the node census across workers).
@@ -164,252 +164,84 @@ def _quiesce_timers(process) -> None:
             value.cancel()
 
 
-class ShardNetwork(Network):
-    """Ownership-aware :class:`~repro.net.network.Network`.
-
-    Installed by rebinding ``network.__class__`` after the scenario builder
-    returns (the build path stays byte-identical to the reference).  The
-    broadcast pipeline is the stock one with a single extra dispatch: a
-    receiver owned by another shard gets its accepted delivery appended to
-    the outbox instead of a local schedule.  Channel decisions — order and
-    RNG consumption — are exactly those of the stock batched/scalar loops.
-    """
-
-    def _shard_configure(self, owner_of: Dict[Hashable, int], shard_id: int,
-                         outbox: List[OutboxEntry],
-                         interior: FrozenSet[Hashable]) -> None:
-        self._shard_owner = owner_of
-        self._shard_id = shard_id
-        self._shard_outbox = outbox
-        #: Senders whose whole vicinity is provably owned here (static worlds
-        #: only): their broadcasts take the untouched stock path, so the
-        #: ownership dispatch taxes only the halo band.
-        self._shard_interior = interior
-        #: int32 owner id per store row (lazy; nulled on membership changes) —
-        #: lets halo broadcasts partition receivers with one array gather
-        #: instead of a dict lookup per receiver.
-        self._shard_owner_rows: Optional[Any] = None
-        # Halo-vs-interior send split for the observatory.  ``_obs`` was
-        # re-captured by the finalizer just before this call, so the handles
-        # land in the worker's own context.
-        obs = self._obs
-        self._obs_halo_sends = (obs.registry.counter("shard.halo_sends")
-                                if obs else None)
-        self._obs_interior_sends = (obs.registry.counter("shard.interior_sends")
-                                    if obs else None)
-
-    def add_node(self, process, position) -> None:
-        self._shard_owner_rows = None
-        super().add_node(process, position)
-
-    def remove_node(self, node_id: Hashable):
-        self._shard_owner_rows = None
-        return super().remove_node(node_id)
-
-    def _owner_rows_array(self):
-        """Owner ids aligned to the node store's rows (int32, cached)."""
-        store = self._store
-        arr = self._shard_owner_rows
-        if arr is None or arr.shape[0] != store.n:
-            owner, me = self._shard_owner, self._shard_id
-            arr = np.fromiter((owner.get(nid, me) for nid in store.ids[:store.n]),
-                              dtype=np.int32, count=store.n)
-            self._shard_owner_rows = arr
-        return arr
-
-    # ------------------------------------------------------------------ churn
-
-    def activate_node(self, node_id: Hashable) -> None:
-        super().activate_node(node_id)
-        # Reactivation restarts the process's timers (on_activate contract);
-        # a mirror must go straight back to sleep before any of them fires.
-        if self._shard_owner.get(node_id, self._shard_id) != self._shard_id:
-            _quiesce_timers(self._processes[node_id])
-
-    # -------------------------------------------------------------- messaging
-
-    def broadcast(self, sender: Hashable, payload: Any) -> int:
-        if sender in self._shard_interior:
-            if (self._obs_interior_sends is not None
-                    and self._processes[sender]._active):
-                self._obs_interior_sends.inc()
-            return Network.broadcast(self, sender, payload)
-        sender_proc = self._processes[sender]
-        if not sender_proc._active:
-            return 0
-        self.messages_sent += 1
-        if self._obs_broadcasts is not None:
-            self._obs_broadcasts.inc()
-            self._obs_halo_sends.inc()
-        now = self.sim.now
-        if self.trace is not None:
-            self.trace.record(now, "send", sender=sender)
-        linkstate = self._link_state()
-        if linkstate is None:
-            raise ShardUnsupportedError(
-                "the radio no longer reports a uniform link radius; sharded "
-                "delivery runs on the CSR link state only")
-        receivers, _procs, _procs_arr, rows = self._receiver_batch(
-            linkstate, sender)
-        if not receivers:
-            return 0
-        # Always the boxed batch decision: its RNG consumption equals the
-        # scalar loop's by the decide_batch contract, and unlike the fast
-        # hook it reports the per-receiver delays the ownership dispatch
-        # needs.  (decide_batch_fast consumes the RNG identically, so the
-        # shards=1 reference stays bit-compatible.)
-        batch = self.channel.decide_batch(sender, receivers, now)
-        if self.trace is None:
-            return self._shard_dispatch_fast(sender, payload, receivers,
-                                             rows, batch, now)
-        return self._shard_dispatch(sender, payload, receivers,
-                                    batch.delivered, batch.delays,
-                                    batch.reasons, now)
-
-    def _shard_dispatch(self, sender: Hashable, payload: Any,
-                        receivers: List[Hashable], delivered, delays,
-                        reasons, now: float) -> int:
-        """Stock generic delivery loop plus the ownership fork.
-
-        Sends and drops are accounted at the deciding (sender) shard; a
-        delivery is accounted where it executes (the receiver's owner).
-        """
-        owner, me = self._shard_owner, self._shard_id
-        outbox = self._shard_outbox
-        processes = self._processes
-        schedule = self.sim.schedule
-        trace = self.trace
-        obs = self._obs
-        accepted = 0
-        for i, receiver in enumerate(receivers):
-            if not delivered[i]:
-                self.messages_dropped += 1
-                if obs is not None:
-                    self._obs_dropped.inc()
-                if trace is not None:
-                    trace.record(now, "drop", sender=sender, receiver=receiver,
-                                 reason=reasons[i] if reasons is not None else "loss")
-                continue
-            accepted += 1
-            delay = delays[i]
-            if owner[receiver] != me:
-                outbox.append((now + delay, sender, receiver, payload))
-            elif delay <= 0:
-                proc = processes.get(receiver)
-                if proc is None or not proc._active:
-                    continue
-                self.messages_delivered += 1
-                if obs is not None:
-                    self._obs_delivered.inc()
-                if trace is not None:
-                    trace.record(now, "receive", sender=sender, receiver=receiver)
-                proc.deliver(sender, payload)
-            else:
-                schedule(delay, self._deliver, sender, receiver, payload)
-        return accepted
-
-    def _shard_dispatch_fast(self, sender: Hashable, payload: Any,
-                             receivers: List[Hashable], rows: Any,
-                             batch: Any, now: float) -> int:
-        """Mask-partitioned ownership dispatch over the CSR receiver rows.
-
-        Bit-identical to :meth:`_shard_dispatch` under the caller's
-        ``trace is None`` gate: drops consume no event seqs (bulk-counted),
-        outbox appends consume no seqs either (hoistable ahead of the local
-        interleave, and kept in receiver order so the coordinator's stable
-        sort sees the scalar sequence), and when every local delay is
-        positive the locals go through ``schedule_many`` — contiguous seqs
-        identical to the scalar loop's consecutive ``schedule`` calls.  Any
-        zero-delay local falls back to the per-index loop, which *is* the
-        scalar loop restricted to local receivers.
-        """
-        delivered, delays = batch.delivered, batch.delays
-        accepted = batch.n_accepted
-        if accepted is None:
-            accepted = batch.accepted()
-        n = len(receivers)
-        obs = self._obs
-        dropped = n - accepted
-        if dropped:
-            self.messages_dropped += dropped
-            if obs is not None:
-                self._obs_dropped.inc(dropped)
-        if accepted == 0:
-            return 0
-        if accepted == n:
-            didx = np.arange(n)
-        elif batch.delivered_array is not None:
-            didx = np.flatnonzero(batch.delivered_array)
-        else:
-            didx = np.flatnonzero(np.fromiter(delivered, dtype=bool, count=n))
-        owner_rows = self._owner_rows_array()
-        remote_mask = owner_rows[rows[didx]] != self._shard_id
-        if remote_mask.any():
-            outbox = self._shard_outbox
-            for i in didx[remote_mask].tolist():
-                outbox.append((now + delays[i], sender, receivers[i], payload))
-            local_idx = didx[~remote_mask]
-        else:
-            local_idx = didx
-        local_list = local_idx.tolist()
-        if not local_list:
-            return accepted
-        if not batch.zero_delay and min(delays[i] for i in local_list) > 0:
-            self.sim.schedule_many(
-                [delays[i] for i in local_list], self._deliver,
-                [(sender, receivers[i], payload) for i in local_list])
-            return accepted
-        processes = self._processes
-        schedule = self.sim.schedule
-        deliver = self._deliver
-        for i in local_list:
-            delay = delays[i]
-            receiver = receivers[i]
-            if delay <= 0:
-                proc = processes.get(receiver)
-                if proc is None or not proc._active:
-                    continue
-                self.messages_delivered += 1
-                if obs is not None:
-                    self._obs_delivered.inc()
-                proc.deliver(sender, payload)
-            else:
-                schedule(delay, deliver, sender, receiver, payload)
-        return accepted
-
-
 class ShardWorld:
     """One shard's fully built slice of the run described by ``spec``.
 
     Construction has two halves.  :meth:`build_base` runs the scenario
     builder and channel swap — the shard-independent part — and
-    :meth:`_finalize` does the shard-specific part: tiling, ownership, the
-    :class:`ShardNetwork` rebind, traffic/churn attachment, process start
-    and mirror quiescing.  ``__init__`` chains both (the replicated build).
-    :meth:`snapshot_base` pickles the post-build state once so every worker
-    can :meth:`from_snapshot` — O(build + shards × restore) instead of
-    O(shards × build), and bit-identical because *nothing* shard-specific
-    (and nothing random) happens between the snapshot point and
-    ``_finalize``: the sim queue is empty, the event-seq counter is 0 and
-    all RNG states are exactly post-build in both paths.
+    :meth:`snapshot_base` pickles its result once.  ``__init__`` does the
+    shard-specific part on a built ``(deployment, lookahead)``: tiling,
+    ownership, the network's receiver partition, traffic/churn attachment,
+    process start and mirror quiescing.  :meth:`from_snapshot` restores the
+    blob and runs ``__init__`` on it — O(build + shards × restore) instead
+    of O(shards × build).  Nothing shard-specific (and nothing random)
+    happens between the snapshot point and ``__init__``: the sim queue is
+    empty, the event-seq counter is 0 and all RNG states are exactly
+    post-build, so ``ShardWorld(spec, k, *ShardWorld.build_base(spec))``
+    is the bit-identical in-process reference of a restored world.
 
     ``base_phase_s`` records how long the shard-independent half took on
-    this instance — the scenario build in ``__init__``, the unpickle in
-    ``from_snapshot`` — which is exactly the cost the snapshot path
-    amortizes (``_finalize`` runs identically either way).
+    this instance — the snapshot unpickle in :meth:`from_snapshot` — which
+    is exactly the cost the snapshot path amortizes.
     """
 
-    def __init__(self, spec: ShardSpec, shard_id: int):
-        t0 = time.perf_counter()
-        deployment, lookahead = self.build_base(spec)
-        self.base_phase_s = time.perf_counter() - t0
-        self._finalize(spec, shard_id, deployment, lookahead)
+    def __init__(self, spec: ShardSpec, shard_id: int, deployment,
+                 lookahead: float, base_phase_s: float = 0.0):
+        if not 0 <= shard_id < spec.shards:
+            raise ValueError(f"shard_id {shard_id} out of range [0, {spec.shards})")
+        self.spec = spec
+        self.shard_id = shard_id
+        self.base_phase_s = base_phase_s
+        self.outbox = []
+        self.shared_events = 0
+        self.remote_in = 0
+        self.deployment = deployment
+        self.sim = deployment.sim
+        network = deployment.network
+        self.network = network
+        self.lookahead = lookahead
+
+        # Re-capture the process-local obs context before anything
+        # shard-specific runs: a snapshot-restored deployment carries the
+        # builder process's (usually absent) handles, so without this a
+        # restored worker would be observationally blind.
+        obs = _obs_current()
+        self._obs = obs
+        self._obs_windows = obs.registry.counter("shard.windows") if obs else None
+        self._obs_outbox = (obs.registry.counter("shard.outbox_entries")
+                            if obs else None)
+        self._obs_remote = obs.registry.counter("shard.remote_in") if obs else None
+        deployment.sim.recapture_obs()
+        network.recapture_obs()
+        for node in deployment.nodes.values():
+            if hasattr(node, "_obs"):
+                node._obs = obs
+
+        positions = dict(network.positions)
+        self.tiles = TileMap.from_positions(positions, network.radio.max_range(),
+                                            spec.shards)
+        self.owners: Dict[Hashable, int] = self.tiles.assign(positions)
+        self.owned: List[Hashable] = sorted(
+            (nid for nid, tile in self.owners.items() if tile == shard_id), key=str)
+        owned_set = set(self.owned)
+        if spec.shards > 1:
+            network.set_partition(self.owners, shard_id, self.outbox)
+
+        self._count_mobility(network)
+        self.driver = self._attach_traffic(deployment, owned_set)
+        self.churn = self._install_churn(spec.churn)
+
+        deployment.start()
+        # One direct lookup per mirror: the ``processes`` property copies the
+        # whole mapping, which would make this loop quadratic in world size.
+        for nid in self.owners:
+            if nid not in owned_set:
+                _quiesce_timers(network.process(nid))
 
     @classmethod
     def from_snapshot(cls, spec: ShardSpec, shard_id: int,
                       blob: bytes) -> "ShardWorld":
         """Restore the shared post-build state, then finalize this shard."""
-        world = cls.__new__(cls)
         obs = _obs_current()
         obs_t0 = obs.clock() if obs is not None else 0
         t0 = time.perf_counter()
@@ -429,12 +261,11 @@ class ShardWorld:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        world.base_phase_s = time.perf_counter() - t0
+        base_phase_s = time.perf_counter() - t0
         if obs is not None:
             obs.record_span("shard.snapshot_restore", 0.0, obs_t0,
                             {"bytes": len(blob)})
-        world._finalize(spec, shard_id, deployment, lookahead)
-        return world
+        return cls(spec, shard_id, deployment, lookahead, base_phase_s)
 
     # ------------------------------------------------------------------ build
 
@@ -443,8 +274,7 @@ class ShardWorld:
         """Scenario build + channel swap: everything shard-independent.
 
         Returns ``(deployment, lookahead)`` — the exact state every shard
-        starts finalizing from, whether built locally or restored from a
-        snapshot.
+        restores from the snapshot and finalizes.
         """
         deployment = build_scenario(
             ScenarioSpec.create(spec.scenario, **dict(spec.params)), seed=spec.seed)
@@ -452,7 +282,7 @@ class ShardWorld:
         if type(network) is not Network:
             raise ShardUnsupportedError(
                 f"cannot shard a {type(network).__name__}; only the stock Network "
-                "supports the ownership rebind")
+                "carries the receiver partition")
         radio = network.radio
         max_range = radio.max_range()
         if max_range is None or max_range <= 0:
@@ -476,8 +306,7 @@ class ShardWorld:
         per-node protocol state, per-sender RNG states, the (empty) event
         queue — so a worker's restore skips the scenario builder entirely.
         Worlds holding unpicklable pieces (tracers, observability handles
-        with live clocks) raise :class:`ShardUnsupportedError`; callers fall
-        back to the replicated build.
+        with live clocks) raise :class:`ShardUnsupportedError`.
         """
         deployment, lookahead = ShardWorld.build_base(spec)
         try:
@@ -486,63 +315,6 @@ class ShardWorld:
         except Exception as exc:
             raise ShardUnsupportedError(
                 f"world state is not snapshot-serializable: {exc!r}") from exc
-
-    def _finalize(self, spec: ShardSpec, shard_id: int, deployment,
-                  lookahead: float) -> None:
-        """Shard-specific construction tail, common to build and restore."""
-        if not 0 <= shard_id < spec.shards:
-            raise ValueError(f"shard_id {shard_id} out of range [0, {spec.shards})")
-        self.spec = spec
-        self.shard_id = shard_id
-        self.outbox = []
-        self.shared_events = 0
-        self.remote_in = 0
-        self.deployment = deployment
-        self.sim = deployment.sim
-        network = deployment.network
-        self.network = network
-        self.lookahead = lookahead
-
-        # Re-capture the process-local obs context before anything
-        # shard-specific runs: a snapshot-restored deployment carries the
-        # builder process's (usually absent) handles, so without this a
-        # ``build="snapshot"`` worker would be observationally blind while a
-        # ``build="replicate"`` one is not.  Idempotent for replicated builds
-        # (the worker's context was already current at construction time).
-        obs = _obs_current()
-        self._obs = obs
-        self._obs_windows = obs.registry.counter("shard.windows") if obs else None
-        self._obs_outbox = (obs.registry.counter("shard.outbox_entries")
-                            if obs else None)
-        self._obs_remote = obs.registry.counter("shard.remote_in") if obs else None
-        deployment.sim.recapture_obs()
-        network.recapture_obs()
-        for node in deployment.nodes.values():
-            if hasattr(node, "_obs"):
-                node._obs = obs
-
-        max_range = network.radio.max_range()
-        positions = dict(network.positions)
-        self.tiles = TileMap.from_positions(positions, max_range, spec.shards)
-        self.owners: Dict[Hashable, int] = self.tiles.assign(positions)
-        self.owned: List[Hashable] = sorted(
-            (nid for nid, tile in self.owners.items() if tile == shard_id), key=str)
-        owned_set = set(self.owned)
-
-        interior = self._interior_senders(positions, owned_set, max_range)
-        network.__class__ = ShardNetwork
-        network._shard_configure(self.owners, shard_id, self.outbox, interior)
-
-        self._count_mobility(network)
-        self.driver = self._attach_traffic(deployment, owned_set)
-        self.churn = self._install_churn(spec.churn)
-
-        deployment.start()
-        # One direct lookup per mirror: the ``processes`` property copies the
-        # whole mapping, which would make this loop quadratic in world size.
-        for nid in self.owners:
-            if nid not in owned_set:
-                _quiesce_timers(network.process(nid))
 
     @staticmethod
     def _swap_channel(network: Network, seed: int) -> float:
@@ -566,22 +338,6 @@ class ShardWorld:
             return channel.delay
         raise ShardUnsupportedError(
             f"cannot shard channel model {type(channel).__name__}")
-
-    def _interior_senders(self, positions, owned_set, max_range) -> FrozenSet[Hashable]:
-        """Owned senders that provably cannot reach another shard's nodes.
-
-        Only valid on static fields: mobility can carry a sender (or its
-        receivers) across the halo boundary mid-run.  With one shard, every
-        sender is interior — the whole run takes the stock pipeline, which
-        makes ``shards=1`` the natural reference fingerprint.
-        """
-        if self.spec.shards == 1:
-            return frozenset(owned_set)
-        if self.network.mobility is not None:
-            return frozenset()
-        lo, hi = self.tiles.x_interval(self.shard_id)
-        return frozenset(nid for nid in owned_set
-                         if lo + max_range <= positions[nid][0] < hi - max_range)
 
     def _count_mobility(self, network: Network) -> None:
         """Wrap the mobility model's step to count replicated tick events."""
@@ -635,6 +391,10 @@ class ShardWorld:
         # processed_events subtracts the duplicates.
         self.shared_events += 1
         schedule._apply(self.network, event)
+        # Reactivation restarts the process's timers (on_activate contract);
+        # a mirror must go straight back to sleep before any of them fires.
+        if event.active and self.owners.get(event.node_id, self.shard_id) != self.shard_id:
+            _quiesce_timers(self.network.process(event.node_id))
 
     # ------------------------------------------------------------- round loop
 

@@ -58,6 +58,16 @@ def lossy_world(seed, trace=None):
                              channel=channel, seed=seed, trace=trace)
 
 
+def lossy_constant_delay_world(seed, trace=None):
+    # Constant positive delay with losses: unrecorded broadcasts count their
+    # drops in bulk and schedule the accepted receivers in one insertion,
+    # recorded ones take the per-receiver loop.
+    positions = random_positions(range(30), (250.0, 250.0), np.random.default_rng(seed))
+    channel = LossyChannel(loss_probability=0.25, min_delay=0.05, max_delay=0.05)
+    return build_grp_network(positions, GRPConfig(dmax=2), radio_range=70.0,
+                             channel=channel, seed=seed, trace=trace)
+
+
 def perfect_world(seed, trace=None):
     positions = random_positions(range(30), (250.0, 250.0), np.random.default_rng(seed))
     return build_grp_network(positions, GRPConfig(dmax=3), radio_range=80.0,
@@ -80,8 +90,10 @@ def fingerprint(deployment):
 
 
 class TestRecorderOnlyObserves:
-    @pytest.mark.parametrize("make_world", [lossy_world, perfect_world],
-                             ids=["lossy_delayed", "perfect_zero_delay"])
+    @pytest.mark.parametrize("make_world",
+                             [lossy_world, lossy_constant_delay_world, perfect_world],
+                             ids=["lossy_delayed", "lossy_constant_delay",
+                                  "perfect_zero_delay"])
     def test_recorded_run_is_bit_identical(self, make_world):
         plain = make_world(seed=11)
         recorder = TraceRecorder()

@@ -17,6 +17,8 @@ and the same channel RNG stream, so any engine divergence — in either the
 protocol or the traffic subsystem — shows up as a ledger or counter mismatch.
 """
 
+import functools
+
 import pytest
 
 from repro.metrics.overhead import overhead_summary
@@ -186,8 +188,8 @@ def test_traffic_actually_flowed(traffic_runs):
 #: stream + every per-sender channel stream).  The reference is the sharded
 #: engine at one shard: sharding swaps the global channel RNG for per-sender
 #: streams, so its fingerprint family is its own, anchored at k=1 where the
-#: whole run takes the stock single-process pipeline.  Sharded delivery runs
-#: on the production CSR engine (array state + vectorized delivery) only.
+#: whole run delivers everything locally.  Sharded delivery runs on the
+#: production CSR engine (array state + vectorized delivery) only.
 SHARD_CELLS = {"2shards+arraystate+vectorized": 2, "4shards+arraystate+vectorized": 4}
 
 SHARD_CHURN = (tuple((1.0, i, False) for i in range(25))
@@ -204,10 +206,12 @@ def shard_spec(shards):
         seed=SEED, duration=DURATION, shards=shards, churn=SHARD_CHURN)
 
 
-def run_sharded_once(shards, transport="inproc", build="replicate"):
+@functools.lru_cache(maxsize=None)
+def run_sharded_once(shards, transport="inproc"):
+    """One run per cell, shared by the tests that check different facts of it."""
     from repro.shard import run_sharded
 
-    result = run_sharded(shard_spec(shards), transport=transport, build=build)
+    result = run_sharded(shard_spec(shards), transport=transport)
     return result.fingerprint, result.stats
 
 
@@ -238,25 +242,33 @@ def test_sharded_mp_transport_matches(sharded_reference):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_snapshot_restore_matches(sharded_reference, shards):
-    """Snapshot-restore builds (one scenario build, pickled, restored per
-    worker) must reproduce the replicated-build fingerprint bit for bit at
-    every shard count — counters, views, merged ledger and post-run RNG
-    states all come through the pickle round trip unchanged."""
-    fingerprint, stats = run_sharded_once(shards, build="snapshot")
+    """Every worker restores the one pickled scenario build: the result
+    matches the reference bit for bit at every shard count, and the stats
+    report the build split (one base build, one restore per worker).  The
+    restored world against a world finalized straight from the scenario
+    build is pinned in ``tests/test_shard.py``."""
+    fingerprint, stats = run_sharded_once(shards)
     assert fingerprint == sharded_reference, (
-        f"snapshot-restore diverged from replicated build at {shards} shards")
-    assert stats["build"] == "snapshot"
+        f"snapshot-restore run diverged at {shards} shards")
     assert stats["base_build_s"] > 0
     assert len(stats["worker_build_s"]) == shards
+    assert len(stats["worker_base_phase_s"]) == shards
 
 
 def test_sharded_snapshot_restore_mp_matches(sharded_reference):
-    """Snapshot-restore over the mp transport: the blob travels through the
-    filesystem to spawned workers and must still replay exactly."""
-    fingerprint, stats = run_sharded_once(2, transport="mp", build="snapshot")
+    """Over the mp transport the blob travels through the filesystem to
+    spawned workers and must still replay exactly."""
+    fingerprint, stats = run_sharded_once(2, transport="mp")
     assert fingerprint == sharded_reference
-    assert stats["transport"] == "mp" and stats["build"] == "snapshot"
-    assert stats["remote_deliveries"] > 0
+    assert stats["transport"] == "mp"
+    assert all(phase > 0 for phase in stats["worker_base_phase_s"])
+
+
+def test_sharded_build_mode_is_snapshot_only():
+    from repro.shard import run_sharded
+
+    with pytest.raises(ValueError, match="snapshot"):
+        run_sharded(shard_spec(2), build="replicate")
 
 
 def test_sharded_fingerprint_includes_rng_states(sharded_reference):
@@ -266,6 +278,48 @@ def test_sharded_fingerprint_includes_rng_states(sharded_reference):
     # its post-run state, keyed by node id.
     assert len(states["channel"]) > 0
     assert all("'bit_generator'" in state for state in states["channel"].values())
+
+
+#: Positive-delay cells: the matrix above runs a zero-delay channel, so its
+#: windows are lockstep rounds.  These lossy worlds have a constant positive
+#: delay, which gives the coordinator a positive lookahead (windows
+#: ``[t, t + L)``) and sends every cross-shard delivery through a scheduled
+#: event at the receiving shard.
+DELAY_WORLDS = {
+    "city_scale": {"n": 300, "area": 1500.0, "hotspot_sigma": 150.0},
+    "city_scale_mobile": {"n": 300, "area": 1500.0, "hotspot_sigma": 150.0,
+                          "mover_fraction": 0.05},
+}
+
+
+def delay_spec(world, shards):
+    from repro.shard import ShardSpec
+
+    return ShardSpec.create(
+        world, params=DELAY_WORLDS[world], seed=SEED, duration=DURATION,
+        shards=shards, churn=(tuple((1.0, i, False) for i in range(10))
+                              + tuple((2.0, i, True) for i in range(10))))
+
+
+@functools.lru_cache(maxsize=None)
+def delay_reference(world):
+    from repro.shard import run_sharded
+
+    return run_sharded(delay_spec(world, 1)).fingerprint
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("world", list(DELAY_WORLDS))
+def test_sharded_positive_delay_replays_identically(world, shards):
+    from repro.shard import ShardWorld, run_sharded
+
+    spec = delay_spec(world, shards)
+    _deployment, lookahead = ShardWorld.build_base(spec)
+    assert lookahead > 0
+    result = run_sharded(spec)
+    assert result.fingerprint == delay_reference(world), (
+        f"positive-delay {world} diverged between 1 shard and {shards}")
+    assert result.stats["remote_deliveries"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -386,13 +440,13 @@ def test_sharded_obs_replay_is_bit_identical(sharded_reference, shards,
 
 
 def test_sharded_obs_snapshot_restore_workers_observe(sharded_reference):
-    """The satellite bugfix: snapshot-restored workers must re-capture the
-    process-local context in ``_finalize`` — without it every restored
+    """Snapshot-restored workers must re-capture the process-local context
+    when the world is finalized — without it every restored
     component keeps the nulled handles from the pickled blob and the run
     is silently unobserved."""
     from repro.shard import run_sharded
 
-    result = run_sharded(shard_spec(2), build="snapshot", obs=True)
+    result = run_sharded(shard_spec(2), obs=True)
     assert result.fingerprint == sharded_reference
     merged = result.obs["merged"]
     assert merged["counters"]["sim.events"] > 0
@@ -422,10 +476,17 @@ def test_sharded_obs_merged_counters_reconcile(sharded_reference):
     """Merged per-shard counters must reconcile with the fingerprint:
     ``net.delivered`` sums exactly; ``sim.events`` counts the shared churn
     events once per shard, so the merged total exceeds the fingerprint by
-    ``(k - 1) x shared``."""
+    ``(k - 1) x shared``.  Every broadcast of a shard is either a halo send
+    (its receiver batch holds a receiver owned by another shard) or an
+    interior send."""
     from repro.shard import run_sharded
 
     result = run_sharded(shard_spec(2), obs=True)
     merged = result.obs["merged"]
     assert merged["counters"]["net.delivered"] == result.fingerprint["delivered"]
     assert merged["counters"]["sim.events"] >= result.fingerprint["processed_events"]
+    for blob in result.obs["per_shard"]:
+        counters = blob["counters"]
+        assert counters["shard.halo_sends"] > 0
+        assert (counters["shard.halo_sends"] + counters["shard.interior_sends"]
+                == counters["net.broadcasts"])

@@ -7,8 +7,6 @@ window/clock primitives, the per-sender channel RNG, and the explicit
 rejection of worlds that cannot shard bit-identically.
 """
 
-import math
-
 import pytest
 
 from repro.net.channel import CollisionChannel
@@ -56,28 +54,7 @@ class TestTileMap:
         owners = tiles.assign(self.positions())
         assert set(owners) == set(self.positions())
         assert set(owners.values()) == {0, 1, 2}
-
-    def test_intervals_partition_the_axis(self):
-        tiles = TileMap.from_positions(self.positions(), cell_size=40.0, tiles=3)
-        lo0, hi0 = tiles.x_interval(0)
-        lo2, hi2 = tiles.x_interval(2)
-        assert lo0 == -math.inf and hi2 == math.inf
-        # Consecutive intervals abut exactly.
-        for tile in range(2):
-            assert tiles.x_interval(tile)[1] == tiles.x_interval(tile + 1)[0]
-
-    def test_interval_agrees_with_tile_of(self):
-        tiles = TileMap.from_positions(self.positions(), cell_size=40.0, tiles=3)
-        for x in [0.0, 39.9, 40.0, 123.4, 399.0, -50.0, 1e6]:
-            tile = tiles.tile_of_x(x)
-            lo, hi = tiles.x_interval(tile)
-            assert lo <= x < hi
         assert tiles.tile_of((80.0, 55.0)) == tiles.tile_of_x(80.0)
-
-    def test_out_of_range_tile_rejected(self):
-        tiles = TileMap.from_positions(self.positions(), cell_size=40.0, tiles=2)
-        with pytest.raises(ValueError):
-            tiles.x_interval(2)
 
 
 # --------------------------------------------------- engine window primitives
@@ -245,17 +222,25 @@ def _probabilistic_world(*, seed, config, n, dmax):
                              radio=radio, seed=seed)
 
 
+def built_world(spec, shard_id=0):
+    """The replicated-build reference: finalize a fresh ``build_base``.
+
+    No snapshot round trip is involved, so a restored world must equal it.
+    """
+    return ShardWorld(spec, shard_id, *ShardWorld.build_base(spec))
+
+
 class TestUnsupportedWorlds:
     def test_collision_channel_rejected(self):
         spec = ShardSpec.create("shardtest_collision", seed=1, duration=1.0, shards=2)
         with pytest.raises(ShardUnsupportedError, match="[Cc]ollision"):
-            ShardWorld(spec, 0)
+            built_world(spec)
 
     def test_network_subclass_rejected(self):
         spec = ShardSpec.create("shardtest_subclassed_net", seed=1, duration=1.0,
                                 shards=2)
         with pytest.raises(ShardUnsupportedError):
-            ShardWorld(spec, 0)
+            built_world(spec)
 
     @pytest.mark.parametrize("world", ["shardtest_asymmetric", "shardtest_probabilistic"])
     def test_radio_without_csr_link_state_rejected(self, world):
@@ -263,19 +248,19 @@ class TestUnsupportedWorlds:
         # (no uniform link radius) or a stochastic vicinity cannot shard.
         spec = ShardSpec.create(world, seed=1, duration=1.0, shards=2)
         with pytest.raises(ShardUnsupportedError, match="uniform link radius"):
-            ShardWorld(spec, 0)
+            built_world(spec)
 
     def test_bursty_pubsub_traffic_rejected(self):
         spec = ShardSpec.create(
             "static_random", params={"n": 10}, seed=1, duration=1.0, shards=2,
             traffic="bursty_pubsub")
         with pytest.raises(ShardUnsupportedError, match="bursty_pubsub"):
-            ShardWorld(spec, 0)
+            built_world(spec)
 
     def test_supported_world_constructs(self):
         spec = ShardSpec.create("static_random", params={"n": 10}, seed=1,
                                 duration=1.0, shards=2)
-        world = ShardWorld(spec, 0)
+        world = built_world(spec)
         assert world.lookahead == 0.0
         assert 0 < len(world.owned) < 10
 
@@ -292,9 +277,9 @@ def _timers_running(process):
 
 
 class TestSnapshotRestore:
-    def spec(self, churn=()):
+    def spec(self, churn=(), shards=2):
         return ShardSpec.create(
-            "manet_waypoint", seed=7, duration=2.0, shards=2,
+            "manet_waypoint", seed=7, duration=2.0, shards=shards,
             params={"n": 60, "area": 600.0, "radio_range": 120.0, "dmax": 3,
                     "speed": 5.0, "loss_probability": 0.1},
             churn=churn)
@@ -303,13 +288,25 @@ class TestSnapshotRestore:
         spec = self.spec()
         blob = ShardWorld.snapshot_base(spec)
         restored = ShardWorld.from_snapshot(spec, 0, blob)
-        built = ShardWorld(spec, 0)
+        built = built_world(spec)
         assert restored.owned == built.owned
         assert restored.owners == built.owners
         assert restored.lookahead == built.lookahead
         assert restored.peek() == built.peek()
         assert (repr(restored.sim.rng.bit_generator.state)
                 == repr(built.sim.rng.bit_generator.state))
+
+    def test_restored_run_equals_built_run(self):
+        # One shard runs the whole horizon in one window: everything the
+        # shard reports at the end must survive the snapshot round trip.
+        spec = self.spec(churn=((0.5, 3, False), (1.2, 3, True)), shards=1)
+        worlds = [ShardWorld.from_snapshot(spec, 0, ShardWorld.snapshot_base(spec)),
+                  built_world(spec)]
+        for world in worlds:
+            assert world.run_round(spec.duration, inclusive=True) == []
+        restored, built = (world.finish(spec.duration) for world in worlds)
+        assert restored["processed_events"] > 0
+        assert restored == built
 
     def test_one_blob_serves_every_shard(self):
         spec = self.spec()
@@ -320,8 +317,8 @@ class TestSnapshotRestore:
         assert owned == sorted(worlds[0].owners)
 
     def test_restored_mirror_timers_quiesced(self):
-        # The quiesce sweep runs in the shared finalize tail, so a restored
-        # world's mirrors must sleep exactly like a replicated build's.
+        # The quiesce sweep runs when the restored world is finalized: its
+        # mirrors must sleep while its owned nodes keep their timers.
         spec = self.spec()
         blob = ShardWorld.snapshot_base(spec)
         world = ShardWorld.from_snapshot(spec, 0, blob)
@@ -332,22 +329,31 @@ class TestSnapshotRestore:
         assert any(_timers_running(world.network.processes[nid]) for nid in owned)
 
     def test_restored_mirror_requiesced_after_churn_reactivation(self):
-        # Reactivation restarts timers through on_activate; the ShardNetwork
-        # override must put restored mirrors straight back to sleep, exactly
-        # as it does on the replicated-build path.
-        spec = self.spec()
-        blob = ShardWorld.snapshot_base(spec)
-        world = ShardWorld.from_snapshot(spec, 0, blob)
-        victim = _mirror_ids(world)[0]
+        # Reactivation restarts timers through on_activate; the churn
+        # handler must put a mirror straight back to sleep, while an owned
+        # node switched off and on again keeps its timers.
+        probe = built_world(self.spec())
+        victim, keeper = _mirror_ids(probe)[0], probe.owned[0]
+        spec = self.spec(churn=[(0.5, victim, False), (1.0, victim, True),
+                                (0.5, keeper, False), (1.0, keeper, True)])
+        world = ShardWorld.from_snapshot(spec, 0, ShardWorld.snapshot_base(spec))
+        world.run_round(1.5, inclusive=True)
+        assert world.churn.applied == 4
         network = world.network
-        network.deactivate_node(victim)
-        network.activate_node(victim)
+        assert network.processes[victim].active
         assert not _timers_running(network.processes[victim])
-        # Same sequence on an owned node must leave its timers running.
-        keeper = world.owned[0]
-        network.deactivate_node(keeper)
-        network.activate_node(keeper)
         assert _timers_running(network.processes[keeper])
+
+    def test_partitioned_network_refuses_the_scan_fallback(self):
+        # Sharded delivery runs on the CSR link state only: once the radio
+        # stops reporting a uniform link radius, the next broadcast raises
+        # instead of quietly taking the scan loop.
+        spec = self.spec()
+        world = ShardWorld.from_snapshot(spec, 0, ShardWorld.snapshot_base(spec))
+        network = world.network
+        network.radio.uniform_link_radius = lambda: None
+        with pytest.raises(RuntimeError, match="CSR link state"):
+            network.broadcast(world.owned[0], "ping")
 
     def test_unpicklable_world_raises_unsupported(self):
         spec = ShardSpec.create("shardtest_unpicklable", seed=1, duration=1.0,
