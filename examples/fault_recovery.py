@@ -29,7 +29,7 @@ QUICK = os.environ.get("REPRO_QUICK", "") == "1"
 
 def legitimate_now(deployment) -> bool:
     report = evaluate_configuration(deployment.sim.now, deployment.views(),
-                                    deployment.topology(), deployment.config.dmax)
+                                    deployment.link_snapshot(), deployment.config.dmax)
     return report.legitimate
 
 

@@ -30,7 +30,7 @@ def main() -> None:
         deployment.sim.run(until=step)
         views = deployment.views()
         report = evaluate_configuration(deployment.sim.now, views,
-                                        deployment.topology(), dmax)
+                                        deployment.link_snapshot(), dmax)
         print(f"{deployment.sim.now:6.0f} | {report.group_count:6d} | "
               f"{report.largest_group:7d} | {report.legitimate}")
 

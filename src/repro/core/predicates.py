@@ -11,19 +11,22 @@ in Section 3 of the paper:
 * ΠC (continuity, on consecutive configurations) — :func:`continuity`.
 
 A *configuration snapshot* consists of the views (mapping node → frozenset of
-members) and the symmetric-link topology graph at that instant.  The metric
-collectors (:mod:`repro.metrics`) call these functions at sampling times; the
-tests call them directly on hand-built configurations.
+members) and the :class:`~repro.net.topology.LinkSnapshot` of symmetric links
+at that instant.  The metric collectors (:mod:`repro.metrics`) call these
+functions at sampling times; the tests call them directly on hand-built
+configurations and hold them to the ``networkx`` reference forms in
+``tests/reference_topology.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Set, Tuple
+from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
-import networkx as nx
+import numpy as np
 
-from repro.net.topology import merged_diameter_ok, subgraph_diameter
+from repro.net.topology import LinkSnapshot
 
 __all__ = [
     "Views",
@@ -92,78 +95,86 @@ def agreement(views: Views) -> bool:
     return not agreement_violations(views)
 
 
-def safety_violations(views: Views, graph: nx.Graph, dmax: int) -> List[Tuple[FrozenSet, float]]:
-    """Groups violating ΠS with their (possibly infinite) diameter."""
+def _diameters_ok(groups: Iterable[FrozenSet], links: LinkSnapshot, dmax: int) -> bool:
+    """Every group's diameter inside its own subgraph is ≤ ``dmax``."""
+    return all(len(group) <= 1 or links.diameter(group, cutoff=dmax) <= dmax
+               for group in groups)
+
+
+def _mergeable_pairs(groups: Sequence[FrozenSet], links: LinkSnapshot,
+                     dmax: int) -> Iterator[Tuple[int, int]]:
+    """Index pairs ``(a, b)``, ``a < b``, of ``groups`` whose union has diameter ≤ ``dmax``.
+
+    Ω partitions the nodes — a member ``u`` of Ω_v = view_v has
+    view_u = view_v, hence Ω_u = Ω_v — so two distinct groups share no node
+    and their union is connected only through a link joining them.  The
+    candidates are therefore the group pairs of the links that cross
+    groups; only those get a (cut-off) diameter check, in ascending pair
+    order.
+    """
+    count = len(groups)
+    group_of = np.full(len(links), -1, dtype=np.int64)
+    row_of = links.row_of
+    for index, group in enumerate(groups):
+        for node in group:
+            row = row_of.get(node)
+            if row is not None:
+                group_of[row] = index
+    src = group_of[np.repeat(np.arange(len(links)), np.diff(links.indptr))]
+    dst = group_of[links.indices]
+    cross = (src >= 0) & (src < dst)
+    for key in np.unique(src[cross] * count + dst[cross]).tolist():
+        index_a, index_b = divmod(key, count)
+        if links.diameter(groups[index_a] | groups[index_b], cutoff=dmax) <= dmax:
+            yield index_a, index_b
+
+
+def safety_violations(views: Views, links: LinkSnapshot,
+                      dmax: int) -> List[Tuple[FrozenSet, float]]:
+    """Groups violating ΠS with their exact (possibly infinite) diameter."""
     violations: List[Tuple[FrozenSet, float]] = []
     for group in set(omega(views).values()):
-        diameter = subgraph_diameter(graph, group)
+        diameter = links.diameter(group)
         if diameter > dmax:
             violations.append((group, diameter))
     return violations
 
 
-def safety(views: Views, graph: nx.Graph, dmax: int) -> bool:
+def safety(views: Views, links: LinkSnapshot, dmax: int) -> bool:
     """ΠS: every group is connected with diameter ≤ Dmax inside the group subgraph."""
-    return not safety_violations(views, graph, dmax)
+    return _diameters_ok(set(omega(views).values()), links, dmax)
 
 
-def maximality_violations(views: Views, graph: nx.Graph,
+def maximality_violations(views: Views, links: LinkSnapshot,
                           dmax: int) -> List[Tuple[FrozenSet, FrozenSet]]:
     """Pairs of distinct groups that could merge without breaking ΠS.
 
-    A merged pair keeps ΠS only if the subgraph over the union is connected,
-    which requires the groups to share a node (possible while agreement is
-    broken) or to be joined by a direct edge.  Only those candidate pairs
-    get a diameter check — on a mostly-singleton configuration this reduces
-    the O(g^2) pair scan to roughly one check per topology edge.
+    Groups are ordered by their sorted member names, and pairs follow that
+    order.
     """
     groups = sorted(set(omega(views).values()), key=lambda g: sorted(map(str, g)))
-    member_of: Dict[NodeId, List[int]] = {}
-    for index, group in enumerate(groups):
-        for node in group:
-            member_of.setdefault(node, []).append(index)
-    candidates: Set[Tuple[int, int]] = set()
-    for indices in member_of.values():
-        for i, index_a in enumerate(indices):
-            for index_b in indices[i + 1:]:
-                candidates.add((index_a, index_b) if index_a < index_b
-                               else (index_b, index_a))
-    for node_u, node_v in graph.edges():
-        for index_a in member_of.get(node_u, ()):
-            for index_b in member_of.get(node_v, ()):
-                if index_a != index_b:
-                    candidates.add((index_a, index_b) if index_a < index_b
-                                   else (index_b, index_a))
-    violations: List[Tuple[FrozenSet, FrozenSet]] = []
-    for index_a, index_b in sorted(candidates):
-        if merged_diameter_ok(graph, groups[index_a], groups[index_b], dmax):
-            violations.append((groups[index_a], groups[index_b]))
-    return violations
+    return [(groups[a], groups[b]) for a, b in _mergeable_pairs(groups, links, dmax)]
 
 
-def maximality(views: Views, graph: nx.Graph, dmax: int) -> bool:
+def maximality(views: Views, links: LinkSnapshot, dmax: int) -> bool:
     """ΠM: no two distinct groups could be merged while keeping the diameter ≤ Dmax."""
-    return not maximality_violations(views, graph, dmax)
+    groups = list(set(omega(views).values()))
+    return next(_mergeable_pairs(groups, links, dmax), None) is None
 
 
-def legitimate(views: Views, graph: nx.Graph, dmax: int) -> bool:
+def legitimate(views: Views, links: LinkSnapshot, dmax: int) -> bool:
     """The stabilization target ΠA ∧ ΠS ∧ ΠM."""
-    return agreement(views) and safety(views, graph, dmax) and maximality(views, graph, dmax)
+    return agreement(views) and safety(views, links, dmax) and maximality(views, links, dmax)
 
 
-def topological(previous_groups: Groups, new_graph: nx.Graph, dmax: int) -> bool:
+def topological(previous_groups: Groups, new_links: LinkSnapshot, dmax: int) -> bool:
     """ΠT on a pair of consecutive configurations.
 
     For every node, the members of its *previous* group must still be within
     distance ``Dmax`` of each other in the *new* topology, counting only paths
     inside the previous group.
     """
-    for group in set(previous_groups.values()):
-        if len(group) <= 1:
-            continue
-        if subgraph_diameter(new_graph, group) > dmax:
-            return False
-    return True
+    return _diameters_ok(set(previous_groups.values()), new_links, dmax)
 
 
 def continuity_violations(previous_groups: Groups,
@@ -200,17 +211,22 @@ class ConfigurationReport:
         return self.agreement and self.safety and self.maximality
 
 
-def evaluate_configuration(time: float, views: Views, graph: nx.Graph,
-                           dmax: int) -> ConfigurationReport:
-    """Evaluate every static predicate on one configuration snapshot."""
-    groups = set(omega(views).values())
-    sizes = [len(group) for group in groups]
+def evaluate_configuration(time: float, views: Views, links: LinkSnapshot, dmax: int,
+                           groups: Optional[Groups] = None) -> ConfigurationReport:
+    """Evaluate every static predicate on one configuration snapshot.
+
+    ``groups`` may pass ``omega(views)`` when the caller already has it.
+    """
+    if groups is None:
+        groups = omega(views)
+    distinct = list(set(groups.values()))
+    sizes = [len(group) for group in distinct]
     return ConfigurationReport(
         time=time,
         agreement=agreement(views),
-        safety=safety(views, graph, dmax),
-        maximality=maximality(views, graph, dmax),
-        group_count=len(groups),
+        safety=_diameters_ok(distinct, links, dmax),
+        maximality=next(_mergeable_pairs(distinct, links, dmax), None) is None,
+        group_count=len(distinct),
         largest_group=max(sizes) if sizes else 0,
         isolated_nodes=sum(1 for size in sizes if size == 1),
     )

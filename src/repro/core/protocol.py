@@ -12,6 +12,7 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 from repro.net.channel import ChannelModel, LossyChannel, PerfectChannel
 from repro.net.network import Network
 from repro.net.radio import RadioModel, UnitDiskRadio
+from repro.net.topology import LinkSnapshot
 from repro.sim.engine import Simulator
 from repro.sim.randomness import SeedSequenceFactory
 from repro.sim.trace import TraceRecorder
@@ -70,8 +71,12 @@ class GRPDeployment:
                 for node_id, node in self.nodes.items() if node.active}
 
     def topology(self):
-        """Current symmetric-link topology graph over active nodes."""
+        """Current symmetric-link topology over active nodes, as a ``networkx.Graph``."""
         return self.network.topology()
+
+    def link_snapshot(self) -> LinkSnapshot:
+        """Current symmetric-link :class:`~repro.net.topology.LinkSnapshot` (shared, immutable)."""
+        return self.network.link_snapshot()
 
     def node(self, node_id: Hashable) -> GRPNode:
         """The GRP node with the given identifier."""

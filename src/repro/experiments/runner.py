@@ -51,8 +51,7 @@ class ExperimentResult:
 def run_with_sampler(deployment: GRPDeployment, duration: float,
                      sample_interval: float = 1.0,
                      warmup: float = 0.0,
-                     views_provider: Optional[Callable[[], Dict]] = None,
-                     keep_graphs: bool = True) -> ConfigurationSampler:
+                     views_provider: Optional[Callable[[], Dict]] = None) -> ConfigurationSampler:
     """Run ``deployment`` for ``duration`` seconds under a configuration sampler.
 
     ``warmup`` seconds are simulated *before* the sampler starts (useful to
@@ -67,10 +66,9 @@ def run_with_sampler(deployment: GRPDeployment, duration: float,
     sampler = ConfigurationSampler(
         sim=deployment.sim,
         views_provider=provider,
-        graph_provider=deployment.topology,
+        links_provider=deployment.link_snapshot,
         dmax=deployment.config.dmax,
         interval=sample_interval,
-        keep_graphs=keep_graphs,
     )
     sampler.start()
     deployment.sim.run(until=deployment.sim.now + duration)

@@ -139,8 +139,7 @@ def e1_stabilization(quick: bool = True, seed: int = 1,
                 deployment = _workload(scenario, run_seed, "static_random",
                                        area=60.0 * (n ** 0.5), radio_range=95.0,
                                        forced={"n": n, "dmax": dmax})
-                sampler = run_with_sampler(deployment, duration=duration, sample_interval=1.0,
-                                           keep_graphs=False)
+                sampler = run_with_sampler(deployment, duration=duration, sample_interval=1.0)
                 stab = stabilization_time(sampler.samples)
                 final = sampler.last
                 result.add_row(
@@ -280,23 +279,22 @@ def e5_partition_quality(quick: bool = True, seed: int = 5,
     sampler = run_with_sampler(deployment, duration=duration)
     final = sampler.last
     grp_quality = partition_quality(final)
-    graph = final.graph
+    links = final.links
     result.add_row(algorithm="GRP", groups=grp_quality.group_count,
                    isolated=grp_quality.isolated_nodes,
                    mean_size=round(grp_quality.mean_group_size, 2),
                    max_diameter=grp_quality.max_diameter,
                    legitimate=final.report.legitimate)
     for algorithm in (MaxMinDCluster(), LowestIdClustering(), KHopClustering()):
-        views = algorithm.partition(graph, 3)
+        views = algorithm.partition(final.graph, 3)
         groups = set(omega(views).values())
         sizes = [len(g) for g in groups]
-        from repro.net.topology import subgraph_diameter
-        diameters = [subgraph_diameter(graph, g) for g in groups if len(g) > 1]
+        diameters = [links.diameter(g) for g in groups if len(g) > 1]
         result.add_row(algorithm=algorithm.name, groups=len(groups),
                        isolated=sum(1 for s in sizes if s == 1),
                        mean_size=round(sum(sizes) / len(sizes), 2) if sizes else 0,
                        max_diameter=max(diameters) if diameters else 0,
-                       legitimate=(agreement(views) and safety(views, graph, 3)))
+                       legitimate=(agreement(views) and safety(views, links, 3)))
     result.add_note("Expected shape: baselines reach similar or fewer groups (they optimise "
                     "the partition); GRP stays legal (diameter <= Dmax, agreement) while "
                     "prioritising stability over minimality.")
@@ -412,8 +410,8 @@ def e9_merging(quick: bool = True, seed: int = 9,
 
         def merged() -> bool:
             views = deployment.views()
-            graph = deployment.topology()
-            return legitimate(views, graph, dmax) and len(set(omega(views).values())) == 1
+            links = deployment.link_snapshot()
+            return legitimate(views, links, dmax) and len(set(omega(views).values())) == 1
 
         merge_time = _advance_until(deployment, merged, max_time=80.0)
         result.add_row(scenario="two clusters", dmax=dmax, merge_time=merge_time,

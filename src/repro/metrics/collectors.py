@@ -15,14 +15,14 @@ exactly the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional
-
-import networkx as nx
 
 from repro.core.predicates import (ConfigurationReport, Groups,
                                    agreement_violations, continuity,
                                    continuity_violations, evaluate_configuration, omega,
                                    safety_violations, topological)
+from repro.net.topology import LinkSnapshot
 from repro.obs import current as _obs_current
 from repro.sim.engine import Simulator
 
@@ -33,13 +33,22 @@ Views = Dict[Hashable, FrozenSet[Hashable]]
 
 @dataclass(frozen=True)
 class ConfigurationSample:
-    """One sampled configuration."""
+    """One sampled configuration.
+
+    ``links`` is the network's shared, immutable link snapshot of that
+    instant; :attr:`graph` exports it as a ``networkx`` graph on first read.
+    """
 
     time: float
     views: Views
     groups: Groups
-    graph: nx.Graph
+    links: LinkSnapshot
     report: ConfigurationReport
+
+    @cached_property
+    def graph(self):
+        """The sampled topology as a ``networkx.Graph`` (built on first read)."""
+        return self.links.to_graph()
 
 
 @dataclass(frozen=True)
@@ -66,28 +75,25 @@ class ConfigurationSampler:
         The simulator driving the run.
     views_provider:
         Callable returning the current views (node -> frozenset of members).
-    graph_provider:
-        Callable returning the current symmetric-link topology graph.
+    links_provider:
+        Callable returning the current symmetric-link
+        :class:`~repro.net.topology.LinkSnapshot`.
     dmax:
         Diameter bound used by ΠS / ΠM / ΠT.
     interval:
         Sampling period (simulated seconds).
-    keep_graphs:
-        Store the sampled graphs inside the samples (needed by a few analyses;
-        disable to save memory on long sweeps).
     """
 
     def __init__(self, sim: Simulator, views_provider: Callable[[], Views],
-                 graph_provider: Callable[[], nx.Graph], dmax: int,
-                 interval: float = 1.0, keep_graphs: bool = True):
+                 links_provider: Callable[[], LinkSnapshot], dmax: int,
+                 interval: float = 1.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.views_provider = views_provider
-        self.graph_provider = graph_provider
+        self.links_provider = links_provider
         self.dmax = int(dmax)
         self.interval = float(interval)
-        self.keep_graphs = keep_graphs
         self.samples: List[ConfigurationSample] = []
         self.transitions: List[TransitionRecord] = []
         self._handle = None
@@ -120,14 +126,15 @@ class ConfigurationSampler:
     def sample_now(self) -> ConfigurationSample:
         """Take a sample immediately (also called by the periodic schedule)."""
         views = dict(self.views_provider())
-        graph = self.graph_provider()
+        links = self.links_provider()
         groups = omega(views)
-        report = evaluate_configuration(self.sim.now, views, graph, self.dmax)
+        report = evaluate_configuration(self.sim.now, views, links, self.dmax,
+                                        groups=groups)
         sample = ConfigurationSample(
             time=self.sim.now,
             views=views,
             groups=groups,
-            graph=graph if self.keep_graphs else nx.Graph(),
+            links=links,
             report=report,
         )
         previous = self._previous
@@ -137,7 +144,7 @@ class ConfigurationSampler:
             lost_members = sum(len(prev - new) for _, prev, new in lost)
             transition = TransitionRecord(
                 time=self.sim.now,
-                topological_ok=topological(previous.groups, graph, self.dmax),
+                topological_ok=topological(previous.groups, links, self.dmax),
                 continuity_ok=continuity(previous.groups, groups),
                 lost_members=lost_members,
             )
@@ -145,7 +152,7 @@ class ConfigurationSampler:
         self._previous = sample
         self.samples.append(sample)
         if self._obs is not None:
-            self._emit_events(previous, sample, transition, graph)
+            self._emit_events(previous, sample, transition)
         return sample
 
     # ---------------------------------------------------------- event feed
@@ -163,8 +170,7 @@ class ConfigurationSampler:
 
     def _emit_events(self, previous: Optional[ConfigurationSample],
                      sample: ConfigurationSample,
-                     transition: Optional[TransitionRecord],
-                     graph: nx.Graph) -> None:
+                     transition: Optional[TransitionRecord]) -> None:
         """Feed the protocol observatory from one sample.
 
         Observation only: every fact here is derived from the snapshot, and
@@ -219,7 +225,7 @@ class ConfigurationSampler:
                              count=len(violations), node=str(first[0]),
                              reason=first[1])
         if not report.safety:
-            violations = safety_violations(sample.views, graph, self.dmax)
+            violations = safety_violations(sample.views, sample.links, self.dmax)
             worst = max((d for _, d in violations if d != float("inf")),
                         default=None)
             obs.record_event("predicate.safety_violation", now,

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Sequence
 
-from repro.net.topology import subgraph_diameter
-
 from .collectors import ConfigurationSample
 
 __all__ = [
@@ -45,7 +43,7 @@ def partition_quality(sample: ConfigurationSample) -> PartitionQuality:
     """Partition-quality statistics of one sample."""
     groups = set(sample.groups.values())
     sizes = [len(g) for g in groups]
-    diameters = [subgraph_diameter(sample.graph, g) for g in groups if len(g) > 1]
+    diameters = [sample.links.diameter(g) for g in groups if len(g) > 1]
     return PartitionQuality(
         time=sample.time,
         group_count=len(groups),

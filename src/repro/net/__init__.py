@@ -8,9 +8,7 @@ from .geometry import (bounding_box, clamp_to_area, distance, distances_from, gr
 from .network import Network
 from .radio import AsymmetricRangeRadio, ProbabilisticDiskRadio, RadioModel, UnitDiskRadio
 from .spatialindex import UniformGridIndex
-from .topology import (connected_components, distance_matrix_within, group_diameter_ok,
-                       group_is_connected, merged_diameter_ok, neighbors_within,
-                       snapshot_graph, subgraph_diameter, subgraph_distance)
+from .topology import LinkSnapshot
 
 __all__ = [
     "ChannelDecision", "ChannelModel", "CollisionChannel", "LossyChannel", "PerfectChannel",
@@ -20,7 +18,5 @@ __all__ = [
     "Network",
     "AsymmetricRangeRadio", "ProbabilisticDiskRadio", "RadioModel", "UnitDiskRadio",
     "UniformGridIndex",
-    "connected_components", "distance_matrix_within", "group_diameter_ok",
-    "group_is_connected", "merged_diameter_ok", "neighbors_within", "snapshot_graph",
-    "subgraph_diameter", "subgraph_distance",
+    "LinkSnapshot",
 ]

@@ -53,6 +53,7 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..obs import current as _obs_current
+from .topology import LinkSnapshot
 
 __all__ = ["NodeArrayStore", "ArrayLinkState", "HYPOT_GUARD_BAND"]
 
@@ -691,28 +692,26 @@ class ArrayLinkState:
         """Nodes with a link into ``node`` — the out-partners (symmetric links)."""
         return self.out_neighbors_sorted(node)
 
-    def symmetric_edges(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:
-        """Symmetric edges over ``active_rows``, in canonical snapshot order.
+    def link_snapshot(self, active_rows: np.ndarray) -> LinkSnapshot:
+        """The symmetric links among ``active_rows`` as a :class:`LinkSnapshot`.
 
-        Returns ``(u, v)`` id tuples with ``order[u] < order[v]``, sorted by
-        ``(order[u], order[v])`` — the exact edge insertion sequence of the
-        scan-based snapshot builds, produced without touching per-node dicts.
+        Snapshot rows are the active store rows in insertion order, so its
+        ascending rows give the exact edge sequence of the scan-based
+        snapshot builds.  The arrays are fresh: later rebuilds and patches
+        rewrite the arena in place and must not reach a taken snapshot.
         """
         self._ensure()
         n = self._built_n
-        m = self._m
-        if not m:
-            return []
         store = self.store
-        src = np.repeat(np.arange(n, dtype=np.int64),
-                        np.diff(self._indptr[:n + 1]))
-        dst = self._indices[:m].astype(np.int64, copy=False)
         order = store.order[:n]
-        keep = (order[src] < order[dst]) & active_rows[src] & active_rows[dst]
-        src, dst = src[keep], dst[keep]
-        perm = np.lexsort((order[dst], order[src]))
-        src, dst = src[perm], dst[perm]
-        return list(zip(store.ids[src].tolist(), store.ids[dst].tolist()))
+        rows = np.flatnonzero(active_rows[:n])
+        rows = rows[np.argsort(order[rows])]
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[rows] = np.arange(rows.size)
+        src = rank[np.repeat(np.arange(n), np.diff(self._indptr[:n + 1]))]
+        dst = rank[self._indices[:self._m]]
+        keep = (src >= 0) & (dst >= 0)
+        return LinkSnapshot.from_arcs(store.ids[rows].tolist(), src[keep], dst[keep])
 
     def directed_arcs(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:
         """Directed arcs over ``active_rows``, sorted by (order[u], order[v])."""

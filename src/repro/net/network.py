@@ -76,7 +76,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.obs import current as _obs_current
@@ -89,7 +88,7 @@ from .channel import ChannelModel, PerfectChannel
 from .geometry import Point
 from .radio import RadioModel
 from .spatialindex import UniformGridIndex
-from .topology import snapshot_graph
+from .topology import LinkSnapshot
 
 __all__ = ["Network"]
 
@@ -158,9 +157,10 @@ class Network:
         #: :meth:`set_partition`.
         self._partition: Optional[Tuple[Mapping[Hashable, int], int, list]] = None
         self._generation = 0
-        self._topo_cache: Optional[nx.Graph] = None
+        self._topo_cache: Optional[LinkSnapshot] = None
         self._topo_cache_key: Optional[Tuple[int, Optional[float]]] = None
-        self._directed_cache: Optional[nx.DiGraph] = None
+        self._directed_cache: Optional[Tuple[List[Hashable],
+                                             List[Tuple[Hashable, Hashable]]]] = None
         self._directed_cache_key: Optional[Tuple[int, Optional[float]]] = None
         #: deterministic_vicinity() hoisted out of the per-broadcast path; it
         #: is a class-level constant for every stock radio, and any custom
@@ -844,129 +844,98 @@ class Network:
         # AsymmetricRangeRadio invalidates snapshots without an explicit call.
         return (self._generation, self.radio.max_range())
 
-    def _symmetric_snapshot(self) -> nx.Graph:
-        """Current symmetric-link graph, rebuilt only when the stamp is stale."""
+    def _scan_pairs(self) -> Tuple[List[Hashable], Iterable[Tuple[Hashable, Hashable]]]:
+        """(active nodes, candidate pairs to link-test) for the two scan engines.
+
+        Nodes come in insertion order, not set order, so snapshot order
+        never depends on PYTHONHASHSEED (determinism invariant).
+        """
+        active = self.active_nodes()
+        nodes = [n for n in self._positions if n in active]
+        index = self._spatial_index()
+        if index is None:
+            return nodes, ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
+        return nodes, (pair for pair in index.pairs_within(self.radio.max_range())
+                       if pair[0] in active and pair[1] in active)
+
+    def link_snapshot(self) -> LinkSnapshot:
+        """Symmetric-link snapshot of the current topology over active nodes.
+
+        Built by whichever neighbour engine is active and cached until the
+        generation stamp goes stale.  The value is immutable, so every caller
+        of one instant shares it.
+        """
         key = self._cache_key()
         if self._topo_cache is not None and self._topo_cache_key == key:
             return self._topo_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            graph = self._symmetric_from_arraystate(linkstate)
-            self._topo_cache = graph
-            self._topo_cache_key = key
-            return graph
-        index = self._spatial_index()
-        active = self.active_nodes()
-        if index is None:
-            graph = snapshot_graph(self._positions, self.radio.link_exists, active=active)
+            snapshot = linkstate.link_snapshot(self._node_store().active)
         else:
-            graph = nx.Graph()
-            graph.add_nodes_from(n for n in self._positions if n in active)
-            order = self._order
-            edges = []
-            for u, v in index.pairs_within(self.radio.max_range()):
-                if u not in active or v not in active:
-                    continue
-                if (self.radio.link_exists(u, v, self._positions[u], self._positions[v])
-                        and self.radio.link_exists(v, u, self._positions[v], self._positions[u])):
-                    edges.append((u, v) if order[u] < order[v] else (v, u))
-            # Sorted insertion keeps adjacency iteration order identical to the
-            # brute-force build, so downstream graph algorithms replay equally.
-            edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-            graph.add_edges_from(edges)
-        self._topo_cache = graph
+            positions = self._positions
+            link_exists = self.radio.link_exists
+            nodes, pairs = self._scan_pairs()
+            snapshot = LinkSnapshot.from_edges(
+                nodes, [(u, v) for u, v in pairs
+                        if (link_exists(u, v, positions[u], positions[v])
+                            and link_exists(v, u, positions[v], positions[u]))])
+        self._topo_cache = snapshot
         self._topo_cache_key = key
-        return graph
+        return snapshot
 
-    def _active_node_lists(self, store: NodeArrayStore) -> Tuple[List[Hashable], np.ndarray]:
-        """(active node ids in insertion order, active mask over store rows)."""
-        active_rows = store.active[:store.n]
-        row_of = store.row_of
-        nodes = [n for n in self._positions if active_rows[row_of[n]]]
-        return nodes, active_rows
-
-    def _symmetric_from_arraystate(self, linkstate: ArrayLinkState) -> nx.Graph:
-        """Symmetric snapshot straight from the CSR arrays.
-
-        Node and edge insertion order match the scan-based builds exactly
-        (insertion-ordered nodes, ``(order[u], order[v])``-sorted edges), so
-        downstream graph algorithms replay identically.
-        """
-        store = linkstate.store
-        nodes, active_rows = self._active_node_lists(store)
-        graph = nx.Graph()
-        graph.add_nodes_from(nodes)
-        graph.add_edges_from(linkstate.symmetric_edges(active_rows))
-        return graph
-
-    def _directed_from_arraystate(self, linkstate: ArrayLinkState) -> nx.DiGraph:
-        """Directed snapshot straight from the CSR arrays."""
-        store = linkstate.store
-        nodes, active_rows = self._active_node_lists(store)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(nodes)
-        graph.add_edges_from(linkstate.directed_arcs(active_rows))
-        return graph
-
-    def _directed_snapshot(self) -> nx.DiGraph:
-        """Current directed-link graph, rebuilt only when the stamp is stale."""
+    def _directed_snapshot(self) -> Tuple[List[Hashable], List[Tuple[Hashable, Hashable]]]:
+        """(active nodes, directed arcs sorted by (order[u], order[v])), cached
+        until the generation stamp goes stale."""
         key = self._cache_key()
         if self._directed_cache is not None and self._directed_cache_key == key:
             return self._directed_cache
+        positions = self._positions
         linkstate = self._link_state()
         if linkstate is not None:
-            graph = self._directed_from_arraystate(linkstate)
-            self._directed_cache = graph
-            self._directed_cache_key = key
-            return graph
-        index = self._spatial_index()
-        active = self.active_nodes()
-        graph = nx.DiGraph()
-        if index is None:
-            # Iterate in insertion order, not set order: snapshot iteration
-            # order must not depend on PYTHONHASHSEED (determinism invariant).
-            nodes = [n for n in self._positions if n in active]
-            graph.add_nodes_from(nodes)
-            for u in nodes:
-                for v in nodes:
-                    if u == v:
-                        continue
-                    if self.radio.link_exists(u, v, self._positions[u], self._positions[v]):
-                        graph.add_edge(u, v)
+            active_rows = self._node_store().active
+            row_of = linkstate.store.row_of
+            nodes = [n for n in positions if active_rows[row_of[n]]]
+            arcs = linkstate.directed_arcs(active_rows)
         else:
-            graph.add_nodes_from(n for n in self._positions if n in active)
-            order = self._order
+            link_exists = self.radio.link_exists
+            nodes, pairs = self._scan_pairs()
             arcs = []
-            for u, v in index.pairs_within(self.radio.max_range()):
-                if u not in active or v not in active:
-                    continue
-                if self.radio.link_exists(u, v, self._positions[u], self._positions[v]):
+            for u, v in pairs:
+                if link_exists(u, v, positions[u], positions[v]):
                     arcs.append((u, v))
-                if self.radio.link_exists(v, u, self._positions[v], self._positions[u]):
+                if link_exists(v, u, positions[v], positions[u]):
                     arcs.append((v, u))
+            order = self._order
             arcs.sort(key=lambda a: (order[a[0]], order[a[1]]))
-            graph.add_edges_from(arcs)
-        self._directed_cache = graph
+        self._directed_cache = (nodes, arcs)
         self._directed_cache_key = key
-        return graph
+        return self._directed_cache
 
-    def topology(self) -> nx.Graph:
-        """Symmetric-link snapshot of the current topology over active nodes.
+    def topology(self):
+        """The current link snapshot exported as a fresh ``networkx.Graph``.
 
-        The returned graph is a copy; mutating it does not corrupt the cache.
+        Node and edge insertion order follow :meth:`link_snapshot`; mutating
+        the graph does not touch the cache.
         """
-        return self._symmetric_snapshot().copy()
+        return self.link_snapshot().to_graph()
 
-    def directed_topology(self) -> nx.DiGraph:
-        """Directed-link snapshot (u -> v iff u is in the vicinity of v)."""
-        return self._directed_snapshot().copy()
+    def directed_topology(self):
+        """Directed-link snapshot (u -> v iff u is in the vicinity of v), as a
+        fresh ``networkx.DiGraph``."""
+        import networkx as nx
+
+        nodes, arcs = self._directed_snapshot()
+        graph = nx.DiGraph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(arcs)
+        return graph
 
     def neighbors_of(self, node_id: Hashable) -> Set[Hashable]:
         """Symmetric neighbours of ``node_id`` in the current snapshot.
 
         Served straight from the CSR link state when available — O(degree)
-        per query, no graph construction; a warm symmetric snapshot is reused
-        otherwise.
+        per query, no snapshot construction; the scan engines answer from the
+        cached link snapshot.
         """
         linkstate = self._link_state()
         if linkstate is not None:
@@ -980,10 +949,7 @@ class Network:
             if rows.size:
                 rows = rows[store.active[rows]]
             return set(store.ids[rows].tolist()) if rows.size else set()
-        graph = self._symmetric_snapshot()
-        if node_id not in graph:
-            return set()
-        return set(graph.neighbors(node_id))
+        return set(self.link_snapshot().neighbors(node_id))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Network(nodes={len(self._processes)}, active={len(self.active_nodes())}, "

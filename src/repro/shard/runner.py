@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.core.predicates import evaluate_configuration
+from repro.net.topology import LinkSnapshot
 from repro.obs import ObsContext, enable as _obs_enable, observing
 
 from .world import OutboxEntry, ShardSpec, ShardWorld
@@ -388,21 +390,12 @@ def _merge_obs(spec: ShardSpec, parts: List[Dict[str, Any]],
         per_shard.append(ctx.export())
         merged.merge(ctx)
     if spec.fingerprint and parts and "dmax" in parts[0]:
-        import networkx as nx
-
-        from repro.core.predicates import evaluate_configuration
-
         views: Dict[Hashable, Any] = {}
         for part in parts:
             views.update(part["views"])
-        graph = nx.Graph()
-        graph.add_nodes_from(views)
-        for edge in sorted(parts[0]["edges"],
-                           key=lambda e: sorted(map(str, e))):
-            pair = tuple(edge)
-            if len(pair) == 2:
-                graph.add_edge(*pair)
-        report = evaluate_configuration(spec.duration, views, graph,
+        links = LinkSnapshot.from_edges(
+            views, (tuple(edge) for edge in parts[0]["edges"] if len(edge) == 2))
+        report = evaluate_configuration(spec.duration, views, links,
                                         parts[0]["dmax"])
         merged.record_event("convergence.final", spec.duration,
                             legitimate=report.legitimate,

@@ -466,7 +466,7 @@ class ShardWorld:
         if self.spec.fingerprint:
             parts["views"] = {nid: view for nid, view in deployment.views().items()
                               if nid in owned_set}
-            parts["edges"] = {frozenset(e) for e in deployment.topology().edges}
+            parts["edges"] = {frozenset(e) for e in deployment.link_snapshot().edges()}
             # Replicated protocol constant, shipped so an observed coordinator
             # can evaluate the final configuration's predicates.
             parts["dmax"] = deployment.config.dmax

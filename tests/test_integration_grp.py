@@ -28,7 +28,7 @@ class TestTwoNodes:
         deployment.run(20.0)
         views = deployment.views()
         assert views[0] == views[1] == frozenset({0, 1})
-        assert legitimate(views, deployment.topology(), 2)
+        assert legitimate(views, deployment.link_snapshot(), 2)
 
     def test_out_of_range_nodes_stay_singletons(self):
         deployment = build_grp_network({0: (0, 0), 1: (500, 0)}, GRPConfig(dmax=2),
@@ -59,7 +59,7 @@ class TestChainTopologies:
         deployment = scenario("line_topology", 5, n=4, spacing=40.0, radio_range=50.0, dmax=3)
         deployment.run(50.0)
         views = deployment.views()
-        assert legitimate(views, deployment.topology(), 3)
+        assert legitimate(views, deployment.link_snapshot(), 3)
         assert views[0] == frozenset({0, 1, 2, 3})
 
 
@@ -84,10 +84,10 @@ class TestSelfStabilization:
         injector.random_memory_corruption(fraction=0.5, ghost_pool=["ghost-a", "ghost-b"])
         deployment.run(60.0)
         views = deployment.views()
-        graph = deployment.topology()
+        links = deployment.link_snapshot()
         assert not any(node.alist.contains("ghost-a") or node.alist.contains("ghost-b")
                        for node in deployment.nodes.values())
-        assert agreement(views) and safety(views, graph, 2)
+        assert agreement(views) and safety(views, links, 2)
 
 
 class TestMergingAndContinuity:
@@ -109,7 +109,7 @@ class TestMergingAndContinuity:
         deployment.run(40.0)
         views = deployment.views()
         assert views[left[0]] == frozenset(left + right)
-        assert legitimate(views, deployment.topology(), 3)
+        assert legitimate(views, deployment.link_snapshot(), 3)
 
     def test_no_member_lost_on_static_topology_after_formation(self):
         deployment = scenario("static_random", 23, n=10, area=220.0, radio_range=100.0, dmax=3)
@@ -128,7 +128,7 @@ class TestMergingAndContinuity:
         views = deployment.views()
         assert views[0] == frozenset({0, 1})
         assert views[2] == frozenset({2})
-        assert legitimate(views, deployment.topology(), 2)
+        assert legitimate(views, deployment.link_snapshot(), 2)
 
 
 class TestChurn:
@@ -145,7 +145,7 @@ class TestChurn:
         deployment.run(40.0)
         views = deployment.views()
         assert views[2] == frozenset({0, 1, 2})
-        assert legitimate(views, deployment.topology(), 2)
+        assert legitimate(views, deployment.link_snapshot(), 2)
 
 
 class TestLossyChannel:
@@ -154,6 +154,6 @@ class TestLossyChannel:
                               dmax=3, loss_probability=0.2)
         deployment.run(80.0)
         views = deployment.views()
-        graph = deployment.topology()
+        links = deployment.link_snapshot()
         assert agreement(views)
-        assert safety(views, graph, 3)
+        assert safety(views, links, 3)

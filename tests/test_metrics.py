@@ -13,6 +13,7 @@ from repro.metrics.groups import (average_membership_churn, group_lifetimes,
                                   partition_quality)
 from repro.metrics.report import aggregate_rows, format_table, format_value
 from repro.core.predicates import evaluate_configuration
+from repro.net.topology import LinkSnapshot
 from repro.sim.engine import Simulator
 
 
@@ -25,8 +26,9 @@ def make_sample(time, partition, edges):
     graph = nx.Graph()
     graph.add_nodes_from(views)
     graph.add_edges_from(edges)
-    return ConfigurationSample(time=time, views=views, groups=omega(views), graph=graph,
-                               report=evaluate_configuration(time, views, graph, dmax=2))
+    links = LinkSnapshot.from_graph(graph)
+    return ConfigurationSample(time=time, views=views, groups=omega(views), links=links,
+                               report=evaluate_configuration(time, views, links, dmax=2))
 
 
 class TestSampler:
@@ -39,12 +41,13 @@ class TestSampler:
         ]
         graph = nx.Graph()
         graph.add_edge("a", "b")
+        links = LinkSnapshot.from_graph(graph)
         state = {"index": 0}
 
         def views_provider():
             return views_sequence[min(state["index"], len(views_sequence) - 1)]
 
-        sampler = ConfigurationSampler(sim, views_provider, lambda: graph, dmax=2,
+        sampler = ConfigurationSampler(sim, views_provider, lambda: links, dmax=2,
                                        interval=1.0)
         sampler.start()
         for _ in range(2):
@@ -60,7 +63,8 @@ class TestSampler:
     def test_sampler_requires_positive_interval(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            ConfigurationSampler(sim, dict, nx.Graph, dmax=2, interval=0.0)
+            ConfigurationSampler(sim, dict, lambda: LinkSnapshot.from_edges([], []), dmax=2,
+                                 interval=0.0)
 
 
 class TestConvergenceMetrics:

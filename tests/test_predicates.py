@@ -7,12 +7,19 @@ from repro.core.predicates import (agreement, agreement_violations, continuity,
                                    groups_partition, legitimate, maximality,
                                    maximality_violations, omega, safety, safety_violations,
                                    topological)
+from repro.net.topology import LinkSnapshot
 
 
 def graph_from_edges(*edges):
     g = nx.Graph()
     g.add_edges_from(edges)
-    return g
+    return LinkSnapshot.from_graph(g)
+
+
+def graph_of_nodes(*nodes):
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    return LinkSnapshot.from_graph(g)
 
 
 def views_of(partition):
@@ -78,8 +85,7 @@ class TestSafety:
         assert not safety(views_of([{"a", "c"}, {"b"}]), g, dmax=2)
 
     def test_singletons_are_always_safe(self):
-        g = nx.Graph()
-        g.add_nodes_from(["a", "b"])
+        g = graph_of_nodes("a", "b")
         assert safety(views_of([{"a"}, {"b"}]), g, dmax=1)
 
 
@@ -95,8 +101,7 @@ class TestMaximality:
         assert maximality(views_of([{"a", "b"}, {"c"}]), g, dmax=1)
 
     def test_holds_for_disconnected_groups(self):
-        g = nx.Graph()
-        g.add_nodes_from(["a", "b"])
+        g = graph_of_nodes("a", "b")
         assert maximality(views_of([{"a"}, {"b"}]), g, dmax=3)
 
 
@@ -116,8 +121,9 @@ class TestTransitionPredicates:
 
     def test_topological_fails_when_member_moved_too_far(self):
         previous = omega(views_of([{"a", "b", "c"}]))
-        new_graph = graph_from_edges(("a", "b"))  # c is now isolated
-        new_graph.add_node("c")
+        g = nx.Graph([("a", "b")])
+        g.add_node("c")  # c is now isolated
+        new_graph = LinkSnapshot.from_graph(g)
         assert not topological(previous, new_graph, dmax=2)
 
     def test_continuity_holds_when_groups_only_grow(self):

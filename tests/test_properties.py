@@ -10,7 +10,9 @@ from repro.core.ancestor_list import AncestorList
 from repro.core.checks import compatible_list, good_list
 from repro.core.identity import Mark
 from repro.core.predicates import agreement, continuity, omega, safety
-from repro.net.topology import subgraph_diameter
+from repro.net.topology import LinkSnapshot
+
+from reference_topology import subgraph_diameter
 
 node_ids = st.sampled_from(list(string.ascii_lowercase[:8]))
 
@@ -152,7 +154,7 @@ class TestPredicateProperties:
         graph, views = graph_and_views
         expected = all(subgraph_diameter(graph, group) <= dmax
                        for group in set(omega(views).values()))
-        assert safety(views, graph, dmax) == expected
+        assert safety(views, LinkSnapshot.from_graph(graph), dmax) == expected
 
     @given(random_partitioned_graph())
     @settings(max_examples=50)
