@@ -21,8 +21,13 @@ global reduction, sized for a handful of shards):
 
 Two transports run the same loop: ``inproc`` hosts every shard in the
 calling process (the bit-identity reference and the default for tests) and
-``mp`` spawns one OS process per shard (fresh-interpreter ``spawn`` context,
-command pipes), which is where multi-core hardware buys wall-clock speedup.
+``mp`` runs one OS process per shard, which is where multi-core hardware buys
+wall-clock speedup.  An ``mp`` worker is a bare interpreter (``python -c``)
+that imports this module and never the caller's ``__main__``, so scripts
+need no ``if __name__ == "__main__"`` guard.  It takes its job — spec, shard
+id and the snapshot bytes — and every later command over a ``socketpair``,
+and leaves with ``os._exit`` once its last reply is in the socket.  ``mp``
+is POSIX-only.
 
 The merge reassembles the exact single-process result: counters sum, the
 replicated event count is subtracted ``k - 1`` times, per-shard views and
@@ -34,11 +39,14 @@ shards, and traffic ledgers fold through
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import tempfile
+import socket
+import subprocess
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.predicates import evaluate_configuration
@@ -124,20 +132,32 @@ class _InprocHost:
         pass
 
 
-def _shard_worker_main(conn, spec: ShardSpec, shard_id: int,
-                       snapshot_path: str, obs: bool = False) -> None:
-    """Serve one shard over a command pipe (runs in a spawned process).
+#: The whole program of a shard worker: the coordinator's import path, then
+#: the serve loop.  Nothing else runs, the caller's ``__main__`` included.
+_WORKER_PROGRAM = ("import sys; sys.path[:0] = {path!r}; "
+                   "from repro.shard.runner import _serve_worker; _serve_worker({fd})")
 
-    With ``obs`` on, the worker installs a fresh :class:`ObsContext` before
-    restoring its world (so every component captures it), times its pipe
-    waits as ``shard.barrier_wait`` spans, and ships the whole context back
-    with the finish parts — contexts are plain picklable observation state.
+
+def _serve_worker(fd: int) -> None:
+    """Serve one shard on socket ``fd``, then exit without interpreter teardown.
+
+    The first message is the job: spec, shard id, obs flag and the snapshot
+    bytes.  With ``obs`` on, the worker installs a fresh :class:`ObsContext`
+    before restoring its world (so every component captures it), times its
+    socket waits as ``shard.barrier_wait`` spans, and ships the whole context
+    back with the finish parts — contexts are plain picklable observation
+    state.  Whatever the way out — the finish reply (exit code 0), a failure
+    report or a lost coordinator (exit code 1) — everything the worker owes
+    is already in the socket, so it closes it, flushes stdio and calls
+    ``os._exit``: tearing down the world would only free memory nobody reads
+    again.
     """
+    conn = Connection(fd)
+    code = 1
     try:
+        spec, shard_id, obs, blob = conn.recv()
         ctx = _obs_enable(ObsContext()) if obs else None
         t0 = time.perf_counter()
-        with open(snapshot_path, "rb") as fh:
-            blob = fh.read()
         world = ShardWorld.from_snapshot(spec, shard_id, blob)
         build_s = time.perf_counter() - t0
         conn.send(("ready", world.peek(), world.lookahead, world.owners,
@@ -158,32 +178,44 @@ def _shard_worker_main(conn, spec: ShardSpec, shard_id: int,
                 conn.send(("ok", world.peek()))
             elif cmd == "finish":
                 conn.send(("ok", world.finish(msg[1]), ctx))
-                conn.close()
-                return
-            elif cmd == "stop":
-                conn.close()
+                code = 0
                 return
             else:  # pragma: no cover - protocol bug guard
                 raise RuntimeError(f"unknown shard command {cmd!r}")
-    except Exception:  # pragma: no cover - exercised only on worker crashes
-        import traceback
+    except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
-        except Exception:
+        except OSError:
             pass
+    finally:
+        conn.close()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
 class _MpHost:
-    """A shard living in its own spawned OS process."""
+    """A shard served by a bare worker interpreter, a direct child process.
 
-    def __init__(self, ctx, spec: ShardSpec, shard_id: int,
-                 snapshot_path: str, obs: bool = False):
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_shard_worker_main,
-                                args=(child, spec, shard_id, snapshot_path, obs),
-                                daemon=True)
-        self.proc.start()
-        child.close()
+    The worker is ``python -c`` with this interpreter's flags, on one end of
+    a ``socketpair``; it imports this module and nothing of the caller.
+    Construction only starts it, :meth:`start` hands it the job, so every
+    worker can start before the first one is fed.  The coordinator reaps it
+    (:meth:`collect_finish`, :meth:`close`), so its memory shows in
+    ``RUSAGE_CHILDREN``.  A worker that dies before it replies surfaces as a
+    :class:`RuntimeError` naming the shard and the exit code.
+    """
+
+    def __init__(self, shard_id: int):
+        self.shard_id = shard_id
+        ours, theirs = socket.socketpair()
+        with theirs:
+            program = _WORKER_PROGRAM.format(path=sys.path, fd=theirs.fileno())
+            self.proc = subprocess.Popen(
+                [sys.executable, *subprocess._args_from_interpreter_flags(),
+                 "-c", program],
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL)
+        self.conn = Connection(ours.detach())
         self.peek: Optional[float] = None
         self.lookahead: float = 0.0
         self.owners: Dict[Hashable, int] = {}
@@ -191,47 +223,59 @@ class _MpHost:
         self.base_phase_s: float = 0.0
         self.obs_ctx: Optional[ObsContext] = None
 
+    def start(self, spec: ShardSpec, snapshot: bytes, obs: bool) -> None:
+        self._send((spec, self.shard_id, obs, snapshot))
+
     def await_ready(self) -> None:
         (_, self.peek, self.lookahead, self.owners,
          self.build_s, self.base_phase_s) = self._recv()
 
+    def _died(self) -> RuntimeError:
+        return RuntimeError(f"shard worker {self.shard_id} exited with code "
+                            f"{self.proc.wait()} before replying")
+
+    def _send(self, msg) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError:
+            self._recv()  # raises the dead worker's failure report or exit code
+            raise
+
     def _recv(self):
-        msg = self.conn.recv()
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
         if msg[0] == "error":
-            raise RuntimeError(f"shard worker failed:\n{msg[1]}")
+            raise RuntimeError(f"shard worker failed (shard {self.shard_id}):\n{msg[1]}")
         return msg
 
     def submit_round(self, end: float, inclusive: bool) -> None:
-        self.conn.send(("round", end, inclusive))
+        self._send(("round", end, inclusive))
 
     def collect_round(self) -> Tuple[List[OutboxEntry], Optional[float]]:
         _, out, peek = self._recv()
         return out, peek
 
     def submit_apply(self, round_time: float, entries: List[OutboxEntry]) -> None:
-        self.conn.send(("apply", round_time, entries))
+        self._send(("apply", round_time, entries))
 
     def collect_apply(self) -> Optional[float]:
         return self._recv()[1]
 
     def submit_finish(self, duration: float) -> None:
-        self.conn.send(("finish", duration))
+        self._send(("finish", duration))
 
     def collect_finish(self) -> Dict[str, Any]:
-        msg = self._recv()
-        parts = msg[1]
-        self.obs_ctx = msg[2]
-        self.proc.join(timeout=60)
+        _, parts, self.obs_ctx = self._recv()
+        self.proc.wait()
         return parts
 
     def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=10)
+        self.conn.close()
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
 
 
 # -------------------------------------------------------------- coordinator
@@ -416,8 +460,12 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     The coordinator builds the world once, serializes the post-build state
     and has every worker restore it.  ``transport='inproc'`` runs every
     shard in this process (deterministic reference, zero IPC);
-    ``transport='mp'`` spawns one OS process per shard and coordinates over
-    pipes.  Both produce the same :class:`ShardRunResult` bit for bit.
+    ``transport='mp'`` (POSIX only) runs each shard in a bare worker
+    interpreter, a direct child fed its job and the snapshot bytes over a
+    socket, which exits without teardown and is reaped before this returns;
+    it never runs the caller's ``__main__``, so no ``__main__`` guard is
+    needed.  Both transports produce the same :class:`ShardRunResult` bit
+    for bit.
     ``build`` only accepts ``'snapshot'``, the one build mode.
 
     ``stats`` carries the wall-clock split: ``build_s`` (host construction,
@@ -435,10 +483,11 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     """
     if transport not in ("inproc", "mp"):
         raise ValueError(f"unknown transport {transport!r}; use 'inproc' or 'mp'")
+    if transport == "mp" and os.name != "posix":
+        raise ValueError("transport 'mp' needs a POSIX platform; use 'inproc'")
     if build != "snapshot":
         raise ValueError(f"unknown build mode {build!r}; the only mode is 'snapshot'")
     hosts: List[Any] = []
-    snapshot_path: Optional[str] = None
     t_start = time.perf_counter()
     try:
         snapshot = ShardWorld.snapshot_base(spec)
@@ -447,15 +496,12 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
             hosts = [_InprocHost(spec, shard, snapshot, obs)
                      for shard in range(spec.shards)]
         else:
-            # Ship the blob through the filesystem, not the spawn args:
-            # pickling it into every Process start would serialize it k
-            # times through the spawn pipe.
-            fd, snapshot_path = tempfile.mkstemp(suffix=".shardworld")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(snapshot)
-            ctx = multiprocessing.get_context("spawn")
-            hosts = [_MpHost(ctx, spec, shard, snapshot_path, obs)
-                     for shard in range(spec.shards)]
+            # Every interpreter starts before the first one is fed, so their
+            # start-ups overlap; each then reads its job off its socket.
+            for shard in range(spec.shards):
+                hosts.append(_MpHost(shard))
+            for host in hosts:
+                host.start(spec, snapshot, obs)
             for host in hosts:
                 host.await_ready()
         lookahead = hosts[0].lookahead
@@ -481,8 +527,3 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     finally:
         for host in hosts:
             host.close()
-        if snapshot_path is not None:
-            try:
-                os.unlink(snapshot_path)
-            except OSError:  # pragma: no cover
-                pass

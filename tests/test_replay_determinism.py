@@ -232,8 +232,8 @@ def test_sharded_backends_replay_identically(sharded_reference, cell):
 
 
 def test_sharded_mp_transport_matches(sharded_reference):
-    """One OS process per shard (spawn context) replays the in-process
-    reference exactly — the pipe transport adds no nondeterminism."""
+    """One bare worker interpreter per shard replays the in-process
+    reference exactly — the socket transport adds no nondeterminism."""
     fingerprint, stats = run_sharded_once(2, transport="mp")
     assert fingerprint == sharded_reference
     assert stats["transport"] == "mp"
@@ -256,8 +256,8 @@ def test_sharded_snapshot_restore_matches(sharded_reference, shards):
 
 
 def test_sharded_snapshot_restore_mp_matches(sharded_reference):
-    """Over the mp transport the blob travels through the filesystem to
-    spawned workers and must still replay exactly."""
+    """Over the mp transport the blob travels over each worker's socket to
+    a bare interpreter and must still replay exactly."""
     fingerprint, stats = run_sharded_once(2, transport="mp")
     assert fingerprint == sharded_reference
     assert stats["transport"] == "mp"
@@ -411,7 +411,7 @@ def test_incremental_patch_replays_identically_when_engaged():
 
 #: Observability on the sharded executor crosses every seam at once: each
 #: worker observes into its own ObsContext (captured at build time), the mp
-#: transport ships contexts back over the pipe, and the coordinator merges
+#: transport ships contexts back over the socket, and the coordinator merges
 #: them and appends its convergence milestone.  None of that may perturb
 #: the simulation: every cell must reproduce the unobserved 1-shard
 #: fingerprint bit for bit — counters, views, edges and post-run RNG states.
