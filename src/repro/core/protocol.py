@@ -15,7 +15,6 @@ from repro.net.radio import RadioModel, UnitDiskRadio
 from repro.net.topology import LinkSnapshot
 from repro.sim.engine import Simulator
 from repro.sim.randomness import SeedSequenceFactory
-from repro.sim.trace import TraceRecorder
 
 from .node import GRPConfig, GRPNode
 
@@ -33,23 +32,16 @@ class GRPDeployment:
         The wireless network carrying the GRP messages.
     nodes:
         Mapping node id -> :class:`GRPNode`.
-    trace:
-        The trace recorder the network records ``send``/``receive``/``drop``
-        events into, or ``None`` (the default).  Recording is opt-in:
-        with no recorder the network takes its zero-delay and batched
-        delivery fast paths, and a recorder only observes — attaching one
-        changes no view, counter or random draw of the run.
     scenario_metadata:
         Structural facts published by the scenario builder (e.g. the member
         lists of a clustered layout); empty for unstructured scenarios.
     """
 
     def __init__(self, sim: Simulator, network: Network, nodes: Dict[Hashable, GRPNode],
-                 trace: Optional[TraceRecorder], config: GRPConfig):
+                 config: GRPConfig):
         self.sim = sim
         self.network = network
         self.nodes = nodes
-        self.trace = trace
         self.config = config
         self.scenario_metadata: Dict[str, object] = {}
         self._started = False
@@ -90,8 +82,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
                       channel: Optional[ChannelModel] = None,
                       loss_probability: float = 0.0,
                       mobility=None,
-                      seed: Optional[int] = None,
-                      trace: Optional[TraceRecorder] = None) -> GRPDeployment:
+                      seed: Optional[int] = None) -> GRPDeployment:
     """Build a GRP deployment from node positions.
 
     Parameters
@@ -114,11 +105,6 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
     seed:
         Master seed; sub-streams are derived for the simulator, the channel and
         the mobility model.
-    trace:
-        Optional recorder for the network's ``send``/``receive``/``drop``
-        events.  None is attached by default, which keeps the delivery
-        fast paths on; pass a :class:`~repro.sim.trace.TraceRecorder` to
-        record a run (it reproduces the unrecorded run bit for bit).
     """
     seeds = SeedSequenceFactory(seed)
     sim = Simulator(seed=seeds.seed_for("simulator"))
@@ -134,10 +120,10 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         channel.set_rng(seeds.stream("channel"))
     if mobility is not None and hasattr(mobility, "set_rng"):
         mobility.set_rng(seeds.stream("mobility"))
-    network = Network(sim, radio=radio, channel=channel, mobility=mobility, trace=trace)
+    network = Network(sim, radio=radio, channel=channel, mobility=mobility)
     nodes: Dict[Hashable, GRPNode] = {}
     for node_id in sorted(positions, key=str):
         node = GRPNode(node_id, config)
         network.add_node(node, positions[node_id])
         nodes[node_id] = node
-    return GRPDeployment(sim=sim, network=network, nodes=nodes, trace=trace, config=config)
+    return GRPDeployment(sim=sim, network=network, nodes=nodes, config=config)

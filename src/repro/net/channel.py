@@ -53,39 +53,29 @@ class BatchDecisions:
 
     ``delivered[i]`` / ``delays[i]`` mirror the :class:`ChannelDecision` the
     scalar loop would have produced for ``receivers[i]`` (dropped entries
-    carry delay ``0.0``).  ``reasons`` is ``None`` whenever every entry
-    follows the default pattern — ``"ok"`` for delivered, ``"loss"`` for
-    dropped — so the common lossy batch never materializes a reason list;
-    channels with other reasons (collisions) provide one string per
-    receiver.  Consumers needing trace-exact reasons substitute the default
-    pattern when ``reasons`` is ``None``.
+    carry delay ``0.0``); drop reasons stay on the scalar
+    :class:`ChannelDecision`.
 
-    Two optional hints let array-native consumers skip the per-entry python
-    loop; both are conservative (their defaults merely decline the fast
-    path, never change semantics): ``zero_delay`` is ``True`` only when
-    every delay is ``0.0``, and ``delivered_array`` — when not ``None`` —
-    is the boolean numpy mask the ``delivered`` list was materialized from,
-    ready for a masked gather over a parallel receiver array.
+    ``delivered_array`` is an optional hint that lets array-native consumers
+    skip the per-entry python loop: when not ``None`` it is the boolean
+    numpy mask the ``delivered`` list was materialized from, ready for a
+    masked gather over a parallel receiver array.
 
     A plain ``__slots__`` class, not a dataclass: one instance is built per
     broadcast, and frozen-dataclass construction alone costs more than the
     RNG draw it wraps.
     """
 
-    __slots__ = ("delivered", "delays", "reasons", "zero_delay",
-                 "delivered_array", "n_accepted")
+    __slots__ = ("delivered", "delays", "delivered_array", "n_accepted")
 
     def __init__(self, delivered: Sequence[bool], delays: Sequence[float],
-                 reasons: Optional[List[str]] = None, zero_delay: bool = False,
                  delivered_array: Optional[np.ndarray] = None,
                  n_accepted: Optional[int] = None):
         self.delivered = delivered
         self.delays = delays
-        self.reasons = reasons
-        self.zero_delay = zero_delay
         self.delivered_array = delivered_array
         #: accepted count, filled in by constructors that already know it
-        #: (every stock channel does) so consumers skip the re-count.
+        #: (the vectorized stock paths do) so consumers skip the re-count.
         self.n_accepted = n_accepted
 
     def accepted(self) -> int:
@@ -95,8 +85,7 @@ class BatchDecisions:
         return self.n_accepted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"BatchDecisions(accepted={self.accepted()}/"
-                f"{len(self.delivered)}, zero_delay={self.zero_delay})")
+        return f"BatchDecisions(accepted={self.accepted()}/{len(self.delivered)})"
 
 
 class ChannelModel:
@@ -118,23 +107,17 @@ class ChannelModel:
         """
         delivered: List[bool] = []
         delays: List[float] = []
-        reasons: List[str] = []
-        drops = 0
         for receiver in receivers:
             decision = self.decide(sender, receiver, time)
             delivered.append(decision.delivered)
             delays.append(decision.delay)
-            reasons.append(decision.reason)
-            drops += not decision.delivered
-        return BatchDecisions(delivered=delivered, delays=delays,
-                              reasons=reasons if drops else None,
-                              n_accepted=len(delivered) - drops)
+        return BatchDecisions(delivered=delivered, delays=delays)
 
     def decide_batch_fast(self, sender: Hashable, receivers: Sequence[Hashable],
                           time: float) -> Optional[Tuple[Optional[np.ndarray], int]]:
         """All-zero-delay batch decision without the :class:`BatchDecisions` box.
 
-        The network's hottest dispatch loop (no trace, no delays) probes this
+        The network's hottest dispatch loop (zero delays) probes this
         first.  A channel may answer ``(mask, accepted)`` — ``mask`` a boolean
         numpy array over ``receivers`` (or ``None`` for "all delivered"),
         ``accepted`` its true count — **only** when every delay the scalar
@@ -175,8 +158,7 @@ class PerfectChannel(ChannelModel):
             return super().decide_batch(sender, receivers, time)
         n = len(receivers)
         delay = self._decision.delay
-        return BatchDecisions(delivered=[True] * n, delays=[delay] * n,
-                              zero_delay=delay == 0.0, n_accepted=n)
+        return BatchDecisions(delivered=[True] * n, delays=[delay] * n, n_accepted=n)
 
     def decide_batch_fast(self, sender, receivers, time):
         if not self._vector_ok or self._decision.delay != 0.0:
@@ -248,17 +230,14 @@ class LossyChannel(ChannelModel):
         if p > 0 and variable_delay:
             return None
         if n == 0:
-            return BatchDecisions(delivered=[], delays=[], zero_delay=True,
-                                  n_accepted=0)
+            return BatchDecisions(delivered=[], delays=[], n_accepted=0)
         if p <= 0:
             self.delivered += n
             if variable_delay:
                 delays = self._rng.uniform(self.min_delay, self.max_delay, n).tolist()
             else:
                 delays = [self.min_delay] * n
-            return BatchDecisions(delivered=[True] * n, delays=delays,
-                                  zero_delay=not variable_delay
-                                  and self.min_delay == 0.0, n_accepted=n)
+            return BatchDecisions(delivered=[True] * n, delays=delays, n_accepted=n)
         mask = self._rng.random(n) >= p
         delivered = mask.tolist()
         accepted = sum(delivered)
@@ -269,10 +248,8 @@ class LossyChannel(ChannelModel):
             delays = [0.0] * n
         else:
             delays = [constant if kept else 0.0 for kept in delivered]
-        # reasons=None: loss drops are exactly the default "ok"/"loss" pattern.
         return BatchDecisions(delivered=delivered, delays=delays,
-                              zero_delay=constant == 0.0, delivered_array=mask,
-                              n_accepted=accepted)
+                              delivered_array=mask, n_accepted=accepted)
 
     def decide_batch(self, sender, receivers, time) -> BatchDecisions:
         # A subclass overriding any scalar hook (decide or _draw_delay) must
@@ -365,17 +342,14 @@ class CollisionChannel(LossyChannel):
             return sub
         delivered: List[bool] = [False] * n
         delays: List[float] = [0.0] * n
-        reasons: List[str] = ["collision"] * n
         j = 0
         for i in range(n):
             if collided[i]:
                 continue
             delivered[i] = sub.delivered[j]
             delays[i] = sub.delays[j]
-            reasons[i] = (sub.reasons[j] if sub.reasons is not None
-                          else ("ok" if sub.delivered[j] else "loss"))
             j += 1
-        return BatchDecisions(delivered=delivered, delays=delays, reasons=reasons,
+        return BatchDecisions(delivered=delivered, delays=delays,
                               n_accepted=sub.accepted())
 
     def decide_batch_fast(self, sender, receivers, time):

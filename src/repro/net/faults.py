@@ -15,7 +15,7 @@ from typing import Any, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.trace import TraceRecorder
+from repro.obs import current as _obs_current
 
 __all__ = ["FaultInjector"]
 
@@ -25,17 +25,16 @@ class FaultInjector:
 
     The injector works against the public state-mutation API of
     :class:`repro.core.node.GRPNode` (``corrupt_state``) so it stays decoupled
-    from the node internals.  ``trace`` is opt-in: pass a
-    :class:`~repro.sim.trace.TraceRecorder` to record one ``fault.<kind>``
-    entry per injection; with ``None`` (the default) only :attr:`injected`
-    counts them.
+    from the node internals.  :attr:`injected` counts the injections; when
+    observability is enabled at construction (:func:`repro.obs.current`),
+    each one is also recorded as a ``fault.<kind>`` event, node ids as
+    strings.
     """
 
-    def __init__(self, network, rng: Optional[np.random.Generator] = None,
-                 trace: Optional[TraceRecorder] = None):
+    def __init__(self, network, rng: Optional[np.random.Generator] = None):
         self.network = network
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.trace = trace
+        self._obs = _obs_current()
         self.injected = 0
         self._partitioned: List[Hashable] = []
 
@@ -43,8 +42,8 @@ class FaultInjector:
 
     def _record(self, kind: str, **data: Any) -> None:
         self.injected += 1
-        if self.trace is not None:
-            self.trace.record(self.network.sim.now, f"fault.{kind}", **data)
+        if self._obs is not None:
+            self._obs.record_event(f"fault.{kind}", self.network.sim.now, **data)
 
     def inject_ghost_identity(self, node_id: Hashable, ghost_id: Hashable,
                               position: int = 1) -> None:
@@ -55,32 +54,33 @@ class FaultInjector:
         """
         node = self.network.process(node_id)
         node.corrupt_state(ghost_nodes={ghost_id: position})
-        self._record("ghost", node=node_id, ghost=ghost_id, position=position)
+        self._record("ghost", node=str(node_id), ghost=str(ghost_id), position=position)
 
     def corrupt_view(self, node_id: Hashable, fake_members: Iterable[Hashable]) -> None:
         """Force arbitrary members into a node's view (agreement violation)."""
+        members = list(fake_members)
         node = self.network.process(node_id)
-        node.corrupt_state(view=set(fake_members))
-        self._record("view", node=node_id, members=sorted(map(repr, fake_members)))
+        node.corrupt_state(view=set(members))
+        self._record("view", node=str(node_id), members=sorted(map(str, members)))
 
     def corrupt_priority(self, node_id: Hashable, value: int) -> None:
         """Overwrite a node's own priority counter."""
         node = self.network.process(node_id)
         node.corrupt_state(priority=value)
-        self._record("priority", node=node_id, value=value)
+        self._record("priority", node=str(node_id), value=value)
 
     def scramble_quarantines(self, node_id: Hashable, max_value: Optional[int] = None) -> None:
         """Randomize every quarantine counter of a node."""
         node = self.network.process(node_id)
         limit = max_value if max_value is not None else node.config.dmax
         node.corrupt_state(quarantine_noise=(self.rng, limit))
-        self._record("quarantine", node=node_id)
+        self._record("quarantine", node=str(node_id))
 
     def oversized_list(self, node_id: Hashable, extra_ids: Sequence[Hashable]) -> None:
         """Make a node's list longer than Dmax + 1 (initial condition of Prop. 1)."""
         node = self.network.process(node_id)
         node.corrupt_state(append_levels=list(extra_ids))
-        self._record("oversize", node=node_id, extra=len(extra_ids))
+        self._record("oversize", node=str(node_id), extra=len(extra_ids))
 
     # ------------------------------------------------------- partition/heal
 
@@ -102,7 +102,7 @@ class FaultInjector:
             if node_id not in self._partitioned:
                 self._partitioned.append(node_id)
         if affected:
-            self._record("partition", nodes=list(affected))
+            self._record("partition", nodes=[str(n) for n in affected])
         return affected
 
     def heal(self, node_ids: Optional[Iterable[Hashable]] = None) -> List[Hashable]:
@@ -123,7 +123,7 @@ class FaultInjector:
             self.network.activate_node(node_id)
             healed.append(node_id)
         if healed:
-            self._record("heal", nodes=list(healed))
+            self._record("heal", nodes=[str(n) for n in healed])
         return healed
 
     # -------------------------------------------------------------- batches

@@ -46,9 +46,8 @@ On the CSR path, broadcasts from radios whose vicinity test is deterministic
 receiver list is served from the sender's CSR row (zero distance tests), the
 channel decides the whole batch in one
 :meth:`~repro.net.channel.ChannelModel.decide_batch` call (vectorized RNG
-draws consuming the identical stream as the scalar loop), and when no drop
-record is needed (no trace, or nothing dropped) drops are counted in bulk
-and positive-delay receivers are bulk-inserted through
+draws consuming the identical stream as the scalar loop), drops are counted
+in bulk and positive-delay receivers are bulk-inserted through
 :meth:`~repro.sim.engine.Simulator.schedule_many`.  The two scan paths run
 the per-receiver loop; seeded runs replay bit-identically on all three paths
 — the invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
@@ -81,7 +80,6 @@ import numpy as np
 from repro.obs import current as _obs_current
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-from repro.sim.trace import TraceRecorder
 
 from .arraystate import ArrayLinkState, NodeArrayStore
 from .channel import ChannelModel, PerfectChannel
@@ -107,9 +105,6 @@ class Network:
     mobility:
         Optional mobility model (see :mod:`repro.mobility`); if given,
         :meth:`start_mobility` schedules periodic position updates.
-    trace:
-        Optional trace recorder; the network records ``send``, ``receive`` and
-        ``drop`` events into it.
 
     The neighbour engine (CSR link state, grid scan or brute-force scan) is
     chosen by the radio alone; see the module docstring.
@@ -117,13 +112,11 @@ class Network:
 
     def __init__(self, sim: Simulator, radio: RadioModel,
                  channel: Optional[ChannelModel] = None,
-                 mobility: Optional[Any] = None,
-                 trace: Optional[TraceRecorder] = None):
+                 mobility: Optional[Any] = None):
         self.sim = sim
         self.radio = radio
         self.channel = channel if channel is not None else PerfectChannel()
         self.mobility = mobility
-        self.trace = trace
         self._store: Optional[NodeArrayStore] = None
         self._array_ls: Optional[ArrayLinkState] = None
         self._processes: Dict[Hashable, Process] = {}
@@ -579,8 +572,8 @@ class Network:
         fast path: the receiver list comes straight from the CSR (no distance
         tests), the channel decides the whole batch at once, and purely
         delayed batches are bulk-scheduled.  Every divergence-relevant step
-        (receiver order, RNG consumption, trace records, event sequence
-        numbers) is identical to the per-receiver scan below.
+        (receiver order, RNG consumption, event sequence numbers) is
+        identical to the per-receiver scan below.
         """
         sender_proc = self._processes[sender]
         if not sender_proc._active:
@@ -588,8 +581,6 @@ class Network:
         self.messages_sent += 1
         if self._obs_broadcasts is not None:
             self._obs_broadcasts.inc()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "send", sender=sender)
         linkstate = self._link_state() if self._det_vicinity else None
         if linkstate is not None:
             return self._broadcast_batched(linkstate, sender, payload)
@@ -612,9 +603,6 @@ class Network:
                 self.messages_dropped += 1
                 if self._obs_dropped is not None:
                     self._obs_dropped.inc()
-                if self.trace is not None:
-                    self.trace.record(self.sim.now, "drop", sender=sender, receiver=receiver,
-                                      reason=decision.reason)
                 continue
             accepted += 1
             if decision.delay <= 0:
@@ -674,22 +662,20 @@ class Network:
             return 0
         now = self.sim.now
         channel = self.channel
-        trace = self.trace
         obs = self._obs
-        direct = (remote is None and trace is None and self._stock_deliver
-                  and not getattr(payload, "is_app_payload", False))
-        if direct:
+        if (remote is None and self._stock_deliver
+                and not getattr(payload, "is_app_payload", False)):
             # Hottest path of dense-field runs (a quarter-million deliveries
-            # per simulated second at 1000 nodes): with no trace, no app
-            # payload, no remote receiver and only stock ``deliver``
-            # implementations, probe the channel's zero-delay fast hook — it
-            # answers only when every delay is 0.0, with RNG consumption and
-            # counters identical to ``decide_batch``, so no
-            # :class:`BatchDecisions` (nor its delivered/delay lists) is ever
-            # materialized.  Semantics match ``_deliver`` exactly: a receiver
-            # deactivated by an earlier delivery of this very batch is still
-            # skipped, and stock ``deliver`` routes a non-app payload to
-            # ``on_message`` regardless of any attached app handler.
+            # per simulated second at 1000 nodes): with no app payload, no
+            # remote receiver and only stock ``deliver`` implementations,
+            # probe the channel's zero-delay fast hook — it answers only
+            # when every delay is 0.0, with RNG consumption and counters
+            # identical to ``decide_batch``, so no :class:`BatchDecisions`
+            # (nor its delivered/delay lists) is ever materialized.
+            # Semantics match ``_deliver`` exactly: a receiver deactivated by
+            # an earlier delivery of this very batch is still skipped, and
+            # stock ``deliver`` routes a non-app payload to ``on_message``
+            # regardless of any attached app handler.
             if obs is None:
                 res = channel.decide_batch_fast(sender, receivers, now)
             else:
@@ -727,70 +713,46 @@ class Network:
         if accepted is None:
             accepted = batch.accepted()
         n_receivers = len(receivers)
-        if batch.zero_delay:
-            # Zero-delay batches from channels without the fast hook (e.g. a
-            # collision-free CollisionChannel round) still get the direct
-            # dispatch under the same conditions.
-            if direct:
-                if accepted == n_receivers:
-                    live = procs
-                elif batch.delivered_array is not None:
-                    live = procs_arr[batch.delivered_array].tolist()
-                else:
-                    live = [procs[i] for i, ok in enumerate(delivered) if ok]
-                ndelivered = accepted
-                for proc in live:
-                    if proc._active:
-                        proc.on_message(sender, payload)
-                    else:
-                        ndelivered -= 1
-                self.messages_dropped += n_receivers - accepted
-                self.messages_delivered += ndelivered
-                if obs is not None:
-                    self._obs_delivered.inc(ndelivered)
-                    self._obs_dropped.inc(n_receivers - accepted)
-                return accepted
-        elif trace is None or accepted == n_receivers:
-            # The bulk rule: no drop record is needed, so drops are counted
-            # in bulk, remote receivers go to the outbox in receiver order,
-            # and when every local delay is positive the locals take one
-            # heap insertion.  Drops and outbox appends consume no event
-            # seqs, and no callback runs between the decisions and the
-            # inserts, so the events get the same contiguous sequence
-            # numbers the per-index loop's individual pushes would.
-            if accepted == n_receivers and remote is None:
-                local, local_delays, out = None, delays, ()
+        # The bulk rule: drops are counted in bulk, remote receivers go to
+        # the outbox in receiver order, and when every local delay is
+        # positive the locals take one heap insertion.  Drops and outbox
+        # appends consume no event seqs, and no callback runs between the
+        # decisions and the inserts, so the events get the same contiguous
+        # sequence numbers the per-index loop's individual pushes would.
+        if accepted == n_receivers and remote is None:
+            local, local_delays, out = None, delays, ()
+        else:
+            if accepted == n_receivers:
+                kept = np.arange(n_receivers)
+            elif batch.delivered_array is not None:
+                kept = np.flatnonzero(batch.delivered_array)
             else:
-                if accepted == n_receivers:
-                    kept = np.arange(n_receivers)
-                elif batch.delivered_array is not None:
-                    kept = np.flatnonzero(batch.delivered_array)
-                else:
-                    kept = np.flatnonzero(delivered)
-                if remote is None:
-                    out = ()
-                else:
-                    out = kept[remote[kept]].tolist()
-                    kept = kept[~remote[kept]]
-                local = kept.tolist()
-                local_delays = [delays[i] for i in local]
-            if not local_delays or min(local_delays) > 0:
-                if accepted < n_receivers:
-                    self.messages_dropped += n_receivers - accepted
-                    if obs is not None:
-                        self._obs_dropped.inc(n_receivers - accepted)
-                if out:
-                    outbox = self._partition[2]
-                    for i in out:
-                        outbox.append((now + delays[i], sender, receivers[i], payload))
-                if local_delays:
-                    local_receivers = (receivers if local is None
-                                       else [receivers[i] for i in local])
-                    self.sim.schedule_many(
-                        local_delays, self._deliver,
-                        [(sender, receiver, payload) for receiver in local_receivers])
-                return accepted
-        reasons = batch.reasons
+                kept = np.flatnonzero(delivered)
+            if remote is None:
+                out = ()
+            else:
+                out = kept[remote[kept]].tolist()
+                kept = kept[~remote[kept]]
+            local = kept.tolist()
+            local_delays = [delays[i] for i in local]
+        if not local_delays or min(local_delays) > 0:
+            if accepted < n_receivers:
+                self.messages_dropped += n_receivers - accepted
+                if obs is not None:
+                    self._obs_dropped.inc(n_receivers - accepted)
+            if out:
+                outbox = self._partition[2]
+                for i in out:
+                    outbox.append((now + delays[i], sender, receivers[i], payload))
+            if local_delays:
+                local_receivers = (receivers if local is None
+                                   else [receivers[i] for i in local])
+                self.sim.schedule_many(
+                    local_delays, self._deliver,
+                    [(sender, receiver, payload) for receiver in local_receivers])
+            return accepted
+        # A local receiver is due now: deliver in receiver order, so each
+        # zero-delay delivery runs between the pushes before and after it.
         schedule = self.sim.schedule
         deliver = self._deliver
         processes = self._processes
@@ -802,9 +764,6 @@ class Network:
                 self.messages_dropped += 1
                 if obs is not None:
                     self._obs_dropped.inc()
-                if trace is not None:
-                    trace.record(now, "drop", sender=sender, receiver=receiver,
-                                 reason=reasons[i] if reasons is not None else "loss")
                 continue
             delay = delays[i]
             if remote is not None and remote[i]:
@@ -819,8 +778,6 @@ class Network:
                 self.messages_delivered += 1
                 if obs is not None:
                     self._obs_delivered.inc()
-                if trace is not None:
-                    trace.record(now, "receive", sender=sender, receiver=receiver)
                 proc.deliver(sender, payload)
             else:
                 schedule(delay, deliver, sender, receiver, payload)
@@ -833,8 +790,6 @@ class Network:
         self.messages_delivered += 1
         if self._obs_delivered is not None:
             self._obs_delivered.inc()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "receive", sender=sender, receiver=receiver)
         proc.deliver(sender, payload)
 
     # -------------------------------------------------------------- snapshots

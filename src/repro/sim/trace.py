@@ -1,9 +1,12 @@
-"""Structured trace recording.
+"""A standalone structured-record helper.
 
-Every component of the stack (channel, nodes, fault injector, metric
-collectors) can emit trace records.  A record is ``(time, category, data)``.
-Traces are used by tests (to assert causal behaviour), by the metrics package
-(to compute message overhead) and by the examples (to print timelines).
+A record is ``(time, category, data)``.  Nothing under ``src/`` writes to a
+:class:`TraceRecorder`: the network's delivery path records nothing, and
+protocol events — group lifecycle, predicate violations and injected
+faults (``fault.<kind>``) — go to the observability event stream
+(:mod:`repro.obs.events`).  The end-to-end benchmark still counts
+:meth:`TraceRecorder.record` calls as ``net.trace_records``, which must
+read 0 on every workload.
 """
 
 from __future__ import annotations

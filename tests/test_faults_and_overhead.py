@@ -7,6 +7,7 @@ from repro.core.node import GRPConfig
 from repro.core.protocol import build_grp_network
 from repro.metrics.overhead import overhead_summary
 from repro.net.faults import FaultInjector
+from repro.obs import observing
 
 
 def small_deployment(seed=0):
@@ -89,40 +90,99 @@ class TestPartitionHeal:
 
     def test_campaign_driven_churn_cycles_are_deterministic(self):
         """Partition→heal churn driven by campaign task seeds: every flip is
-        traced and bumps the topology generation exactly once, identically
-        across two executions of the same seeded sequence."""
+        recorded as a ``fault.partition`` / ``fault.heal`` obs event and bumps
+        the topology generation exactly once, identically across two
+        executions of the same seeded sequence."""
         from repro.campaign import CampaignSpec
-        from repro.sim.trace import TraceRecorder
 
         spec = CampaignSpec(name="churn", experiments=("E6",), replicates=2, root_seed=3)
 
         def run_churn(task):
-            deployment = small_deployment(seed=task.replicate)
-            deployment.run(5.0)
-            network = deployment.network
-            trace = TraceRecorder()
-            rng = np.random.default_rng(task.seed)
-            injector = FaultInjector(network, rng=rng, trace=trace)
-            flips = 0
-            for _ in range(3):
-                victims = injector.random_memory_corruption(fraction=0.5)
-                gen = network.topology_generation
-                affected = injector.partition(victims)
-                assert network.topology_generation == gen + len(affected)
+            with observing() as ctx:
+                deployment = small_deployment(seed=task.replicate)
                 deployment.run(5.0)
-                gen = network.topology_generation
-                healed = injector.heal()
-                assert sorted(map(str, healed)) == sorted(map(str, affected))
-                assert network.topology_generation == gen + len(healed)
-                deployment.run(5.0)
-                flips += 2 * len(affected)
-            partitions = trace.filter("fault.partition")
-            heals = trace.filter("fault.heal")
-            assert sum(len(rec["nodes"]) for rec in partitions + heals) == flips
-            return [rec.data for rec in partitions + heals], network.topology_generation
+                network = deployment.network
+                rng = np.random.default_rng(task.seed)
+                injector = FaultInjector(network, rng=rng)
+                flips = 0
+                for _ in range(3):
+                    victims = injector.random_memory_corruption(fraction=0.5)
+                    gen = network.topology_generation
+                    affected = injector.partition(victims)
+                    assert network.topology_generation == gen + len(affected)
+                    deployment.run(5.0)
+                    gen = network.topology_generation
+                    healed = injector.heal()
+                    assert sorted(map(str, healed)) == sorted(map(str, affected))
+                    assert network.topology_generation == gen + len(healed)
+                    deployment.run(5.0)
+                    flips += 2 * len(affected)
+            partitions = ctx.events.events_of("fault.partition")
+            heals = ctx.events.events_of("fault.heal")
+            assert sum(len(e.payload["nodes"]) for e in partitions + heals) == flips
+            return ([(e.kind, e.sim_time, e.payload) for e in partitions + heals],
+                    network.topology_generation)
 
         for task in spec.expand():
             assert run_churn(task) == run_churn(task)
+
+
+def fault_run(seed=4):
+    """A seeded run through every fault kind: ``(deployment, injector)``."""
+    deployment = small_deployment(seed=seed)
+    deployment.run(5.0)
+    injector = FaultInjector(deployment.network, rng=deployment.sim.spawn_rng())
+    injector.random_memory_corruption(fraction=0.7, ghost_pool=["g0", "g1"])
+    injector.corrupt_view(1, fake_members=["nobody"])
+    injector.corrupt_priority(2, value=99)
+    injector.oversized_list(0, extra_ids=["x1", "x2", "x3", "x4"])
+    deployment.run(5.0)
+    injector.partition([0])
+    deployment.run(3.0)
+    injector.heal()
+    deployment.run(5.0)
+    return deployment, injector
+
+
+def fault_fingerprint(deployment):
+    network = deployment.network
+    return {
+        "views": deployment.views(),
+        "sent": network.messages_sent,
+        "delivered": network.messages_delivered,
+        "dropped": network.messages_dropped,
+        "events": deployment.sim.processed_events,
+        "generation": network.topology_generation,
+        "sim_rng": deployment.sim.rng.bit_generator.state,
+        "quarantines": [node.quarantine.counters() for node in deployment.nodes.values()],
+    }
+
+
+class TestFaultEvents:
+    def test_fault_events_only_observe(self):
+        plain, plain_injector = fault_run()
+        with observing() as ctx:
+            observed, injector = fault_run()
+        assert fault_fingerprint(observed) == fault_fingerprint(plain)
+        assert (injector.rng.bit_generator.state
+                == plain_injector.rng.bit_generator.state)
+        assert injector.injected == plain_injector.injected
+        counts = {kind: n for kind, n in ctx.events.kind_counts.items()
+                  if kind.startswith("fault.")}
+        assert set(counts) == {"fault.ghost", "fault.quarantine", "fault.view",
+                               "fault.priority", "fault.oversize", "fault.partition",
+                               "fault.heal"}
+        assert sum(counts.values()) == injector.injected
+
+    def test_view_event_lists_members_passed_as_a_generator(self):
+        deployment = small_deployment()
+        deployment.run(5.0)
+        with observing() as ctx:
+            injector = FaultInjector(deployment.network)
+            injector.corrupt_view(0, fake_members=(x for x in [8, 7]))
+        assert {7, 8} <= deployment.node(0).view
+        (event,) = ctx.events.events_of("fault.view")
+        assert event.payload == {"node": "0", "members": ["7", "8"]}
 
 
 class TestHashSeedIndependence:

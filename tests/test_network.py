@@ -7,7 +7,6 @@ from repro.net.network import Network
 from repro.net.radio import UnitDiskRadio
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-from repro.sim.trace import TraceRecorder
 
 
 class Echo(Process):
@@ -21,9 +20,9 @@ class Echo(Process):
         self.inbox.append((sender, payload))
 
 
-def build_network(positions, radio_range=10.0, channel=None, trace=None, seed=0):
+def build_network(positions, radio_range=10.0, channel=None, seed=0):
     sim = Simulator(seed=seed)
-    network = Network(sim, radio=UnitDiskRadio(radio_range), channel=channel, trace=trace)
+    network = Network(sim, radio=UnitDiskRadio(radio_range), channel=channel)
     for node_id, position in positions.items():
         network.add_node(Echo(node_id), position)
     return sim, network
@@ -47,14 +46,6 @@ class TestBroadcast:
         network.activate_node("a")
         network.activate_node("b")
         assert network.broadcast("a", "x") == 1
-
-    def test_trace_records_send_and_receive(self):
-        trace = TraceRecorder()
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)}, trace=trace)
-        network.broadcast("a", "x")
-        sim.run()
-        assert trace.count("send") == 1
-        assert trace.count("receive") == 1
 
     def test_lossy_channel_drops_are_counted(self):
         channel = LossyChannel(loss_probability=1.0)
