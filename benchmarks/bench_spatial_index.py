@@ -1,8 +1,8 @@
-"""Broadcast-path benchmark: spatial index vs brute-force neighbour scans.
+"""Broadcast-path benchmark: CSR link state vs brute-force neighbour scans.
 
 Measures the raw network substrate (no protocol on top): every node broadcasts
 a dummy payload into a no-op process, so the timing isolates the neighbour
-query + channel decision path that the spatial index accelerates.  A second
+query + channel decision path that the CSR link state accelerates.  A second
 table times full topology-snapshot rebuilds (cache deliberately invalidated
 before each rebuild) and snapshot reads served from the generation-stamped
 cache.
@@ -10,10 +10,10 @@ cache.
 Run with ``PYTHONPATH=src python benchmarks/bench_spatial_index.py``;
 ``--quick`` shrinks the scenario for CI smoke runs.  The dense-field row is
 the acceptance scenario: the indexed broadcast path must be >= 5x faster than
-brute force at 1000 nodes.  The indexed side is the production path (a unit
-disk is served from the CSR link state); the brute side runs the same radio
-as :class:`UnboundedUnitDiskRadio`, which reports no ``max_range()`` and so
-selects the brute-force scan.
+brute force at 1000 nodes.  The "indexed" side is the production path (a
+unit disk is served from the CSR link state); the brute side runs the same
+radio as :class:`UnboundedUnitDiskRadio`, which reports no ``max_range()``
+and so selects the brute-force scan.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def main() -> int:
 
     rows = [run_scenario(name, n, area, r, rnds, snaps)
             for name, n, area, r, rnds, snaps in scenarios]
-    print_table(rows, title="spatial index vs brute force (broadcast path + snapshots)")
+    print_table(rows, title="CSR link state (indexed) vs brute force "
+                            "(broadcast path + snapshots)")
     headline = rows[0]["speedup"]
     target = 2.0 if args.quick else 5.0
     print(f"\nheadline broadcast speedup: {headline}x (target >= {target}x)")
@@ -149,7 +150,7 @@ def main() -> int:
                    rows=emit_rows, meta={"rows": rows})
 
     if headline < target:
-        print("WARNING: spatial index below target speedup")
+        print("WARNING: CSR broadcast path below target speedup")
         return 1
     return 0
 

@@ -10,9 +10,9 @@ Two pipelines run the identical seeded workload:
 
 * ``vectorized`` — the CSR receiver batches + batched channel decisions
   (the production path of a unit-disk radio);
-* ``scan`` — the per-receiver grid-candidate scan, reached through
-  :class:`ScanUnitDiskRadio` (a unit disk that reports no uniform link
-  radius).
+* ``scan`` — the per-receiver brute-force scan (every other node is a
+  candidate), reached through :class:`ScanUnitDiskRadio` (a unit disk that
+  reports no uniform link radius).
 
 The ledgers of both runs must agree bit-exactly (sends, receptions, per-group
 rows) — the benchmark asserts it, making every CI run a determinism check.
@@ -49,7 +49,7 @@ RADIO_RANGE = 100.0
 
 
 class ScanUnitDiskRadio(UnitDiskRadio):
-    """A unit disk that hides its uniform link radius: the grid-scan baseline."""
+    """A unit disk that hides its uniform link radius: the brute-force scan baseline."""
 
     def uniform_link_radius(self):
         return None
@@ -165,7 +165,8 @@ def main() -> int:
 
     rows = traffic_rows(n, area, duration, repeats)
     print_table(rows, title="application-message throughput: traffic subsystem "
-                            "over the vectorized delivery pipeline")
+                            "over the vectorized delivery pipeline vs the "
+                            "brute-force scan")
 
     headline = max(row["vectorized msg/s"] for row in rows)
     print(f"\nheadline application throughput: {headline} msg/s "

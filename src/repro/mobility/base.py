@@ -10,7 +10,7 @@ node — so nodes may join or leave at any time.
 
 Delta notification contract
 ---------------------------
-The network maintains its spatial index, array store and link-state caches by
+The network maintains its array store and link-state caches by
 *diffing* each step's result against the current positions: a node whose
 returned position equals its current one costs nothing downstream.  With the
 array backend the whole step lands as one bulk comparison-and-masked-write
@@ -45,7 +45,7 @@ def moved_nodes(before: Mapping[Hashable, Point],
     absent from ``before`` (new arrivals carried by the model) count as
     moved.  This is the exact comparison
     :meth:`repro.net.network.Network.start_mobility` applies when mirroring a
-    mobility step into its spatial index and link-state cache.
+    mobility step into its array store and link-state cache.
     """
     moved: Dict[Hashable, Point] = {}
     for node, pos in after.items():

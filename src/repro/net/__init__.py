@@ -7,7 +7,6 @@ from .geometry import (bounding_box, clamp_to_area, distance, distances_from, gr
                        line_positions, pairwise_distances, random_positions)
 from .network import Network
 from .radio import AsymmetricRangeRadio, ProbabilisticDiskRadio, RadioModel, UnitDiskRadio
-from .spatialindex import UniformGridIndex
 from .topology import LinkSnapshot
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "line_positions", "pairwise_distances", "random_positions",
     "Network",
     "AsymmetricRangeRadio", "ProbabilisticDiskRadio", "RadioModel", "UnitDiskRadio",
-    "UniformGridIndex",
     "LinkSnapshot",
 ]

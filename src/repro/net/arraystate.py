@@ -38,11 +38,11 @@ backend to bit-identical runs.
 
 Determinism
 -----------
-CSR adjacency rows are sorted by node *insertion order* (the same
-``Network._order`` counter every scan path sorts by), so receiver lists and
-snapshot edge insertion orders are identical to the grid and brute-force
-scans — stochastic channels consume their RNG streams identically whichever
-path produced the candidate list.
+CSR adjacency rows are sorted by node *insertion order* (the
+``Network._order`` counter, the order the brute-force scan visits nodes in),
+so receiver lists and snapshot edge insertion orders are identical to the
+brute-force scan — stochastic channels consume their RNG streams identically
+whichever path produced the candidate list.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class ArrayLinkState:
     Valid only for radios exposing a single inclusive link radius
     (:meth:`repro.net.radio.RadioModel.uniform_link_radius`), for which the
     link relation is symmetric and a pure distance threshold — the regime of
-    every stock scenario.  Non-uniform radios take the network's grid-candidate
+    every stock scenario.  Non-uniform radios take the network's brute-force
     scan.
 
     The CSR arrays are refreshed lazily (first query after any position /

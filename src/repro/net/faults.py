@@ -78,9 +78,10 @@ class FaultInjector:
 
     def oversized_list(self, node_id: Hashable, extra_ids: Sequence[Hashable]) -> None:
         """Make a node's list longer than Dmax + 1 (initial condition of Prop. 1)."""
+        extra = list(extra_ids)
         node = self.network.process(node_id)
-        node.corrupt_state(append_levels=list(extra_ids))
-        self._record("oversize", node=str(node_id), extra=len(extra_ids))
+        node.corrupt_state(append_levels=extra)
+        self._record("oversize", node=str(node_id), extra=len(extra))
 
     # ------------------------------------------------------- partition/heal
 

@@ -11,7 +11,7 @@ to drop it.  Delivery happens after the channel delay, through the process
 
 Neighbour engine
 ----------------
-The network computes the vicinity relation one of three ways, chosen only by
+The network computes the vicinity relation one of two ways, chosen only by
 what the radio reports:
 
 * **CSR link state** — the radio has a uniform link radius
@@ -21,14 +21,12 @@ what the radio reports:
   :class:`~repro.net.arraystate.NodeArrayStore`, patched in place for small
   position deltas and rebuilt for large ones.  Every registered scenario
   takes this path.
-* **Grid-candidate scan** — the radio has a bounded ``max_range()`` but no
-  uniform radius (per-node ranges).  Broadcasts of a stochastic-vicinity
-  radio take it too (its snapshots still come from the CSR when it has a
-  uniform link radius).  Candidates come from a
-  :class:`~repro.net.spatialindex.UniformGridIndex` and the radio tests
-  each one.
-* **Brute-force scan** — ``max_range()`` is ``None``: every other node is a
-  candidate.  Tests use it as the reference for the two paths above.
+* **Brute-force scan** — everything else: no uniform radius (per-node
+  ranges) or an unbounded ``max_range()``.  Broadcasts of a
+  stochastic-vicinity radio take it too (its snapshots still come from the
+  CSR when it has a uniform link radius).  Every other node is a candidate,
+  in insertion order, and the radio tests each one.  Tests use it as the
+  reference for the CSR path.
 
 Topology snapshots are cached behind a *generation stamp*: every position
 change (``set_position``, mobility steps), membership change (``add_node`` /
@@ -48,9 +46,9 @@ channel decides the whole batch in one
 :meth:`~repro.net.channel.ChannelModel.decide_batch` call (vectorized RNG
 draws consuming the identical stream as the scalar loop), drops are counted
 in bulk and positive-delay receivers are bulk-inserted through
-:meth:`~repro.sim.engine.Simulator.schedule_many`.  The two scan paths run
-the per-receiver loop; seeded runs replay bit-identically on all three paths
-— the invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
+:meth:`~repro.sim.engine.Simulator.schedule_many`.  The scan runs the
+per-receiver loop; seeded runs replay bit-identically on both paths — the
+invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
 One contract makes this exact: processes must not *synchronously* broadcast
 or flip activation from inside ``on_message`` (every protocol in this
 repository does both through timers); the batched path decides the whole
@@ -85,7 +83,6 @@ from .arraystate import ArrayLinkState, NodeArrayStore
 from .channel import ChannelModel, PerfectChannel
 from .geometry import Point
 from .radio import RadioModel
-from .spatialindex import UniformGridIndex
 from .topology import LinkSnapshot
 
 __all__ = ["Network"]
@@ -106,8 +103,8 @@ class Network:
         Optional mobility model (see :mod:`repro.mobility`); if given,
         :meth:`start_mobility` schedules periodic position updates.
 
-    The neighbour engine (CSR link state, grid scan or brute-force scan) is
-    chosen by the radio alone; see the module docstring.
+    The neighbour engine (CSR link state or brute-force scan) is chosen by
+    the radio alone; see the module docstring.
     """
 
     def __init__(self, sim: Simulator, radio: RadioModel,
@@ -135,7 +132,6 @@ class Network:
         self._stock_deliver = True
         self._mobility_handle = None
         self._position_listeners: List[Callable[[float, Dict[Hashable, Point]], None]] = []
-        self._index: Optional[UniformGridIndex] = None
         #: sender -> (generation, link state, active sorted receivers, their
         #: processes as list and object ndarray, the "owned elsewhere" mask);
         #: hello-beacon traffic re-broadcasts between topology changes, so the
@@ -247,11 +243,10 @@ class Network:
         invalidates the topology snapshots at most once.  Unknown node ids
         are rejected before any position changes, so a failed call leaves the
         network untouched.  Nodes whose position is unchanged cost nothing —
-        neither the grid index nor the link-state cache is touched for them —
-        and a batch that moves nobody leaves every cache warm (no
-        generation bump).
+        the link-state cache is not touched for them — and a batch that moves
+        nobody leaves every cache warm (no generation bump).
         """
-        if (self._store is not None and self._index is None and len(positions) > 1):
+        if self._store is not None and len(positions) > 1:
             # Bulk path: membership validated with one C-level subset check,
             # coordinates coerced by one array conversion — no per-node
             # python validation.  Exotic inputs the conversion cannot digest
@@ -279,12 +274,11 @@ class Network:
 
     def _bulk_position_update(self, ids: List[Hashable],
                               coords: np.ndarray) -> None:
-        """Masked-array tail of the batch teleports (store-only mirrors).
+        """Masked-array tail of the batch teleports (store present).
 
-        Only valid when the grid index does not exist (it needs per-node
-        deltas): changed rows are detected and written in whole-array
-        operations, the position dict is patched for the movers only, and
-        the generation bumps once iff anything moved.
+        Changed rows are detected and written in whole-array operations, the
+        position dict is patched for the movers only, and the generation
+        bumps once iff anything moved.
         """
         store = self._store
         rows = np.fromiter(map(store.row_of.__getitem__, ids),
@@ -304,15 +298,14 @@ class Network:
     def _apply_position_updates(self, updates: Dict[Hashable, Point]) -> None:
         """Apply pre-validated position updates with one generation bump.
 
-        On the CSR path (store present, no grid index to patch per node)
-        changed rows are written in a single masked array assignment;
-        otherwise each changed node goes through :meth:`_apply_move` so the
-        grid index sees its per-node deltas.  Either way, unchanged nodes
-        cost nothing and a batch that moves nobody leaves every cache warm.
+        Once the node store exists, a batch of several updates is written
+        in a single masked array assignment; otherwise each changed node
+        goes through :meth:`_apply_move`.  Either way, unchanged nodes cost nothing and a
+        batch that moves nobody leaves every cache warm.
         """
         if not updates:
             return
-        if (self._store is not None and self._index is None and len(updates) > 1):
+        if self._store is not None and len(updates) > 1:
             self._bulk_position_update(
                 list(updates), np.fromiter(updates.values(),
                                            dtype=np.dtype((np.float64, 2)),
@@ -327,12 +320,10 @@ class Network:
             self._generation += 1
 
     def _apply_move(self, node_id: Hashable, pos: Point) -> None:
-        """Move one node, mirroring the grid index, store and CSR link state."""
+        """Move one node, mirroring the store and CSR link state."""
         self._positions[node_id] = pos
         if self._store is not None:
             self._store.update(node_id, pos)
-        if self._index is not None:
-            self._index.update(node_id, pos)
         if self._array_ls is not None:
             self._array_ls.mark_row_dirty(self._store.row_of[node_id])
 
@@ -387,8 +378,6 @@ class Network:
         if self._store is not None:
             self._store.insert(process.node_id, pos, order, process,
                                process._active)
-        if self._index is not None:
-            self._index.insert(process.node_id, pos)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._generation += 1
@@ -400,8 +389,6 @@ class Network:
         self._order.pop(node_id, None)
         if self._store is not None:
             self._store.remove(node_id)
-        if self._index is not None:
-            self._index.remove(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._receiver_cache.pop(node_id, None)
@@ -460,7 +447,7 @@ class Network:
             processes = self._processes
             # Mobility models may carry state for nodes the network never
             # knew or has removed; admitting them would break the
-            # positions ↔ processes ↔ index mirror invariant.  Change
+            # positions ↔ processes ↔ store mirror invariant.  Change
             # detection (paused/static nodes flip no link and must leave
             # every cache warm) happens inside the update application — as a
             # whole-array comparison on the bulk path, per node otherwise —
@@ -486,15 +473,6 @@ class Network:
 
     # -------------------------------------------------------- neighbour engine
 
-    def _spatial_index(self) -> Optional[UniformGridIndex]:
-        """The grid index, (re)built on demand; ``None`` on the brute-force path."""
-        max_range = self.radio.max_range()
-        if max_range is None or max_range <= 0:
-            return None
-        if self._index is None or self._index.cell_size != max_range:
-            self._index = UniformGridIndex(max_range, self._positions)
-        return self._index
-
     def _node_store(self) -> NodeArrayStore:
         """The array mirror of the node table, built on demand.
 
@@ -513,27 +491,11 @@ class Network:
             self._store = store
         return store
 
-    def _vicinity_candidates(self, sender: Hashable) -> Iterable[Hashable]:
-        """Nodes that could possibly hear ``sender``, in insertion order.
-
-        With the index this is the set within ``max_range`` of the sender (the
-        radio still applies the exact vicinity test); without it, every other
-        node.  Insertion order matters: stochastic radios and channels consume
-        their random stream per candidate, so the indexed and brute-force
-        paths must inspect candidates identically.
-        """
-        index = self._spatial_index()
-        if index is None:
-            return [nid for nid in self._processes if nid != sender]
-        candidates = index.neighbors_within(sender, self.radio.max_range())
-        candidates.sort(key=self._order.__getitem__)
-        return candidates
-
     def _link_state(self) -> Optional[ArrayLinkState]:
         """The CSR link state, (re)built on demand.
 
         ``None`` unless the radio has a uniform link radius and a bounded
-        ``max_range()``; callers then take the grid or brute-force scan.
+        ``max_range()``; callers then take the brute-force scan.
         A radio that reports ``max_range() is None`` opts out of every
         spatial structure even when it inherits a uniform radius (e.g. a
         custom always-hear radio).  A radius change — assigned through a
@@ -589,13 +551,16 @@ class Network:
                 "a partitioned network delivers on the CSR link state only, and "
                 "the radio no longer reports a uniform link radius and a "
                 "deterministic vicinity")
-        sender_pos = self._positions[sender]
+        # Every other node is a candidate, in insertion order: stochastic
+        # radios and channels consume their random stream per tested
+        # candidate, so the order is part of the replay contract.
+        positions = self._positions
+        sender_pos = positions[sender]
         accepted = 0
-        for receiver in self._vicinity_candidates(sender):
-            proc = self._processes[receiver]
-            if not proc._active:
+        for receiver, proc in list(self._processes.items()):
+            if receiver == sender or not proc._active:
                 continue
-            receiver_pos = self._positions[receiver]
+            receiver_pos = positions[receiver]
             if not self.radio.in_vicinity(sender, receiver, sender_pos, receiver_pos):
                 continue
             decision = self.channel.decide(sender, receiver, self.sim.now)
@@ -800,18 +765,14 @@ class Network:
         return (self._generation, self.radio.max_range())
 
     def _scan_pairs(self) -> Tuple[List[Hashable], Iterable[Tuple[Hashable, Hashable]]]:
-        """(active nodes, candidate pairs to link-test) for the two scan engines.
+        """(active nodes, every pair of them to link-test) for the scan engine.
 
         Nodes come in insertion order, not set order, so snapshot order
         never depends on PYTHONHASHSEED (determinism invariant).
         """
         active = self.active_nodes()
         nodes = [n for n in self._positions if n in active]
-        index = self._spatial_index()
-        if index is None:
-            return nodes, ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
-        return nodes, (pair for pair in index.pairs_within(self.radio.max_range())
-                       if pair[0] in active and pair[1] in active)
+        return nodes, ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
 
     def link_snapshot(self) -> LinkSnapshot:
         """Symmetric-link snapshot of the current topology over active nodes.
@@ -889,7 +850,7 @@ class Network:
         """Symmetric neighbours of ``node_id`` in the current snapshot.
 
         Served straight from the CSR link state when available — O(degree)
-        per query, no snapshot construction; the scan engines answer from the
+        per query, no snapshot construction; the scan engine answers from the
         cached link snapshot.
         """
         linkstate = self._link_state()

@@ -56,9 +56,10 @@ class RadioModel:
 
         When a finite bound exists, both :meth:`in_vicinity` and
         :meth:`link_exists` must be ``False`` for every pair farther apart than
-        the bound; the network then serves neighbour queries from a spatial
-        index instead of scanning all nodes.  Models without a usable bound
-        return ``None`` and fall back to the brute-force path.
+        the bound.  Together with :meth:`uniform_link_radius` it lets the
+        network serve links from its CSR link state; the bound also sizes
+        the shard tiles' columns.  Models without a usable bound return
+        ``None`` and always take the brute-force scan.
         """
         return None
 
@@ -90,11 +91,11 @@ class RadioModel:
 
         When every pair shares one inclusive link radius (unit disks, the
         override-free asymmetric radio, the probabilistic disk's reliable
-        core), the link-state cache can harvest a node's links straight from
-        one distance-annotated grid query — both directions at once, no
-        per-pair predicate calls.  Radios whose link predicate varies per
-        node (or is not a pure distance threshold) return ``None`` and keep
-        the generic ``link_exists`` path.
+        core), the CSR link state harvests every node's links in one
+        vectorized cell-binning pass — both directions at once, no per-pair
+        predicate calls.  Radios whose link predicate varies per node (or is
+        not a pure distance threshold) return ``None`` and take the
+        brute-force scan, which calls ``link_exists`` per pair.
         """
         return None
 

@@ -6,7 +6,7 @@ application-message handler on every process (the ``app_handler`` hook of
 :class:`repro.sim.process.Process`), hands the generator seeded per-node
 random streams, injects :class:`~repro.traffic.ledger.AppMessage` payloads
 through ``network.broadcast`` — so application traffic rides the exact same
-delivery pipeline (spatial index, link-state receiver lists, batched channel
+delivery pipeline (link-state receiver lists, batched channel
 decisions, bulk scheduling) as the protocol's own messages — and records
 every send and reception in a :class:`~repro.traffic.ledger.DeliveryLedger`.
 

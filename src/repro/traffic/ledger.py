@@ -18,8 +18,8 @@ delivery, and the ledger folds those observations into per-group accounting:
 
 Determinism contract: the ledger draws no randomness and iterates no
 unordered containers while producing rows, so two runs that deliver the same
-messages in the same order produce bit-identical rows — whatever delivery
-backend (spatial index × vectorized pipeline) or campaign executor produced
+messages in the same order produce bit-identical rows — whatever neighbour
+engine (CSR link state or brute-force scan) or campaign executor produced
 them.  Group rows are keyed by the group's minimum member (``min`` under
 ``str`` order, the same PYTHONHASHSEED-independent convention the campaign
 layer uses) and emitted sorted by that key.

@@ -184,6 +184,17 @@ class TestFaultEvents:
         (event,) = ctx.events.events_of("fault.view")
         assert event.payload == {"node": "0", "members": ["7", "8"]}
 
+    def test_oversize_event_counts_ids_passed_as_a_generator(self):
+        deployment = small_deployment()
+        with observing() as ctx:
+            injector = FaultInjector(deployment.network)
+            injector.oversized_list(0, extra_ids=(x for x in ["g1", "g2"]))
+        levels = [set(level) for level in deployment.node(0).alist.levels]
+        assert levels == [{0}, {"g1"}, {"g2"}]
+        assert injector.injected == 1
+        (event,) = ctx.events.events_of("fault.oversize")
+        assert event.payload == {"node": "0", "extra": 2}
+
 
 class TestHashSeedIndependence:
     def test_corruption_recovery_reproduces_across_interpreters(self):

@@ -8,7 +8,7 @@ the sampler path, so three things are pinned here:
   agreement, members absent from the graph, disconnected groups and exact
   ``safety_violations`` diameters included — and the observed sampler's
   event stream equals a run on the reference predicates;
-* every neighbour engine (CSR link state, grid scan, brute force) builds a
+* both neighbour engines (CSR link state, brute-force scan) build a
   snapshot whose ``to_graph()`` export has the brute-force reference's node
   list and edge insertion sequence, and a snapshot taken before a CSR patch
   or rebuild does not change afterwards;
@@ -39,7 +39,7 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
 import reference_topology as ref
-from reference_backends import BRUTE_FORCE, GRID_SCAN, PRODUCTION, use_backend
+from reference_backends import BRUTE_FORCE, PRODUCTION, use_backend
 
 INF = float("inf")
 
@@ -196,7 +196,7 @@ class Idle(Process):
         pass
 
 
-ENGINES = [PRODUCTION, GRID_SCAN, BRUTE_FORCE]
+ENGINES = [PRODUCTION, BRUTE_FORCE]
 
 
 def engine_network(radio, backend, seed):

@@ -2,7 +2,7 @@
 
 The network serves links from the CSR :class:`repro.net.arraystate.ArrayLinkState`
 for uniform-radius radios (patched per delta or rebuilt) and from the
-grid-candidate scan otherwise.  The one correctness obligation of both is
+brute-force scan otherwise.  The one correctness obligation of both is
 that after *any* sequence of moves, insertions, removals, churn and radio
 mutations, the served link set is identical to a brute-force recomputation
 over the current positions.  These tests drive a network through long
@@ -20,7 +20,7 @@ from repro.net.radio import AsymmetricRangeRadio, ProbabilisticDiskRadio, UnitDi
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
-from reference_backends import BRUTE_FORCE, GRID_SCAN, use_backend
+from reference_backends import BRUTE_FORCE, use_backend
 
 
 class Idle(Process):
@@ -45,7 +45,7 @@ def assert_links_consistent(network):
     """The served link set ≡ the brute-force rebuild.
 
     On the CSR path: forward arcs, reverse adjacency and the insertion-ordered
-    receiver view.  On the grid-scan path: the directed and symmetric
+    receiver view.  On the scan path: the directed and symmetric
     snapshots (active nodes only, as the snapshots are).
     """
     linkstate = network._link_state()
@@ -85,7 +85,7 @@ RADIOS = [
 @pytest.mark.parametrize("radio_factory", RADIOS)
 def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed):
     network, rng = build_network(radio_factory(), n=40, area=600.0, seed=seed)
-    # Uniform-radius radios take the CSR, the per-node-range radio the grid scan.
+    # Uniform-radius radios take the CSR, the per-node-range radio the scan.
     assert (network._link_state() is None) == isinstance(network.radio,
                                                           AsymmetricRangeRadio)
     assert_links_consistent(network)
@@ -137,7 +137,7 @@ def test_asymmetric_range_override_rebuilds():
     assert network._link_state() is not None  # override-free: uniform radius
     assert_links_consistent(network)
     radio.set_range(0, 400.0)  # non-uniform growth: node 0 reaches everyone
-    assert network._link_state() is None  # per-node ranges: grid scan
+    assert network._link_state() is None  # per-node ranges: brute-force scan
     directed = network.directed_topology()
     assert all(directed.has_edge(0, v) for v in network.node_ids if v != 0)
     assert_links_consistent(network)
@@ -164,14 +164,13 @@ def test_symmetric_neighbors_match_topology():
 
 
 def test_cache_disabled_paths_still_agree():
-    """The grid-scan and brute-force references serve identical snapshots."""
+    """The brute-force reference serves the CSR path's snapshots."""
     fast, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
-    for backend in (GRID_SCAN, BRUTE_FORCE):
-        slow, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
-        use_backend(slow, backend)
-        assert slow._link_state() is None
-        assert (slow._spatial_index() is None) == (backend == BRUTE_FORCE)
-        assert set(fast.topology().edges) == set(slow.topology().edges)
-        assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)
-        for node in fast.node_ids:
-            assert fast.neighbors_of(node) == slow.neighbors_of(node)
+    slow, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
+    use_backend(slow, BRUTE_FORCE)
+    assert fast._link_state() is not None
+    assert slow._link_state() is None
+    assert set(fast.topology().edges) == set(slow.topology().edges)
+    assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)
+    for node in fast.node_ids:
+        assert fast.neighbors_of(node) == slow.neighbors_of(node)

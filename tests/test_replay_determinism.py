@@ -1,14 +1,14 @@
-"""Deterministic replay at scale, across the three neighbour engines.
+"""Deterministic replay at scale, across the two neighbour engines.
 
-The network computes the vicinity relation one of three ways, chosen by the
+The network computes the vicinity relation one of two ways, chosen by the
 radio: the production CSR link state (batched receiver lists + batched
-channel decisions + bulk scheduling), the grid-candidate scan and the
-brute-force scan (the test-only references of ``tests/reference_backends.py``).
-These are pure query/dispatch choices: a seeded run must unfold
-*identically* on all three.  These tests run a 500-node mobile lossy GRP
-deployment once per engine and require bit-identical event counts, message
-counters, group assignments, topology edges, metric reports and post-run RNG
-states across them (plus a same-seed rerun and an observed run).
+channel decisions + bulk scheduling) and the brute-force scan (the
+test-only reference of ``tests/reference_backends.py``).  These are pure
+query/dispatch choices: a seeded run must unfold *identically* on both.
+These tests run a 500-node mobile lossy GRP deployment once per engine and
+require bit-identical event counts, message counters, group assignments,
+topology edges, metric reports and post-run RNG states across them (plus a
+same-seed rerun and an observed run).
 
 The traffic-laden variant layers an application workload
 (:mod:`repro.traffic`) on top of a smaller deployment: application sends,
@@ -27,18 +27,17 @@ from repro.obs import ObsContext, observing
 from repro.scenarios import ScenarioSpec, build
 from repro.traffic import TrafficSpec, attach_traffic
 
-from reference_backends import BRUTE_FORCE, GRID_SCAN, PRODUCTION, use_backend
+from reference_backends import BRUTE_FORCE, PRODUCTION, use_backend
 
 N = 500
 DURATION = 3.0
 SEED = 2024
 
-#: Matrix cell -> neighbour engine.  In the cell names "indexed" is the
-#: grid index, "scalar" the per-receiver scan loop and "vectorized" the
-#: batched CSR path.
+#: Matrix cell -> neighbour engine.  "indexed+vectorized" is the production
+#: CSR link state with batched delivery, "brute+scalar" the brute-force
+#: per-receiver scan.
 BACKENDS = {
     "indexed+vectorized": PRODUCTION,
-    "indexed+scalar": GRID_SCAN,
     "brute+scalar": BRUTE_FORCE,
 }
 

@@ -10,9 +10,9 @@ rejection of worlds that cannot shard bit-identically.
 import pytest
 
 from repro.net.channel import CollisionChannel
-from repro.net.spatialindex import x_tile_cuts
 from repro.shard import (PerSenderChannel, ShardSpec, ShardUnsupportedError,
                          ShardWorld, TileMap)
+from repro.shard.tiles import x_tile_cuts
 from repro.sim.engine import SimulationError, Simulator
 
 

@@ -1,8 +1,8 @@
 """Tests of the group-application traffic subsystem.
 
 Covers the spec/registry value layer, the delivery ledger's accounting, the
-generators' behaviour on live deployments, bit-exact replay across every
-{spatial index x vectorized delivery} backend, the campaign traffic axis
+generators' behaviour on live deployments, bit-exact replay across both
+neighbour engines (CSR link state, brute-force scan), the campaign traffic axis
 (task ids, seed streams, spec hashes, store roundtrip, serial vs pool
 equality) and the CLI surface (``--traffic`` / ``--traffic-sweep`` /
 ``--list-traffic`` and the final campaign summary line).
@@ -21,7 +21,7 @@ from repro.traffic import (AppMessage, DeliveryLedger, TrafficSpec, attach_traff
                            format_traffic_catalog, get_traffic, normalize_traffic_spec,
                            traffic_names)
 
-from reference_backends import BRUTE_FORCE, GRID_SCAN, PRODUCTION, use_backend
+from reference_backends import BRUTE_FORCE, PRODUCTION, use_backend
 
 # --------------------------------------------------------------------- specs
 
@@ -194,11 +194,10 @@ class TestDeliveryLedger:
 
 # ------------------------------------------------- live deployments, replay
 
-#: The production CSR engine and the two test-only reference engines of
+#: The production CSR engine and the test-only brute-force reference of
 #: ``tests/reference_backends.py``.
 BACKENDS = {
     "indexed+vectorized": PRODUCTION,
-    "indexed+scalar": GRID_SCAN,
     "brute+scalar": BRUTE_FORCE,
 }
 
