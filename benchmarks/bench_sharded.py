@@ -111,7 +111,7 @@ def refresh_bench(quick: bool, seed: int = 2024):
         store = NodeArrayStore()
         pts = rng.uniform(0.0, area, size=(n, 2))
         for i in range(n):
-            store.insert(i, (pts[i, 0], pts[i, 1]), i, None, True)
+            store.insert(i, (pts[i, 0], pts[i, 1]), None, True)
         ls = ArrayLinkState(radius, store, obs=None, incremental=incremental)
         ls._ensure()  # initial build (caches the cell binning on the patch path)
         times = []

@@ -5,21 +5,25 @@ a dummy payload into a no-op process, so the timing isolates the neighbour
 query + channel decision path that the CSR link state accelerates.  A second
 table times full topology-snapshot rebuilds (cache deliberately invalidated
 before each rebuild) and snapshot reads served from the generation-stamped
-cache.
+cache, both through ``Network.link_snapshot()``.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_spatial_index.py``;
 ``--quick`` shrinks the scenario for CI smoke runs.  The dense-field row is
-the acceptance scenario: the indexed broadcast path must be >= 5x faster than
-brute force at 1000 nodes.  The "indexed" side is the production path (a
-unit disk is served from the CSR link state); the brute side runs the same
-radio as :class:`UnboundedUnitDiskRadio`, which reports no ``max_range()``
-and so selects the brute-force scan.
+the acceptance scenario: the indexed broadcast path must be >= 15.7x faster
+than brute force at 1000 nodes (>= 4.4x in quick mode), about one third of
+the measured ratio, so a real slowdown of the CSR path fails it.  The
+"indexed" side is the production path (a unit disk is served from the CSR
+link state); the brute side runs the unit disk subclass from the test
+suite's ``reference_backends.reference_class``, which reports no
+``max_range()`` and so selects the brute-force scan.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 from typing import Dict, Tuple
 
 import _emit
@@ -32,12 +36,9 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import SeedSequenceFactory
 
-
-class UnboundedUnitDiskRadio(UnitDiskRadio):
-    """A unit disk that hides its range bound: the brute-force reference."""
-
-    def max_range(self):
-        return None
+# The brute-force baseline is the test suite's reference engine.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_backends import reference_class  # noqa: E402
 
 
 class NullProcess(Process):
@@ -52,7 +53,7 @@ def build_network(n: int, area: float, radio_range: float, seed: int,
     seeds = SeedSequenceFactory(seed)
     positions = random_positions(range(n), area=(area, area), rng=seeds.stream("placement"))
     sim = Simulator(seed=seed)
-    radio_cls = UnitDiskRadio if indexed else UnboundedUnitDiskRadio
+    radio_cls = UnitDiskRadio if indexed else reference_class(UnitDiskRadio)
     network = Network(sim, radio=radio_cls(radio_range))
     for node, pos in positions.items():
         network.add_node(NullProcess(node), pos)
@@ -72,19 +73,21 @@ def time_broadcasts(network: Network, rounds: int) -> Tuple[float, int]:
 
 
 def time_snapshots(network: Network, iterations: int) -> Tuple[float, float]:
-    """(cold, warm) seconds per topology snapshot.
+    """(cold, warm) seconds per link snapshot.
 
     Cold rebuilds invalidate the cache first; warm reads hit the
-    generation-stamped cache and only pay the defensive copy.
+    generation-stamped cache and return the cached immutable snapshot.
+    Neither side exports a networkx graph, so the columns time the snapshot
+    build and the cache, not the export.
     """
     start = time.perf_counter()
     for _ in range(iterations):
         network.invalidate_topology()
-        network.topology()
+        network.link_snapshot()
     cold = (time.perf_counter() - start) / iterations
     start = time.perf_counter()
     for _ in range(iterations):
-        network.topology()
+        network.link_snapshot()
     warm = (time.perf_counter() - start) / iterations
     return cold, warm
 
@@ -138,7 +141,7 @@ def main() -> int:
     print_table(rows, title="CSR link state (indexed) vs brute force "
                             "(broadcast path + snapshots)")
     headline = rows[0]["speedup"]
-    target = 2.0 if args.quick else 5.0
+    target = 4.4 if args.quick else 15.7
     print(f"\nheadline broadcast speedup: {headline}x (target >= {target}x)")
 
     if args.json:

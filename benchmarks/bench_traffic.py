@@ -11,8 +11,9 @@ Two pipelines run the identical seeded workload:
 * ``vectorized`` — the CSR receiver batches + batched channel decisions
   (the production path of a unit-disk radio);
 * ``scan`` — the per-receiver brute-force scan (every other node is a
-  candidate), reached through :class:`ScanUnitDiskRadio` (a unit disk that
-  reports no uniform link radius).
+  candidate), reached through the test suite's
+  ``reference_backends.reference_class`` (a unit disk that reports no
+  ``max_range()``).
 
 The ledgers of both runs must agree bit-exactly (sends, receptions, per-group
 rows) — the benchmark asserts it, making every CI run a determinism check.
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import _emit
@@ -45,14 +48,11 @@ from repro.sim.process import Process
 from repro.sim.randomness import SeedSequenceFactory
 from repro.traffic import TrafficDriver, TrafficSpec
 
+# The brute-force baseline is the test suite's reference engine.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_backends import reference_class  # noqa: E402
+
 RADIO_RANGE = 100.0
-
-
-class ScanUnitDiskRadio(UnitDiskRadio):
-    """A unit disk that hides its uniform link radius: the brute-force scan baseline."""
-
-    def uniform_link_radius(self):
-        return None
 
 
 class AppHost(Process):
@@ -85,7 +85,7 @@ def build(n: int, area: float, seed: int, vectorized: bool) -> Tuple[Simulator, 
                            rng=seeds.stream("channel"))
     mobility = RandomWaypointMobility((area, area), min_speed=5.0, max_speed=15.0,
                                       rng=seeds.stream("mobility"))
-    radio_cls = UnitDiskRadio if vectorized else ScanUnitDiskRadio
+    radio_cls = UnitDiskRadio if vectorized else reference_class(UnitDiskRadio)
     network = Network(sim, radio=radio_cls(RADIO_RANGE), channel=channel,
                       mobility=mobility)
     for node, pos in positions.items():

@@ -46,8 +46,8 @@ OBS_SCHEMA = "repro-obs/v1"
 #: mode.  The legacy payload records targets implicitly (they only live in
 #: the benchmark source), so lifting old artifacts re-states them here.
 LEGACY_DELIVERY_BUDGETS = {
-    False: {"broadcast_speedup_lossy": 6.0, "refresh_speedup_10pct_movers": 5.0},
-    True: {"broadcast_speedup_lossy": 1.5, "refresh_speedup_10pct_movers": 2.0},
+    False: {"broadcast_speedup_lossy": 9.4, "refresh_speedup_10pct_movers": 18.0},
+    True: {"broadcast_speedup_lossy": 3.3, "refresh_speedup_10pct_movers": 4.6},
 }
 
 

@@ -7,10 +7,14 @@ This module provides the structure-of-arrays backend behind the existing
 :class:`repro.net.network.Network` APIs:
 
 * :class:`NodeArrayStore` — one contiguous ``N x 2`` float64 position array
-  plus parallel per-row arrays (insertion order, activity mask, node ids and
-  process objects), with a ``node id <-> row`` map.  Rows are recycled by
-  swap-with-last on removal, so the arrays stay dense; mobility steps and
-  ``Network.set_positions`` become one masked array write.
+  plus per-row insertion-order and activity arrays, row-aligned Python lists
+  of node ids and process objects, and a ``node id <-> row`` map.  The
+  network creates it in its constructor.  Rows are recycled by
+  swap-with-last on removal, so the rows stay dense; mobility steps and
+  ``Network.set_positions`` become one masked array write.  Ids and
+  processes live in lists, not object arrays, so the cyclic collector can
+  traverse the network -> store -> process -> network cycle and free a
+  discarded world.
 * :class:`ArrayLinkState` — the symmetric link set of a uniform-link-radius
   radio stored as int32 CSR adjacency (``indptr`` / ``indices`` row arrays),
   rebuilt wholesale by a fully vectorized cell-binning pass whenever the
@@ -38,8 +42,9 @@ backend to bit-identical runs.
 
 Determinism
 -----------
-CSR adjacency rows are sorted by node *insertion order* (the
-``Network._order`` counter, the order the brute-force scan visits nodes in),
+CSR adjacency rows are sorted by node *insertion order* (the store's
+:attr:`NodeArrayStore.order` stamps, the order the brute-force scan visits
+nodes in),
 so receiver lists and snapshot edge insertion orders are identical to the
 brute-force scan — stochastic channels consume their RNG streams identically
 whichever path produced the candidate list.
@@ -67,32 +72,34 @@ _INITIAL_CAPACITY = 64
 
 
 class NodeArrayStore:
-    """Structure-of-arrays mirror of the network's node table.
+    """The network's node table: numeric columns in arrays, objects in lists.
 
     One row per node; rows are dense (``[0, n)``).  Removal swaps the last
     row into the vacated slot, so row indices are *not* stable across
     removals — consumers must translate through :attr:`row_of` per query (or
     rebuild, as :class:`ArrayLinkState` does).  Insertion order, the
     determinism anchor of every scan path, lives in the :attr:`order` array,
-    not in row position.
+    not in row position; :meth:`insert` stamps it.
     """
 
-    __slots__ = ("xy", "order", "active", "ids", "procs", "row_of", "n")
+    __slots__ = ("xy", "order", "active", "ids", "procs", "row_of", "n",
+                 "_next_order")
 
     def __init__(self) -> None:
         cap = _INITIAL_CAPACITY
         #: positions, row-aligned (only ``[:n]`` is meaningful)
         self.xy = np.empty((cap, 2), dtype=np.float64)
-        #: insertion-order stamps (``Network._order`` values)
+        #: insertion-order stamps, one per :meth:`insert` call
         self.order = np.empty(cap, dtype=np.int64)
         #: activity mask, kept in sync by ``Network.notify_activation_change``
         self.active = np.empty(cap, dtype=bool)
-        #: node identifiers (object array for O(1) row -> id gathers)
-        self.ids = np.empty(cap, dtype=object)
+        #: node identifiers, row-aligned
+        self.ids: List[Hashable] = []
         #: process objects, row-aligned (delivery loops gather these)
-        self.procs = np.empty(cap, dtype=object)
+        self.procs: List[object] = []
         self.row_of: Dict[Hashable, int] = {}
         self.n = 0
+        self._next_order = 0
 
     def __len__(self) -> int:
         return self.n
@@ -102,16 +109,17 @@ class NodeArrayStore:
 
     def _grow(self) -> None:
         cap = max(_INITIAL_CAPACITY, 2 * self.xy.shape[0])
-        for name in ("xy", "order", "active", "ids", "procs"):
+        for name in ("xy", "order", "active"):
             old = getattr(self, name)
             shape = (cap,) + old.shape[1:]
             new = np.empty(shape, dtype=old.dtype)
             new[: self.n] = old[: self.n]
             setattr(self, name, new)
 
-    def insert(self, node: Hashable, pos: Tuple[float, float], order: int,
+    def insert(self, node: Hashable, pos: Tuple[float, float],
                proc: object, active: bool) -> int:
-        """Append a row for ``node``; returns the row index."""
+        """Append a row for ``node``, stamped with the next insertion order;
+        returns the row index."""
         if node in self.row_of:
             raise ValueError(f"node {node!r} already stored")
         if self.n == self.xy.shape[0]:
@@ -119,10 +127,11 @@ class NodeArrayStore:
         row = self.n
         self.xy[row, 0] = pos[0]
         self.xy[row, 1] = pos[1]
-        self.order[row] = order
+        self.order[row] = self._next_order
+        self._next_order += 1
         self.active[row] = active
-        self.ids[row] = node
-        self.procs[row] = proc
+        self.ids.append(node)
+        self.procs.append(proc)
         self.row_of[node] = row
         self.n += 1
         return row
@@ -139,9 +148,8 @@ class NodeArrayStore:
             self.ids[row] = moved
             self.procs[row] = self.procs[last]
             self.row_of[moved] = row
-        # Release object references so removed processes can be collected.
-        self.ids[last] = None
-        self.procs[last] = None
+        self.ids.pop()
+        self.procs.pop()
         self.n = last
 
     def update(self, node: Hashable, pos: Tuple[float, float]) -> None:
@@ -234,14 +242,14 @@ class ArrayLinkState:
         self._indices = np.empty(0, dtype=np.int32)
         self._m = 0  # arcs currently stored in the arena
         # Activity-filtered receiver view (token-stamped): parallel id/proc
-        # arrays holding only arcs into *active* rows, so per-sender receiver
+        # lists holding only arcs into *active* rows, so per-sender receiver
         # batches are plain slices.  Rebuilt once per token (the network
         # passes its topology generation, which bumps on every activation /
         # position / membership change).
         self._active_token: object = None
         self._recv_indptr: List[int] = [0]
-        self._recv_ids = np.empty(0, dtype=object)
-        self._recv_procs = np.empty(0, dtype=object)
+        self._recv_ids: List[Hashable] = []
+        self._recv_procs: List[object] = []
         # Incremental-patch bookkeeping: which rows moved since the last CSR
         # refresh (``_dirty_rows``), which rows' cached-binning cell is
         # outdated though their CSR rows are current (``_stale_rows``), and
@@ -637,13 +645,11 @@ class ArrayLinkState:
 
     def out_neighbors_sorted(self, node: Hashable) -> List[Hashable]:
         """Link partners of ``node`` as ids, in insertion order."""
-        rows = self.out_rows(node)
-        if not rows.size:
-            return []
-        return self.store.ids[rows].tolist()
+        ids = self.store.ids
+        return [ids[row] for row in self.out_rows(node).tolist()]
 
     def _refresh_active(self, token: object) -> None:
-        """One-shot build of the activity-filtered receiver arrays.
+        """One-shot build of the activity-filtered receiver lists.
 
         Filters the whole CSR against the activity mask in a single pass and
         gathers ids / process objects for every kept arc, so per-sender
@@ -665,19 +671,20 @@ class ArrayLinkState:
         # Kept as a python list: per-sender slicing with python ints is
         # measurably faster than with numpy scalars.
         self._recv_indptr = csum[self._indptr[:n + 1]].tolist()
-        self._recv_ids = self.store.ids[kept]
-        self._recv_procs = self.store.procs[kept]
+        kept = kept.tolist()
+        ids = self.store.ids
+        procs = self.store.procs
+        self._recv_ids = [ids[row] for row in kept]
+        self._recv_procs = [procs[row] for row in kept]
         self._active_token = token
 
     def active_receivers(self, node: Hashable,
-                         token: object) -> Tuple[List[Hashable], np.ndarray]:
-        """(ids, process object array) of the *active* link partners.
+                         token: object) -> Tuple[List[Hashable], List[object]]:
+        """(ids, processes) of the *active* link partners, as fresh lists.
 
         This is the broadcast receiver batch, insertion-ordered.  The first
         query per ``token`` filters the whole adjacency in one vectorized
-        pass; every later query is two array slices.  The processes come back
-        as an object ndarray so channel decision masks can gather the
-        accepted subset in one indexing operation.
+        pass; every later query is two list slices.
         """
         if (token != self._active_token or self._dirty
                 or self._built_n != self.store.n):
@@ -686,11 +693,7 @@ class ArrayLinkState:
         indptr = self._recv_indptr
         lo = indptr[row]
         hi = indptr[row + 1]
-        return self._recv_ids[lo:hi].tolist(), self._recv_procs[lo:hi]
-
-    def in_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Nodes with a link into ``node`` — the out-partners (symmetric links)."""
-        return self.out_neighbors_sorted(node)
+        return self._recv_ids[lo:hi], self._recv_procs[lo:hi]
 
     def link_snapshot(self, active_rows: np.ndarray) -> LinkSnapshot:
         """The symmetric links among ``active_rows`` as a :class:`LinkSnapshot`.
@@ -711,7 +714,9 @@ class ArrayLinkState:
         src = rank[np.repeat(np.arange(n), np.diff(self._indptr[:n + 1]))]
         dst = rank[self._indices[:self._m]]
         keep = (src >= 0) & (dst >= 0)
-        return LinkSnapshot.from_arcs(store.ids[rows].tolist(), src[keep], dst[keep])
+        ids = store.ids
+        return LinkSnapshot.from_arcs([ids[row] for row in rows.tolist()],
+                                      src[keep], dst[keep])
 
     def directed_arcs(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:
         """Directed arcs over ``active_rows``, sorted by (order[u], order[v])."""
@@ -728,18 +733,19 @@ class ArrayLinkState:
         src, dst = src[keep], dst[keep]
         order = store.order[:n]
         perm = np.lexsort((order[dst], order[src]))
-        src, dst = src[perm], dst[perm]
-        return list(zip(store.ids[src].tolist(), store.ids[dst].tolist()))
+        ids = store.ids
+        return [(ids[u], ids[v])
+                for u, v in zip(src[perm].tolist(), dst[perm].tolist())]
 
     def arcs(self) -> Iterator[Tuple[Hashable, Hashable]]:
         """Every directed link, grouped by source row (test/debug helper)."""
         self._ensure()
-        store = self.store
+        ids = self.store.ids
         indptr = self._indptr
         for row in range(self._built_n):
-            u = store.ids[row]
+            u = ids[row]
             for v_row in self._indices[indptr[row]:indptr[row + 1]].tolist():
-                yield (u, store.ids[v_row])
+                yield (u, ids[v_row])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"ArrayLinkState(radius={self.radius}, nodes={self.store.n}, "

@@ -71,6 +71,7 @@ providing one, :meth:`Network.broadcast` raises.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -114,14 +115,12 @@ class Network:
         self.radio = radio
         self.channel = channel if channel is not None else PerfectChannel()
         self.mobility = mobility
-        self._store: Optional[NodeArrayStore] = None
+        #: the node table's array form (positions, insertion order, activity,
+        #: ids and processes by row), kept current by every mutation below
+        self._store = NodeArrayStore()
         self._array_ls: Optional[ArrayLinkState] = None
         self._processes: Dict[Hashable, Process] = {}
         self._positions: Dict[Hashable, Point] = {}
-        self._order: Dict[Hashable, int] = {}
-        # A plain int, not itertools.count(): counts don't pickle, and the
-        # sharded snapshot-restore path serializes built networks wholesale.
-        self._next_order = 0
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -133,15 +132,13 @@ class Network:
         self._mobility_handle = None
         self._position_listeners: List[Callable[[float, Dict[Hashable, Point]], None]] = []
         #: sender -> (generation, link state, active sorted receivers, their
-        #: processes as list and object ndarray, the "owned elsewhere" mask);
-        #: hello-beacon traffic re-broadcasts between topology changes, so the
-        #: filtered receiver batch is reused until a position/membership/
-        #: activation change bumps the generation or a radio change replaces
-        #: the CSR link state.
+        #: processes, the "owned elsewhere" mask); hello-beacon traffic
+        #: re-broadcasts between topology changes, so the filtered receiver
+        #: batch is reused until a position/membership/activation change bumps
+        #: the generation or a radio change replaces the CSR link state.
         self._receiver_cache: Dict[Hashable,
                                    Tuple[int, ArrayLinkState, List[Hashable],
-                                         List[Process], np.ndarray,
-                                         Optional[np.ndarray]]] = {}
+                                         List[Process], Optional[np.ndarray]]] = {}
         #: (owner map, shard id, outbox) of a sharded run; see
         #: :meth:`set_partition`.
         self._partition: Optional[Tuple[Mapping[Hashable, int], int, list]] = None
@@ -246,7 +243,7 @@ class Network:
         the link-state cache is not touched for them — and a batch that moves
         nobody leaves every cache warm (no generation bump).
         """
-        if self._store is not None and len(positions) > 1:
+        if len(positions) > 1:
             # Bulk path: membership validated with one C-level subset check,
             # coordinates coerced by one array conversion — no per-node
             # python validation.  Exotic inputs the conversion cannot digest
@@ -274,7 +271,7 @@ class Network:
 
     def _bulk_position_update(self, ids: List[Hashable],
                               coords: np.ndarray) -> None:
-        """Masked-array tail of the batch teleports (store present).
+        """Masked-array tail of the batch teleports.
 
         Changed rows are detected and written in whole-array operations, the
         position dict is patched for the movers only, and the generation
@@ -298,14 +295,14 @@ class Network:
     def _apply_position_updates(self, updates: Dict[Hashable, Point]) -> None:
         """Apply pre-validated position updates with one generation bump.
 
-        Once the node store exists, a batch of several updates is written
-        in a single masked array assignment; otherwise each changed node
-        goes through :meth:`_apply_move`.  Either way, unchanged nodes cost nothing and a
-        batch that moves nobody leaves every cache warm.
+        A batch of several updates is written in a single masked array
+        assignment; a single update goes through :meth:`_apply_move`.  Either
+        way, unchanged nodes cost nothing and a batch that moves nobody leaves
+        every cache warm.
         """
         if not updates:
             return
-        if self._store is not None and len(updates) > 1:
+        if len(updates) > 1:
             self._bulk_position_update(
                 list(updates), np.fromiter(updates.values(),
                                            dtype=np.dtype((np.float64, 2)),
@@ -322,8 +319,7 @@ class Network:
     def _apply_move(self, node_id: Hashable, pos: Point) -> None:
         """Move one node, mirroring the store and CSR link state."""
         self._positions[node_id] = pos
-        if self._store is not None:
-            self._store.update(node_id, pos)
+        self._store.update(node_id, pos)
         if self._array_ls is not None:
             self._array_ls.mark_row_dirty(self._store.row_of[node_id])
 
@@ -372,12 +368,7 @@ class Network:
         pos = (float(position[0]), float(position[1]))
         self._processes[process.node_id] = process
         self._positions[process.node_id] = pos
-        order = self._next_order
-        self._next_order += 1
-        self._order[process.node_id] = order
-        if self._store is not None:
-            self._store.insert(process.node_id, pos, order, process,
-                               process._active)
+        self._store.insert(process.node_id, pos, process, process._active)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._generation += 1
@@ -386,9 +377,7 @@ class Network:
         """Detach and return the process of ``node_id`` (the node disappears)."""
         process = self._processes.pop(node_id)
         self._positions.pop(node_id, None)
-        self._order.pop(node_id, None)
-        if self._store is not None:
-            self._store.remove(node_id)
+        self._store.remove(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._receiver_cache.pop(node_id, None)
@@ -414,8 +403,7 @@ class Network:
 
     def notify_activation_change(self, node_id: Hashable, active: bool) -> None:
         """Invalidate snapshots after an activation flip (called by the process)."""
-        if self._store is not None:
-            self._store.set_active(node_id, active)
+        self._store.set_active(node_id, active)
         self._generation += 1
 
     # -------------------------------------------------------------- mobility
@@ -473,24 +461,6 @@ class Network:
 
     # -------------------------------------------------------- neighbour engine
 
-    def _node_store(self) -> NodeArrayStore:
-        """The array mirror of the node table, built on demand.
-
-        Once built it is maintained incrementally by every membership /
-        position / activation mutation, so the loop below runs once per
-        network.
-        """
-        store = self._store
-        if store is None:
-            store = NodeArrayStore()
-            order = self._order
-            positions = self._positions
-            for node_id, proc in self._processes.items():
-                store.insert(node_id, positions[node_id], order[node_id],
-                             proc, proc._active)
-            self._store = store
-        return store
-
     def _link_state(self) -> Optional[ArrayLinkState]:
         """The CSR link state, (re)built on demand.
 
@@ -509,7 +479,7 @@ class Network:
                 and self.radio.max_range() is not None):
             # now_fn is a bound method, not a lambda, so a built network
             # stays picklable (sharded snapshot-restore builds).
-            als = ArrayLinkState(radius, self._node_store(),
+            als = ArrayLinkState(radius, self._store,
                                  now_fn=self._sim_now, obs=self._obs)
         else:
             als = None
@@ -577,26 +547,24 @@ class Network:
         return accepted
 
     def _receiver_batch(self, linkstate: ArrayLinkState, sender: Hashable):
-        """Cached ``(receivers, procs, procs_arr, remote)`` for one sender.
+        """Cached ``(receivers, procs, remote)`` for one sender.
 
         Keyed on (generation, link-state instance): every position/membership/
         activation change bumps the generation, and any radio change —
         notified or auto-detected through the per-query radius check —
-        replaces the link-state instance.  Caching the process objects (list
-        + object ndarray) next to the ids lets delivery loops skip one dict
-        lookup per receiver and gather accepted subsets with one masked
-        index.  ``remote`` is the bool "owned elsewhere" mask over the
-        receivers under an installed partition, or ``None`` when every
-        receiver is delivered here.
+        replaces the link-state instance.  Caching the process objects next
+        to the ids lets delivery loops skip one dict lookup per receiver.
+        ``remote`` is the bool "owned elsewhere" mask over the receivers
+        under an installed partition, or ``None`` when every receiver is
+        delivered here.
         """
         generation = self._generation
         cached = self._receiver_cache.get(sender)
         if cached is not None:
-            gen_c, ls_c, receivers, procs, procs_arr, remote = cached
+            gen_c, ls_c, receivers, procs, remote = cached
             if gen_c == generation and ls_c is linkstate:
-                return receivers, procs, procs_arr, remote
-        receivers, procs_arr = linkstate.active_receivers(sender, generation)
-        procs = procs_arr.tolist()
+                return receivers, procs, remote
+        receivers, procs = linkstate.active_receivers(sender, generation)
         remote = None
         partition = self._partition
         if partition is not None and receivers:
@@ -606,8 +574,8 @@ class Network:
             if mask.any():
                 remote = mask
         self._receiver_cache[sender] = (generation, linkstate, receivers,
-                                        procs, procs_arr, remote)
-        return receivers, procs, procs_arr, remote
+                                        procs, remote)
+        return receivers, procs, remote
 
     def _broadcast_batched(self, linkstate: ArrayLinkState, sender: Hashable,
                            payload: Any) -> int:
@@ -619,7 +587,7 @@ class Network:
         Accepted receivers owned by another shard go to the partition's
         outbox (see :meth:`set_partition`).
         """
-        receivers, procs, procs_arr, remote = self._receiver_batch(linkstate, sender)
+        receivers, procs, remote = self._receiver_batch(linkstate, sender)
         if self._obs_halo_sends is not None:
             (self._obs_interior_sends if remote is None
              else self._obs_halo_sends).inc()
@@ -650,7 +618,7 @@ class Network:
                                 {"receivers": len(receivers)})
             if res is not None:
                 mask, accepted = res
-                live = procs if mask is None else procs_arr[mask].tolist()
+                live = procs if mask is None else list(compress(procs, mask.tolist()))
                 # ``len(live) == accepted``; count down on the (contractually
                 # impossible, but parity-preserved) mid-batch deactivation
                 # instead of counting up per delivery.
@@ -786,7 +754,7 @@ class Network:
             return self._topo_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            snapshot = linkstate.link_snapshot(self._node_store().active)
+            snapshot = linkstate.link_snapshot(self._store.active)
         else:
             positions = self._positions
             link_exists = self.radio.link_exists
@@ -806,10 +774,10 @@ class Network:
         if self._directed_cache is not None and self._directed_cache_key == key:
             return self._directed_cache
         positions = self._positions
+        store = self._store
         linkstate = self._link_state()
         if linkstate is not None:
-            active_rows = self._node_store().active
-            row_of = linkstate.store.row_of
+            active_rows, row_of = store.active, store.row_of
             nodes = [n for n in positions if active_rows[row_of[n]]]
             arcs = linkstate.directed_arcs(active_rows)
         else:
@@ -821,8 +789,8 @@ class Network:
                     arcs.append((u, v))
                 if link_exists(v, u, positions[v], positions[u]):
                     arcs.append((v, u))
-            order = self._order
-            arcs.sort(key=lambda a: (order[a[0]], order[a[1]]))
+            order, row_of = store.order, store.row_of
+            arcs.sort(key=lambda a: (order[row_of[a[0]]], order[row_of[a[1]]]))
         self._directed_cache = (nodes, arcs)
         self._directed_cache_key = key
         return self._directed_cache
@@ -862,9 +830,8 @@ class Network:
                 return set()
             store = linkstate.store
             rows = linkstate.out_rows(node_id)
-            if rows.size:
-                rows = rows[store.active[rows]]
-            return set(store.ids[rows].tolist()) if rows.size else set()
+            ids = store.ids
+            return {ids[row] for row in rows[store.active[rows]].tolist()}
         return set(self.link_snapshot().neighbors(node_id))
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -21,7 +21,8 @@ from __future__ import annotations
 from repro.net.network import Network
 from repro.net.radio import RadioModel
 
-__all__ = ["PRODUCTION", "BRUTE_FORCE", "reference_radio", "use_backend"]
+__all__ = ["PRODUCTION", "BRUTE_FORCE", "reference_class", "reference_radio",
+           "use_backend"]
 
 PRODUCTION = "production"
 BRUTE_FORCE = "brute-force"
@@ -31,15 +32,24 @@ def _reports_none(self):
     return None
 
 
+def reference_class(base: type) -> type:
+    """The subclass of radio class ``base`` that selects the brute-force scan.
+
+    Its ``max_range()`` reports ``None``.  Benchmarks instantiate it
+    directly: an instance built from it keeps CPython's fast attribute
+    access, which a radio whose class is swapped in place loses.
+    """
+    return type("BruteForce" + base.__name__, (base,),
+                {"max_range": _reports_none})
+
+
 def reference_radio(radio: RadioModel) -> RadioModel:
     """Turn ``radio`` (in place) into one that selects the brute-force scan.
 
     The radio's ``max_range()`` then reports ``None``.  A network already
     holding the radio must then call ``invalidate_topology()``.
     """
-    base = type(radio)
-    radio.__class__ = type("BruteForce" + base.__name__, (base,),
-                           {"max_range": _reports_none})
+    radio.__class__ = reference_class(type(radio))
     return radio
 
 

@@ -33,7 +33,7 @@ class Idle(Process):
 def make_store(points):
     store = NodeArrayStore()
     for i, pos in enumerate(points):
-        store.insert(i, pos, order=i, proc=f"proc-{i}", active=True)
+        store.insert(i, pos, proc=f"proc-{i}", active=True)
     return store
 
 
@@ -60,7 +60,7 @@ class TestNodeArrayStore:
     def test_duplicate_insert_rejected(self):
         store = make_store([(0.0, 0.0)])
         with pytest.raises(ValueError):
-            store.insert(0, (1.0, 1.0), order=9, proc=None, active=True)
+            store.insert(0, (1.0, 1.0), proc=None, active=True)
 
     def test_remove_swaps_last_row_in(self):
         store = make_store([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
@@ -72,8 +72,8 @@ class TestNodeArrayStore:
         assert store.order[0] == 2
         assert store.ids[0] == 2
         assert store.procs[0] == "proc-2"
-        # Vacated tail releases its object references.
-        assert store.ids[2] is None and store.procs[2] is None
+        # The vacated tail row is gone: no reference to a removed process.
+        assert store.ids == [2, 1] and store.procs == ["proc-2", "proc-1"]
 
     def test_remove_last_row(self):
         store = make_store([(0.0, 0.0), (1.0, 1.0)])
@@ -241,7 +241,7 @@ class TestIncrementalPatchEquivalence:
                 if op < 0.08:
                     # Membership change: forces (and must survive) a rebuild.
                     store.insert(next_id, tuple(map(float, rng.uniform(0, 400, 2))),
-                                 order=next_id, proc=f"proc-{next_id}", active=True)
+                                 proc=f"proc-{next_id}", active=True)
                     next_id += 1
                     ls.mark_dirty()
                 elif op < 0.14 and store.n > 10:

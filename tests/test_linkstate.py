@@ -52,10 +52,13 @@ def assert_links_consistent(network):
     if linkstate is not None:
         expected = brute_force_arcs(network)
         assert set(linkstate.arcs()) == expected
-        reverse = {(u, v) for v in network.node_ids for u in linkstate.in_neighbors(v)}
+        reverse = {(u, v) for v in network.node_ids
+                   for u in linkstate.out_neighbors_sorted(v)}
         assert reverse == expected
+        store = linkstate.store
         for u in network.node_ids:
-            orders = [network._order[v] for v in linkstate.out_neighbors_sorted(u)]
+            orders = [store.order[store.row_of[v]]
+                      for v in linkstate.out_neighbors_sorted(u)]
             assert orders == sorted(orders)
         return
     active = [n for n in network.node_ids if network.process(n).active]

@@ -1,0 +1,109 @@
+"""Discarded worlds are freed.
+
+A parameter sweep builds many small worlds in one process, so a world that
+is dropped must not stay alive.  The network, its node store and its
+processes form reference cycles (network -> store -> process -> network);
+the cyclic collector frees them only if every link of the cycle is a
+container it can traverse.  These tests drop a world, run ``gc.collect()``
+and check that weak references to its ``Network`` and to one of its
+processes are dead, for every registered scenario and for the worker
+networks of an in-process sharded run.  A ``tracemalloc`` check then shows
+that a sequence of discarded worlds leaves traced memory flat.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+import weakref
+
+import pytest
+
+from repro.scenarios import ScenarioSpec, build, get_scenario, scenario_definitions
+from repro.shard import ShardSpec, run_sharded
+from repro.shard.world import ShardWorld
+
+#: Small worlds: every scenario is shrunk to at most this many nodes.
+MAX_NODES = 30
+
+#: Scenario-specific overrides on top of ``n = MAX_NODES``.  The city worlds
+#: default to a 30 km square, where 30 nodes would never link; a small area
+#: gives them links, receiver batches and CSR rows to hold on to.
+SMALL_AREA = {"city_scale": {"area": 600.0, "hotspot_sigma": 100.0},
+              "city_scale_mobile": {"area": 600.0, "hotspot_sigma": 100.0}}
+
+
+#: The stock catalog (test modules register extra scenarios of their own).
+STOCK_SCENARIOS = [d.name for d in scenario_definitions()
+                   if d.builder.__module__ == "repro.scenarios.builders"]
+
+
+def small_spec(name: str) -> ScenarioSpec:
+    defaults = get_scenario(name).defaults()
+    params = dict(SMALL_AREA.get(name, {}))
+    if "n" in defaults and defaults["n"] > MAX_NODES:
+        params["n"] = MAX_NODES
+    return ScenarioSpec.create(name, **params)
+
+
+def run_and_drop(spec: ScenarioSpec, seconds: float = 2.0):
+    """Build, start and run ``spec``; return weakrefs to its network and a
+    process once every strong reference is gone."""
+    deployment = build(spec, seed=1)
+    deployment.start()
+    deployment.run(seconds)
+    network = deployment.network
+    assert len(network.node_ids) <= MAX_NODES
+    refs = (weakref.ref(network),
+            weakref.ref(network.process(network.node_ids[0])))
+    del deployment, network
+    gc.collect()
+    return refs
+
+
+@pytest.mark.parametrize("name", STOCK_SCENARIOS)
+def test_discarded_world_is_collected(name):
+    network_ref, process_ref = run_and_drop(small_spec(name))
+    assert network_ref() is None, f"{name}: Network still alive"
+    assert process_ref() is None, f"{name}: process still alive"
+
+
+def test_sharded_worker_networks_are_collected(monkeypatch):
+    refs = []
+    init = ShardWorld.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        network = self.network
+        refs.append(weakref.ref(network))
+        refs.append(weakref.ref(network.process(network.node_ids[0])))
+
+    monkeypatch.setattr(ShardWorld, "__init__", recording_init)
+    spec = ShardSpec.create("city_scale",
+                            params={"n": MAX_NODES, **SMALL_AREA["city_scale"]},
+                            seed=3, duration=2.0, shards=2)
+    result = run_sharded(spec, transport="inproc")
+    del result
+    gc.collect()
+    assert len(refs) == 4
+    assert all(ref() is None for ref in refs)
+
+
+def test_traced_memory_stays_flat_across_discarded_worlds():
+    """Five 200-node ``city_scale`` worlds, built, run and dropped in turn:
+    traced memory after the fifth is within 0.1 MB of that after the first."""
+    spec = ScenarioSpec.create("city_scale", n=200, area=3000.0,
+                               hotspot_sigma=400.0)
+    tracemalloc.start()
+    try:
+        after = []
+        for seed in range(5):
+            deployment = build(spec, seed=seed)
+            deployment.start()
+            deployment.run(1.0)
+            del deployment
+            gc.collect()
+            after.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert after[-1] - after[0] < 100_000, after
