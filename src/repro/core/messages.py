@@ -57,6 +57,10 @@ def _node_key(item: Tuple[NodeId, int]) -> str:
 class GRPMessage:
     """One GRP broadcast."""
 
+    # Not a field (unannotated): the delivery path tests this marker on every
+    # payload, and a class attribute answers before ``__getattr__`` raises.
+    is_app_payload = False
+
     sender: NodeId
     wire_list: WireList
     priorities: Tuple[Tuple[NodeId, int], ...] = field(default_factory=tuple)

@@ -83,7 +83,7 @@ class NodeArrayStore:
     """
 
     __slots__ = ("xy", "order", "active", "ids", "procs", "row_of", "n",
-                 "_next_order")
+                 "membership", "_next_order")
 
     def __init__(self) -> None:
         cap = _INITIAL_CAPACITY
@@ -99,6 +99,9 @@ class NodeArrayStore:
         self.procs: List[object] = []
         self.row_of: Dict[Hashable, int] = {}
         self.n = 0
+        #: bumped by every insert and remove: an unchanged value proves the
+        #: row -> (id, process) mapping is the one last seen
+        self.membership = 0
         self._next_order = 0
 
     def __len__(self) -> int:
@@ -134,6 +137,7 @@ class NodeArrayStore:
         self.procs.append(proc)
         self.row_of[node] = row
         self.n += 1
+        self.membership += 1
         return row
 
     def remove(self, node: Hashable) -> None:
@@ -151,6 +155,7 @@ class NodeArrayStore:
         self.ids.pop()
         self.procs.pop()
         self.n = last
+        self.membership += 1
 
     def update(self, node: Hashable, pos: Tuple[float, float]) -> None:
         """Write one node's position (scalar move)."""
@@ -250,6 +255,10 @@ class ArrayLinkState:
         self._recv_indptr: List[int] = [0]
         self._recv_ids: List[Hashable] = []
         self._recv_procs: List[object] = []
+        # The kept-arc rows and store membership the lists were gathered
+        # for: a refresh that finds both unchanged keeps the lists.
+        self._recv_rows = np.empty(0, dtype=np.int32)
+        self._recv_membership = -1
         # Incremental-patch bookkeeping: which rows moved since the last CSR
         # refresh (``_dirty_rows``), which rows' cached-binning cell is
         # outdated though their CSR rows are current (``_stale_rows``), and
@@ -656,7 +665,10 @@ class ArrayLinkState:
         receiver batches become plain slices.  ``token`` is the caller's
         change counter (the network's topology generation): it bumps on every
         activation, position or membership delta, so a matching token proves
-        the filtered view is current.
+        the filtered view is current.  Many bumps leave the kept arcs as they
+        were (a move within range, a flip of an isolated node); when the kept
+        rows and the store membership both match the last gather, the id and
+        process lists are kept and only the per-sender offsets are redone.
         """
         self._ensure()
         n = self._built_n
@@ -671,11 +683,15 @@ class ArrayLinkState:
         # Kept as a python list: per-sender slicing with python ints is
         # measurably faster than with numpy scalars.
         self._recv_indptr = csum[self._indptr[:n + 1]].tolist()
-        kept = kept.tolist()
-        ids = self.store.ids
-        procs = self.store.procs
-        self._recv_ids = [ids[row] for row in kept]
-        self._recv_procs = [procs[row] for row in kept]
+        membership = self.store.membership
+        if membership != self._recv_membership or not np.array_equal(kept, self._recv_rows):
+            rows = kept.tolist()
+            ids = self.store.ids
+            procs = self.store.procs
+            self._recv_ids = [ids[row] for row in rows]
+            self._recv_procs = [procs[row] for row in rows]
+            self._recv_rows = kept
+            self._recv_membership = membership
         self._active_token = token
 
     def active_receivers(self, node: Hashable,

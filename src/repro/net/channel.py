@@ -56,24 +56,17 @@ class BatchDecisions:
     carry delay ``0.0``); drop reasons stay on the scalar
     :class:`ChannelDecision`.
 
-    ``delivered_array`` is an optional hint that lets array-native consumers
-    skip the per-entry python loop: when not ``None`` it is the boolean
-    numpy mask the ``delivered`` list was materialized from, ready for a
-    masked gather over a parallel receiver array.
-
     A plain ``__slots__`` class, not a dataclass: one instance is built per
     broadcast, and frozen-dataclass construction alone costs more than the
     RNG draw it wraps.
     """
 
-    __slots__ = ("delivered", "delays", "delivered_array", "n_accepted")
+    __slots__ = ("delivered", "delays", "n_accepted")
 
     def __init__(self, delivered: Sequence[bool], delays: Sequence[float],
-                 delivered_array: Optional[np.ndarray] = None,
                  n_accepted: Optional[int] = None):
         self.delivered = delivered
         self.delays = delays
-        self.delivered_array = delivered_array
         #: accepted count, filled in by constructors that already know it
         #: (the vectorized stock paths do) so consumers skip the re-count.
         self.n_accepted = n_accepted
@@ -238,8 +231,7 @@ class LossyChannel(ChannelModel):
             else:
                 delays = [self.min_delay] * n
             return BatchDecisions(delivered=[True] * n, delays=delays, n_accepted=n)
-        mask = self._rng.random(n) >= p
-        delivered = mask.tolist()
+        delivered = [draw >= p for draw in self._rng.random(n).tolist()]
         accepted = sum(delivered)
         self.delivered += accepted
         self.dropped += n - accepted
@@ -249,7 +241,7 @@ class LossyChannel(ChannelModel):
         else:
             delays = [constant if kept else 0.0 for kept in delivered]
         return BatchDecisions(delivered=delivered, delays=delays,
-                              delivered_array=mask, n_accepted=accepted)
+                              n_accepted=accepted)
 
     def decide_batch(self, sender, receivers, time) -> BatchDecisions:
         # A subclass overriding any scalar hook (decide or _draw_delay) must

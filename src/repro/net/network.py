@@ -655,18 +655,13 @@ class Network:
         if accepted == n_receivers and remote is None:
             local, local_delays, out = None, delays, ()
         else:
-            if accepted == n_receivers:
-                kept = np.arange(n_receivers)
-            elif batch.delivered_array is not None:
-                kept = np.flatnonzero(batch.delivered_array)
-            else:
-                kept = np.flatnonzero(delivered)
+            local = list(compress(range(n_receivers), delivered))
             if remote is None:
                 out = ()
             else:
-                out = kept[remote[kept]].tolist()
-                kept = kept[~remote[kept]]
-            local = kept.tolist()
+                is_remote = remote[local].tolist()
+                out = list(compress(local, is_remote))
+                local = [i for i, far in zip(local, is_remote) if not far]
             local_delays = [delays[i] for i in local]
         if not local_delays or min(local_delays) > 0:
             if accepted < n_receivers:

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel used by the GRP reproduction."""
 
-from .engine import Event, EventHandle, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator
 from .process import Process
 from .randomness import SeedSequenceFactory, derive_seed, substream
 from .timers import OneShotTimer, PeriodicTimer
@@ -8,7 +8,6 @@ from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
-    "EventHandle",
     "SimulationError",
     "Simulator",
     "Process",

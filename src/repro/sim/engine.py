@@ -9,9 +9,11 @@ classic event-list approach:
   sequence number is unique: the :class:`Event` itself is never compared);
 * callbacks registered with :meth:`Simulator.schedule` are invoked with the
   simulator clock already advanced to the event time;
-* events can be cancelled through the :class:`EventHandle` returned at
-  scheduling time (cancellation is O(1): the event is flagged and skipped when
-  popped).
+* one :class:`Event` per scheduled callback is both the queue payload and
+  the handle :meth:`Simulator.schedule` returns; cancelling it is O(1) (the
+  event is flagged and skipped when popped);
+* a periodic timer re-inserts the event that just fired, under the next
+  sequence number, exactly where a fresh :meth:`Simulator.schedule` would.
 
 The simulator also owns the root random generator (``numpy.random.Generator``)
 from which all stochastic components (mobility, channel loss, jitter) derive
@@ -22,61 +24,47 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import current as _obs_current
 
-__all__ = ["Event", "EventHandle", "Simulator", "SimulationError"]
+if TYPE_CHECKING:
+    from .timers import PeriodicTimer
+
+__all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is used inconsistently (e.g. scheduling in the past)."""
 
 
-@dataclass(eq=False, slots=True)
 class Event:
-    """A single scheduled callback.
+    """A scheduled callback, and the handle that cancels it.
 
     The queue orders events by the ``(time, seq)`` key stored next to them;
-    events themselves are not comparable.
+    events themselves are not comparable.  ``_sim`` is the owning simulator
+    while the event is queued and ``None`` once it ran or was drained, so a
+    late :meth:`cancel` leaves the pending counter alone.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., Any]
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    cancelled: bool = False
-    done: bool = False
+    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
 
-
-class EventHandle:
-    """Opaque handle allowing cancellation and inspection of a scheduled event."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: Event, sim: Optional["Simulator"] = None):
-        self._event = event
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple,
+                 sim: Optional["Simulator"]):
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Scheduled activation time."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Cancel the event; it will be silently skipped when reached."""
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            if self._sim is not None and not self._event.done:
+        if not self.cancelled:
+            self.cancelled = True
+            if self._sim is not None:
                 self._sim._pending -= 1
 
 
@@ -162,30 +150,48 @@ class Simulator:
     # ------------------------------------------------------------- scheduling
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
-                 **kwargs: Any) -> EventHandle:
+                 **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` after ``delay`` time units."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
-                    **kwargs: Any) -> EventHandle:
-        """Schedule ``callback`` at the absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} which is before current time {self._now}")
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        time = float(self._now + delay)
         seq = self._next_seq
-        self._next_seq += 1
-        time = float(time)
-        event = Event(time, seq, callback, args, kwargs)
+        self._next_seq = seq + 1
+        event = Event(time, callback, args, self)
         heapq.heappush(self._queue, (time, seq, event))
         self._pending += 1
         if self._obs_scheduled is not None:
             self._obs_scheduled.inc()
-        return EventHandle(event, self)
+        return event
+
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
+                    **kwargs: Any) -> Event:
+        """Schedule ``callback`` at the absolute simulated time ``time``."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} which is before current time {self._now}")
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        event = Event(float(time), callback, args, self)
+        self._insert(event, event.time)
+        return event
+
+    def _insert(self, event: Event, time: float) -> None:
+        """Queue ``event`` at ``time`` under the next sequence number, as a
+        new :meth:`schedule` call would; periodic timers re-arm through this."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event.time = time
+        event._sim = self
+        heapq.heappush(self._queue, (time, seq, event))
+        self._pending += 1
+        if self._obs_scheduled is not None:
+            self._obs_scheduled.inc()
 
     def schedule_many(self, delays: Sequence[float], callback: Callable[..., Any],
-                      args_seq: Sequence[tuple]) -> List[EventHandle]:
+                      args_seq: Sequence[tuple]) -> List[Event]:
         """Bulk-schedule ``callback(*args)`` for each ``(delay, args)`` pair.
 
         Equivalent to ``[self.schedule(d, callback, *a) for d, a in
@@ -198,32 +204,36 @@ class Simulator:
         heap's internal layout, so both insertion strategies replay
         identically.  All delays are validated before any event is inserted.
         """
-        if len(delays) != len(args_seq):
+        m = len(delays)
+        if m != len(args_seq):
             raise SimulationError("schedule_many needs one args tuple per delay")
+        if m and min(delays) < 0:
+            raise SimulationError(
+                f"cannot schedule in the past (delay={min(delays)})")
         obs = self._obs
         t0 = obs.clock() if obs is not None else 0
         now = self._now
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq0 = self._next_seq
-        times = [float(now + delay) for delay in delays]
-        entries = [(time, seq, Event(time, seq, callback, tuple(args)))
-                   for seq, time, args in zip(range(seq0, seq0 + len(times)), times, args_seq)]
-        self._next_seq = seq0 + len(entries)
-        if len(self._queue) < 4 * len(entries):
-            self._queue.extend(entries)
-            heapq.heapify(self._queue)
-        else:
-            for entry in entries:
-                heapq.heappush(self._queue, entry)
-        self._pending += len(entries)
+        seq = self._next_seq
+        queue = self._queue
+        bulk = len(queue) < 4 * m
+        push = queue.append if bulk else partial(heapq.heappush, queue)
+        events = []
+        for delay, args in zip(delays, args_seq):
+            time = float(now + delay)
+            event = Event(time, callback, tuple(args), self)
+            push((time, seq, event))
+            events.append(event)
+            seq += 1
+        if bulk:
+            heapq.heapify(queue)
+        self._next_seq = seq
+        self._pending += m
         if obs is not None:
-            self._obs_scheduled.inc(len(entries))
-            obs.record_span("sim.schedule_many", now, t0, {"events": len(entries)})
-        return [EventHandle(event, self) for _, _, event in entries]
+            self._obs_scheduled.inc(m)
+            obs.record_span("sim.schedule_many", now, t0, {"events": m})
+        return events
 
-    def cancel(self, handle: EventHandle) -> None:
+    def cancel(self, handle: Event) -> None:
         """Cancel an event previously returned by :meth:`schedule`."""
         handle.cancel()
 
@@ -313,29 +323,33 @@ class Simulator:
         cancelled ones, and executes events up to ``end`` (inclusive or not)
         and at most ``max_events`` of them.  Returns the number executed and
         whether the loop stopped at a live event beyond the bound (``False``
-        when the queue drained or ``max_events`` was reached).
+        when the queue drained or ``max_events`` was reached).  The entry
+        that crosses the bound goes back on the heap unchanged.
         """
         queue = self._queue
         heappop = heapq.heappop
         obs = self._obs
         limit = math.inf if max_events is None else max_events
+        # ``time >= end`` is ``time > nextafter(end, -inf)`` on floats.
+        bound = end if inclusive else math.nextafter(end, -math.inf)
         executed = 0
         while queue and executed < limit:
-            time, _seq, event = queue[0]
+            entry = heappop(queue)
+            event = entry[2]
             if event.cancelled:
-                heappop(queue)
                 continue
-            if time > end or (time == end and not inclusive):
+            time = entry[0]
+            if time > bound:
+                heapq.heappush(queue, entry)
                 return executed, True
-            heappop(queue)
-            event.done = True
+            event._sim = None
             self._pending -= 1
             self._now = time
             if obs is None:
-                event.callback(*event.args, **event.kwargs)
+                event.callback(*event.args)
             else:
                 t0 = obs.clock()
-                event.callback(*event.args, **event.kwargs)
+                event.callback(*event.args)
                 obs.record_span("sim.event_pop", time, t0)
                 self._obs_events.inc()
             self._processed += 1
@@ -349,52 +363,29 @@ class Simulator:
     # ------------------------------------------------------------------ misc
 
     def call_every(self, interval: float, callback: Callable[..., Any], *args: Any,
-                   start: Optional[float] = None, **kwargs: Any) -> EventHandle:
-        """Schedule ``callback`` periodically every ``interval`` time units.
+                   start: Optional[float] = None, **kwargs: Any) -> "PeriodicTimer":
+        """Call ``callback`` every ``interval`` time units, first at ``start``
+        (default: one interval from now).
 
-        The returned handle cancels the *next* occurrence only; use a
-        :class:`repro.sim.timers.PeriodicTimer` for richer control.
+        Returns the started :class:`repro.sim.timers.PeriodicTimer`; its
+        ``cancel`` stops the repetition.
         """
-        if interval <= 0:
-            raise SimulationError("interval must be positive")
-        first = self._now + (interval if start is None else max(0.0, start - self._now))
+        from .timers import PeriodicTimer  # timers build on this module
 
-        state = {"handle": None, "stopped": False}
-
-        def _fire() -> None:
-            if state["stopped"]:
-                return
-            callback(*args, **kwargs)
-            state["handle"] = self.schedule(interval, _fire)
-
-        state["handle"] = self.schedule_at(first, _fire)
-
-        class _PeriodicHandle(EventHandle):
-            def __init__(self):  # noqa: D401 - thin wrapper
-                pass
-
-            @property
-            def time(self) -> float:
-                return state["handle"].time if state["handle"] else float("nan")
-
-            @property
-            def cancelled(self) -> bool:
-                return state["stopped"]
-
-            def cancel(self) -> None:
-                state["stopped"] = True
-                if state["handle"] is not None:
-                    state["handle"].cancel()
-
-        return _PeriodicHandle()
+        if args or kwargs:
+            callback = partial(callback, *args, **kwargs)
+        timer = PeriodicTimer(self, interval, callback,
+                              phase=None if start is None else max(0.0, start - self._now))
+        timer.start()
+        return timer
 
     def drain(self) -> Iterable[Event]:
         """Remove and return every pending event (used by tests)."""
         events = [event for _, _, event in self._queue if not event.cancelled]
         for _, _, event in self._queue:
-            # Mark drained events done so a late EventHandle.cancel() does not
-            # decrement the pending counter below zero.
-            event.done = True
+            # Detach drained events so a late cancel() does not decrement the
+            # pending counter below zero.
+            event._sim = None
         self._queue.clear()
         self._pending = 0
         return events

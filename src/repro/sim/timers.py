@@ -9,11 +9,12 @@ real radios and what the fair-channel hypothesis of the paper tolerates.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import EventHandle, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator
 
 __all__ = ["OneShotTimer", "PeriodicTimer"]
 
@@ -32,7 +33,7 @@ class OneShotTimer:
         self._sim = sim
         self._duration = float(duration)
         self._callback = callback
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
 
     @property
     def duration(self) -> float:
@@ -103,7 +104,7 @@ class PeriodicTimer:
         self._jitter = float(jitter)
         self._rng = rng if rng is not None else sim.rng
         self._phase = phase
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
         self._expirations = 0
 
@@ -146,10 +147,27 @@ class PeriodicTimer:
             self._handle.cancel()
             self._handle = None
 
+    # The handle protocol of :meth:`Simulator.call_every`.
+    cancel = stop
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the timer is stopped."""
+        return not self._running
+
+    @property
+    def time(self) -> float:
+        """Time of the next expiration (``nan`` while stopped)."""
+        return self._handle.time if self._handle is not None else math.nan
+
     def _fire(self) -> None:
         if not self._running:
             return
+        event = self._handle
         self._expirations += 1
         self._callback()
-        if self._running:
-            self._handle = self._sim.schedule(self._next_delay(), self._fire)
+        # Re-arm the event that just fired, unless the callback stopped the
+        # timer or stopped and restarted it (``start`` armed a fresh event).
+        if self._running and self._handle is event:
+            sim = self._sim
+            sim._insert(event, sim._now + self._next_delay())

@@ -197,6 +197,53 @@ class TestArrayLinkStateExactness:
         assert ids_again == [1, 3]
 
 
+    def test_active_receivers_match_a_fresh_gather_under_random_deltas(self):
+        """Refreshes that reuse the last id/process gather (kept arcs and
+        membership unchanged) must serve what a fresh gather would."""
+        rng = np.random.default_rng(7)
+        r = 60.0
+        pts = rng.uniform(0.0, 300.0, size=(40, 2))
+        store = make_store([tuple(map(float, p)) for p in pts])
+        ls = ArrayLinkState(r, store)
+        removed = []
+        reused = 0
+        for token in range(1, 301):
+            before = ls._recv_ids
+            op = rng.random()
+            if op < 0.35:
+                row = int(rng.integers(0, store.n))
+                # Mostly tiny moves, which rarely change a link.
+                step = rng.normal(0.0, 1.0 if rng.random() < 0.8 else 40.0, 2)
+                store.write_rows(np.array([row]), store.xy[row] + step)
+                ls.mark_rows_dirty(np.array([row]))
+            elif op < 0.75:
+                node = store.ids[int(rng.integers(0, store.n))]
+                store.set_active(node, not bool(store.active[store.row_of[node]]))
+            elif op < 0.8:
+                # A new process under the same id, row and position: the kept
+                # rows stay equal, so only the membership stamp shows it.
+                node = store.ids[-1]
+                xy, active = store.position_of(node), bool(store.active[store.n - 1])
+                store.remove(node)
+                store.insert(node, xy, proc=f"proc-{node}-t{token}", active=active)
+                ls.mark_dirty()
+            elif op < 0.9 and store.n > 5:
+                node = store.ids[int(rng.integers(0, store.n))]
+                removed.append(node)
+                store.remove(node)
+                ls.mark_dirty()
+            elif removed:
+                node = removed.pop(int(rng.integers(0, len(removed))))
+                store.insert(node, tuple(map(float, rng.uniform(0.0, 300.0, 2))),
+                             proc=f"proc-{node}-t{token}", active=bool(rng.random() < 0.8))
+                ls.mark_dirty()
+            fresh = ArrayLinkState(r, store)
+            for node in store.ids:
+                assert ls.active_receivers(node, token) == fresh.active_receivers(node, token)
+            reused += ls._recv_ids is before
+        assert reused > 30  # the reuse branch, not only the regather, ran
+
+
 # ------------------------------------------- incremental CSR patch exactness
 
 

@@ -237,3 +237,36 @@ class TestWireRoundTripRun:
             AncestorList.from_wire = stock_from_wire
         assert deployment.network.messages_delivered > 0
         assert calls == []
+
+
+class TestAppPayloadMarker:
+    """The delivery path asks every payload ``is_app_payload``; a GRP message
+    answers from its class, never through ``__getattr__`` (which would raise
+    and catch an ``AttributeError`` per broadcast)."""
+
+    def test_marker_is_a_class_attribute_not_a_field(self):
+        assert GRPMessage.is_app_payload is False
+        assert "is_app_payload" not in {f.name for f in dataclasses.fields(GRPMessage)}
+
+    def test_a_city_run_never_reaches_getattr_for_the_marker(self, monkeypatch):
+        from repro.scenarios import ScenarioSpec, build
+
+        deployment = build(ScenarioSpec.create("city_scale", n=60, area=700.0,
+                                                hotspot_sigma=70.0), seed=2)
+        handled = []
+        for node_id in deployment.network.node_ids:
+            # An installed handler makes Process.deliver test the marker too.
+            deployment.network.process(node_id).app_handler = (
+                lambda sender, payload: handled.append(payload))
+        stock = GRPMessage.__getattr__
+        asked = []
+
+        def counting(self, name):
+            asked.append(name)
+            return stock(self, name)
+
+        monkeypatch.setattr(GRPMessage, "__getattr__", counting)
+        deployment.run(4.0)
+        assert deployment.network.messages_delivered > 0
+        assert handled == []
+        assert "is_app_payload" not in asked

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.obs import observing
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.timers import OneShotTimer, PeriodicTimer
+from reference_engine import ReferencePeriodicTimer, ReferenceSimulator
 
 
 class TestScheduling:
@@ -266,7 +267,7 @@ class TestPeriodicScheduling:
         handle.cancel()
         assert simulator.pending_events == 0
         # The stopped flag keeps a stray drained callback from rescheduling.
-        drained[0].callback(*drained[0].args, **drained[0].kwargs)
+        drained[0].callback(*drained[0].args)
         assert simulator.pending_events == 0
 
     def test_periodic_callback_exception_does_not_corrupt_counter(self, simulator):
@@ -579,3 +580,132 @@ class TestTimerJitterDraw:
             reference.uniform(period * (1.0 - jitter), period * (1.0 + jitter))
         assert times == expected
         assert timer._rng.bit_generator.state == reference.bit_generator.state
+
+
+# ----------------------------------------------- reference scheduler parity
+
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 4.0)
+PICK = st.integers(0, 50)
+ACTIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("cancel"), PICK),
+    st.tuples(st.just("schedule"), DELAYS),
+    st.tuples(st.just("stop"), PICK),
+    st.tuples(st.just("start"), PICK),
+    st.tuples(st.just("bounce"), PICK),
+    st.tuples(st.just("restart"), PICK),
+    st.tuples(st.just("uncall"), PICK),
+)
+OPS = st.one_of(
+    st.tuples(st.just("schedule"), DELAYS, ACTIONS),
+    st.tuples(st.just("schedule_at"), DELAYS, ACTIONS),
+    st.tuples(st.just("schedule_many"), st.lists(DELAYS, max_size=6), ACTIONS),
+    st.tuples(st.just("periodic"), st.floats(0.1, 3.0), st.sampled_from([0.0, 0.1, 0.5]),
+              st.none() | DELAYS, st.integers(0, 2**32 - 1), ACTIONS),
+    st.tuples(st.just("oneshot"), st.floats(0.1, 3.0), ACTIONS),
+    st.tuples(st.just("call_every"), st.floats(0.1, 3.0), st.none() | DELAYS, ACTIONS),
+    st.tuples(st.just("act"), ACTIONS),
+    st.tuples(st.just("run"), st.none() | DELAYS, st.none() | st.integers(0, 30)),
+    st.tuples(st.just("run_window"), DELAYS, st.booleans(), st.none() | st.integers(0, 30)),
+    st.tuples(st.just("step")),
+)
+
+
+def drive(script, sim, periodic_cls):
+    """Run ``script`` on ``sim``; return everything observable about the run."""
+    trace, handles, timers, oneshots, repeaters = [], [], [], [], []
+
+    def pick(items, k):
+        return items[k % len(items)] if items else None
+
+    def act(action):
+        kind, target = action[0], action[1] if len(action) > 1 else None
+        if kind == "cancel" and handles:
+            pick(handles, target).cancel()
+        elif kind == "schedule":
+            handles.append(sim.schedule(target, record, ("nested", len(handles)), ("none",)))
+        elif kind in ("stop", "start", "bounce") and timers:
+            timer = pick(timers, target)
+            if kind != "start":
+                timer.stop()
+            if kind != "stop":
+                timer.start()
+        elif kind == "restart" and oneshots:
+            pick(oneshots, target).restart()
+        elif kind == "uncall" and repeaters:
+            pick(repeaters, target).cancel()
+
+    def record(tag, action):
+        trace.append((tag, sim.now, sim.pending_events))
+        act(action)
+
+    for op in script:
+        kind = op[0]
+        if kind == "schedule":
+            handles.append(sim.schedule(op[1], record, ("s", len(handles)), op[2]))
+        elif kind == "schedule_at":
+            handles.append(sim.schedule_at(sim.now + op[1], record,
+                                           ("at", len(handles)), op[2]))
+        elif kind == "schedule_many":
+            tag = len(handles)
+            handles.extend(sim.schedule_many(
+                op[1], record, [(("many", tag, k), op[2]) for k in range(len(op[1]))]))
+        elif kind == "periodic":
+            _, period, jitter, phase, seed, action = op
+            k = len(timers)
+            timers.append(periodic_cls(
+                sim, period, lambda k=k, action=action: record(("P", k), action),
+                jitter=jitter, rng=np.random.default_rng(seed), phase=phase))
+            timers[-1].start()
+        elif kind == "oneshot":
+            k = len(oneshots)
+            oneshots.append(OneShotTimer(
+                sim, op[1], lambda k=k, action=op[2]: record(("O", k), action)))
+            oneshots[-1].start()
+        elif kind == "call_every":
+            _, interval, start, action = op
+            k = len(repeaters)
+            repeaters.append(sim.call_every(
+                interval, record, ("E", k), action,
+                start=None if start is None else sim.now + start))
+        elif kind == "act":
+            act(op[1])
+        elif kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            # An unbounded run still stops: periodic timers never drain.
+            sim.run(until=until, max_events=30 if op[2] is None else op[2])
+        elif kind == "run_window":
+            sim.run_window(sim.now + op[1], inclusive=op[2], max_events=op[3])
+        else:
+            sim.step()
+        trace.append((kind, sim.now, sim.pending_events, sim.processed_events,
+                      sim.peek_time()))
+    sim.run(until=sim.now + 5.0, max_events=300)
+    return {
+        "trace": trace,
+        "processed": sim.processed_events,
+        "pending": sim.pending_events,
+        "handles": [(h.time, h.cancelled) for h in handles],
+        "repeaters": [(None if r.cancelled else r.time, r.cancelled) for r in repeaters],
+        "timers": [(t.expirations, t.running, t._rng.bit_generator.state)
+                   for t in timers],
+        "oneshots": [t.pending for t in oneshots],
+    }
+
+
+class TestMatchesReferenceScheduler:
+    """The heap engine with re-armed timer events against the sorted-list
+    reference of ``tests/reference_engine.py``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(OPS, max_size=25))
+    def test_random_scripts_replay_identically(self, script):
+        expected_sim = ReferenceSimulator()
+        expected = drive(script, expected_sim, ReferencePeriodicTimer)
+        with observing() as ctx:
+            sim = Simulator(seed=0)
+            got = drive(script, sim, PeriodicTimer)
+        assert got == expected
+        counters = ctx.registry.as_dict()["counters"]
+        assert counters.get("sim.scheduled", 0) == expected_sim.scheduled
+        assert counters.get("sim.events", 0) == expected_sim.processed_events
