@@ -41,7 +41,7 @@ class ChurnSchedule:
             network.sim.schedule_at(event.time, self._apply, network, event)
 
     def _apply(self, network: Network, event: ChurnEvent) -> None:
-        if event.node_id not in network.processes:
+        if event.node_id not in network:
             return
         if event.active:
             network.activate_node(event.node_id)

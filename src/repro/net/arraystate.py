@@ -6,12 +6,13 @@ operation at a time, and every broadcast materializes fresh python lists.
 This module provides the structure-of-arrays backend behind the existing
 :class:`repro.net.network.Network` APIs:
 
-* :class:`NodeArrayStore` — one contiguous ``N x 2`` float64 position array
-  plus per-row insertion-order and activity arrays, row-aligned Python lists
-  of node ids and process objects, and a ``node id <-> row`` map.  The
-  network creates it in its constructor.  Rows are recycled by
-  swap-with-last on removal, so the rows stay dense; mobility steps and
-  ``Network.set_positions`` become one masked array write.  Ids and
+* :class:`NodeArrayStore` — the network's only node table: one contiguous
+  ``N x 2`` float64 position array plus a per-row activity array,
+  row-aligned Python lists of node ids and process objects, and a
+  ``node id <-> row`` map.  The network creates it in its constructor.
+  Rows are kept in insertion order (removal shifts the later rows down), so
+  row order is the order every scan path visits nodes in; mobility steps
+  and ``Network.set_positions`` become one masked array write.  Ids and
   processes live in lists, not object arrays, so the cyclic collector can
   traverse the network -> store -> process -> network cycle and free a
   discarded world.
@@ -42,12 +43,11 @@ backend to bit-identical runs.
 
 Determinism
 -----------
-CSR adjacency rows are sorted by node *insertion order* (the store's
-:attr:`NodeArrayStore.order` stamps, the order the brute-force scan visits
-nodes in),
-so receiver lists and snapshot edge insertion orders are identical to the
-brute-force scan — stochastic channels consume their RNG streams identically
-whichever path produced the candidate list.
+CSR adjacency rows are sorted by row, which is node *insertion order* (the
+order the brute-force scan visits nodes in), so receiver lists and snapshot
+edge insertion orders are identical to the brute-force scan — stochastic
+channels consume their RNG streams identically whichever path produced the
+candidate list.
 """
 
 from __future__ import annotations
@@ -74,23 +74,19 @@ _INITIAL_CAPACITY = 64
 class NodeArrayStore:
     """The network's node table: numeric columns in arrays, objects in lists.
 
-    One row per node; rows are dense (``[0, n)``).  Removal swaps the last
-    row into the vacated slot, so row indices are *not* stable across
-    removals — consumers must translate through :attr:`row_of` per query (or
-    rebuild, as :class:`ArrayLinkState` does).  Insertion order, the
-    determinism anchor of every scan path, lives in the :attr:`order` array,
-    not in row position; :meth:`insert` stamps it.
+    One row per node; rows are dense (``[0, n)``) and in insertion order, the
+    determinism anchor of every scan path.  Removal shifts every later row
+    down by one, so row indices are *not* stable across removals — consumers
+    must translate through :attr:`row_of` per query (or rebuild, as
+    :class:`ArrayLinkState` does).
     """
 
-    __slots__ = ("xy", "order", "active", "ids", "procs", "row_of", "n",
-                 "membership", "_next_order")
+    __slots__ = ("xy", "active", "ids", "procs", "row_of", "n", "membership")
 
     def __init__(self) -> None:
         cap = _INITIAL_CAPACITY
         #: positions, row-aligned (only ``[:n]`` is meaningful)
         self.xy = np.empty((cap, 2), dtype=np.float64)
-        #: insertion-order stamps, one per :meth:`insert` call
-        self.order = np.empty(cap, dtype=np.int64)
         #: activity mask, kept in sync by ``Network.notify_activation_change``
         self.active = np.empty(cap, dtype=bool)
         #: node identifiers, row-aligned
@@ -102,7 +98,6 @@ class NodeArrayStore:
         #: bumped by every insert and remove: an unchanged value proves the
         #: row -> (id, process) mapping is the one last seen
         self.membership = 0
-        self._next_order = 0
 
     def __len__(self) -> int:
         return self.n
@@ -112,7 +107,7 @@ class NodeArrayStore:
 
     def _grow(self) -> None:
         cap = max(_INITIAL_CAPACITY, 2 * self.xy.shape[0])
-        for name in ("xy", "order", "active"):
+        for name in ("xy", "active"):
             old = getattr(self, name)
             shape = (cap,) + old.shape[1:]
             new = np.empty(shape, dtype=old.dtype)
@@ -121,8 +116,7 @@ class NodeArrayStore:
 
     def insert(self, node: Hashable, pos: Tuple[float, float],
                proc: object, active: bool) -> int:
-        """Append a row for ``node``, stamped with the next insertion order;
-        returns the row index."""
+        """Append a row for ``node``; returns the row index."""
         if node in self.row_of:
             raise ValueError(f"node {node!r} already stored")
         if self.n == self.xy.shape[0]:
@@ -130,8 +124,6 @@ class NodeArrayStore:
         row = self.n
         self.xy[row, 0] = pos[0]
         self.xy[row, 1] = pos[1]
-        self.order[row] = self._next_order
-        self._next_order += 1
         self.active[row] = active
         self.ids.append(node)
         self.procs.append(proc)
@@ -141,19 +133,17 @@ class NodeArrayStore:
         return row
 
     def remove(self, node: Hashable) -> None:
-        """Drop ``node``'s row, swapping the last row into its place."""
+        """Drop ``node``'s row, shifting every later row down by one."""
         row = self.row_of.pop(node)
         last = self.n - 1
-        if row != last:
-            self.xy[row] = self.xy[last]
-            self.order[row] = self.order[last]
-            self.active[row] = self.active[last]
-            moved = self.ids[last]
-            self.ids[row] = moved
-            self.procs[row] = self.procs[last]
-            self.row_of[moved] = row
-        self.ids.pop()
-        self.procs.pop()
+        self.xy[row:last] = self.xy[row + 1:last + 1]
+        self.active[row:last] = self.active[row + 1:last + 1]
+        ids = self.ids
+        del ids[row]
+        del self.procs[row]
+        row_of = self.row_of
+        for k in range(row, last):
+            row_of[ids[k]] = k
         self.n = last
         self.membership += 1
 
@@ -440,13 +430,11 @@ class ArrayLinkState:
         if m:
             src = np.concatenate([rows_i, rows_j])
             dst = np.concatenate([rows_j, rows_i])
-            # Group by source row, receivers sorted by insertion order — the
-            # exact sequence every scan path visits.  One fused sort key
-            # (src-major, insertion-order-minor) replaces a two-pass lexsort;
-            # keys are unique per arc, so the unstable sort is deterministic.
-            order = store.order[:n]
-            key = src * (int(order.max()) + 1) + order[dst]
-            perm = np.argsort(key)
+            # Group by source row, receivers sorted by row (insertion order)
+            # — the exact sequence every scan path visits.  One fused sort
+            # key (src-major, dst-minor) replaces a two-pass lexsort; keys
+            # are unique per arc, so the unstable sort is deterministic.
+            perm = np.argsort(src * n + dst)
             self._indices[:m] = dst[perm]
             counts = np.bincount(src, minlength=n)
         else:
@@ -593,14 +581,12 @@ class ArrayLinkState:
         # New arcs: both directions of every surviving candidate pair.
         src_new = np.concatenate([cand_i, cand_j])
         dst_new = np.concatenate([cand_j, cand_i])
-        order = store.order[:n]
-        stride = int(order.max()) + 1 if n else 1
         # Kept arcs inherit the CSR's ordering, so their fused keys are
         # already ascending; sort only the (small) new-arc set and merge
         # positionally.  Keys are unique per arc and the two sets are
         # disjoint (kept arcs have no dirty endpoint, new arcs have one).
-        key_k = src_k * stride + order[dst_k]
-        key_n = src_new * stride + order[dst_new]
+        key_k = src_k * n + dst_k
+        key_n = src_new * n + dst_new
         perm = np.argsort(key_n)
         src_new, dst_new, key_n = src_new[perm], dst_new[perm], key_n[perm]
         m = len(src_k) + len(src_new)
@@ -722,9 +708,7 @@ class ArrayLinkState:
         self._ensure()
         n = self._built_n
         store = self.store
-        order = store.order[:n]
         rows = np.flatnonzero(active_rows[:n])
-        rows = rows[np.argsort(order[rows])]
         rank = np.full(n, -1, dtype=np.int64)
         rank[rows] = np.arange(rows.size)
         src = rank[np.repeat(np.arange(n), np.diff(self._indptr[:n + 1]))]
@@ -735,7 +719,11 @@ class ArrayLinkState:
                                       src[keep], dst[keep])
 
     def directed_arcs(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:
-        """Directed arcs over ``active_rows``, sorted by (order[u], order[v])."""
+        """Directed arcs over ``active_rows``, sorted by (row of u, row of v).
+
+        CSR rows are grouped by source and sorted by destination, so the
+        arcs come out in that order with no sort.
+        """
         self._ensure()
         n = self._built_n
         m = self._m
@@ -746,12 +734,9 @@ class ArrayLinkState:
                         np.diff(self._indptr[:n + 1]))
         dst = self._indices[:m].astype(np.int64, copy=False)
         keep = active_rows[src] & active_rows[dst]
-        src, dst = src[keep], dst[keep]
-        order = store.order[:n]
-        perm = np.lexsort((order[dst], order[src]))
         ids = store.ids
         return [(ids[u], ids[v])
-                for u, v in zip(src[perm].tolist(), dst[perm].tolist())]
+                for u, v in zip(src[keep].tolist(), dst[keep].tolist())]
 
     def arcs(self) -> Iterator[Tuple[Hashable, Hashable]]:
         """Every directed link, grouped by source row (test/debug helper)."""

@@ -115,12 +115,10 @@ class Network:
         self.radio = radio
         self.channel = channel if channel is not None else PerfectChannel()
         self.mobility = mobility
-        #: the node table's array form (positions, insertion order, activity,
-        #: ids and processes by row), kept current by every mutation below
+        #: the node table: positions, activity, ids and processes by row,
+        #: rows in insertion order
         self._store = NodeArrayStore()
         self._array_ls: Optional[ArrayLinkState] = None
-        self._processes: Dict[Hashable, Process] = {}
-        self._positions: Dict[Hashable, Point] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -206,15 +204,19 @@ class Network:
 
     # ------------------------------------------------------------- topology
 
+    def __contains__(self, node_id: Hashable) -> bool:
+        return node_id in self._store.row_of
+
     @property
     def node_ids(self) -> List[Hashable]:
         """All node identifiers (active or not), in insertion order."""
-        return list(self._processes)
+        return list(self._store.ids)
 
     @property
     def positions(self) -> Dict[Hashable, Point]:
-        """Current positions (copy)."""
-        return dict(self._positions)
+        """Current positions (copy), in insertion order."""
+        store = self._store
+        return dict(zip(store.ids, map(tuple, store.xy[:store.n].tolist())))
 
     @property
     def topology_generation(self) -> int:
@@ -223,11 +225,11 @@ class Network:
 
     def position_of(self, node_id: Hashable) -> Point:
         """Current position of ``node_id``."""
-        return self._positions[node_id]
+        return self._store.position_of(node_id)
 
     def set_position(self, node_id: Hashable, position: Point) -> None:
         """Teleport ``node_id`` to ``position``."""
-        if node_id not in self._processes:
+        if node_id not in self:
             raise KeyError(f"unknown node {node_id!r}")
         pos = (float(position[0]), float(position[1]))
         self._apply_move(node_id, pos)
@@ -249,9 +251,8 @@ class Network:
             # python validation.  Exotic inputs the conversion cannot digest
             # (ragged tuples, extra coordinates) take the scalar loop below,
             # which preserves the historical lenient coercion.
-            if not (self._processes.keys() >= positions.keys()):
-                unknown = next(nid for nid in positions
-                               if nid not in self._processes)
+            if not (self._store.row_of.keys() >= positions.keys()):
+                unknown = next(nid for nid in positions if nid not in self)
                 raise KeyError(f"unknown node {unknown!r}")
             try:
                 coords = np.fromiter(positions.values(),
@@ -264,7 +265,7 @@ class Network:
                 return
         updates: Dict[Hashable, Point] = {}
         for node_id, position in positions.items():
-            if node_id not in self._processes:
+            if node_id not in self:
                 raise KeyError(f"unknown node {node_id!r}")
             updates[node_id] = (float(position[0]), float(position[1]))
         self._apply_position_updates(updates)
@@ -273,9 +274,8 @@ class Network:
                               coords: np.ndarray) -> None:
         """Masked-array tail of the batch teleports.
 
-        Changed rows are detected and written in whole-array operations, the
-        position dict is patched for the movers only, and the generation
-        bumps once iff anything moved.
+        Changed rows are detected and written in whole-array operations, and
+        the generation bumps once iff anything moved.
         """
         store = self._store
         rows = np.fromiter(map(store.row_of.__getitem__, ids),
@@ -285,9 +285,6 @@ class Network:
             return
         moved = np.flatnonzero(changed)
         store.write_rows(rows[moved], coords[moved])
-        positions = self._positions
-        for k, xy in zip(moved.tolist(), coords[moved].tolist()):
-            positions[ids[k]] = (xy[0], xy[1])
         if self._array_ls is not None:
             self._array_ls.mark_rows_dirty(rows[moved])
         self._generation += 1
@@ -310,15 +307,14 @@ class Network:
             return
         applied = False
         for node_id, pos in updates.items():
-            if pos != self._positions[node_id]:
+            if pos != self._store.position_of(node_id):
                 self._apply_move(node_id, pos)
                 applied = True
         if applied:
             self._generation += 1
 
     def _apply_move(self, node_id: Hashable, pos: Point) -> None:
-        """Move one node, mirroring the store and CSR link state."""
-        self._positions[node_id] = pos
+        """Move one node in the store and mark its CSR row dirty."""
         self._store.update(node_id, pos)
         if self._array_ls is not None:
             self._array_ls.mark_row_dirty(self._store.row_of[node_id])
@@ -334,18 +330,19 @@ class Network:
         """
         self._generation += 1
         # A mutation can change the uniform link radius too; the node store
-        # itself only mirrors positions and survives radio changes.
+        # holds no radio state and survives radio changes.
         self._array_ls = None
         self._det_vicinity = self.radio.deterministic_vicinity()
 
     def process(self, node_id: Hashable) -> Process:
         """The protocol process attached to ``node_id``."""
-        return self._processes[node_id]
+        return self._store.procs[self._store.row_of[node_id]]
 
     @property
     def processes(self) -> Dict[Hashable, Process]:
-        """Mapping node id -> process (copy)."""
-        return dict(self._processes)
+        """Mapping node id -> process (copy), in insertion order."""
+        store = self._store
+        return dict(zip(store.ids, store.procs))
 
     def active_nodes(self) -> Set[Hashable]:
         """Identifiers of the currently active nodes.
@@ -356,18 +353,17 @@ class Network:
         predicate even if a subclass overrides the public ``active``
         property.
         """
-        return {nid for nid, proc in self._processes.items() if proc._active}
+        store = self._store
+        return {nid for nid, proc in zip(store.ids, store.procs) if proc._active}
 
     def add_node(self, process: Process, position: Point) -> None:
         """Attach a protocol process at ``position``."""
-        if process.node_id in self._processes:
+        if process.node_id in self:
             raise ValueError(f"node {process.node_id!r} already exists")
         process.bind(self.sim, self)
         if type(process).deliver is not Process.deliver:
             self._stock_deliver = False
         pos = (float(position[0]), float(position[1]))
-        self._processes[process.node_id] = process
-        self._positions[process.node_id] = pos
         self._store.insert(process.node_id, pos, process, process._active)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
@@ -375,8 +371,7 @@ class Network:
 
     def remove_node(self, node_id: Hashable) -> Process:
         """Detach and return the process of ``node_id`` (the node disappears)."""
-        process = self._processes.pop(node_id)
-        self._positions.pop(node_id, None)
+        process = self.process(node_id)
         self._store.remove(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
@@ -386,7 +381,7 @@ class Network:
 
     def start(self) -> None:
         """Start every attached process and the mobility process if configured."""
-        for process in self._processes.values():
+        for process in self._store.procs:
             process.start()
         if self.mobility is not None:
             self.start_mobility()
@@ -395,11 +390,11 @@ class Network:
 
     def deactivate_node(self, node_id: Hashable) -> None:
         """Power off a node (it keeps its position but neither sends nor receives)."""
-        self._processes[node_id].deactivate()
+        self.process(node_id).deactivate()
 
     def activate_node(self, node_id: Hashable) -> None:
         """Power a node back on."""
-        self._processes[node_id].activate()
+        self.process(node_id).activate()
 
     def notify_activation_change(self, node_id: Hashable, active: bool) -> None:
         """Invalidate snapshots after an activation flip (called by the process)."""
@@ -431,22 +426,21 @@ class Network:
             # The model gets a copy: a model that mutates its input in place
             # and returns it would otherwise make the before/after diff
             # vacuous (and could corrupt the live table mid-comparison).
-            new_positions = self.mobility.step(dict(self._positions), step)
-            processes = self._processes
+            stepped = self.mobility.step(self.positions, step)
+            row_of = self._store.row_of
             # Mobility models may carry state for nodes the network never
-            # knew or has removed; admitting them would break the
-            # positions ↔ processes ↔ store mirror invariant.  Change
+            # knew or has removed; the node table admits no such id.  Change
             # detection (paused/static nodes flip no link and must leave
             # every cache warm) happens inside the update application — as a
             # whole-array comparison on the bulk path, per node otherwise —
             # so no separate python diff pass runs here.
-            updates = {node_id: pos for node_id, pos in new_positions.items()
-                       if node_id in processes}
+            updates = {node_id: pos for node_id, pos in stepped.items()
+                       if node_id in row_of}
             self._apply_position_updates(updates)
             if self._position_listeners:
                 # One shared snapshot per step: copying the whole position map
                 # once instead of once per listener.
-                snapshot = dict(self._positions)
+                snapshot = self.positions
                 now = self.sim.now
                 for listener in self._position_listeners:
                     listener(now, snapshot)
@@ -507,8 +501,8 @@ class Network:
         (receiver order, RNG consumption, event sequence numbers) is
         identical to the per-receiver scan below.
         """
-        sender_proc = self._processes[sender]
-        if not sender_proc._active:
+        store = self._store
+        if not store.procs[store.row_of[sender]]._active:
             return 0
         self.messages_sent += 1
         if self._obs_broadcasts is not None:
@@ -524,13 +518,13 @@ class Network:
         # Every other node is a candidate, in insertion order: stochastic
         # radios and channels consume their random stream per tested
         # candidate, so the order is part of the replay contract.
-        positions = self._positions
-        sender_pos = positions[sender]
+        points = list(map(tuple, store.xy[:store.n].tolist()))
+        sender_pos = points[store.row_of[sender]]
         accepted = 0
-        for receiver, proc in list(self._processes.items()):
+        for receiver, proc, receiver_pos in list(zip(store.ids, store.procs,
+                                                     points)):
             if receiver == sender or not proc._active:
                 continue
-            receiver_pos = positions[receiver]
             if not self.radio.in_vicinity(sender, receiver, sender_pos, receiver_pos):
                 continue
             decision = self.channel.decide(sender, receiver, self.sim.now)
@@ -683,7 +677,8 @@ class Network:
         # zero-delay delivery runs between the pushes before and after it.
         schedule = self.sim.schedule
         deliver = self._deliver
-        processes = self._processes
+        row_of = self._store.row_of
+        procs = self._store.procs
         if remote is not None:
             remote = remote.tolist()
             outbox = self._partition[2]
@@ -698,10 +693,13 @@ class Network:
                 outbox.append((now + delay, sender, receiver, payload))
             elif delay <= 0:
                 # _deliver inlined (call overhead matters even on this
-                # slower path); ``processes.get`` keeps the removed-node
-                # guard of the scalar loop.
-                proc = processes.get(receiver)
-                if proc is None or not proc._active:
+                # slower path); ``row_of.get`` keeps the removed-node guard
+                # of the scalar loop.
+                row = row_of.get(receiver)
+                if row is None:
+                    continue
+                proc = procs[row]
+                if not proc._active:
                     continue
                 self.messages_delivered += 1
                 if obs is not None:
@@ -712,8 +710,12 @@ class Network:
         return accepted
 
     def _deliver(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
-        proc = self._processes.get(receiver)
-        if proc is None or not proc._active:
+        store = self._store
+        row = store.row_of.get(receiver)
+        if row is None:
+            return
+        proc = store.procs[row]
+        if not proc._active:
             return
         self.messages_delivered += 1
         if self._obs_delivered is not None:
@@ -733,8 +735,8 @@ class Network:
         Nodes come in insertion order, not set order, so snapshot order
         never depends on PYTHONHASHSEED (determinism invariant).
         """
-        active = self.active_nodes()
-        nodes = [n for n in self._positions if n in active]
+        store = self._store
+        nodes = [nid for nid, proc in zip(store.ids, store.procs) if proc._active]
         return nodes, ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
 
     def link_snapshot(self) -> LinkSnapshot:
@@ -751,7 +753,7 @@ class Network:
         if linkstate is not None:
             snapshot = linkstate.link_snapshot(self._store.active)
         else:
-            positions = self._positions
+            positions = self.positions
             link_exists = self.radio.link_exists
             nodes, pairs = self._scan_pairs()
             snapshot = LinkSnapshot.from_edges(
@@ -763,19 +765,18 @@ class Network:
         return snapshot
 
     def _directed_snapshot(self) -> Tuple[List[Hashable], List[Tuple[Hashable, Hashable]]]:
-        """(active nodes, directed arcs sorted by (order[u], order[v])), cached
-        until the generation stamp goes stale."""
+        """(active nodes, directed arcs sorted by (row of u, row of v)),
+        cached until the generation stamp goes stale."""
         key = self._cache_key()
         if self._directed_cache is not None and self._directed_cache_key == key:
             return self._directed_cache
-        positions = self._positions
         store = self._store
         linkstate = self._link_state()
         if linkstate is not None:
-            active_rows, row_of = store.active, store.row_of
-            nodes = [n for n in positions if active_rows[row_of[n]]]
-            arcs = linkstate.directed_arcs(active_rows)
+            nodes = list(compress(store.ids, store.active[:store.n].tolist()))
+            arcs = linkstate.directed_arcs(store.active)
         else:
+            positions = self.positions
             link_exists = self.radio.link_exists
             nodes, pairs = self._scan_pairs()
             arcs = []
@@ -784,8 +785,8 @@ class Network:
                     arcs.append((u, v))
                 if link_exists(v, u, positions[v], positions[u]):
                     arcs.append((v, u))
-            order, row_of = store.order, store.row_of
-            arcs.sort(key=lambda a: (order[row_of[a[0]]], order[row_of[a[1]]]))
+            row_of = store.row_of
+            arcs.sort(key=lambda a: (row_of[a[0]], row_of[a[1]]))
         self._directed_cache = (nodes, arcs)
         self._directed_cache_key = key
         return self._directed_cache
@@ -818,17 +819,15 @@ class Network:
         """
         linkstate = self._link_state()
         if linkstate is not None:
-            # The store mirrors the process table, so membership is settled by
-            # the process lookup alone.
-            proc = self._processes.get(node_id)
-            if proc is None or not proc._active:
-                return set()
             store = linkstate.store
+            row = store.row_of.get(node_id)
+            if row is None or not store.procs[row]._active:
+                return set()
             rows = linkstate.out_rows(node_id)
             ids = store.ids
             return {ids[row] for row in rows[store.active[rows]].tolist()}
         return set(self.link_snapshot().neighbors(node_id))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"Network(nodes={len(self._processes)}, active={len(self.active_nodes())}, "
+        return (f"Network(nodes={len(self._store)}, active={len(self.active_nodes())}, "
                 f"sent={self.messages_sent})")

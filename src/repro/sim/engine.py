@@ -292,6 +292,8 @@ class Simulator:
         until:
             Stop once the clock would pass this time.  Events scheduled exactly
             at ``until`` are executed.  ``None`` runs until the queue is empty.
+            A bound earlier than :attr:`now` raises :class:`SimulationError`
+            (the clock never moves backwards).
         max_events:
             Safety bound on the number of executed events.
 
@@ -300,6 +302,9 @@ class Simulator:
         int
             The number of events executed by this call.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self._now}")
         executed = 0
         obs = self._obs
         t0 = obs.clock() if obs is not None else 0

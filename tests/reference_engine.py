@@ -145,6 +145,8 @@ class ReferenceSimulator:
         return executed, False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run until {until} before {self._now}")
         executed, bounded = self._execute(
             math.inf if until is None else until, True, max_events)
         if bounded:

@@ -2,8 +2,8 @@
 
 :mod:`repro.net.arraystate` promises two things: the
 :class:`NodeArrayStore` mirrors the network's node table exactly through any
-insert/remove/update sequence (rows dense, swap-with-last removal, order
-stamps intact), and the :class:`ArrayLinkState` CSR adjacency equals the
+insert/remove/update sequence (rows dense and in insertion order, removal
+shifting the later rows down), and the :class:`ArrayLinkState` CSR adjacency equals the
 scalar ``math.hypot(dx, dy) <= r`` link predicate *bit for bit* — the
 guard-banded squared-distance filter may never flip an inclusive comparison,
 even for coincident points, nodes exactly at range and cell-edge placements.
@@ -62,18 +62,22 @@ class TestNodeArrayStore:
         with pytest.raises(ValueError):
             store.insert(0, (1.0, 1.0), proc=None, active=True)
 
-    def test_remove_swaps_last_row_in(self):
-        store = make_store([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        store.remove(0)
-        assert len(store) == 2
-        # Node 2 (last row) moved into row 0; all mirrors must follow.
-        assert store.row_of[2] == 0
+    def test_remove_shifts_later_rows_down(self):
+        store = make_store([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+        store.set_active(3, False)
+        store.remove(1)
+        assert len(store) == 3
+        # Rows after the hole moved down by one, keeping insertion order;
+        # every column must follow.
+        assert [store.row_of[i] for i in (0, 2, 3)] == [0, 1, 2]
         assert store.position_of(2) == (2.0, 2.0)
-        assert store.order[0] == 2
-        assert store.ids[0] == 2
-        assert store.procs[0] == "proc-2"
+        assert store.position_of(3) == (3.0, 3.0)
+        assert store.active[:3].tolist() == [True, True, False]
         # The vacated tail row is gone: no reference to a removed process.
-        assert store.ids == [2, 1] and store.procs == ["proc-2", "proc-1"]
+        assert store.ids == [0, 2, 3]
+        assert store.procs == ["proc-0", "proc-2", "proc-3"]
+        store.insert(1, (9.0, 9.0), proc="proc-1b", active=True)
+        assert store.ids == [0, 2, 3, 1] and store.row_of[1] == 3
 
     def test_remove_last_row(self):
         store = make_store([(0.0, 0.0), (1.0, 1.0)])
@@ -103,7 +107,7 @@ class TestNodeArrayStore:
         assert len(store) == 200
         for i in (0, 63, 64, 199):
             assert store.position_of(i) == points[i]
-            assert store.order[store.row_of[i]] == i
+            assert store.row_of[i] == i
 
 
 # ----------------------------------------------------- ArrayLinkState exactness

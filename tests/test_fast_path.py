@@ -146,13 +146,33 @@ def run_world(make_world, backend):
     return deployment, fingerprint(deployment, ledger)
 
 
+def run_world_with_removal(make_world, backend):
+    """Remove a node mid-run and re-add it: later rows shift down and the
+    re-added node takes the last row, so receiver order changes."""
+    deployment, ledger = make_world(seed=11)
+    network = deployment.network
+    use_backend(network, backend)
+    deployment.run(2.0)
+    network.deactivate_node(7)
+    position = network.position_of(7)
+    process = network.remove_node(7)
+    deployment.run(1.0)
+    network.add_node(process, position)
+    network.activate_node(7)
+    deployment.run(3.0)
+    return deployment, fingerprint(deployment, ledger)
+
+
+WORLDS = pytest.mark.parametrize(
+    "make_world",
+    [lossy_world, lossy_constant_delay_world, perfect_world, collision_world,
+     request_reply_world],
+    ids=["lossy_delayed", "lossy_constant_delay", "perfect_zero_delay",
+         "collision_zero_delay", "request_reply_zero_delay"])
+
+
 class TestProductionMatchesBruteForce:
-    @pytest.mark.parametrize("make_world",
-                             [lossy_world, lossy_constant_delay_world, perfect_world,
-                              collision_world, request_reply_world],
-                             ids=["lossy_delayed", "lossy_constant_delay",
-                                  "perfect_zero_delay", "collision_zero_delay",
-                                  "request_reply_zero_delay"])
+    @WORLDS
     def test_run_is_bit_identical(self, make_world):
         deployment, production = run_world(make_world, PRODUCTION)
         _, reference = run_world(make_world, BRUTE_FORCE)
@@ -162,3 +182,11 @@ class TestProductionMatchesBruteForce:
             assert deployment.network.channel.collisions > 0
         if make_world is request_reply_world:
             assert production["app"][1] > 0
+
+    @WORLDS
+    def test_run_with_a_removal_is_bit_identical(self, make_world):
+        deployment, production = run_world_with_removal(make_world, PRODUCTION)
+        _, reference = run_world_with_removal(make_world, BRUTE_FORCE)
+        assert production == reference
+        assert deployment.network.node_ids[-1] == 7
+        assert 7 in deployment.network.active_nodes()

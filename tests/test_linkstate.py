@@ -55,11 +55,15 @@ def assert_links_consistent(network):
         reverse = {(u, v) for v in network.node_ids
                    for u in linkstate.out_neighbors_sorted(v)}
         assert reverse == expected
-        store = linkstate.store
+        # Every test network inserts integer ids in ascending order, so the
+        # store's rows (insertion order) and each receiver list must be
+        # sorted by id.
+        assert network.node_ids == sorted(network.node_ids)
+        row_of = linkstate.store.row_of
+        assert [row_of[v] for v in network.node_ids] == list(range(len(row_of)))
         for u in network.node_ids:
-            orders = [store.order[store.row_of[v]]
-                      for v in linkstate.out_neighbors_sorted(u)]
-            assert orders == sorted(orders)
+            receivers = linkstate.out_neighbors_sorted(u)
+            assert receivers == sorted(receivers)
         return
     active = [n for n in network.node_ids if network.process(n).active]
     expected = brute_force_arcs(network, active)

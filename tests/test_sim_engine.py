@@ -476,6 +476,21 @@ class TestEventLoop:
         assert simulator.run(until=2.2) == 0
         assert simulator.now == 2.2
 
+    @pytest.mark.parametrize("factory", [lambda: Simulator(seed=1),
+                                         ReferenceSimulator])
+    def test_run_until_before_now_is_refused(self, factory):
+        # With a live event beyond both bounds, an earlier bound must not
+        # pull the clock back: later delays would count from a past time.
+        sim, log = factory(), Log()
+        sim.schedule(5.0, log.record, "late")
+        sim.run(until=3.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert sim.now == 3.0
+        sim.schedule(0.5, log.record, "next")
+        sim.run()
+        assert log.entries == ["next", "late"] and sim.now == 5.0
+
     def test_run_window_boundary(self, simulator):
         log = Log()
         simulator.schedule(1.0, log.record, "a")
