@@ -373,9 +373,10 @@ class AncestorList:
                      for level in self._levels)
 
     def __eq__(self, other: object) -> bool:
+        # Levels are compared as dicts: by content, not insertion order.
         if not isinstance(other, AncestorList):
             return NotImplemented
-        return self.to_wire() == other.to_wire()
+        return self._levels == other._levels
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -115,7 +115,10 @@ class GRPNode(Process):
     def __init__(self, node_id: NodeId, config: GRPConfig):
         super().__init__(node_id)
         self.config = config
-        self.alist: AncestorList = AncestorList.singleton(node_id)
+        # The node's own singleton: the initial list, and what a round with
+        # no accepted list computes.
+        self._singleton = AncestorList.singleton(node_id)
+        self.alist: AncestorList = self._singleton
         self.view: FrozenSet[NodeId] = frozenset({node_id})
         self.msg_set: Dict[NodeId, GRPMessage] = {}
         self._msg_age: Dict[NodeId, int] = {}
@@ -161,13 +164,16 @@ class GRPNode(Process):
         message is a function of the ancestor list, the view and the priority
         table only; the list and the view are immutable and replaced (never
         mutated) by ``compute()``, ``on_activate()`` and ``corrupt_state()``,
-        and the table bumps its ``revision`` on every mutation, so the cache
-        is keyed on the identity of the first two plus the revision.  The
-        key holds references, not ``id()`` values, so it cannot be fooled
-        by a recycled address and stays valid across pickling (which
-        preserves shared references).  Reusing the object also lets every
-        receiver share its receiver-side candidate list
-        (:meth:`GRPMessage.candidate_for`) and its position maps.
+        and the table bumps its ``revision`` on every change of content, so
+        the cache is keyed on the identity of the first two plus the
+        revision.  ``compute()`` keeps the old list and view objects when
+        the new ones are equal to them, so a round that changes nothing
+        keeps the message too.  The key holds references, not ``id()``
+        values, so it cannot be fooled by a recycled address and stays
+        valid across pickling (which preserves shared references).
+        Reusing the object also lets every receiver share its
+        receiver-side candidate list (:meth:`GRPMessage.candidate_for`) and
+        its position maps, across rounds as long as the state holds.
         """
         alist, view, revision = self.alist, self.view, self.priorities.revision
         cached = self._outgoing
@@ -212,7 +218,7 @@ class GRPNode(Process):
         self._obs_head = None
         self.msg_set.clear()
         self._msg_age.clear()
-        self.alist = AncestorList.singleton(self.node_id)
+        self.alist = self._singleton
         self.view = frozenset({self.node_id})
         self.quarantine.clear_all()
         if self._tc_timer is not None:
@@ -315,8 +321,6 @@ class GRPNode(Process):
         else:
             self._far_streaks.clear()
 
-        self.alist = new_list
-
         # Step 3b — view-conflict reconciliation.  Two members of the local view
         # that have double-marked each other can never be in the same group; a
         # view containing both can never satisfy the agreement predicate ΠA.
@@ -336,13 +340,22 @@ class GRPNode(Process):
                     changed = True
                 self.quarantine.reset(loser)
             if changed:
-                self.alist = self._combine(accepted).truncated(dmax + 1)
+                new_list = self._combine(accepted).truncated(dmax + 1)
+
+        # A round that reaches the same list or view keeps the old object,
+        # so the caches keyed on it (the outgoing message, the list's
+        # positions, receivers' candidates) outlive the round.  Per-level
+        # insertion order never decides an outcome, so equal levels suffice.
+        if new_list != self.alist:
+            self.alist = new_list
 
         # Step 4 — quarantine update and view extraction (lines 30-31).
         candidates = (self.alist.unmarked_nodes() | {self.node_id}) - vetoed
         cleared = self.quarantine.update(candidates)
         eligible = cleared if self.config.quarantine_enabled else candidates
-        self.view = frozenset(eligible | {self.node_id})
+        view = frozenset(eligible | {self.node_id})
+        if view != self.view:
+            self.view = view
 
         # Step 5 — priority update (line 32).
         self.priorities.tick(in_group=self.in_group())
@@ -395,9 +408,12 @@ class GRPNode(Process):
         """Fold the accepted lists with ``ant`` starting from the local singleton.
 
         Folds in ``accepted``'s insertion order, which ``compute()`` keeps
-        sorted by sender.
+        sorted by sender.  With no accepted list the result is the node's
+        own singleton object.
         """
-        return AncestorList.singleton(self.node_id).ant_fold(accepted.values())
+        if not accepted:
+            return self._singleton
+        return self._singleton.ant_fold(accepted.values())
 
     def _view_conflict_losers(self) -> Set[NodeId]:
         """Members of the local view evicted because another member double-marked them.

@@ -32,13 +32,20 @@ PriorityKey = Tuple[int, str]
 
 
 class PriorityTable:
-    """Priority bookkeeping for one GRP node."""
+    """Priority bookkeeping for one GRP node.
+
+    :attr:`revision` versions the table's content, the own counter and the
+    known counters: every change of content bumps it, and a call that
+    changes nothing (learning values already known, a ``forget_except``
+    that drops nothing, a tick while in a group) leaves it as it was.
+    """
 
     def __init__(self, owner: NodeId, initial: int = 0):
         self.owner = owner
         self._own = int(initial)
         self._known: Dict[NodeId, int] = {}
-        #: Bumped by every mutation; keys the owner's outgoing-message cache
+        #: Content version (see the class docstring); keys the owner's
+        #: outgoing-message cache
         #: (:meth:`repro.core.node.GRPNode.outgoing_message`).
         self.revision = 0
 
@@ -51,8 +58,10 @@ class PriorityTable:
 
     def set_own(self, value: int) -> None:
         """Overwrite the local counter (fault injection / initialisation)."""
-        self._own = int(value)
-        self.revision += 1
+        value = int(value)
+        if value != self._own:
+            self._own = value
+            self.revision += 1
 
     def oldness_of(self, node: NodeId) -> Optional[int]:
         """Last known counter of ``node`` (``None`` when unknown)."""
@@ -83,17 +92,23 @@ class PriorityTable:
         :attr:`repro.core.messages.GRPMessage.priority_map` is int-valued).
         The owner's own entry is never learned.
         """
+        if not priorities:
+            return
         known = self._known
+        before = known.copy()
         for mapping in priorities:
             known.update(mapping)
         known.pop(self.owner, None)
-        self.revision += 1
+        if known != before:
+            self.revision += 1
 
     def forget_except(self, keep: Iterable[NodeId]) -> None:
         """Drop counters of identities no longer relevant (keeps memory bounded)."""
         keep = set(keep)
-        self._known = {node: value for node, value in self._known.items() if node in keep}
-        self.revision += 1
+        kept = {node: value for node, value in self._known.items() if node in keep}
+        if len(kept) != len(self._known):
+            self._known = kept
+            self.revision += 1
 
     def tick(self, in_group: bool) -> None:
         """Pseudo-code line 32: the counter grows only while the node is alone."""

@@ -9,11 +9,13 @@ radio reports (see the ``net/network.py`` module docstring):
   selects the brute-force scan.
 
 :func:`use_backend` re-points an already built network at the brute-force
-scan by swapping its radio's class for a subclass whose ``max_range()``
-reports ``None``, then calling ``invalidate_topology()``.  The radio keeps
-its state (ranges, RNG stream, mutation listeners), so a seeded run on the
-reference engine must replay the production run bit for bit.  Nothing under
-``src/`` imports this module.
+scan: it installs, as the network's radio, a fresh instance of a subclass
+whose ``max_range()`` reports ``None``, then calls ``invalidate_topology()``.
+The new radio carries the old one's state (ranges, RNG stream, mutation
+listeners), so a seeded run on the reference engine must replay the
+production run bit for bit.  A fresh instance, unlike a radio whose
+``__class__`` is swapped in place, keeps CPython's fast attribute access.
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -36,27 +38,30 @@ def reference_class(base: type) -> type:
     """The subclass of radio class ``base`` that selects the brute-force scan.
 
     Its ``max_range()`` reports ``None``.  Benchmarks instantiate it
-    directly: an instance built from it keeps CPython's fast attribute
-    access, which a radio whose class is swapped in place loses.
+    directly.
     """
     return type("BruteForce" + base.__name__, (base,),
                 {"max_range": _reports_none})
 
 
 def reference_radio(radio: RadioModel) -> RadioModel:
-    """Turn ``radio`` (in place) into one that selects the brute-force scan.
+    """A copy of ``radio`` that selects the brute-force scan.
 
-    The radio's ``max_range()`` then reports ``None``.  A network already
-    holding the radio must then call ``invalidate_topology()``.
+    The copy is a fresh instance of :func:`reference_class` sharing the
+    radio's attributes: its RNG stream, its range tables and its mutation
+    listeners, so a network registered on the radio hears the copy's
+    mutations.  Use the returned radio from then on and leave the old one
+    alone.
     """
-    radio.__class__ = reference_class(type(radio))
-    return radio
+    copy = object.__new__(reference_class(type(radio)))
+    copy.__dict__.update(radio.__dict__)
+    return copy
 
 
 def use_backend(network: Network, backend: str) -> Network:
     """Re-point ``network`` at ``backend``: production or brute force."""
     if backend == BRUTE_FORCE:
-        reference_radio(network.radio)
+        network.radio = reference_radio(network.radio)
         network.invalidate_topology()
     elif backend != PRODUCTION:
         raise ValueError(f"unknown neighbour engine {backend!r}")

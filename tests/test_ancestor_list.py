@@ -165,6 +165,13 @@ class TestWireFormat:
         assert hash(l1) == hash(l2)
         assert l1 != alist({"a"})
 
+    def test_equality_ignores_per_level_insertion_order(self):
+        l1 = marked([{"v": 0}, {"a": 1, "b": 0}])
+        l2 = marked([{"v": 0}, {"b": 0, "a": 1}])
+        assert l1 == l2 and hash(l1) == hash(l2)
+        assert l1 != marked([{"v": 0}, {"a": 2, "b": 0}])
+        assert l1 != marked([{"v": 0}, {"a": 1}, {"b": 0}])
+
     def test_repr_mentions_marks(self):
         lst = marked([{"v": 0}, {"u": 2}])
         assert "u''" in repr(lst)

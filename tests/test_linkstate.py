@@ -181,3 +181,20 @@ def test_cache_disabled_paths_still_agree():
     assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)
     for node in fast.node_ids:
         assert fast.neighbors_of(node) == slow.neighbors_of(node)
+
+
+def test_brute_force_radio_is_a_fresh_instance_that_still_notifies():
+    """``use_backend`` installs a new reference radio carrying the old one's
+    state; a mutation of it still reaches the network."""
+    network, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
+    production = network.radio
+    use_backend(network, BRUTE_FORCE)
+    radio = network.radio
+    assert radio is not production
+    assert type(radio).__bases__ == (UnitDiskRadio,)
+    assert radio.max_range() is None
+    assert radio.radio_range == production.radio_range
+    before = {node: network.neighbors_of(node) for node in network.node_ids}
+    assert any(before.values())
+    radio.radio_range = 1.0  # notifies the network: no manual invalidation
+    assert all(not network.neighbors_of(node) for node in network.node_ids)

@@ -4,15 +4,21 @@ A node's message is a function of its ancestor list, its view and its
 priority table.  ``outgoing_message()`` builds it once per state and hands
 the same object to every send until one of the three changes; these tests
 pin both halves of that contract: reuse when nothing changed, and a fresh
-message equal to ``GRPMessage.build`` after every kind of mutation.
+message equal to ``GRPMessage.build`` after every kind of mutation.  A
+``compute()`` round that reaches the state it started from keeps the list
+and view objects, and the table's ``revision`` moves only when its content
+does, so the message survives such a round.
 """
 
 import pickle
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.messages import GRPMessage
 from repro.core.node import GRPConfig, GRPNode
+from repro.core.priority import PriorityTable
 from repro.core.protocol import build_grp_network
 from repro.net.channel import LossyChannel
 from repro.net.faults import FaultInjector
@@ -64,6 +70,34 @@ class TestReuse:
         first = node.outgoing_message()
         node.corrupt_state(quarantine_noise=(np.random.default_rng(0), 3))
         assert node.outgoing_message() is first
+
+    def test_isolated_compute_keeps_the_list_and_view(self):
+        # Alone, a round folds nothing: the node keeps its own singleton.
+        node = GRPNode("v", GRPConfig(dmax=3))
+        alist_before, view_before = node.alist, node.view
+        for _ in range(3):
+            node.compute()
+            assert node.alist is alist_before
+            assert node.view is view_before
+
+    def test_stable_in_group_node_keeps_its_state_objects(self):
+        """After stabilization, compute rounds leave an in-group node's list,
+        view and outgoing message untouched, object for object."""
+        positions = {node: (10.0 * node, 0.0) for node in range(4)}
+        deployment = build_grp_network(positions, GRPConfig(dmax=3),
+                                       radio_range=15.0, seed=3)
+        deployment.run(20.0)
+        node = deployment.nodes[1]
+        assert node.in_group()
+        state = (node.alist, node.view, node.outgoing_message())
+        computations = node.computations
+        for _ in range(3):
+            deployment.run(1.0)
+            assert (node.alist, node.view, node.outgoing_message()) == state
+            assert node.alist is state[0]
+            assert node.view is state[1]
+            assert node.outgoing_message() is state[2]
+        assert node.computations >= computations + 2
 
 
 class TestInvalidation:
@@ -134,19 +168,59 @@ class TestInvalidation:
         self.check_new_and_fresh(node, before)
         assert len(node.outgoing_message().ancestor_list) == len(before.ancestor_list) + 2
 
-    def test_every_priority_table_mutation_bumps_the_revision(self):
+    def test_every_change_bumps_the_revision_and_a_no_op_does_not(self):
         node = grouped_node()
         table = node.priorities
-        for mutate in (lambda: table.learn({"z": 3}),
+        for change in (lambda: table.learn({"z": 3}),
+                       lambda: table.learn({"z": 4}),
                        lambda: table.forget_except({"v", "a"}),
                        lambda: table.set_own(9),
                        lambda: table.tick(in_group=False)):
             revision = table.revision
-            mutate()
+            change()
             assert table.revision == revision + 1
-        revision = table.revision
-        table.tick(in_group=True)  # a frozen counter is no change
-        assert table.revision == revision
+        known = table.snapshot({"a"})
+        for no_op in (lambda: table.learn(),
+                      lambda: table.learn(known, {"v": 77}),
+                      lambda: table.forget_except({"v", "a", "unknown"}),
+                      lambda: table.set_own(table.own_oldness),
+                      lambda: table.tick(in_group=True)):
+            revision = table.revision
+            message = node.outgoing_message()
+            no_op()
+            assert table.revision == revision
+            assert node.outgoing_message() is message
+
+
+NODES = ("v", "a", "b", "c")
+OLDNESS = st.integers(0, 3)
+TABLE_OPS = st.one_of(
+    st.tuples(st.just("learn"),
+              st.lists(st.dictionaries(st.sampled_from(NODES), OLDNESS, max_size=3),
+                       max_size=3)),
+    st.tuples(st.just("forget_except"), st.sets(st.sampled_from(NODES))),
+    st.tuples(st.just("set_own"), OLDNESS),
+    st.tuples(st.just("tick"), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TABLE_OPS, max_size=12))
+def test_revision_moves_iff_the_content_changes(ops):
+    """``revision`` changes exactly when ``(own_oldness, known)`` does."""
+    table = PriorityTable("v", initial=1)
+
+    def content():
+        return table.snapshot(NODES)  # the known counters plus the own one
+
+    for op, argument in ops:
+        before, revision = content(), table.revision
+        if op == "learn":
+            table.learn(*argument)
+        else:
+            getattr(table, op)(argument)
+        assert (table.revision != revision) == (content() != before)
+        assert table.revision >= revision
 
 
 def lossy_deployment(seed):
