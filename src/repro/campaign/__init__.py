@@ -1,18 +1,17 @@
 """Parallel campaign orchestrator.
 
 A new layer between the simulator and the experiment suite: declarative
-multi-seed campaign specs (:mod:`~repro.campaign.spec`), resumable result
-stores — append-only JSONL and a concurrent-writer-safe SQLite backend
-(:mod:`~repro.campaign.store`) — serial and multiprocessing execution
-backends (:mod:`~repro.campaign.executor`) and cross-seed aggregation
-(:mod:`~repro.campaign.aggregate`).
+multi-seed campaign specs (:mod:`~repro.campaign.spec`), a resumable,
+append-only JSONL result store (:mod:`~repro.campaign.store`), serial and
+multiprocessing execution backends (:mod:`~repro.campaign.executor`) and
+cross-seed aggregation (:mod:`~repro.campaign.aggregate`).
 """
 
 from .aggregate import (ColumnStats, aggregate_metrics, campaign_report, column_stats,
                         deterministic_report)
 from .executor import CampaignResult, TaskOutcome, execute_task, run_campaign
 from .spec import CampaignSpec, CampaignTask
-from .store import ResultStore, SQLiteResultStore, TaskRecord, open_store
+from .store import ResultStore, TaskRecord
 
 __all__ = [
     "CampaignSpec",
@@ -21,8 +20,6 @@ __all__ = [
     "TaskOutcome",
     "TaskRecord",
     "ResultStore",
-    "SQLiteResultStore",
-    "open_store",
     "ColumnStats",
     "aggregate_metrics",
     "column_stats",

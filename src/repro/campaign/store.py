@@ -31,26 +31,19 @@ one file can accumulate several campaigns without cross-talk.  Duplicate
 ``(spec_hash, task_id)`` lines can appear if two runs race on the same store
 or a task is retried; the last line wins, matching the append order.
 :meth:`ResultStore.compact` rewrites the file with only the surviving line
-per ``(spec_hash, task_id)``.
-
-:class:`SQLiteResultStore` is a drop-in alternative backed by a SQLite file
-in WAL mode: several worker processes can append concurrently without losing
-rows (SQLite serializes the writes; a busy writer waits instead of failing),
-and the same duplicate/namespacing semantics hold through a monotonic rowid
-standing in for file order.  :func:`open_store` picks the backend from the
-path: a ``sqlite:`` prefix or a ``.sqlite``/``.db`` suffix selects SQLite,
-anything else the JSONL reference backend.
+per ``(spec_hash, task_id)``.  Only the campaign's parent process appends
+(pool workers return their outcomes to it), so one process writes a store at
+a time.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["TaskRecord", "ResultStore", "SQLiteResultStore", "open_store"]
+__all__ = ["TaskRecord", "ResultStore"]
 
 
 def _json_default(value: object) -> object:
@@ -124,6 +117,12 @@ class ResultStore:
 
     def __init__(self, path: str):
         self.path = str(path)
+        # A store path meant for the removed SQLite backend would otherwise
+        # be decoded as (or silently written as) JSONL.
+        if self.path.startswith("sqlite:") or self.path.endswith((".sqlite", ".db")):
+            raise ValueError(
+                f"store {self.path!r}: the SQLite store backend was removed; "
+                "result stores are JSONL files (e.g. results.jsonl)")
 
     def append(self, record: TaskRecord) -> None:
         """Persist one completed task (flushed immediately)."""
@@ -197,117 +196,3 @@ class ResultStore:
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
         return total - len(survivors)
-
-
-class SQLiteResultStore:
-    """:class:`ResultStore`-compatible backend on a WAL-mode SQLite file.
-
-    Records persist as their JSON blobs in an append-ordered table, so the
-    schema never chases :class:`TaskRecord` fields and every JSONL semantic
-    (spec-hash namespacing, last-duplicate-wins, optional fields) carries
-    over by construction.  WAL journaling plus a generous busy timeout lets
-    multiple worker processes append to the same store concurrently: writes
-    serialize inside SQLite instead of interleaving half-written lines, so
-    no row is ever lost or torn.  Each operation opens a short-lived
-    connection — the store object itself stays picklable and fork/spawn
-    friendly.
-    """
-
-    #: How long a writer waits on a locked database before giving up (ms).
-    BUSY_TIMEOUT_MS = 30_000
-
-    def __init__(self, path: str):
-        self.path = str(path)
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=self.BUSY_TIMEOUT_MS / 1000.0)
-        conn.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
-        conn.execute("PRAGMA journal_mode = WAL")
-        conn.execute("PRAGMA synchronous = NORMAL")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS task_records ("
-            " id INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " spec_hash TEXT NOT NULL,"
-            " task_id TEXT NOT NULL,"
-            " record TEXT NOT NULL)")
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_task_records_spec"
-            " ON task_records (spec_hash, task_id)")
-        return conn
-
-    def append(self, record: TaskRecord) -> None:
-        """Persist one completed task (committed immediately)."""
-        line = json.dumps(record.as_dict(), default=_json_default)
-        conn = self._connect()
-        try:
-            with conn:
-                conn.execute(
-                    "INSERT INTO task_records (spec_hash, task_id, record)"
-                    " VALUES (?, ?, ?)",
-                    (record.spec_hash, record.task_id, line))
-        finally:
-            conn.close()
-
-    def load(self, spec_hash: Optional[str] = None) -> List[TaskRecord]:
-        """All parseable records (of ``spec_hash`` if given), in append order."""
-        if not os.path.exists(self.path):
-            return []
-        conn = self._connect()
-        try:
-            if spec_hash is None:
-                cursor = conn.execute(
-                    "SELECT record FROM task_records ORDER BY id")
-            else:
-                cursor = conn.execute(
-                    "SELECT record FROM task_records WHERE spec_hash = ?"
-                    " ORDER BY id", (spec_hash,))
-            blobs = [row[0] for row in cursor]
-        finally:
-            conn.close()
-        records: List[TaskRecord] = []
-        for blob in blobs:
-            record = _record_from_json(blob)
-            if record is not None:
-                records.append(record)
-        return records
-
-    def completed(self, spec_hash: str) -> Dict[str, TaskRecord]:
-        """Mapping task_id -> record for one campaign (last duplicate wins)."""
-        return {record.task_id: record for record in self.load(spec_hash)}
-
-    def compact(self) -> int:
-        """Drop superseded duplicate rows and VACUUM; returns rows removed.
-
-        Keeps the highest-rowid record per ``(spec_hash, task_id)`` — the
-        same record :meth:`completed` resolves to.  Like the JSONL variant,
-        run it between campaigns, not while workers are appending.
-        """
-        if not os.path.exists(self.path):
-            return 0
-        conn = self._connect()
-        try:
-            with conn:
-                cursor = conn.execute(
-                    "DELETE FROM task_records WHERE id NOT IN ("
-                    " SELECT MAX(id) FROM task_records"
-                    " GROUP BY spec_hash, task_id)")
-                removed = cursor.rowcount
-            conn.execute("VACUUM")
-        finally:
-            conn.close()
-        return removed
-
-
-def open_store(path: str):
-    """Pick the store backend from ``path``.
-
-    ``sqlite:results.db`` (explicit prefix) or a bare ``.sqlite``/``.db``
-    suffix opens a :class:`SQLiteResultStore`; every other path keeps the
-    JSONL reference backend.
-    """
-    path = str(path)
-    if path.startswith("sqlite:"):
-        return SQLiteResultStore(path[len("sqlite:"):])
-    if path.endswith((".sqlite", ".db")):
-        return SQLiteResultStore(path)
-    return ResultStore(path)

@@ -327,8 +327,8 @@ class AncestorList:
         """Keep only the (unmarked) identities belonging to ``members``.
 
         Used to measure the span of an *established group* inside a list: the
-        compatibility test compares group spans, not candidate spans (see
-        DESIGN.md, "Compatibility is evaluated between established groups").
+        compatibility test compares group spans, not candidate spans, because
+        compatibility is evaluated between established groups.
         """
         members = set(members)
         return AncestorList._trusted([
@@ -348,8 +348,7 @@ class AncestorList:
         Removes every marked identity and (optionally) the receiver's own
         identity: marked entries are neighbour-local annotations and the
         receiver is not a *new* member brought by the sender, so neither should
-        count towards the prospective group diameter (see DESIGN.md and
-        Proposition 13).
+        count towards the prospective group diameter (Proposition 13).
         """
         drop: Set[NodeId] = set() if receiver is None else {receiver}
         return AncestorList._trusted([

@@ -11,8 +11,8 @@ whether accepting a new neighbour's list could force the group diameter past
 is rejected — and its sender double-marked — exactly when merging the sender's
 group with the local group cannot be shown to respect the diameter bound.
 
-Interpretation notes (see DESIGN.md for the full discussion)
-------------------------------------------------------------
+Interpretation notes
+--------------------
 * The pseudo-code printed in the arXiv version compares the *entire* candidate
   lists of both nodes.  Taken literally this makes every boundary pair reject
   each other during the initial transient (both candidate lists already span

@@ -64,7 +64,7 @@ class GRPConfig:
         level ``Dmax + 1`` before its providers are double-marked.  Transient
         distance over-estimates produced while the ``ant`` computation is still
         converging disappear within a round or two; acting only on persistent
-        observations prevents spurious group cuts (see DESIGN.md).
+        observations prevents spurious group cuts.
     neighbor_timeout_rounds:
         Number of consecutive computations a neighbour may stay silent before
         its last message is discarded.  The paper resets the message set at
@@ -77,8 +77,7 @@ class GRPConfig:
         local view persistently double-mark each other, the younger one is
         evicted.  Disabled by default — it helps dense graphs with a tight
         ``Dmax`` escape middle-node disagreement deadlocks, but can delay
-        convergence elsewhere (see the "known limitations" section of
-        DESIGN.md).
+        convergence elsewhere.
     initial_oldness:
         Initial value of the oldness counter.
     """
@@ -327,9 +326,9 @@ class GRPNode(Process):
         # The member with the lower priority (the younger one) is evicted; when
         # it is a direct neighbour the eviction is materialised as a double mark
         # so that the cut propagates, otherwise it is kept out of the view until
-        # the conflict evidence disappears.  (See DESIGN.md: the paper's
-        # conservative growth makes such conflicts impossible by construction;
-        # with liberal growth they are rare but must be repaired.)
+        # the conflict evidence disappears.  (The paper's conservative growth
+        # makes such conflicts impossible by construction; with liberal growth
+        # they are rare but must be repaired.)
         vetoed = (self._persistent_conflict_losers() if self.config.view_reconciliation
                   else set())
         if vetoed:

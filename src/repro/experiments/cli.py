@@ -133,10 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="Worker processes for campaign execution (1 = serial reference).")
     parser.add_argument("--store", type=str, default=None,
-                        help="Result store; reruns resume by skipping recorded tasks. "
-                             "A 'sqlite:' prefix or .sqlite/.db suffix selects the "
-                             "SQLite backend (WAL, concurrent-writer safe); any other "
-                             "path is the JSONL reference backend.")
+                        help="JSONL result store file; reruns resume by skipping "
+                             "recorded tasks.")
     parser.add_argument("--progress", action="store_true",
                         help="Stream one '[done/total] task' line to stderr per completed "
                              "campaign task (serial and pool backends).")
@@ -335,11 +333,10 @@ def _write_campaign_obs(path: str, spec, result) -> None:
                          + "\n")
 
 
-def _run_campaign(spec, args: argparse.Namespace) -> Tuple[str, int]:
+def _run_campaign(spec, store, args: argparse.Namespace) -> Tuple[str, int]:
     """Execute the campaign; returns (report, permanently-failed task count)."""
-    from repro.campaign import campaign_report, open_store, run_campaign
+    from repro.campaign import campaign_report, run_campaign
 
-    store = open_store(args.store) if args.store else None
     progress = None
     if args.progress:
         total = spec.task_count()
@@ -401,15 +398,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed_tasks = 0
     try:
         if campaign_mode:
+            from repro.campaign import ResultStore
             try:
-                # Spec construction validates the policy flags; only *its*
-                # ValueError is a bad-input exit — errors raised later, deep
-                # inside experiments, must keep their tracebacks.
+                # Spec construction validates the policy flags and the store
+                # constructor the store path; only *their* ValueError is a
+                # bad-input exit — errors raised later, deep inside
+                # experiments, must keep their tracebacks.
                 spec = _campaign_spec(experiment_ids, args, scenarios, traffics)
+                store = ResultStore(args.store) if args.store else None
             except ValueError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-            report, failed_tasks = _run_campaign(spec, args)
+            report, failed_tasks = _run_campaign(spec, store, args)
         else:
             scenario = scenarios[0] if scenarios else None
             traffic = traffics[0] if traffics else None

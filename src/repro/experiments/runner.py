@@ -39,7 +39,7 @@ class ExperimentResult:
         self.notes.append(note)
 
     def to_text(self) -> str:
-        """Render the result as the text block stored in EXPERIMENTS.md."""
+        """Render the result as the plain-text block the CLI prints."""
         parts = [f"== {self.experiment} — {self.description} =="]
         if self.rows:
             parts.append(format_table(self.rows))

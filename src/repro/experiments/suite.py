@@ -5,9 +5,9 @@ proved propositions plus a simulation study delegated to the (unavailable)
 Airplug implementation.  Each experiment below therefore corresponds either to
 a proposition (correctness claims, E1–E3, E6, E7, E9, E10) or to a claim of the
 introduction / related-work discussion (performance claims, E4, E5, E8, and
-E11 for the application-traffic claim the groups exist to serve).  The
-mapping and the expected shapes are listed in DESIGN.md; the measured outputs
-are recorded in EXPERIMENTS.md.
+E11 for the application-traffic claim the groups exist to serve).  Each
+experiment's docstring names its claim and each result notes its expected
+shape.
 
 Every experiment function accepts ``quick`` (smaller workloads, used by the
 default benchmark run and the tests), a ``seed``, and an optional

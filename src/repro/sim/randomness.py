@@ -1,7 +1,7 @@
 """Seeded, splittable random streams.
 
 Reproducibility is a first-class requirement of the experiment harness: every
-experiment row in EXPERIMENTS.md must be regenerable exactly.  This module
+experiment row must be regenerable exactly from its seed.  This module
 provides a tiny helper to derive independent named sub-streams from a master
 seed, so that e.g. the mobility stream and the channel-loss stream do not
 interfere (adding a stochastic component never perturbs the others).

@@ -3,9 +3,8 @@
 
 import pytest
 
-from repro.campaign import (CampaignSpec, ResultStore, SQLiteResultStore, TaskRecord,
-                            aggregate_metrics, column_stats, deterministic_report,
-                            open_store, run_campaign)
+from repro.campaign import (CampaignSpec, ResultStore, TaskRecord, aggregate_metrics,
+                            column_stats, deterministic_report, run_campaign)
 from repro.campaign.executor import execute_task
 
 
@@ -90,6 +89,9 @@ class TestResultStore:
         store.append(make_record(spec_a, spec_a.expand()[0]))
         assert set(store.completed(spec_a.spec_hash())) == {"E6/r0"}
         assert store.completed(spec_b.spec_hash()) == {}
+        store.append(make_record(spec_b, spec_b.expand()[1]))
+        assert set(store.completed(spec_a.spec_hash())) == {"E6/r0"}
+        assert set(store.completed(spec_b.spec_hash())) == {"E6/r1"}
 
     def test_duplicate_task_last_wins(self, tmp_path):
         spec = small_spec()
@@ -119,12 +121,54 @@ class TestResultStore:
         assert loaded[0].scenario is None
         assert loaded[0].task_id == task.task_id
 
+    def test_compact_drops_superseded_records_only(self, tmp_path):
+        spec, other = small_spec(), small_spec(root_seed=99)
+        tasks = spec.expand()
+        store = ResultStore(tmp_path / "store.jsonl")
+        assert store.compact() == 0  # missing file: nothing to drop
+        store.append(make_record(spec, tasks[0], rows=[{"metric": 1.0}]))
+        store.append(make_record(spec, tasks[1]))
+        store.append(make_record(other, other.expand()[0]))  # same task_id,
+        # different campaign: must survive compaction untouched.
+        store.append(make_record(spec, tasks[0], rows=[{"metric": 2.0}]))
+        removed = store.compact()
+        assert removed == 1
+        assert len(store.load()) == 3
+        # Exactly the records completed() already resolved to survive.
+        assert store.completed(spec.spec_hash())[tasks[0].task_id].rows == [
+            {"metric": 2.0}]
+        assert set(store.completed(other.spec_hash())) == {"E6/r0"}
+        # Idempotent: a second pass finds nothing to drop.
+        assert store.compact() == 0
 
-#: Both store backends must satisfy the identical semantics contract; the
-#: fixtures below run the shared suite over each.
+    def test_compact_preserves_corrupt_line_semantics(self, tmp_path):
+        """Compacting a store with a crashed-writer trailing line drops the
+        corrupt line (its task re-runs either way) and keeps the parseable
+        records byte-identical."""
+        spec = small_spec()
+        tasks = spec.expand()
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.append(make_record(spec, tasks[0]))
+        store.append(make_record(spec, tasks[1]))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"spec_hash": "x", "trunc')  # crashed writer
+        before = store.load()
+        store.compact()
+        content = open(path, encoding="utf-8").read()
+        assert "trunc" not in content
+        assert store.load() == before
+
+    @pytest.mark.parametrize("path", ["results.db", "results.sqlite", "sqlite:results"])
+    def test_removed_sqlite_paths_are_rejected(self, path):
+        with pytest.raises(ValueError, match="SQLite store backend was removed"):
+            ResultStore(path)
+
+
+#: The store contract suite, run over every store backend. JSONL is the only
+#: backend left; the parameter keeps the suite's test ids stable.
 STORE_BACKENDS = {
     "jsonl": lambda path: ResultStore(str(path) + ".jsonl"),
-    "sqlite": lambda path: SQLiteResultStore(str(path) + ".db"),
 }
 
 
@@ -133,19 +177,8 @@ def any_store(request, tmp_path):
     return STORE_BACKENDS[request.param](tmp_path / "store")
 
 
-def _concurrent_append_worker(path, spec_hash, worker, count):
-    """Spawned-process body: hammer one SQLite store with appends."""
-    store = SQLiteResultStore(path)
-    for index in range(count):
-        store.append(TaskRecord(
-            spec_hash=spec_hash, task_id=f"E6/w{worker}/r{index}",
-            experiment="E6", replicate=index, seed=index, quick=True,
-            description="concurrent", wall_time=0.0,
-            rows=[{"worker": worker, "index": index}], notes=[]))
-
-
 class TestStoreBackends:
-    """Backend-agnostic store semantics (JSONL reference and SQLite)."""
+    """Backend-agnostic store semantics."""
 
     def test_append_load_roundtrip(self, any_store):
         spec = small_spec()
@@ -175,27 +208,9 @@ class TestStoreBackends:
         assert any_store.load() == []
         assert any_store.compact() == 0
 
-    def test_compact_drops_superseded_records_only(self, any_store):
-        spec, other = small_spec(), small_spec(root_seed=99)
-        tasks = spec.expand()
-        any_store.append(make_record(spec, tasks[0], rows=[{"metric": 1.0}]))
-        any_store.append(make_record(spec, tasks[1]))
-        any_store.append(make_record(other, other.expand()[0]))  # same task_id,
-        # different campaign: must survive compaction untouched.
-        any_store.append(make_record(spec, tasks[0], rows=[{"metric": 2.0}]))
-        removed = any_store.compact()
-        assert removed == 1
-        assert len(any_store.load()) == 3
-        # Exactly the records completed() already resolved to survive.
-        assert any_store.completed(spec.spec_hash())[tasks[0].task_id].rows == [
-            {"metric": 2.0}]
-        assert set(any_store.completed(other.spec_hash())) == {"E6/r0"}
-        # Idempotent: a second pass finds nothing to drop.
-        assert any_store.compact() == 0
-
     def test_resume_parity_with_backend(self, any_store):
-        """A campaign resumed from either backend skips exactly the stored
-        tasks and reproduces the serial report body."""
+        """A campaign resumed from the store skips exactly the stored tasks
+        and runs the rest."""
         spec = small_spec(replicates=4)
         tasks = spec.expand()
         for task in tasks[:2]:
@@ -209,71 +224,6 @@ class TestStoreBackends:
             assert not by_id[task.task_id].from_store
         assert set(any_store.completed(spec.spec_hash())) == {
             t.task_id for t in tasks}
-
-
-class TestSQLiteStore:
-    """SQLite-only behaviour: factory routing, concurrency, compaction."""
-
-    def test_open_store_picks_backend_from_path(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "r.jsonl"), ResultStore)
-        assert isinstance(open_store(tmp_path / "r.sqlite"), SQLiteResultStore)
-        assert isinstance(open_store(tmp_path / "r.db"), SQLiteResultStore)
-        prefixed = open_store(f"sqlite:{tmp_path}/plain-name")
-        assert isinstance(prefixed, SQLiteResultStore)
-        assert prefixed.path == f"{tmp_path}/plain-name"
-
-    def test_concurrent_writers_lose_no_rows(self, tmp_path):
-        """Two processes appending to the same SQLite store concurrently:
-        every row lands (WAL + busy-wait serializes the writes)."""
-        import multiprocessing
-
-        path = str(tmp_path / "concurrent.db")
-        count = 25
-        ctx = multiprocessing.get_context("spawn")
-        workers = [ctx.Process(target=_concurrent_append_worker,
-                               args=(path, "hash", worker, count))
-                   for worker in range(2)]
-        for proc in workers:
-            proc.start()
-        for proc in workers:
-            proc.join(timeout=120)
-            assert proc.exitcode == 0
-        records = SQLiteResultStore(path).load("hash")
-        assert len(records) == 2 * count
-        seen = {(r.rows[0]["worker"], r.rows[0]["index"]) for r in records}
-        assert seen == {(w, i) for w in range(2) for i in range(count)}
-
-    def test_sqlite_run_campaign_pool_and_resume(self, tmp_path):
-        """The multiprocessing campaign pool writes through the SQLite store
-        and a rerun resumes every task from it (the CI smoke, in-suite)."""
-        spec = small_spec()
-        store = SQLiteResultStore(str(tmp_path / "campaign.db"))
-        first = run_campaign(spec, store=store, jobs=2)
-        assert first.executed == 2
-        resumed = run_campaign(spec, store=store, jobs=1)
-        assert resumed.executed == 0 and resumed.skipped == 2
-        serial = run_campaign(spec, store=None, jobs=1)
-        def body(result):
-            return deterministic_report(result).split("\n\n", 1)[1]
-        assert body(resumed) == body(serial)
-
-    def test_jsonl_compact_preserves_corrupt_line_semantics(self, tmp_path):
-        """Compacting a JSONL store with a crashed-writer trailing line drops
-        the corrupt line (its task re-runs either way) and keeps the parseable
-        records byte-identical."""
-        spec = small_spec()
-        tasks = spec.expand()
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(path)
-        store.append(make_record(spec, tasks[0]))
-        store.append(make_record(spec, tasks[1]))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"spec_hash": "x", "trunc')  # crashed writer
-        before = store.load()
-        store.compact()
-        content = open(path, encoding="utf-8").read()
-        assert "trunc" not in content
-        assert store.load() == before
 
 
 class TestExecutor:
@@ -743,6 +693,15 @@ class TestPolicyFlagValidation:
         from repro.experiments.cli import main
         assert main(["E6", "--task-retries", "-3"]) == 2
         assert "task_retries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store", ["x.db", "sqlite:x"])
+    def test_cli_rejects_removed_sqlite_store_cleanly(self, capsys, tmp_path,
+                                                      monkeypatch, store):
+        from repro.experiments.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["E6", "--seeds", "2", "--store", store]) == 2
+        assert "SQLite store backend was removed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCampaignExitCodes:
