@@ -72,6 +72,11 @@ class NullProcess(Process):
         pass
 
 
+def hello() -> str:
+    """Payload source of every timed broadcast."""
+    return "x"
+
+
 def build_network(n: int, area: float, radio_range: float, seed: int,
                   vectorized: bool, channel_kind: str) -> Tuple[Simulator, Network,
                                                                 RandomWaypointMobility]:
@@ -114,7 +119,7 @@ def time_broadcast_steps(vectorized: bool, channel_kind: str, n: int, area: floa
         network.set_positions(mobility.step(network.positions, 1.0))
         for _ in range(rounds_per_step):
             for sender in nodes:
-                network.broadcast(sender, "x")
+                network.broadcast(sender, hello)
                 count += 1
         sim.run()
     elapsed = time.perf_counter() - start

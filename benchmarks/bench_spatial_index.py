@@ -48,6 +48,11 @@ class NullProcess(Process):
         pass
 
 
+def hello() -> str:
+    """Payload source of every timed broadcast."""
+    return "x"
+
+
 def build_network(n: int, area: float, radio_range: float, seed: int,
                   indexed: bool) -> Tuple[Simulator, Network]:
     seeds = SeedSequenceFactory(seed)
@@ -67,7 +72,7 @@ def time_broadcasts(network: Network, rounds: int) -> Tuple[float, int]:
     start = time.perf_counter()
     for _ in range(rounds):
         for sender in nodes:
-            network.broadcast(sender, "x")
+            network.broadcast(sender, hello)
             count += 1
     return time.perf_counter() - start, count
 

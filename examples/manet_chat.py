@@ -8,7 +8,8 @@ protocol's own traffic, and the delivery ledger records what the group
 actually delivered.  The point of the best-effort property is that the
 application can rely on the view *while* the protocol is still converging: as
 long as the mobility does not break the diameter constraint (ΠT), nobody it
-has been chatting with disappears from the group (ΠC).
+has been chatting with disappears from the group (ΠC).  The example reports
+whether that held on its run; it does not always (ROADMAP.md, item 3).
 
 The example runs a random-waypoint MANET at pedestrian speed with a
 ``periodic_beacon`` chat workload attached, then reports (a) the ledger's
@@ -61,11 +62,19 @@ def main() -> None:
     print(f"continuity violations (total) ..... {summary.violations_total}")
     print(f"violations while ΠT held .......... {summary.violations_under_topological}")
     print(f"best-effort property respected .... {summary.best_effort_respected}")
-    print("\nWith slow mobility the diameter constraint is preserved, so the chat "
-          "application never loses a partner it was talking to — even though the "
-          "protocol keeps converging in the background.  The ledger shows the "
-          "best-effort gap directly: single broadcasts only reach 1-hop members, "
-          "so the delivery ratio over a Dmax=3 group stays below one.")
+    if summary.best_effort_respected:
+        print("\nWith slow mobility the diameter constraint is preserved, so the "
+              "chat application never loses a partner it was talking to — even "
+              "though the protocol keeps converging in the background.")
+    else:
+        print(f"\nThe chat application lost a partner {summary.violations_under_topological} "
+              "time(s) while the diameter constraint held, which the best-effort "
+              "property forbids.  This is the open E3 continuity finding "
+              "(ROADMAP.md, item 3): groups can lose members on an unbroken "
+              "topology.")
+    print("The ledger shows the best-effort gap directly: single broadcasts only "
+          "reach 1-hop members, so the delivery ratio over a Dmax=3 group stays "
+          "below one.")
 
 
 if __name__ == "__main__":

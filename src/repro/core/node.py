@@ -159,6 +159,10 @@ class GRPNode(Process):
     def outgoing_message(self) -> GRPMessage:
         """The message a send would broadcast now: the list with priorities.
 
+        A send hands this bound method to the network as its payload
+        source, and the network calls it only once the channel has accepted
+        a receiver: a send that reaches nobody builds nothing.
+
         Built once per protocol state and reused until the state changes.  A
         message is a function of the ancestor list, the view and the priority
         table only; the list and the view are immutable and replaced (never
@@ -238,7 +242,7 @@ class GRPNode(Process):
     def _on_ts_expired(self) -> None:
         """Paper lines 7-9: broadcast the current list with priorities."""
         self.sends += 1
-        self.broadcast(self.outgoing_message())
+        self.broadcast(self.outgoing_message)
 
     def _on_tc_expired(self) -> None:
         """Paper lines 3-6: compute, then expire stale neighbour messages.

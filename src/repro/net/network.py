@@ -7,7 +7,9 @@ positions evolve) and the protocol processes attached to each node.
 A broadcast from node ``u`` is delivered to every *active* node ``v`` such that
 ``u`` is in the vicinity of ``v`` at emission time, unless the channel decides
 to drop it.  Delivery happens after the channel delay, through the process
-:meth:`repro.sim.process.Process.deliver` hook.
+:meth:`repro.sim.process.Process.deliver` hook.  The sender hands over a
+payload source, not a payload: it is called once the channel has accepted a
+receiver, so a send that reaches nobody builds nothing.
 
 Neighbour engine
 ----------------
@@ -486,8 +488,15 @@ class Network:
 
     # ------------------------------------------------------------- messaging
 
-    def broadcast(self, sender: Hashable, payload: Any) -> int:
-        """Broadcast ``payload`` from ``sender`` to its current vicinity.
+    def broadcast(self, sender: Hashable, make_payload: Callable[[], Any]) -> int:
+        """Broadcast from ``sender`` to its current vicinity.
+
+        ``make_payload`` is a zero-argument callable that returns the
+        payload.  The network calls it at most once per send, and only once
+        the channel has accepted at least one receiver, local or remote:
+        a send that reaches nobody (no receiver in range, or every receiver
+        dropped) builds nothing.  Every receiver, and every outbox entry of
+        a sharded run, gets the one object it returned.
 
         Returns the number of receivers the channel accepted the message for.
         Actual delivery can still be suppressed if a receiver deactivates
@@ -509,7 +518,7 @@ class Network:
             self._obs_broadcasts.inc()
         linkstate = self._link_state() if self._det_vicinity else None
         if linkstate is not None:
-            return self._broadcast_batched(linkstate, sender, payload)
+            return self._broadcast_batched(linkstate, sender, make_payload)
         if self._partition is not None:
             raise RuntimeError(
                 "a partitioned network delivers on the CSR link state only, and "
@@ -534,6 +543,8 @@ class Network:
                     self._obs_dropped.inc()
                 continue
             accepted += 1
+            if accepted == 1:
+                payload = make_payload()
             if decision.delay <= 0:
                 self._deliver(sender, receiver, payload)
             else:
@@ -572,7 +583,7 @@ class Network:
         return receivers, procs, remote
 
     def _broadcast_batched(self, linkstate: ArrayLinkState, sender: Hashable,
-                           payload: Any) -> int:
+                           make_payload: Callable[[], Any]) -> int:
         """Batched tail of :meth:`broadcast` (deterministic-vicinity radios).
 
         The sender's CSR row *is* the vicinity, so the per-receiver
@@ -590,19 +601,19 @@ class Network:
         now = self.sim.now
         channel = self.channel
         obs = self._obs
-        if (remote is None and self._stock_deliver
-                and not getattr(payload, "is_app_payload", False)):
+        if remote is None and self._stock_deliver:
             # Hottest path of dense-field runs (a quarter-million deliveries
-            # per simulated second at 1000 nodes): with no app payload, no
-            # remote receiver and only stock ``deliver`` implementations,
-            # probe the channel's zero-delay fast hook — it answers only
-            # when every delay is 0.0, with RNG consumption and counters
-            # identical to ``decide_batch``, so no :class:`BatchDecisions`
-            # (nor its delivered/delay lists) is ever materialized.
+            # per simulated second at 1000 nodes): with no remote receiver
+            # and only stock ``deliver`` implementations, probe the
+            # channel's zero-delay fast hook — it answers only when every
+            # delay is 0.0, with RNG consumption and counters identical to
+            # ``decide_batch``, so no :class:`BatchDecisions` (nor its
+            # delivered/delay lists) is ever materialized.
             # Semantics match ``_deliver`` exactly: a receiver deactivated by
             # an earlier delivery of this very batch is still skipped, and
             # stock ``deliver`` routes a non-app payload to ``on_message``
-            # regardless of any attached app handler.
+            # regardless of any attached app handler, so only an app
+            # payload pays for the ``deliver`` call.
             if obs is None:
                 res = channel.decide_batch_fast(sender, receivers, now)
             else:
@@ -612,16 +623,26 @@ class Network:
                                 {"receivers": len(receivers)})
             if res is not None:
                 mask, accepted = res
-                live = procs if mask is None else list(compress(procs, mask.tolist()))
-                # ``len(live) == accepted``; count down on the (contractually
-                # impossible, but parity-preserved) mid-batch deactivation
-                # instead of counting up per delivery.
                 ndelivered = accepted
-                for proc in live:
-                    if proc._active:
-                        proc.on_message(sender, payload)
+                if accepted:
+                    payload = make_payload()
+                    live = procs if mask is None else list(compress(procs, mask.tolist()))
+                    # ``len(live) == accepted``; count down on the
+                    # (contractually impossible, but parity-preserved)
+                    # mid-batch deactivation instead of counting up per
+                    # delivery.
+                    if getattr(payload, "is_app_payload", False):
+                        for proc in live:
+                            if proc._active:
+                                proc.deliver(sender, payload)
+                            else:
+                                ndelivered -= 1
                     else:
-                        ndelivered -= 1
+                        for proc in live:
+                            if proc._active:
+                                proc.on_message(sender, payload)
+                            else:
+                                ndelivered -= 1
                 self.messages_dropped += len(receivers) - accepted
                 self.messages_delivered += ndelivered
                 if obs is not None:
@@ -639,6 +660,7 @@ class Network:
         accepted = batch.n_accepted
         if accepted is None:
             accepted = batch.accepted()
+        payload = make_payload() if accepted else None
         n_receivers = len(receivers)
         # The bulk rule: drops are counted in bulk, remote receivers go to
         # the outbox in receiver order, and when every local delay is

@@ -8,7 +8,7 @@ clustering processes all derive from it.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .engine import Simulator
 
@@ -23,7 +23,8 @@ class Process:
 
     Subclasses override the ``on_*`` hooks.  The network calls
     :meth:`deliver` when a broadcast reaches the node; the process sends
-    messages through ``self.network.broadcast(self.node_id, payload)``.
+    through :meth:`broadcast`, handing over a zero-argument payload source
+    that the network calls only if the channel accepts a receiver.
     """
 
     def __init__(self, node_id: Any):
@@ -107,13 +108,19 @@ class Process:
             else:
                 self.on_message(sender, payload)
 
-    def broadcast(self, payload: Any) -> int:
-        """Broadcast ``payload`` to the current vicinity; returns receiver count."""
+    def broadcast(self, make_payload: Callable[[], Any]) -> int:
+        """Broadcast to the current vicinity; returns the accepted receiver count.
+
+        ``make_payload()`` returns the payload.  The network calls it at most
+        once, and only when the channel accepts at least one receiver (see
+        :meth:`repro.net.network.Network.broadcast`), so a source that builds
+        its payload costs nothing on a send that reaches nobody.
+        """
         if not self._active:
             return 0
         if self.network is None:
             raise RuntimeError("process is not attached to a network")
-        return self.network.broadcast(self.node_id, payload)
+        return self.network.broadcast(self.node_id, make_payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(node_id={self.node_id!r}, active={self._active})"

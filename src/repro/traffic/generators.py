@@ -169,7 +169,9 @@ class TrafficDriver:
                          send_time=self.sim.now, group=self.group_of(node_id),
                          size=size, data=data)
         self.ledger.record_send(msg)
-        self.network.broadcast(node_id, msg)
+        # The ledger records the send whether or not anyone receives it, so
+        # the message exists before the network asks for it.
+        self.network.broadcast(node_id, lambda: msg)
         return msg
 
     def _on_delivery(self, receiver: Hashable, sender: Hashable, payload: object) -> None:

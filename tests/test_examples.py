@@ -2,8 +2,9 @@
 
 Each example runs as a quick-mode subprocess (``REPRO_QUICK=1``) so refactors
 of the scenario/experiment layers cannot silently break the documented entry
-points.  The tests only assert clean exit and non-empty output — the examples'
-numbers are illustrative, not part of the verified results.
+points.  The tests assert clean exit and non-empty output — the examples'
+numbers are illustrative, not part of the verified results — and that the
+chat example's prose never contradicts its own best-effort verdict.
 """
 
 import os
@@ -24,16 +25,33 @@ def test_every_example_is_covered():
     assert EXAMPLE_SCRIPTS, "examples/ directory is empty?"
 
 
-@pytest.mark.parametrize("script", EXAMPLE_SCRIPTS)
-def test_example_runs_clean_in_quick_mode(script):
+def run_quick(script):
     env = dict(os.environ)
     env["REPRO_QUICK"] = "1"
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    completed = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, script)],
         env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", EXAMPLE_SCRIPTS)
+def test_example_runs_clean_in_quick_mode(script):
+    completed = run_quick(script)
     assert completed.returncode == 0, (
         f"{script} failed (rc={completed.returncode})\n"
         f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}")
     assert completed.stdout.strip(), f"{script} printed nothing"
+
+
+def test_chat_example_claims_continuity_only_when_it_held():
+    """The chat example may say that no partner is ever lost only beside a
+    respected best-effort property."""
+    completed = run_quick("manet_chat.py")
+    assert completed.returncode == 0, completed.stderr
+    out = completed.stdout
+    respected = [line for line in out.splitlines()
+                 if line.startswith("best-effort property respected")]
+    assert len(respected) == 1
+    claims = "never loses a partner" in out
+    assert claims == respected[0].endswith("True"), out

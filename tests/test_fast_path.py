@@ -105,8 +105,9 @@ def collision_world(seed):
 
 
 def request_reply_world(seed):
-    # Zero delays with app payloads: those batches skip the zero-delay hook
-    # and route every delivery through the app handler.
+    # Zero delays with app payloads: the zero-delay hook decides those
+    # batches too, and every app delivery goes through ``Process.deliver``
+    # to the app handler.
     positions = random_positions(range(30), (250.0, 250.0), np.random.default_rng(seed))
     deployment = build_grp_network(positions, GRPConfig(dmax=3), radio_range=80.0,
                                    seed=seed)

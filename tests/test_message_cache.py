@@ -233,22 +233,28 @@ def lossy_deployment(seed):
 class TestDifferential:
     def test_every_sent_message_equals_a_fresh_build(self):
         """Every broadcast payload equals a from-scratch build of the sender's
-        state at send time, through computations, faults and churn; and the
-        run does reuse messages (otherwise this test would prove nothing)."""
+        state at the moment the network produces it, through computations,
+        faults and churn; and the run does reuse messages (otherwise this
+        test would prove nothing)."""
         deployment = lossy_deployment(seed=5)
         network = deployment.network
         stock_broadcast = network.broadcast
         last = {}
         counts = {"sends": 0, "reused": 0}
 
-        def checked_broadcast(sender, payload):
+        def checked_broadcast(sender, make_payload):
             node = deployment.nodes[sender]
-            assert payload == fresh_build(node)
-            counts["sends"] += 1
-            if last.get(sender) is payload:
-                counts["reused"] += 1
-            last[sender] = payload
-            return stock_broadcast(sender, payload)
+
+            def checked_payload():
+                payload = make_payload()
+                assert payload == fresh_build(node)
+                counts["sends"] += 1
+                if last.get(sender) is payload:
+                    counts["reused"] += 1
+                last[sender] = payload
+                return payload
+
+            return stock_broadcast(sender, checked_payload)
 
         network.broadcast = checked_broadcast
         deployment.run(4.0)

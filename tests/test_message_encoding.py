@@ -160,16 +160,21 @@ def zero_delay_world(seed):
 
 
 def through_the_wire(deployment):
-    """Replace every GRP payload by its pickled-and-unpickled copy at send time."""
+    """Replace every GRP payload by its pickled-and-unpickled copy when the
+    network produces it."""
     network = deployment.network
     stock_broadcast = network.broadcast
     copies = []
 
-    def wire_broadcast(sender, payload):
-        if isinstance(payload, GRPMessage):
-            payload = pickle.loads(pickle.dumps(payload))
-            copies.append(payload)
-        return stock_broadcast(sender, payload)
+    def wire_broadcast(sender, make_payload):
+        def wire_payload():
+            payload = make_payload()
+            if isinstance(payload, GRPMessage):
+                payload = pickle.loads(pickle.dumps(payload))
+                copies.append(payload)
+            return payload
+
+        return stock_broadcast(sender, wire_payload)
 
     network.broadcast = wire_broadcast
     return copies

@@ -31,7 +31,7 @@ def build_network(positions, radio_range=10.0, channel=None, seed=0):
 class TestBroadcast:
     def test_broadcast_reaches_only_vicinity(self):
         sim, network = build_network({"a": (0, 0), "b": (5, 0), "c": (50, 0)})
-        delivered = network.broadcast("a", "hello")
+        delivered = network.broadcast("a", lambda: "hello")
         sim.run()
         assert delivered == 1
         assert network.process("b").inbox == [("a", "hello")]
@@ -40,17 +40,17 @@ class TestBroadcast:
     def test_inactive_nodes_neither_send_nor_receive(self):
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
         network.deactivate_node("b")
-        assert network.broadcast("a", "x") == 0
+        assert network.broadcast("a", lambda: "x") == 0
         network.deactivate_node("a")
-        assert network.broadcast("a", "x") == 0
+        assert network.broadcast("a", lambda: "x") == 0
         network.activate_node("a")
         network.activate_node("b")
-        assert network.broadcast("a", "x") == 1
+        assert network.broadcast("a", lambda: "x") == 1
 
     def test_lossy_channel_drops_are_counted(self):
         channel = LossyChannel(loss_probability=1.0)
         sim, network = build_network({"a": (0, 0), "b": (5, 0)}, channel=channel)
-        network.broadcast("a", "x")
+        network.broadcast("a", lambda: "x")
         sim.run()
         assert network.messages_dropped == 1
         assert network.process("b").inbox == []
@@ -58,7 +58,7 @@ class TestBroadcast:
     def test_delayed_delivery(self):
         channel = PerfectChannel(delay=2.0)
         sim, network = build_network({"a": (0, 0), "b": (5, 0)}, channel=channel)
-        network.broadcast("a", "x")
+        network.broadcast("a", lambda: "x")
         assert network.process("b").inbox == []
         sim.run()
         assert sim.now == 2.0
@@ -71,7 +71,7 @@ class TestBroadcast:
         channel = PerfectChannel(delay=2.0)
         sim, network = build_network({"a": (0, 0), "b": (5, 0), "c": (5, 5)},
                                      channel=channel)
-        accepted = network.broadcast("a", "x")
+        accepted = network.broadcast("a", lambda: "x")
         assert accepted == 2
         assert network.messages_delivered == 0
         sim.schedule(1.0, network.deactivate_node, "b")
@@ -84,7 +84,7 @@ class TestBroadcast:
     def test_delivery_not_counted_for_removed_receiver(self):
         channel = PerfectChannel(delay=2.0)
         sim, network = build_network({"a": (0, 0), "b": (5, 0)}, channel=channel)
-        assert network.broadcast("a", "x") == 1
+        assert network.broadcast("a", lambda: "x") == 1
         network.remove_node("b")
         sim.run()
         assert network.messages_delivered == 0
@@ -126,7 +126,7 @@ class TestNodeManagement:
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
         network.remove_node("b")
         assert "b" not in network.node_ids
-        assert network.broadcast("a", "x") == 0
+        assert network.broadcast("a", lambda: "x") == 0
 
     def test_position_listener_called_on_mobility_step(self):
         from repro.mobility.static import StaticMobility
@@ -249,7 +249,7 @@ class TestRadioMutationNotification:
         assert network.neighbors_of("a") == {"b"}
         network.radio.radio_range = 10.0
         assert network.neighbors_of("a") == set()
-        assert network.broadcast("a", "ping") == 0
+        assert network.broadcast("a", lambda: "ping") == 0
 
     def test_shrinking_nonmaximal_asymmetric_range_refreshes(self):
         from repro.net.radio import AsymmetricRangeRadio
@@ -294,9 +294,9 @@ class TestRadioMutationNotification:
 
     def test_broadcast_fast_path_sees_mutated_radius(self):
         sim, network = build_network({"a": (0, 0), "b": (8, 0), "c": (20, 0)})
-        assert network.broadcast("a", "m1") == 1  # warms the link-state cache
+        assert network.broadcast("a", lambda: "m1") == 1  # warms the link-state cache
         network.radio.radio_range = 30.0
-        assert network.broadcast("a", "m2") == 2
+        assert network.broadcast("a", lambda: "m2") == 2
         sim.run()
         assert network.process("c").inbox == [("a", "m2")]
 
@@ -388,11 +388,11 @@ class TestCustomRadioContract:
         network.add_node(Echo("a"), (0, 0))
         network.add_node(Echo("b"), (20, 0))
         assert network.neighbors_of("a") == set()
-        assert network.broadcast("a", "x") == 0
+        assert network.broadcast("a", lambda: "x") == 0
         network.radio.r = 30.0  # silent, but visible through max_range()
         assert network.topology().has_edge("a", "b")
         assert network.neighbors_of("a") == {"b"}
-        assert network.broadcast("a", "y") == 1
+        assert network.broadcast("a", lambda: "y") == 1
 
     def test_no_op_set_positions_keeps_caches_warm(self):
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
@@ -428,4 +428,4 @@ class TestInPlaceMobilityModels:
         assert network.topology_generation > before
         # Index/link-state followed the move: still neighbours at new spots.
         assert network.neighbors_of("a") == {"b"}
-        assert network.broadcast("a", "x") == 1
+        assert network.broadcast("a", lambda: "x") == 1

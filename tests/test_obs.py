@@ -62,7 +62,7 @@ def build_network(n=30, seed=7, loss=0.1):
 def run_broadcast_rounds(sim, network, rounds=3):
     for _ in range(rounds):
         for node in network.node_ids:
-            network.broadcast(node, "x")
+            network.broadcast(node, lambda: "x")
         sim.run()
 
 

@@ -353,7 +353,7 @@ class TestSnapshotRestore:
         network = world.network
         network.radio.uniform_link_radius = lambda: None
         with pytest.raises(RuntimeError, match="CSR link state"):
-            network.broadcast(world.owned[0], "ping")
+            network.broadcast(world.owned[0], lambda: "ping")
 
     def test_unpicklable_world_raises_unsupported(self):
         spec = ShardSpec.create("shardtest_unpicklable", seed=1, duration=1.0,

@@ -690,7 +690,10 @@ def drive(script, sim, periodic_cls):
             # An unbounded run still stops: periodic timers never drain.
             sim.run(until=until, max_events=30 if op[2] is None else op[2])
         elif kind == "run_window":
-            sim.run_window(sim.now + op[1], inclusive=op[2], max_events=op[3])
+            # Bounded like ``run``: a zero-phase timer whose callback restarts
+            # it fires forever at one instant, inside any window.
+            sim.run_window(sim.now + op[1], inclusive=op[2],
+                           max_events=300 if op[3] is None else op[3])
         else:
             sim.step()
         trace.append((kind, sim.now, sim.pending_events, sim.processed_events,

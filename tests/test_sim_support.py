@@ -148,10 +148,10 @@ class TestProcess:
         proc = _Recorder("a")
         proc.bind(simulator, network=None)
         with pytest.raises(RuntimeError):
-            proc.broadcast("x")
+            proc.broadcast(lambda: "x")
 
     def test_broadcast_while_inactive_is_noop(self, simulator):
         proc = _Recorder("a")
         proc.bind(simulator, network=None)
         proc.deactivate()
-        assert proc.broadcast("x") == 0
+        assert proc.broadcast(lambda: "x") == 0

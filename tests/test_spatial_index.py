@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.net.channel import LossyChannel
 from repro.net.geometry import distance
 from repro.net.network import Network
 from repro.net.radio import AsymmetricRangeRadio, ProbabilisticDiskRadio, UnitDiskRadio
@@ -126,7 +127,7 @@ def assert_broadcasts_reach_range(sim, net, payload):
         receivers = [v for v in net.node_ids
                      if sender in active and v != sender and v in active
                      and distance(positions[sender], positions[v]) <= reach]
-        assert net.broadcast(sender, payload) == len(receivers)
+        assert net.broadcast(sender, lambda: payload) == len(receivers)
         sim.run()
         for v in receivers:
             expected[v].append((sender, payload))
@@ -238,11 +239,56 @@ def test_fading_band_draws_once_per_band_candidate():
                     if reference.random() < p:
                         expected.add(v)
         seen = {v: len(net.process(v).inbox) for v in net.node_ids}
-        assert net.broadcast(sender, "p") == len(expected)
+        assert net.broadcast(sender, lambda: "p") == len(expected)
         sim.run()
         assert {v for v in net.node_ids if len(net.process(v).inbox) > seen[v]} == expected
         assert stream.bit_generator.state == reference.bit_generator.state
     assert band_total > 0 and skipped_in_band > 0
+
+
+def test_the_scan_builds_once_at_the_first_accepted_receiver():
+    """Fading-band radio (scan path) over a lossy zero-delay channel: the
+    source runs exactly once per send that has an accepted receiver, right
+    after the channel accepts the first one, and never for the others."""
+    rng = np.random.default_rng(4)
+    sim = Simulator(seed=5)
+    network = Network(sim, radio=ProbabilisticDiskRadio(10.0, 25.0, band_probability=0.5,
+                                                        rng=np.random.default_rng(6)),
+                      channel=LossyChannel(loss_probability=0.5,
+                                           rng=np.random.default_rng(7)))
+    for node, (x, y) in enumerate(rng.uniform(0, 60, size=(25, 2))):
+        network.add_node(Recorder(node), (float(x), float(y)))
+    log = []
+    stock_decide = network.channel.decide
+
+    def logged_decide(sender, receiver, time):
+        decision = stock_decide(sender, receiver, time)
+        log.append(("decide", decision.delivered))
+        return decision
+
+    network.channel.decide = logged_decide
+
+    def make_payload():
+        log.append(("build",))
+        return "p"
+
+    drop_before_build = silent = 0
+    for sender in network.node_ids:
+        log.clear()
+        accepted = network.broadcast(sender, make_payload)
+        built = [i for i, entry in enumerate(log) if entry == ("build",)]
+        if accepted == 0:
+            assert built == []
+            silent += 1
+            continue
+        first = log.index(("decide", True))
+        assert built == [first + 1]
+        drop_before_build += first > 0
+    assert drop_before_build > 0 and silent > 0
+    received = [payload for node in network.node_ids
+                for _, payload in network.process(node).inbox]
+    assert len(received) == network.messages_delivered > 0
+    assert set(received) == {"p"}
 
 
 @pytest.mark.parametrize("production", [True, False])
@@ -262,7 +308,7 @@ def test_mobility_ghost_nodes_are_ignored(production):
     net.start()
     sim.run(until=2.5)
     assert sorted(net.positions) == ["a", "b"]
-    assert net.broadcast("a", "x") == 1
+    assert net.broadcast("a", lambda: "x") == 1
     assert net.neighbors_of("a") == {"b"}
 
 
@@ -282,7 +328,7 @@ def test_unbounded_radio_falls_back_to_brute_force():
     for i in range(5):
         net.add_node(Recorder(i), (i * 1000.0, 0.0))
     assert net._link_state() is None
-    assert net.broadcast(0, "x") == 4
+    assert net.broadcast(0, lambda: "x") == 4
     assert net.neighbors_of(0) == {1, 2, 3, 4}
 
 
@@ -327,7 +373,7 @@ class TestSnapshotCache:
         assert net.neighbors_of("a") == {"b"}
         net.remove_node("b")
         assert net.neighbors_of("a") == set()
-        assert net.broadcast("a", "x") == 0
+        assert net.broadcast("a", lambda: "x") == 0
 
     def test_growing_asymmetric_range_is_observed(self):
         sim = Simulator(seed=0)
@@ -341,7 +387,7 @@ class TestSnapshotCache:
         radio.set_range("a", 40.0)
         radio.set_range("b", 40.0)
         assert net.neighbors_of("a") == {"b"}
-        assert net.broadcast("a", "x") == 1
+        assert net.broadcast("a", lambda: "x") == 1
 
     def test_invalidate_topology_after_in_place_radio_mutation(self):
         sim = Simulator(seed=0)
