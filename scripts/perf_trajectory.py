@@ -145,11 +145,12 @@ def _derived_obs_rows(counters: Dict[str, float],
 def _load_obs_jsonl(path: str) -> Dict[str, object]:
     """One section from a ``repro-obs/v1`` JSONL export.
 
-    Handles every shape the CLIs write: the single-run export (counter /
-    gauge / histogram / span / event lines), the campaign export (``task``
-    lines each carrying a full ``obs`` blob, plus one pre-folded ``merged``
-    line) and the sharded merged export (``write_blob_jsonl``).  When a
-    ``merged`` line is present it wins over re-summing the task lines.
+    Handles every shape the CLIs write: the single-run and sharded exports
+    (``write_blob_jsonl``: counter / gauge / histogram / span / event
+    lines) and the campaign export (``task`` lines each carrying a full
+    ``obs`` blob, plus one ``merged`` line).  The ``merged`` line is the
+    campaign's fold (``repro.obs.merge_export_blobs``) and the only one
+    read; ``task`` lines are just counted for the label.
     """
     counters: Dict[str, float] = {}
     spans: Dict[str, Dict[str, object]] = {}
@@ -181,24 +182,6 @@ def _load_obs_jsonl(path: str) -> Dict[str, object]:
                 merged_blob = entry.get("obs") or {}
             elif kind == "task":
                 tasks += 1
-                blob = entry.get("obs") or {}
-                for name, value in blob.get("counters", {}).items():
-                    counters[name] = counters.get(name, 0) + value
-                for name, stats in blob.get("spans", {}).items():
-                    merged = spans.setdefault(name, {"count": 0})
-                    merged["count"] = merged.get("count", 0) + stats.get("count", 0)
-                    merged["wall_ns_total"] = (merged.get("wall_ns_total", 0)
-                                               + stats.get("wall_ns_total", 0))
-                    p95 = stats.get("wall_ns_p95")
-                    if p95 is not None:
-                        merged["wall_ns_p95"] = max(p95,
-                                                    merged.get("wall_ns_p95", 0))
-                events = blob.get("events") or {}
-                for name, count in (events.get("kinds") or {}).items():
-                    line_kinds[name] = line_kinds.get(name, 0) + count
-                for record in events.get("records", ()):
-                    event_times.setdefault(record["kind"], []).append(
-                        record["sim_time"])
     event_kinds = summary_kinds or line_kinds
     if merged_blob is not None:
         counters = dict(merged_blob.get("counters", {}))

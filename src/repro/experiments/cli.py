@@ -306,9 +306,8 @@ def _write_campaign_obs(path: str, spec, result) -> None:
     """Write per-task obs blobs as JSON lines (meta, one per task, merged).
 
     The final ``{"type": "merged"}`` line folds every task blob through
-    :func:`repro.obs.merge_export_blobs` (counters add, histograms fold
-    element-wise, record windows interleave) so campaign-wide dashboards
-    need not re-implement the merge.
+    :func:`repro.obs.merge_export_blobs`, the one fold, so campaign-wide
+    readers need not re-implement the merge.
     """
     import json
 
@@ -415,7 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             traffic = traffics[0] if traffics else None
             obs_ctx = None
             if args.obs or args.obs_out:
-                from repro.obs import ObsContext, observing
+                from repro.obs import ObsContext, observing, write_blob_jsonl
                 with observing(ObsContext(track_heap=args.obs_heap)) as obs_ctx:
                     results = _run(experiment_ids, quick=not args.full,
                                    seed=args.seed, scenario=scenario,
@@ -427,7 +426,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = "\n\n".join(result.to_text() for result in results)
             if obs_ctx is not None:
                 if args.obs_out:
-                    obs_ctx.to_jsonl(args.obs_out,
+                    write_blob_jsonl(args.obs_out,
+                                     obs_ctx.export(include_records=True),
                                      meta={"experiments": experiment_ids,
                                            "quick": not args.full,
                                            "seed": args.seed})

@@ -9,11 +9,12 @@ Public surface:
 * :class:`ObsContext` — one observed run: a :class:`MetricsRegistry` of
   counters / gauges / fixed-bucket histograms, sim-time-correlated span
   statistics and a protocol :class:`EventStream` (group lifecycle, predicate
-  violations, convergence milestones), exportable as a JSON blob or a
-  ``metrics.jsonl`` file.
-* :meth:`ObsContext.merge` / :func:`merge_export_blobs` — fold per-shard or
-  per-task observations into one aggregate (counters add, histograms fold
-  element-wise, record windows interleave in ``(sim_time, seq)`` order).
+  violations, convergence milestones), exported as one JSON blob.
+* :func:`merge_export_blobs` — the one fold of per-shard or per-task export
+  blobs into an aggregate (counters add, histograms fold element-wise, record
+  windows interleave in ``(sim_time, seq)`` order and keep the live bounds,
+  kind conflicts raise).
+* :func:`write_blob_jsonl` — the one ``repro-obs/v1`` JSON-lines writer.
 * :func:`profiling` — opt-in cProfile wrapper for ``--profile``.
 
 Invariants (pinned by ``tests/test_obs.py`` and the replay-determinism
@@ -22,8 +23,8 @@ events, and keeps wall-clock readings out of sim-visible state — enabling it
 leaves a seeded run bit-identical.
 """
 
-from .context import (ObsContext, Span, current, disable, enable,
-                      merge_export_blobs, observing, write_blob_jsonl)
+from .context import (ObsContext, current, disable, enable, merge_export_blobs,
+                      observing, write_blob_jsonl)
 from .events import EventStream, ObsEvent
 from .metrics import (Counter, DEFAULT_WALL_NS_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
@@ -32,7 +33,6 @@ from .spans import SpanRecord, SpanStats
 
 __all__ = [
     "ObsContext",
-    "Span",
     "current",
     "enable",
     "disable",

@@ -1,4 +1,4 @@
-"""The observation context: registry + spans + export, and the runtime switch.
+"""The observation context, the export fold and writer, and the runtime switch.
 
 One :class:`ObsContext` describes one observed run (a single experiment, one
 campaign task, a benchmark).  Components capture the *current* context exactly
@@ -18,7 +18,9 @@ Enabling is process-local and scoped::
 
 Campaign workers enable a fresh context around each task and persist the
 export through the result store; the CLI's ``--obs`` / ``--obs-out`` flags do
-the same for single runs.
+the same for single runs.  The export blob is the only form that is merged
+and written: :func:`merge_export_blobs` folds shard or task exports into one,
+:func:`write_blob_jsonl` writes one as ``repro-obs/v1`` lines.
 
 Determinism: the context never consumes RNG, never schedules or reorders
 events, and keeps wall-clock readings strictly inside observation state —
@@ -32,74 +34,41 @@ import contextlib
 import json
 import time
 import tracemalloc
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from .events import DEFAULT_MAX_EVENT_RECORDS, EventStream, iter_event_lines
+from .events import DEFAULT_MAX_EVENT_RECORDS, EventStream
 from .metrics import MetricsRegistry
 from .spans import SpanStats, _nearest_rank
 
-__all__ = ["ObsContext", "Span", "current", "enable", "disable", "observing",
+__all__ = ["ObsContext", "current", "enable", "disable", "observing",
            "merge_export_blobs", "write_blob_jsonl"]
 
-#: Default bound on stored raw records per span name (aggregates stay exact).
+#: Bound on stored raw records per span name (aggregates stay exact).
 DEFAULT_MAX_SPAN_RECORDS = 1024
 
 
-class Span:
-    """Context-manager handle for one timed region.
-
-    ``with obs.span("topology.csr_rebuild", now) as sp: ...`` — payload counts
-    discovered mid-region are attached with :meth:`add`.
-    """
-
-    __slots__ = ("_obs", "_name", "_sim_time", "_counts", "_t0")
-
-    def __init__(self, obs: "ObsContext", name: str, sim_time: float,
-                 counts: Optional[Dict[str, int]]):
-        self._obs = obs
-        self._name = name
-        self._sim_time = sim_time
-        self._counts = counts
-
-    def add(self, **counts: int) -> None:
-        """Attach payload counts (merged over any passed at entry)."""
-        if self._counts is None:
-            self._counts = dict(counts)
-        else:
-            self._counts.update(counts)
-
-    def __enter__(self) -> "Span":
-        self._t0 = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._obs.record_span(self._name, self._sim_time, self._t0, self._counts)
-
-
 class ObsContext:
-    """Metrics registry + span recorder for one observed run.
+    """Metrics registry + span recorder + event stream for one observed run.
+
+    Raw records live in sliding windows of the newest
+    ``DEFAULT_MAX_SPAN_RECORDS`` per span name and the newest
+    ``DEFAULT_MAX_EVENT_RECORDS`` events; aggregates stay exact.
 
     Parameters
     ----------
-    max_span_records:
-        Sliding-window bound on raw records kept per span name (0 keeps only
-        aggregates).
     track_heap:
         Start :mod:`tracemalloc` for the context's lifetime and export the
         peak traced heap.  Opt-in: tracing slows allocation-heavy runs
         noticeably, which is why it is not part of plain ``--obs``.
     """
 
-    __slots__ = ("registry", "max_span_records", "spans", "events", "_seq",
+    __slots__ = ("registry", "spans", "events", "_seq",
                  "_track_heap", "_heap_peak", "_started_tracemalloc")
 
-    def __init__(self, max_span_records: int = DEFAULT_MAX_SPAN_RECORDS,
-                 track_heap: bool = False,
-                 max_event_records: int = DEFAULT_MAX_EVENT_RECORDS):
+    def __init__(self, track_heap: bool = False):
         self.registry = MetricsRegistry()
-        self.max_span_records = int(max_span_records)
         self.spans: Dict[str, SpanStats] = {}
-        self.events = EventStream(max_event_records)
+        self.events = EventStream(DEFAULT_MAX_EVENT_RECORDS)
         self._seq = 0
         self._track_heap = bool(track_heap)
         self._heap_peak: Optional[int] = None
@@ -107,16 +76,11 @@ class ObsContext:
 
     # ---------------------------------------------------------------- clock
 
-    #: Exposed so instrumented call sites can read one timestamp themselves
-    #: (``t0 = obs.clock()``) and hand it to :meth:`record_span` — cheaper
-    #: than a context manager in per-broadcast paths.
+    #: Instrumented call sites read one timestamp themselves
+    #: (``t0 = obs.clock()``) and hand it to :meth:`record_span`.
     clock = staticmethod(time.perf_counter_ns)
 
     # ---------------------------------------------------------------- spans
-
-    def span(self, name: str, sim_time: float = 0.0, **counts: int) -> Span:
-        """Context manager timing one region (coarse paths)."""
-        return Span(self, name, sim_time, dict(counts) if counts else None)
 
     def record_span(self, name: str, sim_time: float, t0_ns: int,
                     counts: Optional[Dict[str, int]] = None) -> None:
@@ -124,7 +88,7 @@ class ObsContext:
         wall_ns = time.perf_counter_ns() - t0_ns
         stats = self.spans.get(name)
         if stats is None:
-            stats = self.spans[name] = SpanStats(name, self.max_span_records)
+            stats = self.spans[name] = SpanStats(name, DEFAULT_MAX_SPAN_RECORDS)
         seq = self._seq
         self._seq = seq + 1
         stats.observe(sim_time, seq, wall_ns, counts)
@@ -137,34 +101,10 @@ class ObsContext:
     def record_event(self, kind: str, sim_time: float,
                      **payload: Any) -> None:
         """Record one protocol event (group lifecycle, predicate violation,
-        convergence milestone).  Deterministic content is
-        ``(kind, sim_time, seq, payload)``; the wall-clock reading is an
-        annotation stripped from deterministic exports."""
+        convergence milestone) as ``(kind, sim_time, seq, payload)``."""
         seq = self._seq
         self._seq = seq + 1
-        self.events.record(kind, sim_time, seq, time.perf_counter_ns(),
-                           payload or None)
-
-    # ----------------------------------------------------------------- merge
-
-    def merge(self, other: "ObsContext") -> None:
-        """Fold another context into this one (per-shard contexts -> one run).
-
-        Counters and histograms add, span aggregates and event counts
-        combine exactly, record windows interleave in ``(sim_time, seq)``
-        order, and the heap peak takes the max.  Kind-pinned instrument
-        conflicts raise, same as live registration.
-        """
-        self.registry.merge(other.registry)
-        for name in sorted(other.spans):
-            stats = self.spans.get(name)
-            if stats is None:
-                stats = self.spans[name] = SpanStats(name, self.max_span_records)
-            stats.merge(other.spans[name])
-        self.events.merge(other.events)
-        if other._heap_peak is not None and (
-                self._heap_peak is None or other._heap_peak > self._heap_peak):
-            self._heap_peak = other._heap_peak
+        self.events.record(kind, sim_time, seq, payload or None)
 
     # ----------------------------------------------------------- heap (opt-in)
 
@@ -192,65 +132,47 @@ class ObsContext:
         """The whole context as one JSON-serializable blob.
 
         ``include_records`` inlines the raw span record windows (sizeable);
-        the campaign store persists the aggregate-only form, ``to_jsonl``
-        writes the full one.
+        the campaign store persists the aggregate-only form, single-run and
+        shard-worker exports carry the full one.  Event records always ship:
+        they hold no wall-clock reading, so they are a pure function of the
+        seed.
         """
         blob = self.registry.as_dict()
         blob["spans"] = {name: self.spans[name].as_dict(include_records)
                          for name in sorted(self.spans)}
-        # Event content is deterministic by construction (wall time is kept
-        # out), so records can always ship: the blob of an observed run is a
-        # pure function of the seed.
-        blob["events"] = self.events.as_dict(include_records=True,
-                                             include_wall=False)
+        blob["events"] = self.events.as_dict()
         if self._heap_peak is not None:
             blob["heap_peak_bytes"] = self._heap_peak
         return blob
-
-    def to_jsonl(self, path: str, meta: Optional[Dict[str, Any]] = None) -> None:
-        """Write the context as JSON lines: one ``meta`` line, then one line
-        per instrument and per span (records included), ``type``-tagged so
-        consumers can stream-filter without loading everything."""
-        blob = self.export(include_records=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {"type": "meta", "schema": "repro-obs/v1"}
-            if meta:
-                header.update(meta)
-            handle.write(json.dumps(header) + "\n")
-            for kind in ("counters", "gauges"):
-                for name, value in blob[kind].items():
-                    handle.write(json.dumps(
-                        {"type": kind[:-1], "name": name, "value": value}) + "\n")
-            for name, data in blob["histograms"].items():
-                handle.write(json.dumps(
-                    {"type": "histogram", "name": name, **data}) + "\n")
-            for name, data in blob["spans"].items():
-                handle.write(json.dumps(
-                    {"type": "span", "name": name, **data}) + "\n")
-            summary = dict(blob["events"])
-            summary.pop("records", None)
-            handle.write(json.dumps(
-                {"type": "event_summary", **summary}) + "\n")
-            for line in iter_event_lines(self.events, include_wall=True):
-                handle.write(json.dumps(line) + "\n")
-            if self._heap_peak is not None:
-                handle.write(json.dumps(
-                    {"type": "gauge", "name": "heap.peak_bytes",
-                     "value": self._heap_peak}) + "\n")
 
 
 # ---------------------------------------------------------------- blob merge
 
 
+def _windowed(records: List[Dict[str, Any]], bound: int,
+              into: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """``records`` in ``(sim_time, seq)`` order, trimmed to the newest
+    ``bound``; the trimmed ones are added to ``into["dropped_records"]``."""
+    records = sorted(records, key=lambda r: (r["sim_time"], r["seq"]))
+    overflow = len(records) - bound
+    if overflow > 0:
+        into["dropped_records"] += overflow
+        records = records[overflow:]
+    return records
+
+
 def merge_export_blobs(blobs) -> Dict[str, Any]:
-    """Fold already-exported blobs (dicts from :meth:`ObsContext.export`)
-    into one aggregate blob — for persisted exports whose live contexts are
-    gone (campaign task records, per-shard breakdowns read back from disk).
+    """Fold exported blobs (dicts from :meth:`ObsContext.export`) into one
+    aggregate blob: shard exports into one sharded run, campaign task blobs
+    into one campaign.
 
     Counters add; gauges last-write-wins; histograms fold element-wise
-    (same-bounds required); span aggregates combine with percentiles
-    recomputed only when record windows are present; event kind counts add
-    and record lists interleave in ``(sim_time, seq)`` order.
+    (same bounds required, else ``ValueError``); a name exported under two
+    instrument kinds raises ``TypeError``.  Span aggregates and event kind
+    counts add exactly.  Record windows interleave in ``(sim_time, seq)``
+    order and keep the newest records up to the live bounds, counting the
+    rest in ``dropped_records``; span p50/p95 are recomputed over the merged
+    window, and read ``None`` once blobs without span records are folded.
     """
     merged: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {},
                               "spans": {}, "events": {"count": 0, "kinds": {},
@@ -293,13 +215,7 @@ def merge_export_blobs(blobs) -> Dict[str, Any]:
                 for key, value in data["payload_totals"].items():
                     totals[key] = totals.get(key, 0) + value
             if "records" in into or "records" in data:
-                records = sorted(into.get("records", []) + data.get("records", []),
-                                 key=lambda r: (r["sim_time"], r["seq"]))
-                into["records"] = records
-                walls = sorted(r["wall_ns"] for r in records)
-                if walls:
-                    into["wall_ns_p50"] = _nearest_rank(walls, 0.50)
-                    into["wall_ns_p95"] = _nearest_rank(walls, 0.95)
+                into["records"] = into.get("records", []) + data.get("records", [])
             else:
                 into["wall_ns_p50"] = None
                 into["wall_ns_p95"] = None
@@ -315,9 +231,23 @@ def merge_export_blobs(blobs) -> Dict[str, Any]:
             peak = blob["heap_peak_bytes"]
             heap_peak = peak if heap_peak is None else max(heap_peak, peak)
 
-    merged["events"]["records"].sort(key=lambda r: (r["sim_time"], r["seq"]))
-    merged["events"]["kinds"] = {k: merged["events"]["kinds"][k]
-                                 for k in sorted(merged["events"]["kinds"])}
+    pinned: Dict[str, str] = {}
+    for kind in ("counters", "gauges", "histograms"):
+        for name in merged[kind]:
+            if pinned.setdefault(name, kind) != kind:
+                raise TypeError(f"instrument {name!r} exported as both "
+                                f"{pinned[name]} and {kind}")
+    events = merged["events"]
+    events["records"] = _windowed(events["records"], DEFAULT_MAX_EVENT_RECORDS,
+                                  events)
+    events["kinds"] = {k: events["kinds"][k] for k in sorted(events["kinds"])}
+    for data in merged["spans"].values():
+        if "records" in data:
+            data["records"] = _windowed(data["records"],
+                                        DEFAULT_MAX_SPAN_RECORDS, data)
+            walls = sorted(r["wall_ns"] for r in data["records"])
+            data["wall_ns_p50"] = _nearest_rank(walls, 0.50) if walls else None
+            data["wall_ns_p95"] = _nearest_rank(walls, 0.95) if walls else None
     for kind in ("counters", "gauges", "histograms", "spans"):
         merged[kind] = {name: merged[kind][name] for name in sorted(merged[kind])}
     if heap_peak is not None:
@@ -327,12 +257,12 @@ def merge_export_blobs(blobs) -> Dict[str, Any]:
 
 def write_blob_jsonl(path: str, blob: Dict[str, Any],
                      meta: Optional[Dict[str, Any]] = None) -> None:
-    """Write an already-exported blob as ``repro-obs/v1`` JSON lines.
+    """Write an exported blob as ``repro-obs/v1`` JSON lines: one ``meta``
+    line, then one ``type``-tagged line per instrument, span and windowed
+    event, so consumers can stream-filter without loading everything.
 
-    The file-shaped twin of :meth:`ObsContext.to_jsonl` for blobs whose live
-    context is gone — merged sharded exports, campaign aggregates.  Event
-    records in a blob are already wall-stripped, so the output is fully
-    deterministic.
+    The one writer of the format: a single run writes
+    ``ctx.export(include_records=True)``, a sharded run its merged export.
     """
     with open(path, "w", encoding="utf-8") as handle:
         header = {"type": "meta", "schema": "repro-obs/v1"}

@@ -2,7 +2,7 @@
 
 An *event* is one qualitative protocol occurrence — a group forming, a head
 change, a predicate violation, a convergence milestone — recorded as
-``(kind, sim_time, seq, payload)`` plus a wall-clock annotation:
+``(kind, sim_time, seq, payload)``:
 
 * ``kind`` — dotted event type (``"group.merged"``, ``"predicate.agreement_violation"``,
   ``"convergence.first_legitimate"``); the stream keeps exact per-kind counts
@@ -10,11 +10,10 @@ change, a predicate violation, a convergence milestone — recorded as
 * ``sim_time`` / ``seq`` — simulated clock and the context's monotonic
   observation sequence; together they give the canonical stream order;
 * ``payload`` — small JSON-serializable facts about the occurrence (node ids
-  as strings, group sizes, violation counts);
-* ``wall_ns`` — wall-clock annotation only.  The *deterministic* content of an
-  event is ``(kind, sim_time, seq, payload)``; exports strip ``wall_ns``
-  unless explicitly asked for it, so two bit-identical runs produce
-  bit-identical event exports.
+  as strings, group sizes, violation counts).
+
+An event carries no wall-clock reading, so two bit-identical runs produce
+bit-identical event exports.
 
 Like spans, raw records live in a bounded sliding window (newest win) while
 per-kind counts stay exact, so long churny runs cannot grow memory without
@@ -25,7 +24,7 @@ an event is observation only, which is what keeps ``--obs`` replay-safe.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 __all__ = ["ObsEvent", "EventStream", "DEFAULT_MAX_EVENT_RECORDS"]
 
@@ -36,24 +35,21 @@ DEFAULT_MAX_EVENT_RECORDS = 4096
 class ObsEvent:
     """One recorded protocol occurrence."""
 
-    __slots__ = ("kind", "sim_time", "seq", "wall_ns", "payload")
+    __slots__ = ("kind", "sim_time", "seq", "payload")
 
-    def __init__(self, kind: str, sim_time: float, seq: int, wall_ns: int,
+    def __init__(self, kind: str, sim_time: float, seq: int,
                  payload: Optional[Dict[str, Any]]):
         self.kind = kind
         self.sim_time = sim_time
         self.seq = seq
-        self.wall_ns = wall_ns
         self.payload = payload
 
     def sort_key(self):
         return (self.sim_time, self.seq)
 
-    def as_dict(self, include_wall: bool = False) -> Dict[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind, "sim_time": self.sim_time,
                                 "seq": self.seq}
-        if include_wall:
-            data["wall_ns"] = self.wall_ns
         if self.payload:
             data["payload"] = self.payload
         return data
@@ -76,13 +72,13 @@ class EventStream:
     def count(self) -> int:
         return sum(self.kind_counts.values())
 
-    def record(self, kind: str, sim_time: float, seq: int, wall_ns: int,
+    def record(self, kind: str, sim_time: float, seq: int,
                payload: Optional[Dict[str, Any]] = None) -> None:
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         if self.records.maxlen != 0:
             if len(self.records) == self.records.maxlen:
                 self.dropped += 1
-            self.records.append(ObsEvent(kind, sim_time, seq, wall_ns, payload))
+            self.records.append(ObsEvent(kind, sim_time, seq, payload))
         else:
             self.dropped += 1
 
@@ -91,53 +87,17 @@ class EventStream:
         return sorted((e for e in self.records if e.kind == kind),
                       key=ObsEvent.sort_key)
 
-    # ----------------------------------------------------------------- merge
-
-    def merge(self, other: "EventStream") -> None:
-        """Fold ``other`` into this stream (shard exports -> one stream).
-
-        Per-kind counts add exactly; record windows are merged in canonical
-        ``(sim_time, seq)`` order and re-trimmed to this stream's bound,
-        keeping the *latest* events and accounting the rest as dropped —
-        the same newest-win policy the live window applies.
-        """
-        for kind, n in other.kind_counts.items():
-            self.kind_counts[kind] = self.kind_counts.get(kind, 0) + n
-        self.dropped += other.dropped
-        if self.records.maxlen == 0:
-            self.dropped += len(other.records)
-            return
-        merged = sorted(list(self.records) + list(other.records),
-                        key=ObsEvent.sort_key)
-        overflow = len(merged) - self.records.maxlen
-        if overflow > 0:
-            self.dropped += overflow
-            merged = merged[overflow:]
-        self.records = deque(merged, maxlen=self.max_records)
-
     # ------------------------------------------------------------- reporting
 
     def ordered_records(self) -> List[ObsEvent]:
         """The window in canonical ``(sim_time, seq)`` order."""
         return sorted(self.records, key=ObsEvent.sort_key)
 
-    def as_dict(self, include_records: bool = False,
-                include_wall: bool = False) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        return {
             "count": self.count,
             "kinds": {k: self.kind_counts[k] for k in sorted(self.kind_counts)},
             "dropped_records": self.dropped,
+            "records": [event.as_dict() for event in self.ordered_records()],
         }
-        if include_records:
-            data["records"] = [event.as_dict(include_wall)
-                               for event in self.ordered_records()]
-        return data
 
-
-def iter_event_lines(stream: EventStream,
-                     include_wall: bool = True) -> Iterable[Dict[str, Any]]:
-    """``type``-tagged JSONL dicts for every windowed event, stream order."""
-    for event in stream.ordered_records():
-        line = {"type": "event"}
-        line.update(event.as_dict(include_wall))
-        yield line

@@ -79,15 +79,6 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def merge(self, other: "Histogram") -> None:
-        """Element-wise fold of ``other`` (bounds must match exactly)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.total += other.total
-        self.count += other.count
-
     def as_dict(self) -> Dict[str, object]:
         return {"bounds": list(self.bounds), "counts": list(self.counts),
                 "sum": self.total, "count": self.count}
@@ -128,24 +119,6 @@ class MetricsRegistry:
             raise ValueError(f"histogram {name!r} already registered with "
                              f"different bounds")
         return histogram
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (shard exports -> one registry).
-
-        Counters add, histograms fold element-wise (same-bounds required),
-        gauges take the incoming value (last-write-wins, matching their live
-        semantics when shards are folded in order).  A name registered with a
-        different kind on the two sides is a programming error and raises via
-        the same kind-pin check the accessors use.
-        """
-        for name in sorted(other._instruments):
-            instrument = other._instruments[name]
-            if type(instrument) is Counter:
-                self.counter(name).inc(instrument.value)
-            elif type(instrument) is Gauge:
-                self.gauge(name).set(instrument.value)
-            else:
-                self.histogram(name, instrument.bounds).merge(instrument)
 
     def get(self, name: str) -> Optional[object]:
         """The instrument registered under ``name``, or ``None``."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence
 
 from .metrics import DEFAULT_WALL_NS_BUCKETS, Histogram
 
@@ -101,38 +101,6 @@ class SpanStats:
         else:
             self.dropped += 1
 
-    # ----------------------------------------------------------------- merge
-
-    def merge(self, other: "SpanStats") -> None:
-        """Fold ``other`` into this stats object (shard exports -> one name).
-
-        Aggregates (count, wall totals/min/max, histogram, payload totals)
-        combine exactly; the record windows merge in ``(sim_time, seq)``
-        order and re-trim to this window's bound, newest win, with trimmed
-        entries accounted as dropped.
-        """
-        self.count += other.count
-        self.wall_ns_total += other.wall_ns_total
-        if other.wall_ns_min is not None and (
-                self.wall_ns_min is None or other.wall_ns_min < self.wall_ns_min):
-            self.wall_ns_min = other.wall_ns_min
-        if other.wall_ns_max > self.wall_ns_max:
-            self.wall_ns_max = other.wall_ns_max
-        self.histogram.merge(other.histogram)
-        for key, value in other.count_totals.items():
-            self.count_totals[key] = self.count_totals.get(key, 0) + value
-        self.dropped += other.dropped
-        if self.records.maxlen == 0:
-            self.dropped += len(other.records)
-            return
-        merged = sorted(list(self.records) + list(other.records),
-                        key=lambda r: (r.sim_time, r.seq))
-        overflow = len(merged) - self.records.maxlen
-        if overflow > 0:
-            self.dropped += overflow
-            merged = merged[overflow:]
-        self.records = deque(merged, maxlen=self.records.maxlen)
-
     # ------------------------------------------------------------- reporting
 
     def percentile_ns(self, fraction: float) -> Optional[int]:
@@ -163,7 +131,3 @@ class SpanStats:
             data["records"] = [record.as_dict() for record in self.records]
         return data
 
-
-def span_table(spans: Dict[str, SpanStats]) -> List[Tuple[str, Dict[str, object]]]:
-    """(name, summary dict) pairs sorted by name (deterministic export order)."""
-    return [(name, spans[name].as_dict()) for name in sorted(spans)]

@@ -51,7 +51,8 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.predicates import evaluate_configuration
 from repro.net.topology import LinkSnapshot
-from repro.obs import ObsContext, enable as _obs_enable, observing
+from repro.obs import (ObsContext, enable as _obs_enable, merge_export_blobs,
+                       observing)
 
 from .world import OutboxEntry, ShardSpec, ShardWorld
 
@@ -69,9 +70,9 @@ class ShardRunResult:
     is diagnostic only (per-shard breakdowns, round counts, remote delivery
     counts) and intentionally k-dependent.  ``obs`` (observed runs only)
     carries ``{"merged": blob, "per_shard": [blob, ...]}`` — every worker's
-    :class:`~repro.obs.ObsContext` export plus their
-    :meth:`~repro.obs.ObsContext.merge` fold, with the coordinator's final
-    convergence milestone appended to the merged stream.
+    :class:`~repro.obs.ObsContext` export (span records included) plus their
+    :func:`~repro.obs.merge_export_blobs` fold, with the coordinator's final
+    convergence milestone folded into the merged stream.
     """
 
     fingerprint: Dict[str, Any]
@@ -90,12 +91,14 @@ class _InprocHost:
     world does afterwards (windows, deliveries, protocol events) keeps
     landing in that context even though it is deinstalled once construction
     returns — so several in-process shards observe into disjoint contexts,
-    exactly like the mp transport's per-process ones.
+    exactly like the mp transport's per-process ones.  The finish step
+    hands back that context's export, as the mp worker does.
     """
 
     def __init__(self, spec: ShardSpec, shard_id: int, snapshot: bytes,
                  obs: bool = False):
         self.obs_ctx: Optional[ObsContext] = ObsContext() if obs else None
+        self.obs_export: Optional[Dict[str, Any]] = None
         t0 = time.perf_counter()
         if self.obs_ctx is not None:
             with observing(self.obs_ctx):
@@ -124,6 +127,8 @@ class _InprocHost:
 
     def submit_finish(self, duration: float) -> None:
         self._parts = self.world.finish(duration)
+        if self.obs_ctx is not None:
+            self.obs_export = self.obs_ctx.export(include_records=True)
 
     def collect_finish(self) -> Dict[str, Any]:
         return self._parts
@@ -144,11 +149,11 @@ def _serve_worker(fd: int) -> None:
     The first message is the job: spec, shard id, obs flag and the snapshot
     bytes.  With ``obs`` on, the worker installs a fresh :class:`ObsContext`
     before restoring its world (so every component captures it), times its
-    socket waits as ``shard.barrier_wait`` spans, and ships the whole context
-    back with the finish parts — contexts are plain picklable observation
-    state.  Whatever the way out — the finish reply (exit code 0), a failure
-    report or a lost coordinator (exit code 1) — everything the worker owes
-    is already in the socket, so it closes it, flushes stdio and calls
+    socket waits as ``shard.barrier_wait`` spans, and ships the context's
+    export (span records included) back with the finish parts.  Whatever
+    the way out — the finish reply (exit code 0), a failure report or a
+    lost coordinator (exit code 1) — everything the worker owes is already
+    in the socket, so it closes it, flushes stdio and calls
     ``os._exit``: tearing down the world would only free memory nobody reads
     again.
     """
@@ -177,7 +182,9 @@ def _serve_worker(fd: int) -> None:
                 world.apply(msg[1], msg[2])
                 conn.send(("ok", world.peek()))
             elif cmd == "finish":
-                conn.send(("ok", world.finish(msg[1]), ctx))
+                parts = world.finish(msg[1])
+                export = None if ctx is None else ctx.export(include_records=True)
+                conn.send(("ok", parts, export))
                 code = 0
                 return
             else:  # pragma: no cover - protocol bug guard
@@ -221,7 +228,7 @@ class _MpHost:
         self.owners: Dict[Hashable, int] = {}
         self.build_s: float = 0.0
         self.base_phase_s: float = 0.0
-        self.obs_ctx: Optional[ObsContext] = None
+        self.obs_export: Optional[Dict[str, Any]] = None
 
     def start(self, spec: ShardSpec, snapshot: bytes, obs: bool) -> None:
         self._send((spec, self.shard_id, obs, snapshot))
@@ -267,7 +274,7 @@ class _MpHost:
         self._send(("finish", duration))
 
     def collect_finish(self) -> Dict[str, Any]:
-        _, parts, self.obs_ctx = self._recv()
+        _, parts, self.obs_export = self._recv()
         self.proc.wait()
         return parts
 
@@ -418,21 +425,19 @@ def _merge(spec: ShardSpec, parts: List[Dict[str, Any]],
 
 
 def _merge_obs(spec: ShardSpec, parts: List[Dict[str, Any]],
-               contexts: List[Optional[ObsContext]]) -> Dict[str, Any]:
-    """Fold the per-shard contexts into one export blob.
+               per_shard: List[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
+    """Fold the per-shard exports into one export blob.
 
     The merged stream additionally gets the coordinator's convergence
     milestone: with the fingerprint enabled, the final merged configuration
     (views + topology edges) is evaluated against the protocol predicates —
-    the one protocol fact only the coordinator can see whole.
+    the one protocol fact only the coordinator can see whole.  A fresh
+    coordinator context records it, so it keeps seq 0.
     """
-    per_shard = []
-    merged = ObsContext()
-    for shard_id, ctx in enumerate(contexts):
-        if ctx is None:  # pragma: no cover - transport bug guard
-            raise RuntimeError(f"shard {shard_id} returned no obs context")
-        per_shard.append(ctx.export())
-        merged.merge(ctx)
+    for shard_id, blob in enumerate(per_shard):
+        if blob is None:  # pragma: no cover - transport bug guard
+            raise RuntimeError(f"shard {shard_id} returned no obs export")
+    coordinator = ObsContext()
     if spec.fingerprint and parts and "dmax" in parts[0]:
         views: Dict[Hashable, Any] = {}
         for part in parts:
@@ -441,14 +446,16 @@ def _merge_obs(spec: ShardSpec, parts: List[Dict[str, Any]],
             views, (tuple(edge) for edge in parts[0]["edges"] if len(edge) == 2))
         report = evaluate_configuration(spec.duration, views, links,
                                         parts[0]["dmax"])
-        merged.record_event("convergence.final", spec.duration,
-                            legitimate=report.legitimate,
-                            agreement=report.agreement,
-                            safety=report.safety,
-                            maximality=report.maximality,
-                            group_count=report.group_count,
-                            largest_group=report.largest_group)
-    return {"merged": merged.export(), "per_shard": per_shard}
+        coordinator.record_event("convergence.final", spec.duration,
+                                 legitimate=report.legitimate,
+                                 agreement=report.agreement,
+                                 safety=report.safety,
+                                 maximality=report.maximality,
+                                 group_count=report.group_count,
+                                 largest_group=report.largest_group)
+    merged = merge_export_blobs(
+        per_shard + [coordinator.export(include_records=True)])
+    return {"merged": merged, "per_shard": per_shard}
 
 
 # ---------------------------------------------------------------- entrypoint
@@ -516,7 +523,7 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
         result = _merge(spec, parts, loop_stats, transport)
         if obs:
             result.obs = _merge_obs(spec, parts,
-                                    [host.obs_ctx for host in hosts])
+                                    [host.obs_export for host in hosts])
         result.stats["build_s"] = t_built - t_start
         result.stats["run_s"] = time.perf_counter() - t_built
         result.stats["base_build_s"] = base_build_s

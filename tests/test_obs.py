@@ -29,7 +29,11 @@ from repro.net.network import Network
 from repro.net.radio import UnitDiskRadio
 from repro.obs import (DEFAULT_WALL_NS_BUCKETS, Histogram, MetricsRegistry,
                        ObsContext, SpanStats, current, disable, enable,
-                       observing, profile_summary, profiling)
+                       merge_export_blobs, observing, profile_summary,
+                       profiling, write_blob_jsonl)
+from repro.obs.context import DEFAULT_MAX_SPAN_RECORDS
+from repro.obs.events import DEFAULT_MAX_EVENT_RECORDS
+from repro.scenarios import ScenarioSpec, build
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import SeedSequenceFactory
@@ -131,16 +135,14 @@ class TestSpans:
 
     def test_context_records_spans_with_monotonic_seq(self):
         ctx = ObsContext()
-        with ctx.span("region", sim_time=1.5, items=3) as span:
-            span.add(extra=2)
-        t0 = ctx.clock()
-        ctx.record_span("region", 2.0, t0, {"items": 1})
+        ctx.record_span("region", 1.5, ctx.clock(), {"items": 3})
+        ctx.record_span("region", 2.0, ctx.clock(), {"items": 1})
         stats = ctx.span_stats("region")
         assert stats.count == 2
         data = stats.as_dict(include_records=True)
         assert [rec["seq"] for rec in data["records"]] == [0, 1]
         assert [rec["sim_time"] for rec in data["records"]] == [1.5, 2.0]
-        assert data["payload_totals"] == {"items": 4, "extra": 2}
+        assert data["payload_totals"] == {"items": 4}
 
 
 # --------------------------------------------------------- runtime switch
@@ -197,9 +199,6 @@ class _SentinelContext(ObsContext):
     def __init__(self):
         super().__init__()
         self.registry = _ExplodingRegistry()
-
-    def span(self, name, sim_time=0.0, **counts):
-        raise AssertionError(f"disabled-path opened span {name!r}")
 
     def record_span(self, name, sim_time, t0_ns, counts=None):
         raise AssertionError(f"disabled-path recorded span {name!r}")
@@ -265,7 +264,8 @@ class TestExport:
         assert json.loads(json.dumps(blob)) == blob  # JSON-serializable
 
         path = tmp_path / "metrics.jsonl"
-        ctx.to_jsonl(str(path), meta={"run": "unit"})
+        write_blob_jsonl(str(path), ctx.export(include_records=True),
+                         meta={"run": "unit"})
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines[0]["type"] == "meta"
         assert lines[0]["schema"] == "repro-obs/v1"
@@ -277,6 +277,24 @@ class TestExport:
         assert exported == blob["counters"]
         span_names = {line["name"] for line in by_type["span"]}
         assert "sim.event_pop" in span_names
+
+    def test_single_run_event_lines_are_deterministic(self, tmp_path):
+        """Two observed runs of one seeded deployment, each written the way
+        the single-run CLI writes it, give byte-identical event lines: an
+        event carries no wall-clock reading."""
+        def event_lines(name):
+            with observing() as ctx:
+                build(ScenarioSpec.create("static_random", n=12),
+                      seed=5).run(5.0)
+            path = tmp_path / name
+            write_blob_jsonl(str(path), ctx.export(include_records=True))
+            return [line for line in path.read_text().splitlines()
+                    if json.loads(line)["type"] == "event"]
+
+        first = event_lines("a.jsonl")
+        assert first
+        assert all("wall_ns" not in json.loads(line) for line in first)
+        assert event_lines("b.jsonl") == first
 
     def test_heap_tracking_opt_in(self):
         with observing(ObsContext(track_heap=True)) as ctx:
@@ -421,87 +439,143 @@ class TestTraceRecorderBounds:
 # ------------------------------------------------------------------ merging
 
 
+def _span_blob(name, observations, max_records=DEFAULT_MAX_SPAN_RECORDS):
+    """An export blob holding one span fed ``(sim_time, seq, wall_ns)``."""
+    stats = SpanStats(name, max_records)
+    for sim_time, seq, wall_ns in observations:
+        stats.observe(sim_time, seq, wall_ns, None)
+    return {"spans": {name: stats.as_dict(include_records=True)}}
+
+
 class TestMerge:
-    """Context / registry / span / event merging for per-shard fold-in."""
+    """``merge_export_blobs``: the one fold of shard and task exports."""
 
     def test_registry_merge_disjoint_names(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("left").inc(3)
-        b.counter("right").inc(4)
-        b.gauge("depth").set(7)
-        a.merge(b)
-        exported = a.as_dict()
-        assert exported["counters"] == {"left": 3, "right": 4}
-        assert exported["gauges"] == {"depth": 7}
+        a, b = ObsContext(), ObsContext()
+        a.registry.counter("left").inc(3)
+        b.registry.counter("right").inc(4)
+        b.registry.gauge("depth").set(7)
+        merged = merge_export_blobs([a.export(), b.export()])
+        assert merged["counters"] == {"left": 3, "right": 4}
+        assert merged["gauges"] == {"depth": 7}
 
     def test_registry_merge_overlapping_names(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("hits").inc(3)
-        b.counter("hits").inc(4)
-        a.gauge("depth").set(1)
-        b.gauge("depth").set(9)
-        a.histogram("lat", (10, 100)).observe(5)
-        b.histogram("lat", (10, 100)).observe(50)
-        a.merge(b)
-        exported = a.as_dict()
-        assert exported["counters"] == {"hits": 7}
-        assert exported["gauges"] == {"depth": 9}  # last write wins
-        assert exported["histograms"]["lat"]["counts"] == [1, 1, 0]
+        a, b = ObsContext(), ObsContext()
+        a.registry.counter("hits").inc(3)
+        b.registry.counter("hits").inc(4)
+        a.registry.gauge("depth").set(1)
+        b.registry.gauge("depth").set(9)
+        a.registry.histogram("lat", (10, 100)).observe(5)
+        b.registry.histogram("lat", (10, 100)).observe(50)
+        merged = merge_export_blobs([a.export(), b.export()])
+        assert merged["counters"] == {"hits": 7}
+        assert merged["gauges"] == {"depth": 9}  # last write wins
+        assert merged["histograms"]["lat"] == {
+            "bounds": [10.0, 100.0], "counts": [1, 1, 0], "sum": 55.0,
+            "count": 2}
 
     def test_registry_merge_kind_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc()
-        b.gauge("x").set(1)
+        a, b = ObsContext(), ObsContext()
+        a.registry.counter("x").inc()
+        b.registry.gauge("x").set(1)
         with pytest.raises(TypeError):
-            a.merge(b)
+            merge_export_blobs([a.export(), b.export()])
 
     def test_histogram_merge_bounds_mismatch_raises(self):
-        a = Histogram((10, 100))
-        b = Histogram((10, 1000))
+        a, b = ObsContext(), ObsContext()
+        a.registry.histogram("lat", (10, 100)).observe(5)
+        b.registry.histogram("lat", (10, 1000)).observe(5)
         with pytest.raises(ValueError):
-            a.merge(b)
+            merge_export_blobs([a.export(), b.export()])
 
     def test_span_stats_merge_interleaves_by_sim_time(self):
-        a, b = SpanStats("window", 16), SpanStats("window", 16)
-        a.observe(sim_time=1.0, seq=0, wall_ns=100, counts=None)
-        a.observe(sim_time=3.0, seq=2, wall_ns=300, counts=None)
-        b.observe(sim_time=2.0, seq=1, wall_ns=200, counts=None)
-        a.merge(b)
-        assert a.count == 3
-        assert a.wall_ns_total == 600
-        assert [record.sim_time for record in a.records] == [1.0, 2.0, 3.0]
+        merged = merge_export_blobs([
+            _span_blob("window", [(1.0, 0, 100), (3.0, 2, 300)]),
+            _span_blob("window", [(2.0, 1, 200)])])["spans"]["window"]
+        assert merged["count"] == 3
+        assert merged["wall_ns_total"] == 600
+        assert [record["sim_time"] for record in merged["records"]] == \
+            [1.0, 2.0, 3.0]
+        assert (merged["wall_ns_p50"], merged["wall_ns_p95"]) == (200, 300)
 
-    def test_context_merge_combines_events(self):
+    def test_merge_combines_event_streams(self):
         left, right = ObsContext(), ObsContext()
         left.record_event("group.formed", sim_time=1.0, size=3)
         right.record_event("group.formed", sim_time=0.5, size=2)
         right.record_event("group.split", sim_time=2.0, prev_size=4)
-        left.merge(right)
-        exported = left.export()["events"]
+        exported = merge_export_blobs([left.export(), right.export()])["events"]
         assert exported["count"] == 3
         assert exported["kinds"] == {"group.formed": 2, "group.split": 1}
         times = [record["sim_time"] for record in exported["records"]]
-        assert times == sorted(times)
+        assert times == [0.5, 1.0, 2.0]
         assert all("wall_ns" not in record for record in exported["records"])
 
-    def test_merge_export_blobs_matches_context_merge(self):
+    def test_merge_export_blobs_hand_computed(self):
         ctxs = []
         for base in (1, 10):
             ctx = ObsContext()
             ctx.registry.counter("sim.events").inc(base)
-            ctx.record_span("shard.window", float(base), ctx.clock())
             ctx.record_event("group.formed", sim_time=float(base), size=base)
             ctxs.append(ctx)
-        from repro.obs import merge_export_blobs
+        blobs = [ctx.export() for ctx in ctxs]
+        blobs[0].update(_span_blob("shard.window", [(1.0, 1, 500)]))
+        blobs[1].update(_span_blob("shard.window", [(10.0, 1, 80)]))
+        blobs[1]["heap_peak_bytes"] = 4096
+        merged = merge_export_blobs(blobs)
+        assert merged["counters"] == {"sim.events": 11}
+        assert merged["events"] == {
+            "count": 2, "kinds": {"group.formed": 2}, "dropped_records": 0,
+            "records": [
+                {"kind": "group.formed", "sim_time": 1.0, "seq": 0,
+                 "payload": {"size": 1}},
+                {"kind": "group.formed", "sim_time": 10.0, "seq": 0,
+                 "payload": {"size": 10}}]}
+        window = merged["spans"]["shard.window"]
+        assert (window["count"], window["wall_ns_total"]) == (2, 580)
+        assert (window["wall_ns_min"], window["wall_ns_max"]) == (80, 500)
+        assert (window["wall_ns_p50"], window["wall_ns_p95"]) == (80, 500)
+        assert window["histogram"]["counts"] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert merged["heap_peak_bytes"] == 4096
 
-        folded = merge_export_blobs([ctx.export() for ctx in ctxs])
-        live = ObsContext()
-        for ctx in ctxs:
-            live.merge(ctx)
-        live_blob = live.export()
-        assert folded["counters"] == live_blob["counters"]
-        assert folded["events"]["kinds"] == live_blob["events"]["kinds"]
-        assert folded["spans"]["shard.window"]["count"] == 2
+    def test_merge_without_span_records_reads_no_percentiles(self):
+        """Aggregate-only blobs (campaign tasks) fold exactly but carry no
+        window to rank, so the merged p50/p95 read ``None``."""
+        blobs = [_span_blob("s", [(0.0, 0, 100)]) for _ in range(2)]
+        for blob in blobs:
+            del blob["spans"]["s"]["records"]
+        merged = merge_export_blobs(blobs)["spans"]["s"]
+        assert merged["count"] == 2
+        assert (merged["wall_ns_p50"], merged["wall_ns_p95"]) == (None, None)
+
+    def test_merged_event_window_keeps_the_live_bound(self):
+        """Three exports of 5,000 events each fold to the newest 4,096
+        records; the other 10,904 are counted as dropped."""
+        blobs = []
+        for offset in range(3):
+            ctx = ObsContext()
+            for j in range(5000):
+                ctx.record_event("group.formed", sim_time=float(3 * j + offset))
+            blobs.append(ctx.export())
+        events = merge_export_blobs(blobs)["events"]
+        assert events["count"] == 15000
+        assert len(events["records"]) == DEFAULT_MAX_EVENT_RECORDS == 4096
+        assert events["dropped_records"] == 10904
+        assert [r["sim_time"] for r in events["records"]] == \
+            [float(t) for t in range(15000 - 4096, 15000)]
+
+    def test_merged_span_window_keeps_the_live_bound(self):
+        """Span windows follow the event rule: three windows of 1,500
+        observations fold to the newest 1,024, and p50/p95 rank only those."""
+        blobs = [_span_blob("s", [(float(3 * j + offset), j, 3 * j + offset)
+                                  for j in range(1500)])
+                 for offset in range(3)]
+        span = merge_export_blobs(blobs)["spans"]["s"]
+        kept = list(range(4500 - DEFAULT_MAX_SPAN_RECORDS, 4500))
+        assert span["count"] == 4500
+        assert [r["wall_ns"] for r in span["records"]] == kept
+        assert span["dropped_records"] == 4500 - DEFAULT_MAX_SPAN_RECORDS
+        assert span["wall_ns_p50"] == kept[511]
+        assert span["wall_ns_p95"] == kept[972]
 
     def test_event_stream_bounded_with_exact_kind_counts(self):
         from repro.obs import EventStream
@@ -509,7 +583,7 @@ class TestMerge:
         stream = EventStream(max_records=4)
         for i in range(10):
             stream.record("group.formed", sim_time=float(i), seq=i,
-                          wall_ns=0, payload=None)
+                          payload=None)
         assert stream.count == 10
         assert stream.kind_counts == {"group.formed": 10}
         assert len(stream.records) == 4

@@ -10,7 +10,8 @@ processes are dead, for every registered scenario and for the worker
 networks of an in-process sharded run.  ``tracemalloc`` checks then show
 that a sequence of discarded worlds, and a sequence of campaign tasks run
 in one process, leave traced memory flat, and that a live world's peak does
-not grow with its horizon.
+not grow with its horizon.  The network's per-sender receiver cache holds at
+most one entry per node, however long a world churns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.campaign.executor import execute_task
 from repro.scenarios import ScenarioSpec, build, get_scenario, scenario_definitions
 from repro.shard import ShardSpec, run_sharded
 from repro.shard.world import ShardWorld
+from repro.sim.process import Process
 
 #: Small worlds: every scenario is shrunk to at most this many nodes.
 MAX_NODES = 30
@@ -160,3 +162,24 @@ def test_traced_memory_stays_flat_across_campaign_tasks():
         tracemalloc.stop()
     assert len(after) == 5
     assert after[-1] - after[0] < 100_000, after
+
+
+def test_receiver_cache_never_outgrows_the_node_table():
+    """A 30 s mobile run that removes one GRP node and adds a fresh sender
+    every second: ``remove_node`` drops the removed node's cached receiver
+    batch, so the cache never holds more entries than there are nodes."""
+    deployment = build(ScenarioSpec.create("manet_waypoint", n=20, speed=10.0),
+                       seed=3)
+    network = deployment.network
+    next_id = 1000
+    for _ in range(30):
+        deployment.run(1.0)
+        victim = network.node_ids[0]
+        assert victim in network._receiver_cache
+        network.deactivate_node(victim)
+        network.remove_node(victim)
+        assert victim not in network._receiver_cache
+        network.add_node(Process(next_id), network.position_of(network.node_ids[0]))
+        network.broadcast(next_id, lambda: "x")
+        next_id += 1
+        assert len(network._receiver_cache) <= len(network.node_ids)
