@@ -22,12 +22,13 @@ global reduction, sized for a handful of shards):
 Two transports run the same loop: ``inproc`` hosts every shard in the
 calling process (the bit-identity reference and the default for tests) and
 ``mp`` runs one OS process per shard, which is where multi-core hardware buys
-wall-clock speedup.  An ``mp`` worker is a bare interpreter (``python -c``)
-that imports this module and never the caller's ``__main__``, so scripts
-need no ``if __name__ == "__main__"`` guard.  It takes its job — spec, shard
-id and the snapshot bytes — and every later command over a ``socketpair``,
-and leaves with ``os._exit`` once its last reply is in the socket.  ``mp``
-is POSIX-only.
+wall-clock speedup.  An ``mp`` worker is forked from the coordinator once
+the snapshot bytes exist, so it starts with every module already imported
+and its job — spec, shard id, obs flag and the snapshot bytes — already in
+memory.  It never returns into the caller's code, so scripts need no
+``if __name__ == "__main__"`` guard.  It takes every command over a
+``socketpair`` and leaves with ``os._exit`` once its last reply is in the
+socket.  ``mp`` is POSIX-only.
 
 The merge reassembles the exact single-process result: counters sum, the
 replicated event count is subtracted ``k - 1`` times, per-shard views and
@@ -39,20 +40,21 @@ shards, and traffic ledgers fold through
 
 from __future__ import annotations
 
+import gc
 import os
+import signal
 import socket
-import subprocess
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, NoReturn, Optional, Tuple
 
 from repro.core.predicates import evaluate_configuration
 from repro.net.topology import LinkSnapshot
-from repro.obs import (ObsContext, enable as _obs_enable, merge_export_blobs,
-                       observing)
+from repro.obs import (ObsContext, disable as _obs_disable, enable as _obs_enable,
+                       merge_export_blobs, observing)
 
 from .world import OutboxEntry, ShardSpec, ShardWorld
 
@@ -137,33 +139,40 @@ class _InprocHost:
         pass
 
 
-#: The whole program of a shard worker: the coordinator's import path, then
-#: the serve loop.  Nothing else runs, the caller's ``__main__`` included.
-_WORKER_PROGRAM = ("import sys; sys.path[:0] = {path!r}; "
-                   "from repro.shard.runner import _serve_worker; _serve_worker({fd})")
+def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
+                  shard_id: int, obs: bool, snapshot: bytes) -> NoReturn:
+    """Serve one shard on socket ``fd`` in a forked worker, then exit
+    without interpreter teardown.
 
+    The job (spec, shard id, obs flag, snapshot bytes) arrives in memory
+    with the fork.  The worker first freezes the heap it inherited, so its
+    cyclic collector never walks, and so never copies, the coordinator's
+    objects.  It closes ``inherited``, the coordinator's ends of its own
+    socket and of the workers forked before it: a worker sees its
+    coordinator die only once no other process holds that end open.  It
+    installs its own obs context: a fresh :class:`ObsContext` with ``obs``
+    on (so every component of the restored world captures it), none with
+    it off, never the one the coordinator had installed.  With ``obs`` on
+    it times its socket waits as ``shard.barrier_wait`` spans and ships the
+    context's export (span records included) back with the finish parts.
 
-def _serve_worker(fd: int) -> None:
-    """Serve one shard on socket ``fd``, then exit without interpreter teardown.
-
-    The first message is the job: spec, shard id, obs flag and the snapshot
-    bytes.  With ``obs`` on, the worker installs a fresh :class:`ObsContext`
-    before restoring its world (so every component captures it), times its
-    socket waits as ``shard.barrier_wait`` spans, and ships the context's
-    export (span records included) back with the finish parts.  Whatever
-    the way out — the finish reply (exit code 0), a failure report or a
-    lost coordinator (exit code 1) — everything the worker owes is already
-    in the socket, so it closes it, flushes stdio and calls
-    ``os._exit``: tearing down the world would only free memory nobody reads
-    again.
+    Whatever the way out — the finish reply (exit code 0), a failure
+    report or a lost coordinator (exit code 1) — everything the worker owes
+    is already in the socket, so it closes it, flushes stdio and calls
+    ``os._exit``: it never unwinds into the coordinator's frames it was
+    forked from, and tearing down the world would only free memory nobody
+    reads again.
     """
     conn = Connection(fd)
     code = 1
     try:
-        spec, shard_id, obs, blob = conn.recv()
+        gc.freeze()
+        for other in inherited:
+            other.close()
+        _obs_disable()
         ctx = _obs_enable(ObsContext()) if obs else None
         t0 = time.perf_counter()
-        world = ShardWorld.from_snapshot(spec, shard_id, blob)
+        world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
         build_s = time.perf_counter() - t0
         conn.send(("ready", world.peek(), world.lookahead, world.owners,
                    build_s, world.base_phase_s))
@@ -186,7 +195,7 @@ def _serve_worker(fd: int) -> None:
                 export = None if ctx is None else ctx.export(include_records=True)
                 conn.send(("ok", parts, export))
                 code = 0
-                return
+                break
             else:  # pragma: no cover - protocol bug guard
                 raise RuntimeError(f"unknown shard command {cmd!r}")
     except Exception:
@@ -202,27 +211,40 @@ def _serve_worker(fd: int) -> None:
 
 
 class _MpHost:
-    """A shard served by a bare worker interpreter, a direct child process.
+    """A shard served by a worker forked from the coordinator, a direct child.
 
-    The worker is ``python -c`` with this interpreter's flags, on one end of
-    a ``socketpair``; it imports this module and nothing of the caller.
-    Construction only starts it, :meth:`start` hands it the job, so every
-    worker can start before the first one is fed.  The coordinator reaps it
-    (:meth:`collect_finish`, :meth:`close`), so its memory shows in
-    ``RUSAGE_CHILDREN``.  A worker that dies before it replies surfaces as a
-    :class:`RuntimeError` naming the shard and the exit code.
+    Construction forks the worker on one end of a ``socketpair``; the child
+    gets its job in memory and runs :func:`_serve_worker`, which never
+    returns.  Before the fork the coordinator flushes ``sys.stdout`` and
+    ``sys.stderr``, or the child could write the parent's buffered text a
+    second time.  ``siblings`` are the coordinator's ends of the workers
+    forked before this one, which the child closes with its own.
+
+    The coordinator has a second OS thread once numpy is imported (OpenBLAS
+    starts it), and Python 3.12 warns (``DeprecationWarning``) when such a
+    process forks.  The fork is safe here all the same: the child runs only
+    the snapshot restore and the window loop, and it leaves through
+    ``os._exit``, so no exit handler or teardown runs in it.
+
+    The coordinator reaps the worker (:meth:`collect_finish`, :meth:`close`)
+    with ``os.waitpid``, so its memory shows in ``RUSAGE_CHILDREN``.  A
+    worker that dies before it replies surfaces as a :class:`RuntimeError`
+    naming the shard and the exit code.
     """
 
-    def __init__(self, shard_id: int):
+    def __init__(self, spec: ShardSpec, shard_id: int, snapshot: bytes,
+                 obs: bool, siblings: List[Connection]):
         self.shard_id = shard_id
+        self.returncode: Optional[int] = None
         ours, theirs = socket.socketpair()
-        with theirs:
-            program = _WORKER_PROGRAM.format(path=sys.path, fd=theirs.fileno())
-            self.proc = subprocess.Popen(
-                [sys.executable, *subprocess._args_from_interpreter_flags(),
-                 "-c", program],
-                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL)
-        self.conn = Connection(ours.detach())
+        with ours, theirs:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self.pid = os.fork()
+            if self.pid == 0:
+                _serve_worker(theirs.detach(), [ours, *siblings], spec,
+                              shard_id, obs, snapshot)
+            self.conn = Connection(ours.detach())
         self.peek: Optional[float] = None
         self.lookahead: float = 0.0
         self.owners: Dict[Hashable, int] = {}
@@ -230,16 +252,19 @@ class _MpHost:
         self.base_phase_s: float = 0.0
         self.obs_export: Optional[Dict[str, Any]] = None
 
-    def start(self, spec: ShardSpec, snapshot: bytes, obs: bool) -> None:
-        self._send((spec, self.shard_id, obs, snapshot))
-
     def await_ready(self) -> None:
         (_, self.peek, self.lookahead, self.owners,
          self.build_s, self.base_phase_s) = self._recv()
 
+    def _wait(self) -> int:
+        if self.returncode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
     def _died(self) -> RuntimeError:
         return RuntimeError(f"shard worker {self.shard_id} exited with code "
-                            f"{self.proc.wait()} before replying")
+                            f"{self._wait()} before replying")
 
     def _send(self, msg) -> None:
         try:
@@ -275,14 +300,14 @@ class _MpHost:
 
     def collect_finish(self) -> Dict[str, Any]:
         _, parts, self.obs_export = self._recv()
-        self.proc.wait()
+        self._wait()
         return parts
 
     def close(self) -> None:
         self.conn.close()
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait()
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._wait()
 
 
 # -------------------------------------------------------------- coordinator
@@ -467,10 +492,11 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     The coordinator builds the world once, serializes the post-build state
     and has every worker restore it.  ``transport='inproc'`` runs every
     shard in this process (deterministic reference, zero IPC);
-    ``transport='mp'`` (POSIX only) runs each shard in a bare worker
-    interpreter, a direct child fed its job and the snapshot bytes over a
-    socket, which exits without teardown and is reaped before this returns;
-    it never runs the caller's ``__main__``, so no ``__main__`` guard is
+    ``transport='mp'`` (POSIX only) runs each shard in a worker forked
+    from this process after the snapshot is built, a direct child that
+    inherits its job and the snapshot bytes, takes its commands over a
+    socket, exits without teardown and is reaped before this returns; it
+    never returns into the caller's code, so no ``__main__`` guard is
     needed.  Both transports produce the same :class:`ShardRunResult` bit
     for bit.
     ``build`` only accepts ``'snapshot'``, the one build mode.
@@ -503,12 +529,11 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
             hosts = [_InprocHost(spec, shard, snapshot, obs)
                      for shard in range(spec.shards)]
         else:
-            # Every interpreter starts before the first one is fed, so their
-            # start-ups overlap; each then reads its job off its socket.
+            # Every worker is forked before the first is awaited, so their
+            # restores overlap.
             for shard in range(spec.shards):
-                hosts.append(_MpHost(shard))
-            for host in hosts:
-                host.start(spec, snapshot, obs)
+                hosts.append(_MpHost(spec, shard, snapshot, obs,
+                                     [host.conn for host in hosts]))
             for host in hosts:
                 host.await_ready()
         lookahead = hosts[0].lookahead

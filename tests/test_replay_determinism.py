@@ -231,8 +231,8 @@ def test_sharded_backends_replay_identically(sharded_reference, cell):
 
 
 def test_sharded_mp_transport_matches(sharded_reference):
-    """One bare worker interpreter per shard replays the in-process
-    reference exactly — the socket transport adds no nondeterminism."""
+    """One forked worker per shard replays the in-process reference
+    exactly — the socket transport adds no nondeterminism."""
     fingerprint, stats = run_sharded_once(2, transport="mp")
     assert fingerprint == sharded_reference
     assert stats["transport"] == "mp"
@@ -255,8 +255,8 @@ def test_sharded_snapshot_restore_matches(sharded_reference, shards):
 
 
 def test_sharded_snapshot_restore_mp_matches(sharded_reference):
-    """Over the mp transport the blob travels over each worker's socket to
-    a bare interpreter and must still replay exactly."""
+    """Over the mp transport each worker is forked with the blob in memory
+    and must still replay exactly."""
     fingerprint, stats = run_sharded_once(2, transport="mp")
     assert fingerprint == sharded_reference
     assert stats["transport"] == "mp"

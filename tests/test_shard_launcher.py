@@ -1,19 +1,23 @@
 """The ``mp`` transport's worker launcher.
 
-Each ``mp`` shard runs in a bare ``python -c`` interpreter that imports
-:mod:`repro.shard.runner` and nothing of the caller, takes its job and the
-snapshot bytes over a socket, and is reaped by the coordinator.  These tests
-pin what that buys and what it must not lose: scripts without a
-``__main__`` guard work, no temp file is written, a dying worker surfaces as
-an error that names it, and no child process outlives the run.
+Each ``mp`` shard runs in a worker forked from the coordinator once the
+snapshot bytes exist: it inherits its job and every imported module, never
+returns into the caller's code, takes its commands over a socket, and is
+reaped by the coordinator.  These tests pin what that buys and what it must
+not lose: scripts without a ``__main__`` guard work, no interpreter is
+started and no temp file is written, the caller's buffered output is not
+written twice, a dying worker surfaces as an error that names it, and no
+worker outlives the run — not even a coordinator killed mid-run.
 """
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 
 import pytest
 
@@ -37,14 +41,45 @@ def inproc_result():
     return result
 
 
-def run_script(tmp_path, body, *args):
-    """Run ``body`` as a script file in a fresh interpreter; return the result."""
+def script_command(tmp_path, body, *args):
+    """Write ``body`` as a script file; return its command line and env."""
     script = tmp_path / "script.py"
     script.write_text(textwrap.dedent(body))
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdio, as a plain shell gives
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, str(script), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return [sys.executable, str(script), *args], env
+
+
+def run_script(tmp_path, body, *args):
+    """Run ``body`` as a script file in a fresh interpreter; return the result."""
+    command, env = script_command(tmp_path, body, *args)
+    return subprocess.run(command, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie left to
+    an init that does not reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        # Exited since the signal check; without /proc, that check is all.
+        return os.path.isdir("/proc")
+
+
+def wait_gone(pid, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not gone(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def test_unguarded_script_runs_mp(tmp_path, inproc_result):
@@ -63,6 +98,70 @@ def test_unguarded_script_runs_mp(tmp_path, inproc_result):
     assert result.returncode == 0, result.stderr
     with open(out, "rb") as fh:
         assert pickle.load(fh) == inproc_result.fingerprint
+
+
+def test_buffered_output_is_written_once(tmp_path):
+    """Text the caller left in its stdio buffers (a piped stdout is block
+    buffered, stderr line buffered) appears exactly once: the coordinator
+    flushes both before every fork, so no worker writes it again."""
+    result = run_script(tmp_path, f"""
+        import sys
+        from repro.shard import ShardSpec, run_sharded
+        sys.stdout.write("unflushed stdout")
+        sys.stderr.write("unflushed stderr")
+        run_sharded(ShardSpec.create("city_scale", **{SPEC_ARGS!r}), transport="mp")
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("unflushed stdout") == 1, result.stdout
+    assert result.stderr.count("unflushed stderr") == 1, result.stderr
+
+
+def test_killed_coordinator_leaves_no_worker(tmp_path):
+    """A coordinator SIGKILLed mid-run leaves no worker behind.  Each worker
+    closes the coordinator's ends of its siblings' sockets, so none waits
+    on another: with shard 1 stopped, as if busy in a long window, shard 0
+    still sees its coordinator gone and exits; shard 1 exits once resumed."""
+    command, env = script_command(tmp_path, f"""
+        import time
+        from repro.shard import ShardSpec, run_sharded
+        from repro.shard.runner import _MpHost
+
+        pids = []
+        init = _MpHost.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            pids.append(self.pid)
+
+        def stall(self, end, inclusive):
+            print(*pids, flush=True)
+            time.sleep(120)
+
+        _MpHost.__init__ = record
+        _MpHost.submit_round = stall
+        run_sharded(ShardSpec.create("city_scale", **{SPEC_ARGS!r}), transport="mp")
+    """)
+    coordinator = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                   stderr=subprocess.DEVNULL, text=True)
+    pids = []
+    try:
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(pids) == 2
+        os.kill(pids[1], signal.SIGSTOP)
+        coordinator.kill()
+        coordinator.wait()
+        assert wait_gone(pids[0]), "shard 0 outlived its coordinator"
+        os.kill(pids[1], signal.SIGCONT)
+        assert wait_gone(pids[1]), "shard 1 outlived its coordinator"
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_killed_worker_raises_and_every_worker_is_reaped(tmp_path):
@@ -89,7 +188,7 @@ def test_killed_worker_raises_and_every_worker_is_reaped(tmp_path):
 
         def kill_shard_1(self, end, inclusive):
             if self.shard_id == 1:
-                os.kill(self.proc.pid, signal.SIGKILL)
+                os.kill(self.pid, signal.SIGKILL)
             submit_round(self, end, inclusive)
 
         _MpHost.submit_round = kill_shard_1
@@ -124,6 +223,16 @@ def test_mp_writes_no_temp_file(monkeypatch, inproc_result):
     result = run_sharded(city_spec(), transport="mp")
     assert result.fingerprint == inproc_result.fingerprint
     assert not {"multiprocessing", "tempfile"} & set(vars(runner))
+
+
+def test_mp_starts_no_interpreter(monkeypatch, inproc_result):
+    """Workers are forked from the coordinator, not started as interpreters."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mp transport must not start an interpreter")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    result = run_sharded(city_spec(), transport="mp")
+    assert result.fingerprint == inproc_result.fingerprint
 
 
 def test_mp_is_posix_only(monkeypatch):

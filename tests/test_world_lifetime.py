@@ -11,7 +11,9 @@ networks of an in-process sharded run.  ``tracemalloc`` checks then show
 that a sequence of discarded worlds, and a sequence of campaign tasks run
 in one process, leave traced memory flat, and that a live world's peak does
 not grow with its horizon.  The network's per-sender receiver cache holds at
-most one entry per node, however long a world churns.
+most one entry per node, however long a world churns, and a shard's outbox
+holds only the current window's cross-shard deliveries, however long a
+sharded run goes.
 """
 
 from __future__ import annotations
@@ -183,3 +185,27 @@ def test_receiver_cache_never_outgrows_the_node_table():
         network.broadcast(next_id, lambda: "x")
         next_id += 1
         assert len(network._receiver_cache) <= len(network.node_ids)
+
+
+def test_shard_outbox_is_drained_every_window(monkeypatch):
+    """A 2-shard in-process city run at 3 s and at 6 s: every window leaves
+    its shard's outbox empty, so the peak entries one window hands over stay
+    flat while the traffic exchanged over the run doubles with the horizon."""
+    run_round = ShardWorld.run_round
+    sizes = []
+
+    def checked(self, end, inclusive):
+        out = run_round(self, end, inclusive)
+        assert self.outbox == []
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(ShardWorld, "run_round", checked)
+    peaks, totals = {}, {}
+    for duration in (3.0, 6.0):
+        sizes.clear()
+        run_sharded(ShardSpec.create("city_scale", params={"n": 200, "area": 1500.0},
+                                     seed=7, duration=duration, shards=2))
+        peaks[duration], totals[duration] = max(sizes), sum(sizes)
+    assert totals[6.0] >= 1.8 * totals[3.0], totals
+    assert peaks[6.0] <= 1.5 * peaks[3.0], peaks
