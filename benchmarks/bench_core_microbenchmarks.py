@@ -2,10 +2,11 @@
 
 These do not correspond to a paper experiment; they track the cost of the two
 operations executed on every node at every timer expiration — the ``ant``
-combination of the received lists and the full ``compute()`` procedure — so
-performance regressions of the core data structures are caught early.
+combination of the received lists and the full ``compute()`` procedure — and
+of the per-node timer streams every node gets at start, so performance
+regressions of the core data structures are caught early.
 
-Five rows:
+Six rows:
 
 * ``ant_fold_us`` — one n-way fold ``v ant l1 ant … ant l8``
   (:meth:`AncestorList.ant_fold`) over eight neighbour lists;
@@ -20,7 +21,13 @@ Five rows:
 * ``build_vs_eager_speedup`` — the eagerly encoded message (every wire field
   built up front, as a receiver in another process needs it) divided by
   ``build``; the two messages are checked equal and pickled to the same
-  bytes in the run.  Budget: >= 3x.
+  bytes in the run.  Budget: >= 3x;
+* ``stream_batch_speedup`` — 1,000 node streams spawned as a node start
+  without a reservation does (``Simulator.spawn_rng``: one root draw, then
+  ``np.random.default_rng``) divided by the same streams from one
+  ``Simulator.spawn_rngs`` batch; every stream state and the root's
+  post-state are checked equal in the run.  Budget: >= 1.8x (a third of
+  the 5.0-5.5x measured on a 2-core x86-64 VM, Python 3.11, numpy 2.4).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_core_microbenchmarks.py``;
 ``--quick`` takes fewer samples for CI smoke runs and ``--json PATH`` writes a
@@ -41,10 +48,13 @@ import _emit
 from repro.core.ancestor_list import AncestorList
 from repro.core.messages import GRPMessage
 from repro.core.node import GRPConfig, GRPNode
+from repro.sim.engine import Simulator
 
 FANOUT = 8
 SPEEDUP_BUDGET = 2.0
 BUILD_SPEEDUP_BUDGET = 3.0
+STREAMS = 1000
+STREAM_SPEEDUP_BUDGET = 1.8
 
 
 def build_neighbour_lists(fanout: int = FANOUT, depth: int = 4) -> List[AncestorList]:
@@ -117,6 +127,30 @@ def mean_call_us(func: Callable[[], object], calls: int) -> float:
     return (time.perf_counter() - t0) / calls * 1e6
 
 
+def stream_states(sim: Simulator, streams) -> List[object]:
+    """Every stream's state, then the root's: what a node start leaves."""
+    return ([rng.bit_generator.state for rng in streams]
+            + [sim.rng.bit_generator.state])
+
+
+def stream_spawn_ms(samples: int):
+    """Median ms of ``STREAMS`` spawns, batched and one by one, and whether
+    the two gave equal streams (interleaved, fresh simulators each sample)."""
+    batched_ms, single_ms, equal = [], [], True
+    for sample in range(samples):
+        batched, single = Simulator(seed=sample), Simulator(seed=sample)
+        t0 = time.perf_counter()
+        batch = batched.spawn_rngs(STREAMS)
+        t1 = time.perf_counter()
+        one_by_one = [single.spawn_rng() for _ in range(STREAMS)]
+        t2 = time.perf_counter()
+        batched_ms.append((t1 - t0) * 1e3)
+        single_ms.append((t2 - t1) * 1e3)
+        equal = equal and (stream_states(batched, batch)
+                           == stream_states(single, one_by_one))
+    return statistics.median(batched_ms), statistics.median(single_ms), equal
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -150,6 +184,9 @@ def main() -> int:
     build_cost = statistics.median(build_us)
     build_speedup = statistics.median(eager_us) / build_cost
 
+    batch_ms, single_ms, streams_equal = stream_spawn_ms(samples)
+    stream_speedup = single_ms / batch_ms
+
     print(f"ant fold ({FANOUT} neighbours):      {ant_fold_us:9.2f} us")
     print(f"pairwise ant chain ({FANOUT} lists): {statistics.median(pairwise_us):9.2f} us")
     print(f"fold vs pairwise speedup:        {speedup:9.2f} x "
@@ -159,6 +196,10 @@ def main() -> int:
     print(f"eagerly encoded message:         {statistics.median(eager_us):9.2f} us")
     print(f"build vs eager speedup:          {build_speedup:9.2f} x "
           f"(budget >= {BUILD_SPEEDUP_BUDGET}x; equal, same pickle: {build_identical})")
+    print(f"{STREAMS} streams, one batch:        {batch_ms:9.2f} ms")
+    print(f"{STREAMS} streams, one by one:       {single_ms:9.2f} ms")
+    print(f"stream batch speedup:            {stream_speedup:9.2f} x "
+          f"(budget >= {STREAM_SPEEDUP_BUDGET}x; states equal: {streams_equal})")
 
     if args.json:
         _emit.emit(args.json, bench="core", quick=args.quick, rows=[
@@ -169,11 +210,17 @@ def main() -> int:
             _emit.row("build_us", round(build_cost, 3), "us", direction="max"),
             _emit.row("build_vs_eager_speedup", round(build_speedup, 3), "x",
                       budget=BUILD_SPEEDUP_BUDGET),
+            _emit.row("stream_batch_speedup", round(stream_speedup, 3), "x",
+                      budget=STREAM_SPEEDUP_BUDGET),
         ], meta={"fanout": FANOUT, "calls": calls, "samples": samples,
                  "pairwise_us": round(statistics.median(pairwise_us), 3),
                  "fold_matches_pairwise": identical,
                  "eager_build_us": round(statistics.median(eager_us), 3),
-                 "build_matches_eager": build_identical})
+                 "build_matches_eager": build_identical,
+                 "streams": STREAMS,
+                 "stream_batch_ms": round(batch_ms, 3),
+                 "stream_single_ms": round(single_ms, 3),
+                 "streams_match_single": streams_equal})
 
     status = 0
     if not identical:
@@ -182,11 +229,17 @@ def main() -> int:
     if not build_identical:
         print("ERROR: the built message differs from the eagerly encoded one")
         status = 1
+    if not streams_equal:
+        print("ERROR: the batched streams differ from the ones spawned one by one")
+        status = 1
     if speedup < SPEEDUP_BUDGET:
         print("WARNING: n-way fold below its speedup budget over the pairwise chain")
         status = 1
     if build_speedup < BUILD_SPEEDUP_BUDGET:
         print("WARNING: message build below its speedup budget over eager encoding")
+        status = 1
+    if stream_speedup < STREAM_SPEEDUP_BUDGET:
+        print("WARNING: batched streams below their speedup budget over single spawns")
         status = 1
     return status
 

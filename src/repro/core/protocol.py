@@ -47,9 +47,19 @@ class GRPDeployment:
         self._started = False
 
     def start(self) -> None:
-        """Start every node and the mobility process (idempotent)."""
+        """Start every node and the mobility process (idempotent).
+
+        Every GRP node spawns one timer stream as it starts
+        (:meth:`GRPNode.on_start`).  The streams of the nodes about to start
+        are reserved first (:meth:`Simulator.reserved_streams`), so they are
+        built in one batch yet equal the ones sequential spawns give; the
+        reservation raises if a start takes more or fewer streams, or draws
+        from the root generator.
+        """
         if not self._started:
-            self.network.start()
+            pending = sum(not proc._started for proc in self.network.processes.values())
+            with self.sim.reserved_streams(pending):
+                self.network.start()
             self._started = True
 
     def run(self, duration: float) -> None:
@@ -104,7 +114,8 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         Optional mobility model (see :mod:`repro.mobility`).
     seed:
         Master seed; sub-streams are derived for the simulator, the channel and
-        the mobility model.
+        the mobility model.  ``None`` seeds each of them from OS entropy, so
+        two unseeded builds differ.
     """
     seeds = SeedSequenceFactory(seed)
     sim = Simulator(seed=seeds.seed_for("simulator"))

@@ -15,10 +15,14 @@ invariant under any partitioning of the senders.  The reference fingerprint
 for the sharded determinism matrix is the sharded engine at ``shards=1``,
 which runs every sender through this same wrapper.
 
-Sub-channels are created lazily on a sender's first broadcast.  Laziness is
-safe: each sub-stream is a pure function of ``(master_seed, sender)``, never
-of creation order, and whether a sender ever broadcasts is itself replayed
-deterministically.
+Sub-channels are created lazily, at a sender's first broadcast that has a
+receiver: the network asks the channel nothing for a broadcast that reaches
+nobody, so an isolated sender never gets one.  Laziness is safe: each
+sub-stream is a pure function of ``(master_seed, sender)``, never of creation
+order, and whether a sender ever reaches a receiver is itself replayed
+deterministically.  A sub-stream is one ``np.random.default_rng`` call: they
+are made one at a time, where a batch (:func:`repro.sim.randomness.generators`)
+would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ class PerSenderChannel(ChannelModel):
     """Lossy channel with an independent random sub-stream per sender.
 
     Parameters mirror :class:`~repro.net.channel.LossyChannel`; ``master_seed``
-    roots the per-sender seed derivation.
+    roots the per-sender seed derivation.  A sender's sub-channel is created
+    at its first broadcast that has a receiver, not at its first broadcast.
     """
 
     def __init__(self, loss_probability: float, min_delay: float,

@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..obs import current as _obs_current
+from .randomness import generators
 
 if TYPE_CHECKING:
     from .timers import PeriodicTimer
@@ -88,6 +91,8 @@ class Simulator:
         self._next_seq = 0
         self._rng = np.random.default_rng(seed)
         self._seed = seed
+        # Streams of an open reserved_streams() block, last one first.
+        self._reserved: Optional[List[np.random.Generator]] = None
         self._processed = 0
         self._pending = 0
         self._running = False
@@ -144,8 +149,54 @@ class Simulator:
         return self._pending
 
     def spawn_rng(self) -> np.random.Generator:
-        """Create an independent child generator (stable given call order)."""
+        """Create an independent child generator (stable given call order).
+
+        The child is ``default_rng`` of one root draw in ``[0, 2**63 - 1)``.
+        Inside :meth:`reserved_streams` the next reserved stream is handed
+        out instead: an equal generator, built in one batch.
+        """
+        reserved = self._reserved
+        if reserved:
+            return reserved.pop()
         return np.random.default_rng(self._rng.integers(0, 2**63 - 1))
+
+    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
+        """The next ``n`` :meth:`spawn_rng` streams, built in one batch.
+
+        One ``integers(0, 2**63 - 1, size=n)`` draw gives the same seeds and
+        leaves the root where ``n`` scalar draws would (numpy's bounded
+        64-bit draw takes one path for a scalar and an array;
+        ``tests/test_seeded_streams.py`` holds it), and
+        :func:`~repro.sim.randomness.generators` seeds them as
+        ``default_rng`` would.
+        """
+        return generators(self._rng.integers(0, 2**63 - 1, size=n))
+
+    @contextmanager
+    def reserved_streams(self, n: int) -> Iterator[None]:
+        """Pre-build the next ``n`` :meth:`spawn_rng` streams for a block.
+
+        Inside the block :meth:`spawn_rng` hands the reserved streams out in
+        draw order, so code that spawns one stream per node runs unchanged
+        and gets the streams sequential spawns would give.  On leaving,
+        :class:`SimulationError` is raised unless every stream was taken
+        and the root generator did not move past the batch (a root draw
+        inside the block would reorder every later stream).
+        """
+        if self._reserved is not None:
+            raise SimulationError("stream reservations do not nest")
+        self._reserved = self.spawn_rngs(n)[::-1]
+        batch_end = self._rng.bit_generator.state
+        try:
+            yield
+        finally:
+            left = len(self._reserved)
+            self._reserved = None
+        if left:
+            raise SimulationError(f"{left} of {n} reserved streams were never taken")
+        if self._rng.bit_generator.state != batch_end:
+            raise SimulationError("the root generator was drawn inside a stream "
+                                  "reservation")
 
     # ------------------------------------------------------------- scheduling
 

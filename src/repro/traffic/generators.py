@@ -19,7 +19,9 @@ Determinism contract
 --------------------
 * Per-node random streams derive from ``(seed, spec digest, node id)`` via
   :func:`repro.sim.randomness.derive_seed`; nodes are enumerated sorted by
-  ``str`` so no stream assignment ever depends on ``PYTHONHASHSEED``.
+  ``str`` so no stream assignment ever depends on ``PYTHONHASHSEED``.  The
+  streams are built in one batch (:func:`repro.sim.randomness.generators`);
+  each equals ``np.random.default_rng`` of its derived seed.
 * Generators never broadcast synchronously from a delivery handler — replies
   and relays go through ``sim.schedule`` — so the batched and per-receiver
   delivery paths replay bit-identically (the ``on_message`` contract of
@@ -35,7 +37,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Optional
 
 import numpy as np
 
-from repro.sim.randomness import derive_seed
+from repro.sim.randomness import derive_seed, generators
 
 from .ledger import AppMessage, DeliveryLedger
 from .registry import get_traffic, normalize_traffic_spec, traffic_pattern
@@ -85,7 +87,10 @@ class TrafficDriver:
     spec:
         The traffic spec (normalized against the registry here).
     seed:
-        Master seed of the workload; per-node streams derive from it.
+        Master seed of the workload; per-node streams derive from it.  The
+        node ``nid``'s stream equals ``np.random.default_rng(derive_seed(seed,
+        f"traffic/{spec_key}/node/{nid}"))``; all of them are built in one
+        batch at construction.
     group_of:
         ``node id -> current group`` provider; defaults (in
         :func:`attach_traffic`) to the GRP node's ``current_view``.
@@ -108,10 +113,10 @@ class TrafficDriver:
         self.node_ids: List[Hashable] = sorted(self._processes, key=str)
         self._group_of = group_of if group_of is not None else self._singleton_group
         self._stream_base = f"traffic/{self.spec.spec_key()}"
-        self._rngs: Dict[Hashable, np.random.Generator] = {
-            nid: np.random.default_rng(
-                derive_seed(self.seed, f"{self._stream_base}/node/{nid}"))
-            for nid in self.node_ids}
+        self._rngs: Dict[Hashable, np.random.Generator] = dict(zip(
+            self.node_ids,
+            generators([derive_seed(self.seed, f"{self._stream_base}/node/{nid}")
+                        for nid in self.node_ids])))
         self._seq: Dict[Hashable, int] = dict.fromkeys(self.node_ids, 0)
         definition = get_traffic(self.spec.name)
         params = definition.resolve_params(self.spec.param_dict)
