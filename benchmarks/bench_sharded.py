@@ -20,11 +20,12 @@ Two hot-path measurements ride along:
   (100k nodes full, 2k quick; 1% movers/step) timing the dirty-row patch
   against a per-step full rebuild, with a final CSR-equality check.  The
   patch must be >= 5x faster in full mode.
-- **snapshot-restore amortization** — every run builds the world once and
-  has each worker unpickle it.  The bench times one scenario build
-  (:meth:`ShardWorld.build_base`) itself and compares it with the top shard
-  count's per-worker restore time: the cost each worker would pay if it
-  built the world on its own.
+- **snapshot-restore amortization** — every run builds the world once;
+  in-process hosts each unpickle a snapshot of it (``mp`` workers inherit
+  the build with the fork and restore nothing).  The bench times one
+  scenario build (:meth:`ShardWorld.build_base`) against one in-process
+  restore (:meth:`ShardWorld.from_snapshot`) of the top shard count's
+  snapshot: the cost a host would pay if it built the world on its own.
 
 Quick mode (CI) shrinks the city to 2,000 nodes and keeps every run
 in-process where noted; full mode runs the 100,000-node default city.
@@ -37,6 +38,7 @@ envelope (see ``benchmarks/_emit.py``).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import time
 
@@ -58,11 +60,8 @@ FULL_WALL_BUDGET_S = 300.0
 CSR_PATCH_SPEEDUP_BUDGET = 5.0
 
 #: Full-mode floor for the snapshot-restore amortization: one scenario
-#: build vs one worker's snapshot unpickle.  Measured ~2.8 s build vs
-#: ~0.6 s GC-paused restore at 100k nodes (~4.7x) uncontended; like the
-#: scaling target, enforced only with one core per worker — below that the
-#: concurrent workers time-slice the cores and their wall-clock restores
-#: measure contention, not amortization.
+#: build vs one in-process snapshot unpickle of the same 100k-node world,
+#: both timed in one process with nothing else running.
 SNAPSHOT_SPEEDUP_BUDGET = 2.0
 
 #: Simulated seconds for the observability leg.  On the quick city the first
@@ -136,6 +135,24 @@ def refresh_bench(quick: bool, seed: int = 2024):
         "rebuild_counters": counters["rebuild"],
         "identical": identical,
     }
+
+
+def restore_bench(spec: ShardSpec):
+    """One scenario build against one in-process restore of its snapshot.
+
+    Only the shard-independent phase is compared; the shard-specific
+    finalize runs after either and would just dilute the signal.  The
+    collector first clears the earlier runs' garbage, which a host
+    building its world on its own would not have to walk.
+    """
+    gc.collect()
+    t0 = time.perf_counter()
+    ShardWorld.build_base(spec)
+    scenario_build_s = time.perf_counter() - t0
+    blob = ShardWorld.snapshot_base(spec)
+    restore_s = ShardWorld.from_snapshot(spec, 0, blob).base_phase_s
+    return {"scenario_build_s": scenario_build_s, "restore_s": restore_s,
+            "blob_bytes": len(blob)}
 
 
 def obs_leg(out_path: str):
@@ -274,24 +291,15 @@ def main() -> int:
           f"rebuild {refresh['rebuild_mean_s'] * 1e3:.2f} ms, "
           f"{csr_speedup:.1f}x, identical={refresh['identical']}")
 
-    # --- snapshot-restore amortization at the top shard count: one scenario
-    # build, timed here, against each worker's snapshot unpickle.  Only the
-    # shard-independent phase is compared; the shard-specific finalize runs
-    # after either and would just dilute the signal.
-    t0 = time.perf_counter()
-    ShardWorld.build_base(bench_spec(args.quick, top_count))
-    base_build_s = time.perf_counter() - t0
-    restore_total = top_stats["worker_build_s"]
-    restore_phase = top_stats["worker_base_phase_s"]
-    mean = lambda xs: sum(xs) / len(xs)
-    snap_speedup = (base_build_s / mean(restore_phase)
-                    if mean(restore_phase) > 0 else float("inf"))
+    # --- snapshot-restore amortization at the top shard count.
+    restore = restore_bench(bench_spec(args.quick, top_count))
+    snap_speedup = (restore["scenario_build_s"] / restore["restore_s"]
+                    if restore["restore_s"] > 0 else float("inf"))
     print(f"snapshot restore ({top_count} shards, "
-          f"{transport_for(top_count)}): base build+pickle "
-          f"{top_stats['base_build_s']:.2f} s; scenario build "
-          f"{base_build_s:.2f} s -> per-worker restore "
-          f"{mean(restore_phase):.2f} s ({snap_speedup:.1f}x); per-worker "
-          f"total {mean(restore_total):.2f} s")
+          f"{restore['blob_bytes'] / 1e6:.1f} MB blob): scenario build "
+          f"{restore['scenario_build_s']:.2f} s -> in-process restore "
+          f"{restore['restore_s']:.2f} s ({snap_speedup:.1f}x); "
+          f"{transport_for(top_count)} run setup {top_stats['build_s']:.2f} s")
 
     # --- observability leg: obs-on vs obs-off identity plus event coverage.
     obs = None
@@ -326,11 +334,12 @@ def main() -> int:
         emit_rows.append(_emit.row(
             "csr_patch_speedup", round(csr_speedup, 2), "x",
             budget=None if args.quick else CSR_PATCH_SPEEDUP_BUDGET))
-        snapshot_budget = (SNAPSHOT_SPEEDUP_BUDGET
-                           if (not args.quick and cores >= top_count) else None)
         emit_rows.append(_emit.row(
             "snapshot_restore_speedup", round(snap_speedup, 2), "x",
-            budget=snapshot_budget))
+            budget=None if args.quick else SNAPSHOT_SPEEDUP_BUDGET))
+        if transport_for(top_count) == "mp":
+            emit_rows.append(_emit.row("mp_setup_s",
+                                       round(top_stats["build_s"], 3), "s"))
         if obs is not None:
             emit_rows.append(_emit.row("obs_identical",
                                        1.0 if obs["identical"] else 0.0,
@@ -351,9 +360,9 @@ def main() -> int:
                              "shards": top_count,
                              "transport": transport_for(top_count),
                              "base_build_s": top_stats["base_build_s"],
-                             "scenario_build_s": base_build_s,
-                             "snapshot_worker_build_s": restore_total,
-                             "snapshot_worker_base_phase_s": restore_phase,
+                             "setup_s": top_stats["build_s"],
+                             "worker_build_s": top_stats["worker_build_s"],
+                             **restore,
                          },
                          "obs": obs})
 

@@ -1,8 +1,11 @@
 """Command-line front end for sharded runs: ``python -m repro.shard``.
 
 Runs one scenario split across ``--shards`` workers (``--transport
-inproc|mp``; the world is built once and every worker restores the
-snapshot) and prints a deterministic summary of the merged fingerprint.
+inproc|mp``; the world is built once, an ``mp`` worker finalizes the build
+it inherits with the fork and an ``inproc`` host restores a pickled
+snapshot of it) and prints a deterministic summary of the merged
+fingerprint.  A spec the run cannot take (``--shards`` below 1,
+``--duration`` not above 0) exits with code 2 before anything is built.
 Stdout carries only protocol facts — counters, a canonical fingerprint
 digest, traffic totals — so two runs of the same spec (including an
 observed vs. unobserved pair) produce byte-identical stdout; wall-clock
@@ -37,7 +40,7 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                         help="Pin a scenario parameter (repeatable).")
     parser.add_argument("--seed", type=int, default=42, help="Base RNG seed.")
     parser.add_argument("--duration", type=float, default=2.0,
-                        help="Simulated seconds to run.")
+                        help="Simulated seconds to run (> 0).")
     parser.add_argument("--shards", type=int, default=2,
                         help="Number of shard workers (>= 1).")
     parser.add_argument("--transport", choices=("inproc", "mp"), default="inproc",
@@ -172,15 +175,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KeyError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
+    try:
+        spec = ShardSpec.create(
+            args.scenario, seed=args.seed, duration=args.duration,
+            shards=args.shards, params=params,
+            traffic=args.traffic, traffic_params=traffic_params or None,
+            fingerprint=not args.no_fingerprint)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
     obs = bool(args.obs or args.obs_out)
-    spec = ShardSpec.create(
-        args.scenario, seed=args.seed, duration=args.duration,
-        shards=args.shards, params=params,
-        traffic=args.traffic, traffic_params=traffic_params or None,
-        fingerprint=not args.no_fingerprint)
     result = run_sharded(spec, transport=args.transport, obs=obs)
     if args.json:
         payload = {

@@ -23,12 +23,14 @@ Two transports run the same loop: ``inproc`` hosts every shard in the
 calling process (the bit-identity reference and the default for tests) and
 ``mp`` runs one OS process per shard, which is where multi-core hardware buys
 wall-clock speedup.  An ``mp`` worker is forked from the coordinator once
-the snapshot bytes exist, so it starts with every module already imported
-and its job — spec, shard id, obs flag and the snapshot bytes — already in
-memory.  It never returns into the caller's code, so scripts need no
-``if __name__ == "__main__"`` guard.  It takes every command over a
-``socketpair`` and leaves with ``os._exit`` once its last reply is in the
-socket.  ``mp`` is POSIX-only.
+the coordinator has built the world, so it starts with every module already
+imported and its job — spec, shard id, obs flag and its own private copy of
+the built world — already in memory; it finalizes that world for its shard
+and restores nothing.  ``inproc`` hosts share one process, so each restores
+its own copy from one pickled snapshot.  A worker never returns into the
+caller's code, so scripts need no ``if __name__ == "__main__"`` guard.  It
+takes every command over a ``socketpair`` and leaves with ``os._exit`` once
+its last reply is in the socket.  ``mp`` is POSIX-only.
 
 The merge reassembles the exact single-process result: counters sum, the
 replicated event count is subtracted ``k - 1`` times, per-shard views and
@@ -140,21 +142,26 @@ class _InprocHost:
 
 
 def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
-                  shard_id: int, obs: bool, snapshot: bytes) -> NoReturn:
+                  shard_id: int, obs: bool, deployment,
+                  lookahead: float) -> NoReturn:
     """Serve one shard on socket ``fd`` in a forked worker, then exit
     without interpreter teardown.
 
-    The job (spec, shard id, obs flag, snapshot bytes) arrives in memory
-    with the fork.  The worker first freezes the heap it inherited, so its
-    cyclic collector never walks, and so never copies, the coordinator's
-    objects.  It closes ``inherited``, the coordinator's ends of its own
-    socket and of the workers forked before it: a worker sees its
-    coordinator die only once no other process holds that end open.  It
-    installs its own obs context: a fresh :class:`ObsContext` with ``obs``
-    on (so every component of the restored world captures it), none with
-    it off, never the one the coordinator had installed.  With ``obs`` on
-    it times its socket waits as ``shard.barrier_wait`` spans and ships the
-    context's export (span records included) back with the finish parts.
+    The job (spec, shard id, obs flag and the coordinator's built
+    ``(deployment, lookahead)``) arrives in memory with the fork; the fork
+    already made the world this process's private copy, so the worker
+    finalizes it in place (``ShardWorld(spec, shard_id, deployment,
+    lookahead)``) and unpickles nothing.  The worker first freezes the heap
+    it inherited, world included, so its cyclic collector never walks, and
+    so never copies, the coordinator's objects.  It closes ``inherited``,
+    the coordinator's ends of its own socket and of the workers forked
+    before it: a worker sees its coordinator die only once no other process
+    holds that end open.  It installs its own obs context: a fresh
+    :class:`ObsContext` with ``obs`` on, none with it off, never the one the
+    coordinator had installed; finalizing re-points every component of the
+    inherited world at it.  With ``obs`` on it times its socket waits as
+    ``shard.barrier_wait`` spans and ships the context's export (span
+    records included) back with the finish parts.
 
     Whatever the way out — the finish reply (exit code 0), a failure
     report or a lost coordinator (exit code 1) — everything the worker owes
@@ -172,10 +179,10 @@ def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
         _obs_disable()
         ctx = _obs_enable(ObsContext()) if obs else None
         t0 = time.perf_counter()
-        world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
+        world = ShardWorld(spec, shard_id, deployment, lookahead)
         build_s = time.perf_counter() - t0
         conn.send(("ready", world.peek(), world.lookahead, world.owners,
-                   build_s, world.base_phase_s))
+                   build_s))
         while True:
             if ctx is not None:
                 wait_t0 = ctx.clock()
@@ -214,16 +221,17 @@ class _MpHost:
     """A shard served by a worker forked from the coordinator, a direct child.
 
     Construction forks the worker on one end of a ``socketpair``; the child
-    gets its job in memory and runs :func:`_serve_worker`, which never
-    returns.  Before the fork the coordinator flushes ``sys.stdout`` and
-    ``sys.stderr``, or the child could write the parent's buffered text a
-    second time.  ``siblings`` are the coordinator's ends of the workers
-    forked before this one, which the child closes with its own.
+    gets its job, the built ``base`` world included, in memory and runs
+    :func:`_serve_worker`, which never returns.  Before the fork the
+    coordinator flushes ``sys.stdout`` and ``sys.stderr``, or the child
+    could write the parent's buffered text a second time.  ``siblings``
+    are the coordinator's ends of the workers forked before this one,
+    which the child closes with its own.
 
     The coordinator has a second OS thread once numpy is imported (OpenBLAS
     starts it), and Python 3.12 warns (``DeprecationWarning``) when such a
     process forks.  The fork is safe here all the same: the child runs only
-    the snapshot restore and the window loop, and it leaves through
+    the shard finalize and the window loop, and it leaves through
     ``os._exit``, so no exit handler or teardown runs in it.
 
     The coordinator reaps the worker (:meth:`collect_finish`, :meth:`close`)
@@ -232,7 +240,7 @@ class _MpHost:
     naming the shard and the exit code.
     """
 
-    def __init__(self, spec: ShardSpec, shard_id: int, snapshot: bytes,
+    def __init__(self, spec: ShardSpec, shard_id: int, base: Tuple[Any, float],
                  obs: bool, siblings: List[Connection]):
         self.shard_id = shard_id
         self.returncode: Optional[int] = None
@@ -243,18 +251,17 @@ class _MpHost:
             self.pid = os.fork()
             if self.pid == 0:
                 _serve_worker(theirs.detach(), [ours, *siblings], spec,
-                              shard_id, obs, snapshot)
+                              shard_id, obs, *base)
             self.conn = Connection(ours.detach())
         self.peek: Optional[float] = None
         self.lookahead: float = 0.0
         self.owners: Dict[Hashable, int] = {}
         self.build_s: float = 0.0
-        self.base_phase_s: float = 0.0
+        self.base_phase_s: float = 0.0  # the worker restores nothing
         self.obs_export: Optional[Dict[str, Any]] = None
 
     def await_ready(self) -> None:
-        (_, self.peek, self.lookahead, self.owners,
-         self.build_s, self.base_phase_s) = self._recv()
+        _, self.peek, self.lookahead, self.owners, self.build_s = self._recv()
 
     def _wait(self) -> int:
         if self.returncode is None:
@@ -489,24 +496,25 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
                 build: str = "snapshot", obs: bool = False) -> ShardRunResult:
     """Execute ``spec`` across ``spec.shards`` workers and merge the result.
 
-    The coordinator builds the world once, serializes the post-build state
-    and has every worker restore it.  ``transport='inproc'`` runs every
-    shard in this process (deterministic reference, zero IPC);
-    ``transport='mp'`` (POSIX only) runs each shard in a worker forked
-    from this process after the snapshot is built, a direct child that
-    inherits its job and the snapshot bytes, takes its commands over a
-    socket, exits without teardown and is reaped before this returns; it
-    never returns into the caller's code, so no ``__main__`` guard is
-    needed.  Both transports produce the same :class:`ShardRunResult` bit
-    for bit.
+    The coordinator builds the world once (:meth:`ShardWorld.build_base`).
+    ``transport='mp'`` (POSIX only) then forks one worker per shard, a
+    direct child that inherits its job and the built world, finalizes the
+    world for its shard, takes its commands over a socket, exits without
+    teardown and is reaped before this returns; it never returns into the
+    caller's code, so no ``__main__`` guard is needed.
+    ``transport='inproc'`` runs every shard in this process (deterministic
+    reference, zero IPC): its hosts share one heap, so the coordinator
+    pickles the built world once and every host restores its own copy.
+    Both transports produce the same :class:`ShardRunResult` bit for bit.
     ``build`` only accepts ``'snapshot'``, the one build mode.
 
     ``stats`` carries the wall-clock split: ``build_s`` (host construction,
     including the one-time base build), ``run_s`` (window loop + finish),
-    ``base_build_s`` (the single build + pickle), ``worker_build_s``
-    (per-worker total construction time) and ``worker_base_phase_s`` (each
-    worker's snapshot unpickle, the shard-independent slice of its
-    construction).
+    ``base_build_s`` (the one build, plus the pickle on ``inproc`` only),
+    ``worker_build_s`` (per-worker total construction time) and
+    ``worker_base_phase_s`` (each ``inproc`` host's snapshot unpickle, the
+    shard-independent slice of its construction; 0.0 on ``mp``, where a
+    worker restores nothing).
 
     ``obs=True`` runs every worker under its own :class:`~repro.obs.ObsContext`
     (both transports) and fills ``result.obs`` with the per-shard exports
@@ -523,16 +531,18 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     hosts: List[Any] = []
     t_start = time.perf_counter()
     try:
-        snapshot = ShardWorld.snapshot_base(spec)
-        base_build_s = time.perf_counter() - t_start
         if transport == "inproc":
+            snapshot = ShardWorld.snapshot_base(spec)
+            base_build_s = time.perf_counter() - t_start
             hosts = [_InprocHost(spec, shard, snapshot, obs)
                      for shard in range(spec.shards)]
         else:
+            base = ShardWorld.build_base(spec)
+            base_build_s = time.perf_counter() - t_start
             # Every worker is forked before the first is awaited, so their
-            # restores overlap.
+            # finalizes overlap.
             for shard in range(spec.shards):
-                hosts.append(_MpHost(spec, shard, snapshot, obs,
+                hosts.append(_MpHost(spec, shard, base, obs,
                                      [host.conn for host in hosts]))
             for host in hosts:
                 host.await_ready()

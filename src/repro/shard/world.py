@@ -2,11 +2,14 @@
 
 Execution model
 ---------------
-The coordinator builds the deployment once from the scenario registry and
-pickles it (:meth:`ShardWorld.snapshot_base`); every worker restores that
-one snapshot, so construction, node start order, mobility, churn and
-topology are *replicated* bit-identically in every process (they are pure
-functions of the spec and seed).  What is *partitioned* is the compute:
+The coordinator builds the deployment once from the scenario registry
+(:meth:`ShardWorld.build_base`).  A forked ``mp`` worker inherits that
+built world and finalizes it in place; in-process hosts share one heap, so
+the coordinator pickles the world once (:meth:`ShardWorld.snapshot_base`)
+and each host restores its own copy (:meth:`ShardWorld.from_snapshot`).
+Either way construction, node start order, mobility, churn and topology are
+*replicated* bit-identically in every shard (they are pure functions of the
+spec and seed).  What is *partitioned* is the compute:
 each node is owned by exactly one shard (the spatial tile containing its
 initial position, see :class:`repro.shard.tiles.TileMap`), and only the
 owner runs the node's protocol timers, computations, application traffic
@@ -105,9 +108,10 @@ class ShardUnsupportedError(RuntimeError):
 class ShardSpec:
     """Complete, picklable description of one sharded run.
 
-    A pure value object: every worker process reconstructs its world from
-    this spec alone, so the spec must capture everything the single-process
-    run would configure (scenario, churn, traffic).
+    A pure value object: every shard's world derives from this spec alone,
+    so the spec must capture everything the single-process run would
+    configure (scenario, churn, traffic).  A spec with ``shards < 1`` or
+    ``duration <= 0`` raises :class:`ValueError` when it is made.
     """
 
     scenario: str
@@ -122,6 +126,14 @@ class ShardSpec:
     #: per-node payload sizes).  Benchmarks turn it off: a 100k-node
     #: topology snapshot is pure fingerprint overhead.
     fingerprint: bool = True
+
+    def __post_init__(self):
+        # Checked before any build: a bad value would otherwise surface
+        # only after the world is built, or not at all.
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards!r}")
+        if not self.duration > 0:
+            raise ValueError(f"duration must be > 0, got {self.duration!r}")
 
     @classmethod
     def create(cls, scenario: str, *, seed: int, duration: float, shards: int = 1,
@@ -172,17 +184,19 @@ class ShardWorld:
     :meth:`snapshot_base` pickles its result once.  ``__init__`` does the
     shard-specific part on a built ``(deployment, lookahead)``: tiling,
     ownership, the network's receiver partition, traffic/churn attachment,
-    process start and mirror quiescing.  :meth:`from_snapshot` restores the
-    blob and runs ``__init__`` on it — O(build + shards × restore) instead
-    of O(shards × build).  Nothing shard-specific (and nothing random)
-    happens between the snapshot point and ``__init__``: the sim queue is
-    empty, the event-seq counter is 0 and all RNG states are exactly
-    post-build, so ``ShardWorld(spec, k, *ShardWorld.build_base(spec))``
-    is the bit-identical in-process reference of a restored world.
+    process start and mirror quiescing.  A forked ``mp`` worker runs
+    ``__init__`` straight on the build it inherited; :meth:`from_snapshot`
+    restores the blob and runs ``__init__`` on it, for in-process hosts
+    that need independent copies — O(build + shards × restore) instead of
+    O(shards × build).  Nothing shard-specific (and nothing random)
+    happens between the build and ``__init__``: the sim queue is empty,
+    the event-seq counter is 0 and all RNG states are exactly post-build,
+    so ``ShardWorld(spec, k, *ShardWorld.build_base(spec))`` is the
+    bit-identical in-process reference of a restored world.
 
     ``base_phase_s`` records how long the shard-independent half took on
-    this instance — the snapshot unpickle in :meth:`from_snapshot` — which
-    is exactly the cost the snapshot path amortizes.
+    this instance — the snapshot unpickle in :meth:`from_snapshot`, 0.0 on
+    a world finalized from a build in memory.
     """
 
     def __init__(self, spec: ShardSpec, shard_id: int, deployment,
@@ -202,9 +216,9 @@ class ShardWorld:
         self.lookahead = lookahead
 
         # Re-capture the process-local obs context before anything
-        # shard-specific runs: a snapshot-restored deployment carries the
-        # builder process's (usually absent) handles, so without this a
-        # restored worker would be observationally blind.
+        # shard-specific runs: a snapshot-restored or fork-inherited
+        # deployment carries the builder process's (usually absent)
+        # handles, so without this a worker would be observationally blind.
         obs = _obs_current()
         self._obs = obs
         self._obs_windows = obs.registry.counter("shard.windows") if obs else None
@@ -304,9 +318,9 @@ class ShardWorld:
 
         The blob captures the deployment wholesale — NodeArrayStore arrays,
         per-node protocol state, per-sender RNG states, the (empty) event
-        queue — so a worker's restore skips the scenario builder entirely.
-        Worlds holding unpicklable pieces (tracers, observability handles
-        with live clocks) raise :class:`ShardUnsupportedError`.
+        queue — so an in-process host's restore skips the scenario builder
+        entirely.  Worlds holding unpicklable pieces (tracers, observability
+        handles with live clocks) raise :class:`ShardUnsupportedError`.
         """
         deployment, lookahead = ShardWorld.build_base(spec)
         try:

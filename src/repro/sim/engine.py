@@ -107,9 +107,10 @@ class Simulator:
         """Re-point the cached obs handles at the process-local context.
 
         The capture-once contract pins observation scope at construction;
-        worlds that cross a process boundary after construction (sharded
-        snapshot restore) carry the builder's handles and call this so the
-        restoring worker's own context observes the run.
+        worlds that cross a process boundary after construction (a sharded
+        snapshot restore or a forked worker's inherited build) carry the
+        builder's handles and call this so the worker's own context
+        observes the run.
         """
         obs = _obs_current()
         self._obs = obs

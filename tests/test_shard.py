@@ -4,16 +4,51 @@ The end-to-end bit-identity of the sharded executor lives in
 ``tests/test_replay_determinism.py`` (sharded section); this module covers
 the pieces in isolation: tile cutting and ownership, the simulator's
 window/clock primitives, the per-sender channel RNG, and the explicit
-rejection of worlds that cannot shard bit-identically.
+rejection of specs and worlds that cannot shard bit-identically.
 """
 
 import pytest
 
 from repro.net.channel import CollisionChannel
 from repro.shard import (PerSenderChannel, ShardSpec, ShardUnsupportedError,
-                         ShardWorld, TileMap)
+                         ShardWorld, TileMap, run_sharded)
+from repro.shard.cli import main as shard_cli
 from repro.shard.tiles import x_tile_cuts
 from repro.sim.engine import SimulationError, Simulator
+
+
+# -------------------------------------------------------------------- spec
+
+def _refuse_build(spec):
+    raise AssertionError("a bad spec must be refused before any build")
+
+
+BAD_SPEC_VALUES = [("shards", 0), ("shards", -1), ("duration", 0.0),
+                   ("duration", -1.0), ("duration", float("nan"))]
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field, value", BAD_SPEC_VALUES)
+    def test_run_sharded_refuses_bad_spec_before_building(self, monkeypatch,
+                                                          field, value):
+        monkeypatch.setattr(ShardWorld, "build_base", staticmethod(_refuse_build))
+        args = {"seed": 1, "duration": 1.0, "shards": 2, "params": {"n": 20}}
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            run_sharded(ShardSpec.create("city_scale", **args))
+
+    @pytest.mark.parametrize("flag, value", [("--shards", "0"),
+                                             ("--duration", "0"),
+                                             ("--duration", "-1")])
+    def test_cli_refuses_bad_spec_before_building(self, monkeypatch, capsys,
+                                                  flag, value):
+        monkeypatch.setattr(ShardWorld, "build_base", staticmethod(_refuse_build))
+        code = shard_cli(["--scenario", "city_scale", "--set", "n=20",
+                          flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag[2:]} must be" in captured.err
 
 
 # ------------------------------------------------------------------- tiles

@@ -1,13 +1,14 @@
 """The ``mp`` transport's worker launcher.
 
 Each ``mp`` shard runs in a worker forked from the coordinator once the
-snapshot bytes exist: it inherits its job and every imported module, never
-returns into the caller's code, takes its commands over a socket, and is
-reaped by the coordinator.  These tests pin what that buys and what it must
-not lose: scripts without a ``__main__`` guard work, no interpreter is
-started and no temp file is written, the caller's buffered output is not
-written twice, a dying worker surfaces as an error that names it, and no
-worker outlives the run — not even a coordinator killed mid-run.
+world is built: it inherits its job, the built world and every imported
+module, never returns into the caller's code, takes its commands over a
+socket, and is reaped by the coordinator.  These tests pin what that buys
+and what it must not lose: scripts without a ``__main__`` guard work, no
+interpreter is started, no temp file is written and no snapshot is pickled
+or restored, the caller's buffered output is not written twice, a dying or
+failing worker surfaces as an error that names it, and no worker outlives
+the run — not even a coordinator killed mid-run.
 """
 
 import os
@@ -205,17 +206,38 @@ def test_killed_worker_raises_and_every_worker_is_reaped(tmp_path):
     assert "EOFError" not in result.stdout + result.stderr
 
 
-def test_garbage_snapshot_reports_the_worker_traceback(monkeypatch):
-    monkeypatch.setattr(ShardWorld, "snapshot_base",
-                        staticmethod(lambda spec: b"not a pickle"))
+class FinalizeFailed(Exception):
+    pass
+
+
+def test_failed_finalize_reports_the_worker_traceback(monkeypatch):
+    """A worker whose shard finalize raises reports the child's traceback
+    and the exception name, not a bare exit code."""
+    def refuse(self, churn_rows):
+        raise FinalizeFailed("churn refused")
+
+    monkeypatch.setattr(ShardWorld, "_install_churn", refuse)
     with pytest.raises(RuntimeError, match="shard worker failed") as info:
         run_sharded(city_spec(), transport="mp")
     assert "Traceback" in str(info.value)
-    assert "UnpicklingError" in str(info.value)
+    assert "FinalizeFailed: churn refused" in str(info.value)
+
+
+def test_mp_pickles_and_restores_no_snapshot(monkeypatch, inproc_result):
+    """A worker finalizes the world it inherits with the fork: the mp run
+    needs neither the snapshot nor its restore, and still equals the
+    in-process run that uses both."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mp transport must not snapshot the world")
+
+    monkeypatch.setattr(ShardWorld, "snapshot_base", staticmethod(refuse))
+    monkeypatch.setattr(ShardWorld, "from_snapshot", classmethod(refuse))
+    result = run_sharded(city_spec(), transport="mp")
+    assert result.fingerprint == inproc_result.fingerprint
 
 
 def test_mp_writes_no_temp_file(monkeypatch, inproc_result):
-    """The snapshot travels over the worker's socket, not the filesystem."""
+    """The world reaches the workers through the fork, not the filesystem."""
     def refuse(*args, **kwargs):
         raise AssertionError("the mp transport must not create a temp file")
 
