@@ -21,8 +21,9 @@ procedure, faithfully following the pseudo-code of Section 4.3:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs import current as _obs_current
 from repro.sim.process import Process
@@ -51,7 +52,8 @@ class GRPConfig:
     ts:
         Period of the send timer (τ2 ≤ τ1).
     timer_jitter:
-        Relative jitter applied to both timers to desynchronize nodes.
+        Relative jitter applied to both timers to desynchronize nodes, in
+        ``[0, 1)``.
     quarantine_enabled:
         Disable to run the quarantine ablation (experiment E7).
     optimized_compatibility:
@@ -72,14 +74,6 @@ class GRPConfig:
         a single missed send window (e.g. a link flapping at the radio-range
         boundary) before declaring that the neighbour left, which is what real
         beaconing implementations do.
-    view_reconciliation:
-        Experimental repair of stuck disagreements: when two members of the
-        local view persistently double-mark each other, the younger one is
-        evicted.  Disabled by default — it helps dense graphs with a tight
-        ``Dmax`` escape middle-node disagreement deadlocks, but can delay
-        convergence elsewhere.
-    initial_oldness:
-        Initial value of the oldness counter.
     """
 
     dmax: int
@@ -91,17 +85,19 @@ class GRPConfig:
     use_group_priorities: bool = True
     exclusion_patience: int = 2
     neighbor_timeout_rounds: int = 2
-    view_reconciliation: bool = False
-    initial_oldness: int = 0
 
     def __post_init__(self) -> None:
         if self.dmax < 1:
             raise ValueError("dmax must be >= 1")
+        if not (math.isfinite(self.tc) and math.isfinite(self.ts)):
+            raise ValueError("timer periods must be finite")
         if self.ts > self.tc:
             raise ValueError("the send period ts must not exceed the compute period tc "
                              "(fair-channel hypothesis: τ2 <= τ1)")
         if self.tc <= 0 or self.ts <= 0:
             raise ValueError("timer periods must be positive")
+        if not 0.0 <= self.timer_jitter < 1.0:
+            raise ValueError("timer_jitter must be in [0, 1)")
         if self.exclusion_patience < 1:
             raise ValueError("exclusion_patience must be >= 1")
         if self.neighbor_timeout_rounds < 1:
@@ -121,13 +117,12 @@ class GRPNode(Process):
         self.view: FrozenSet[NodeId] = frozenset({node_id})
         self.msg_set: Dict[NodeId, GRPMessage] = {}
         self._msg_age: Dict[NodeId, int] = {}
-        self.priorities = PriorityTable(node_id, config.initial_oldness)
+        self.priorities = PriorityTable(node_id)
         self.quarantine = QuarantineTracker(node_id, config.dmax)
         self.computations = 0
         self.sends = 0
         self.receptions = 0
         self._far_streaks: Dict[NodeId, int] = {}
-        self._conflict_streaks: Dict[NodeId, int] = {}
         self._tc_timer: Optional[PeriodicTimer] = None
         self._ts_timer: Optional[PeriodicTimer] = None
         # (alist, view, priority revision, message) of the last built message.
@@ -324,27 +319,6 @@ class GRPNode(Process):
         else:
             self._far_streaks.clear()
 
-        # Step 3b — view-conflict reconciliation.  Two members of the local view
-        # that have double-marked each other can never be in the same group; a
-        # view containing both can never satisfy the agreement predicate ΠA.
-        # The member with the lower priority (the younger one) is evicted; when
-        # it is a direct neighbour the eviction is materialised as a double mark
-        # so that the cut propagates, otherwise it is kept out of the view until
-        # the conflict evidence disappears.  (The paper's conservative growth
-        # makes such conflicts impossible by construction; with liberal growth
-        # they are rare but must be repaired.)
-        vetoed = (self._persistent_conflict_losers() if self.config.view_reconciliation
-                  else set())
-        if vetoed:
-            changed = False
-            for loser in vetoed:
-                if loser in accepted:
-                    accepted[loser] = AncestorList.singleton(loser, Mark.DOUBLE)
-                    changed = True
-                self.quarantine.reset(loser)
-            if changed:
-                new_list = self._combine(accepted).truncated(dmax + 1)
-
         # A round that reaches the same list or view keeps the old object,
         # so the caches keyed on it (the outgoing message, the list's
         # positions, receivers' candidates) outlive the round.  Per-level
@@ -353,7 +327,7 @@ class GRPNode(Process):
             self.alist = new_list
 
         # Step 4 — quarantine update and view extraction (lines 30-31).
-        candidates = (self.alist.unmarked_nodes() | {self.node_id}) - vetoed
+        candidates = self.alist.unmarked_nodes() | {self.node_id}
         cleared = self.quarantine.update(candidates)
         eligible = cleared if self.config.quarantine_enabled else candidates
         view = frozenset(eligible | {self.node_id})
@@ -417,53 +391,6 @@ class GRPNode(Process):
         if not accepted:
             return self._singleton
         return self._singleton.ant_fold(accepted.values())
-
-    def _view_conflict_losers(self) -> Set[NodeId]:
-        """Members of the local view evicted because another member double-marked them.
-
-        For every received message whose sender belongs to the view, every view
-        member appearing double-marked in that message is in conflict with the
-        sender; the conflict is resolved in favour of the member with the
-        smaller priority key (the older one).
-        """
-        losers: Set[NodeId] = set()
-        for sender, message in self.msg_set.items():
-            if sender not in self.view or sender == self.node_id:
-                continue
-            raw = message.ancestor_list
-            for member in self.view:
-                if member == self.node_id or member == sender:
-                    continue
-                if raw.mark_of(member) is Mark.DOUBLE:
-                    sender_key = self.priorities.key_of(sender)
-                    member_key = self.priorities.key_of(member)
-                    if sender_key is None or member_key is None:
-                        continue
-                    losers.add(member if member_key > sender_key else sender)
-        losers.discard(self.node_id)
-        return losers
-
-    def _persistent_conflict_losers(self) -> Set[NodeId]:
-        """Conflict losers that have been implicated for several consecutive computations.
-
-        Transient double-marks routinely appear while two sides of a forming
-        group negotiate; evicting a member on first sight would churn.  Only a
-        conflict that keeps being advertised (the marks are still there after
-        ``exclusion_patience + 1`` computations) is acted upon — a genuinely
-        incompatible pair keeps advertising it forever, so the repair still
-        happens in bounded time.
-        """
-        current = self._view_conflict_losers()
-        patience = self.config.exclusion_patience + 1
-        for node in list(self._conflict_streaks):
-            if node not in current:
-                del self._conflict_streaks[node]
-        vetoed: Set[NodeId] = set()
-        for node in current:
-            self._conflict_streaks[node] = self._conflict_streaks.get(node, 0) + 1
-            if self._conflict_streaks[node] >= patience:
-                vetoed.add(node)
-        return vetoed
 
     def _far_node_has_priority(self, far_node: NodeId) -> bool:
         """Arbitration of pseudo-code line 16.

@@ -68,11 +68,6 @@ class QuarantineTracker:
         self._counters = new_counters
         return cleared
 
-    def reset(self, node: NodeId) -> None:
-        """Restart the quarantine of ``node`` (used by fault injection)."""
-        if node != self.owner:
-            self._counters[node] = self.dmax
-
     def force(self, node: NodeId, value: int) -> None:
         """Force a counter value (fault injection / tests)."""
         if node == self.owner:

@@ -204,7 +204,7 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
                  **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` after ``delay`` time units."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if kwargs:
             callback = partial(callback, **kwargs)
@@ -221,7 +221,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
                     **kwargs: Any) -> Event:
         """Schedule ``callback`` at the absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} which is before current time {self._now}")
         if kwargs:
@@ -412,10 +412,6 @@ class Simulator:
             self._processed += 1
             executed += 1
         return executed, False
-
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
-        return self.run(until=None, max_events=max_events)
 
     # ------------------------------------------------------------------ misc
 

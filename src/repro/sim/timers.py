@@ -94,7 +94,7 @@ class PeriodicTimer:
     def __init__(self, sim: Simulator, period: float, callback: Callable[[], None],
                  jitter: float = 0.0, rng: Optional[np.random.Generator] = None,
                  phase: Optional[float] = None):
-        if period <= 0:
+        if not period > 0:
             raise SimulationError("timer period must be positive")
         if not 0.0 <= jitter < 1.0:
             raise SimulationError("jitter must be in [0, 1)")

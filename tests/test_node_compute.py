@@ -1,5 +1,7 @@
 """Unit tests for the GRP node's compute() procedure (no simulator involved)."""
 
+import math
+
 import pytest
 
 from repro.core.ancestor_list import AncestorList
@@ -33,8 +35,13 @@ class TestConfigValidation:
             GRPConfig(dmax=2, tc=1.0, ts=2.0)
 
     def test_rejects_non_positive_periods(self):
-        with pytest.raises(ValueError):
-            GRPConfig(dmax=2, tc=0.0, ts=0.0)
+        # NaN compares false both ways, so each bound must reject it too.
+        for timing in ({"tc": 0.0, "ts": 0.0}, {"tc": math.nan}, {"ts": math.nan},
+                       {"tc": math.inf}, {"tc": math.inf, "ts": math.inf},
+                       {"timer_jitter": math.nan}, {"timer_jitter": -0.1},
+                       {"timer_jitter": 1.0}):
+            with pytest.raises(ValueError):
+                GRPConfig(dmax=2, **timing)
 
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError):
@@ -167,7 +174,8 @@ class TestTooFarArbitration:
         # Dmax end up separated by a double-marked edge (Proposition 5).
         # The local group {z, n1} is young (oldness 5) while the far identity n4
         # belongs to an older group (oldness 0), so n4's side wins.
-        node = GRPNode("z", GRPConfig(dmax=3, exclusion_patience=1, initial_oldness=5))
+        node = GRPNode("z", GRPConfig(dmax=3, exclusion_patience=1))
+        node.priorities.set_own(5)
         node.alist = alist({"z"}, {"n1"})
         node.view = frozenset({"z", "n1"})
         node.quarantine.force("n1", 0)

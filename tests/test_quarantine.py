@@ -44,12 +44,10 @@ class TestQuarantineTracker:
         tracker = QuarantineTracker("v", dmax=4)
         assert tracker.counter("stranger") == 4
 
-    def test_reset_and_force(self):
+    def test_force(self):
         tracker = QuarantineTracker("v", dmax=3)
         tracker.update({"a"})
         tracker.update({"a"})
-        tracker.reset("a")
-        assert tracker.counter("a") == 3
         tracker.force("a", 1)
         assert tracker.counter("a") == 1
         tracker.force("v", 5)          # owner cannot be quarantined

@@ -190,9 +190,9 @@ class TestPositionsCache:
 
 
 def reference_compute(node, stats):
-    """``compute()`` before receiver-side sharing (view reconciliation off):
-    one learn per message, ``sanitized_for`` per receiver, sorted folds and
-    an unconditional second fold in the too-far branch."""
+    """``compute()`` before receiver-side sharing: one learn per message,
+    ``sanitized_for`` per receiver, sorted folds and an unconditional
+    second fold in the too-far branch."""
     dmax = node.config.dmax
     for message in node.msg_set.values():
         node.priorities.learn(message.priority_map)

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
 import pickle
 
 import numpy as np
@@ -31,12 +32,18 @@ class TestScheduling:
         assert order == [1, 2]
 
     def test_schedule_in_the_past_raises(self, simulator):
+        # A NaN time would order first in the queue and set the clock to NaN.
+        for delay in (-1.0, math.nan):
+            with pytest.raises(SimulationError):
+                simulator.schedule(delay, lambda: None)
         with pytest.raises(SimulationError):
-            simulator.schedule(-1.0, lambda: None)
+            PeriodicTimer(simulator, math.nan, lambda: None)
         simulator.schedule(1.0, lambda: None)
         simulator.run()
-        with pytest.raises(SimulationError):
-            simulator.schedule_at(0.5, lambda: None)
+        for time in (0.5, math.nan):
+            with pytest.raises(SimulationError):
+                simulator.schedule_at(time, lambda: None)
+        assert simulator.pending_events == 0
 
     def test_cancelled_event_is_skipped(self, simulator):
         fired = []
