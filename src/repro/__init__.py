@@ -13,8 +13,13 @@ The package is organised around the paper's structure:
 * :mod:`repro.baselines` — clustering comparators (lowest-ID, Max-Min
   d-cluster, k-hop clustering);
 * :mod:`repro.metrics` — convergence, continuity, group and overhead metrics;
-* :mod:`repro.experiments` — scenario builders, the experiment runner and the
-  E1…E10 reproduction suite.
+* :mod:`repro.scenarios` — the declarative scenario registry and builder;
+* :mod:`repro.traffic` — seeded group-application workloads and their ledger;
+* :mod:`repro.shard` — one world split across shard workers, bit-identical;
+* :mod:`repro.obs` — runtime observability, free when off;
+* :mod:`repro.experiments` — the experiment runner and the E1…E11
+  reproduction suite (:mod:`repro.experiments.suite`);
+* :mod:`repro.campaign` — parallel, resumable campaigns over the suite.
 
 Quick start::
 

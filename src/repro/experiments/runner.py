@@ -10,15 +10,17 @@ free-form notes, printable with :func:`repro.metrics.report.format_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.baselines.base import SnapshotClusteringAlgorithm
-from repro.baselines.periodic import PeriodicClusteringDriver
 from repro.core.protocol import GRPDeployment
 from repro.metrics.collectors import ConfigurationSampler
 from repro.metrics.report import format_table
 
-__all__ = ["ExperimentResult", "run_with_sampler", "attach_baseline", "sweep"]
+if TYPE_CHECKING:
+    from repro.baselines.base import SnapshotClusteringAlgorithm
+    from repro.baselines.periodic import PeriodicClusteringDriver
+
+__all__ = ["ExperimentResult", "run_with_sampler", "attach_baseline"]
 
 
 @dataclass
@@ -84,6 +86,8 @@ def attach_baseline(deployment: GRPDeployment, algorithm: SnapshotClusteringAlgo
     The driver recomputes the baseline partition on the same topology the GRP
     nodes experience, so GRP and baselines are compared on identical runs.
     """
+    from repro.baselines.periodic import PeriodicClusteringDriver
+
     driver = PeriodicClusteringDriver(
         sim=deployment.sim,
         network=deployment.network,
@@ -95,11 +99,3 @@ def attach_baseline(deployment: GRPDeployment, algorithm: SnapshotClusteringAlgo
     driver.start()
     return driver
 
-
-def sweep(values: Sequence,
-          runner: Callable[[object], Dict[str, object]]) -> List[Dict[str, object]]:
-    """Run ``runner`` for every value of a 1-D parameter sweep, collecting rows."""
-    rows = []
-    for value in values:
-        rows.append(runner(value))
-    return rows

@@ -30,6 +30,7 @@ the network layer around it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -127,8 +128,8 @@ class PerfectChannel(ChannelModel):
     """Every transmission is delivered with a constant (possibly zero) delay."""
 
     def __init__(self, delay: float = 0.0):
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
         # The decision is identical for every transmission; sharing one frozen
         # instance keeps the per-receiver broadcast cost allocation-free.
         self._decision = ChannelDecision(delivered=True, delay=float(delay))
@@ -176,8 +177,9 @@ class LossyChannel(ChannelModel):
                  max_delay: float = 0.0, rng: Optional[np.random.Generator] = None):
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
-        if min_delay < 0 or max_delay < min_delay:
-            raise ValueError("need 0 <= min_delay <= max_delay")
+        if not 0 <= min_delay <= max_delay < math.inf:
+            raise ValueError(f"need finite 0 <= min_delay <= max_delay, "
+                             f"got {min_delay!r} and {max_delay!r}")
         self.loss_probability = float(loss_probability)
         self.min_delay = float(min_delay)
         self.max_delay = float(max_delay)
@@ -288,8 +290,8 @@ class CollisionChannel(LossyChannel):
                  min_delay: float = 0.0, max_delay: float = 0.0,
                  rng: Optional[np.random.Generator] = None):
         super().__init__(loss_probability, min_delay, max_delay, rng)
-        if collision_window < 0:
-            raise ValueError("collision_window must be non-negative")
+        if not collision_window >= 0:
+            raise ValueError(f"collision_window must be non-negative, got {collision_window!r}")
         self.collision_window = float(collision_window)
         self.collisions = 0
         # receiver -> (sender, time of the last transmission heard)

@@ -259,9 +259,10 @@ class Simulator:
         m = len(delays)
         if m != len(args_seq):
             raise SimulationError("schedule_many needs one args tuple per delay")
-        if m and min(delays) < 0:
-            raise SimulationError(
-                f"cannot schedule in the past (delay={min(delays)})")
+        # ``min`` can skip a NaN, ``sum`` cannot: one pass each, at C speed.
+        if m and not (min(delays) >= 0 and sum(delays) >= 0):
+            bad = next(delay for delay in delays if not delay >= 0)
+            raise SimulationError(f"cannot schedule in the past (delay={bad})")
         obs = self._obs
         t0 = obs.clock() if obs is not None else 0
         now = self._now
@@ -306,9 +307,9 @@ class Simulator:
         deliveries inline.  Refuses to jump over pending work: advancing past
         a scheduled event would execute it with a lying clock later.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot move the clock backwards ({time} < {self._now})")
+                f"cannot advance the clock to {time}: it is already at {self._now}")
         next_time = self.peek_time()
         if next_time is not None and next_time < time:
             raise SimulationError(
@@ -325,8 +326,12 @@ class Simulator:
         (:mod:`repro.shard`) may still apply remote deliveries anywhere inside
         the window, so the clock must trail the last executed event.  Events
         scheduled during the window that still fall inside it are executed by
-        the same call (zero-delay cascades stay local).
+        the same call (zero-delay cascades stay local).  An ``end`` before
+        :attr:`now` (or NaN) raises :class:`SimulationError`.
         """
+        if not end >= self._now:
+            raise SimulationError(
+                f"cannot run a window to {end}: the clock is already at {self._now}")
         return self._execute(end, inclusive, max_events)[0]
 
     def step(self) -> bool:
@@ -344,8 +349,8 @@ class Simulator:
         until:
             Stop once the clock would pass this time.  Events scheduled exactly
             at ``until`` are executed.  ``None`` runs until the queue is empty.
-            A bound earlier than :attr:`now` raises :class:`SimulationError`
-            (the clock never moves backwards).
+            A bound earlier than :attr:`now` (or NaN) raises
+            :class:`SimulationError` (the clock never moves backwards).
         max_events:
             Safety bound on the number of executed events.
 
@@ -354,7 +359,7 @@ class Simulator:
         int
             The number of events executed by this call.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"cannot run until {until}: the clock is already at {self._now}")
         executed = 0

@@ -28,8 +28,8 @@ class OneShotTimer:
     """
 
     def __init__(self, sim: Simulator, duration: float, callback: Callable[[], None]):
-        if duration <= 0:
-            raise SimulationError("timer duration must be positive")
+        if not duration > 0:
+            raise SimulationError(f"timer duration must be positive, got {duration!r}")
         self._sim = sim
         self._duration = float(duration)
         self._callback = callback
@@ -42,8 +42,8 @@ class OneShotTimer:
 
     @duration.setter
     def duration(self, value: float) -> None:
-        if value <= 0:
-            raise SimulationError("timer duration must be positive")
+        if not value > 0:
+            raise SimulationError(f"timer duration must be positive, got {value!r}")
         self._duration = float(value)
 
     @property

@@ -12,7 +12,8 @@ the sampler path, so three things are pinned here:
   snapshot whose ``to_graph()`` export has the brute-force reference's node
   list and edge insertion sequence, and a snapshot taken before a CSR patch
   or rebuild does not change afterwards;
-* the run path — scenario build, traffic, sampler — never imports networkx.
+* the run path — scenario build, traffic, sampler, ``run_with_sampler``, a
+  forked sharded run — never imports networkx, the baselines or the suite.
 """
 
 import os
@@ -292,6 +293,36 @@ sampler.stop()
 assert len(sampler.samples) == 5, len(sampler.samples)
 assert "networkx" not in sys.modules, "networkx imported on the run path"
 """
+    run_isolated(code)
+
+
+def test_run_with_sampler_and_mp_shards_load_no_networkx_baselines_or_suite():
+    """``run_with_sampler`` and a forked sharded run, with networkx blocked:
+    a ``None`` entry in ``sys.modules`` makes even a lazy import raise."""
+    code = """
+import sys
+sys.modules["networkx"] = None
+from repro.experiments.runner import run_with_sampler
+from repro.scenarios import ScenarioSpec, build
+from repro.shard import ShardSpec, run_sharded
+from repro.traffic import TrafficSpec, attach_traffic
+deployment = build(ScenarioSpec.create("city_scale_mobile", n=40), seed=1)
+attach_traffic(deployment, TrafficSpec.create("request_reply"), seed=1)
+sampler = run_with_sampler(deployment, duration=4.0)
+assert len(sampler.samples) == 6, len(sampler.samples)
+spec = ShardSpec.create("city_scale", params={"n": 60, "area": 800.0}, seed=7,
+                        duration=2.0, shards=2)
+result = run_sharded(spec, transport="mp")
+assert result.fingerprint, "empty fingerprint"
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("repro.baselines", "repro.experiments.suite")))
+assert not loaded, loaded
+"""
+    run_isolated(code)
+
+
+def run_isolated(code):
+    """Run ``code`` in a fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")

@@ -1,5 +1,7 @@
 """Unit tests for channel models and topology utilities."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ class TestChannels:
         channel = LossyChannel(loss_probability=0.0, rng=np.random.default_rng(0))
         assert all(channel.decide("a", "b", t).delivered for t in range(20))
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_perfect_channel_rejects_non_finite_delay(self, delay):
+        with pytest.raises(ValueError):
+            PerfectChannel(delay=delay)
+
     def test_lossy_channel_full_loss(self):
         channel = LossyChannel(loss_probability=1.0, rng=np.random.default_rng(0))
         decisions = [channel.decide("a", "b", t) for t in range(10)]
@@ -42,6 +49,20 @@ class TestChannels:
             LossyChannel(loss_probability=1.5)
         with pytest.raises(ValueError):
             LossyChannel(min_delay=0.5, max_delay=0.1)
+
+    @pytest.mark.parametrize("bounds", [
+        dict(min_delay=math.nan, max_delay=0.1),
+        dict(min_delay=0.1, max_delay=math.nan),
+        dict(min_delay=math.inf, max_delay=math.inf),
+        dict(min_delay=0.1, max_delay=math.inf),
+    ], ids=["nan-min", "nan-max", "inf-min", "inf-max"])
+    def test_lossy_channel_rejects_non_finite_delay(self, bounds):
+        with pytest.raises(ValueError):
+            LossyChannel(**bounds)
+
+    def test_collision_channel_rejects_nan_window(self):
+        with pytest.raises(ValueError):
+            CollisionChannel(collision_window=math.nan)
 
     def test_collision_channel_drops_overlapping_transmissions(self):
         channel = CollisionChannel(collision_window=1.0, rng=np.random.default_rng(0))

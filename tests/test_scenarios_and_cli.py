@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.lowest_id import LowestIdClustering
 from repro.experiments.cli import build_parser, main
-from repro.experiments.runner import ExperimentResult, attach_baseline, run_with_sampler, sweep
+from repro.experiments.runner import ExperimentResult, attach_baseline, run_with_sampler
 from repro.experiments.suite import ALL_EXPERIMENTS, run_experiment
 from repro.scenarios import ScenarioSpec, build
 
@@ -98,10 +98,6 @@ class TestRunner:
         deployment.run(3.0)
         views = driver.views()
         assert set(views) == set(deployment.nodes)
-
-    def test_sweep_collects_rows(self):
-        rows = sweep([1, 2, 3], lambda v: {"value": v, "double": 2 * v})
-        assert rows[2] == {"value": 3, "double": 6}
 
     def test_experiment_result_rendering(self):
         result = ExperimentResult("EX", "demo experiment")

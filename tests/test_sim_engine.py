@@ -147,6 +147,14 @@ class TestScheduleMany:
         assert simulator.pending_events == 0
         assert simulator.run() == 0
 
+    @pytest.mark.parametrize("delays", [[1.0, math.nan], [math.nan, 1.0]])
+    def test_nan_delay_rejected_before_any_insertion(self, simulator, delays):
+        # ``min`` skips a NaN that follows a number.
+        with pytest.raises(SimulationError):
+            simulator.schedule_many(delays, lambda x: None, [(1,), (2,)])
+        assert simulator.pending_events == 0
+        assert simulator.run() == 0
+
     def test_batch_matches_individual_schedules_exactly(self):
         """Same times, seqs and execution order as a loop of schedule calls."""
         def run(bulk):
@@ -356,6 +364,14 @@ class TestTimers:
         simulator.run(until=10.0)
         assert len(ticks) == 2
 
+    def test_one_shot_timer_rejects_nan_duration(self, simulator):
+        with pytest.raises(SimulationError):
+            OneShotTimer(simulator, math.nan, lambda: None)
+        timer = OneShotTimer(simulator, 1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.duration = math.nan
+        assert timer.duration == 1.0
+
     def test_invalid_timer_parameters(self, simulator):
         with pytest.raises(SimulationError):
             OneShotTimer(simulator, 0.0, lambda: None)
@@ -497,6 +513,25 @@ class TestEventLoop:
         sim.schedule(0.5, log.record, "next")
         sim.run()
         assert log.entries == ["next", "late"] and sim.now == 5.0
+
+    @pytest.mark.parametrize("entry", ["run", "run_window", "advance_clock"])
+    def test_nan_bound_is_refused_and_changes_nothing(self, entry):
+        # NaN compares false both ways: unchecked, ``run`` and ``run_window``
+        # drain the whole queue and ``advance_clock`` sets the clock to NaN.
+        sim, log = Simulator(seed=1), Log()
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, log.record, delay)
+        sim.run(until=1.5)
+        queue = list(sim._queue)
+        with pytest.raises(SimulationError):
+            getattr(sim, entry)(math.nan)
+        assert sim.now == 1.5 and sim._queue == queue and log.entries == [1.0]
+
+    def test_run_window_before_now_is_refused(self, simulator):
+        simulator.advance_clock(2.0)
+        with pytest.raises(SimulationError):
+            simulator.run_window(1.0)
+        assert simulator.run_window(2.0) == 0 and simulator.now == 2.0
 
     def test_run_window_boundary(self, simulator):
         log = Log()
