@@ -47,19 +47,29 @@ class GRPDeployment:
         self._started = False
 
     def start(self) -> None:
-        """Start every node and the mobility process (idempotent).
+        """Start the nodes this shard owns and the mobility process (idempotent).
 
         Every GRP node spawns one timer stream as it starts
         (:meth:`GRPNode.on_start`).  The streams of the nodes about to start
         are reserved first (:meth:`Simulator.reserved_streams`), so they are
         built in one batch yet equal the ones sequential spawns give; the
         reservation raises if a start takes more or fewer streams, or draws
-        from the root generator.
+        from the root generator.  A node another shard owns
+        (:meth:`Network.set_partition`) is a mirror and is never started: it
+        only takes its stream in turn, so every stream stays as unpartitioned.
         """
         if not self._started:
-            pending = sum(not proc._started for proc in self.network.processes.values())
-            with self.sim.reserved_streams(pending):
-                self.network.start()
+            sim, network = self.sim, self.network
+            owner_of, here = network.partition or (None, None)
+            pending = [proc for proc in network.processes.values() if not proc._started]
+            with sim.reserved_streams(len(pending)):
+                for proc in pending:
+                    if owner_of is None or owner_of[proc.node_id] == here:
+                        proc.start()
+                    else:
+                        sim.spawn_rng()
+            if network.mobility is not None:
+                network.start_mobility()
             self._started = True
 
     def run(self, duration: float) -> None:

@@ -194,6 +194,11 @@ class Network:
         self._obs_interior_sends = (obs.registry.counter("shard.interior_sends")
                                     if obs else None)
 
+    @property
+    def partition(self) -> Optional[Tuple[Mapping[Hashable, int], int]]:
+        """``(owner map, shard id)`` of the installed partition, or ``None``."""
+        return self._partition[:2] if self._partition is not None else None
+
     def __setstate__(self, state):
         """Re-register the radio mutation listener after unpickling.
 

@@ -7,16 +7,17 @@ The coordinator builds the deployment once from the scenario registry
 built world and finalizes it in place; in-process hosts share one heap, so
 the coordinator pickles the world once (:meth:`ShardWorld.snapshot_base`)
 and each host restores its own copy (:meth:`ShardWorld.from_snapshot`).
-Either way construction, node start order, mobility, churn and topology are
-*replicated* bit-identically in every shard (they are pure functions of the
-spec and seed).  What is *partitioned* is the compute:
+Either way construction, per-node stream draws, mobility, churn and
+topology are *replicated* bit-identically in every shard (they are pure
+functions of the spec and seed).  What is *partitioned* is the compute:
 each node is owned by exactly one shard (the spatial tile containing its
 initial position, see :class:`repro.shard.tiles.TileMap`), and only the
 owner runs the node's protocol timers, computations, application traffic
 and sends.  Non-owned nodes are full local *mirrors*: they exist, hold
 positions, flip their active flags under churn — so receiver sets and
-topology snapshots match the single-process run exactly — but their timers
-are quiesced and they never receive a message locally.
+topology snapshots match the single-process run exactly — but they are
+never started (:meth:`repro.core.protocol.GRPDeployment.start`), so they
+have no timers, and they never receive a message locally.
 
 Cross-shard delivery is captured at **send time** by the stock network's
 receiver partition (:meth:`repro.net.network.Network.set_partition`): when
@@ -83,7 +84,6 @@ from repro.obs import current as _obs_current
 from repro.scenarios.registry import build as build_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.randomness import derive_seed
-from repro.sim.timers import OneShotTimer, PeriodicTimer
 from repro.traffic.generators import TrafficDriver
 from repro.traffic.spec import TrafficSpec
 
@@ -161,21 +161,6 @@ class ShardSpec:
                    fingerprint=bool(fingerprint))
 
 
-def _quiesce_timers(process) -> None:
-    """Stop every timer attribute of a mirror process.
-
-    Mirrors must never act on their own: their protocol state is owned by
-    another shard.  Sweeping the instance attributes keeps this independent
-    of the concrete process class (GRPNode carries ``_tc_timer`` and
-    ``_ts_timer``; future protocols may differ).
-    """
-    for value in vars(process).values():
-        if isinstance(value, PeriodicTimer):
-            value.stop()
-        elif isinstance(value, OneShotTimer):
-            value.cancel()
-
-
 class ShardWorld:
     """One shard's fully built slice of the run described by ``spec``.
 
@@ -183,15 +168,16 @@ class ShardWorld:
     builder and channel swap — the shard-independent part — and
     :meth:`snapshot_base` pickles its result once.  ``__init__`` does the
     shard-specific part on a built ``(deployment, lookahead)``: tiling,
-    ownership, the network's receiver partition, traffic/churn attachment,
-    process start and mirror quiescing.  A forked ``mp`` worker runs
-    ``__init__`` straight on the build it inherited; :meth:`from_snapshot`
-    restores the blob and runs ``__init__`` on it, for in-process hosts
-    that need independent copies — O(build + shards × restore) instead of
-    O(shards × build).  Nothing shard-specific (and nothing random)
-    happens between the build and ``__init__``: the sim queue is empty,
-    the event-seq counter is 0 and all RNG states are exactly post-build,
-    so ``ShardWorld(spec, k, *ShardWorld.build_base(spec))`` is the
+    ownership, the network's receiver partition, traffic/churn attachment
+    and the start of the owned processes (mirrors are never started).  A
+    forked ``mp`` worker runs ``__init__`` straight on the build it
+    inherited; :meth:`from_snapshot` restores the blob and runs ``__init__``
+    on it, for in-process hosts that need independent copies —
+    O(build + shards × restore) instead of O(shards × build).  Nothing
+    shard-specific (and nothing random) happens between the build and
+    ``__init__``: the sim queue is empty, the event-seq counter is 0 and
+    all RNG states are exactly post-build, so
+    ``ShardWorld(spec, k, *ShardWorld.build_base(spec))`` is the
     bit-identical in-process reference of a restored world.
 
     ``base_phase_s`` records how long the shard-independent half took on
@@ -246,11 +232,6 @@ class ShardWorld:
         self.churn = self._install_churn(spec.churn)
 
         deployment.start()
-        # One direct lookup per mirror: the ``processes`` property copies the
-        # whole mapping, which would make this loop quadratic in world size.
-        for nid in self.owners:
-            if nid not in owned_set:
-                _quiesce_timers(network.process(nid))
 
     @classmethod
     def from_snapshot(cls, spec: ShardSpec, shard_id: int,
@@ -405,10 +386,6 @@ class ShardWorld:
         # processed_events subtracts the duplicates.
         self.shared_events += 1
         schedule._apply(self.network, event)
-        # Reactivation restarts the process's timers (on_activate contract);
-        # a mirror must go straight back to sleep before any of them fires.
-        if event.active and self.owners.get(event.node_id, self.shard_id) != self.shard_id:
-            _quiesce_timers(self.network.process(event.node_id))
 
     # ------------------------------------------------------------- round loop
 

@@ -204,8 +204,9 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
                  **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` after ``delay`` time units."""
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not 0 <= delay < math.inf:
+            raise SimulationError(f"cannot schedule with delay={delay}: a delay "
+                                  "must be finite and >= 0")
         if kwargs:
             callback = partial(callback, **kwargs)
         time = float(self._now + delay)
@@ -221,9 +222,9 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
                     **kwargs: Any) -> Event:
         """Schedule ``callback`` at the absolute simulated time ``time``."""
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} which is before current time {self._now}")
+        if not self._now <= time < math.inf:
+            raise SimulationError(f"cannot schedule at {time}: it must be finite "
+                                  f"and >= the current time {self._now}")
         if kwargs:
             callback = partial(callback, **kwargs)
         event = Event(float(time), callback, args, self)
@@ -259,10 +260,14 @@ class Simulator:
         m = len(delays)
         if m != len(args_seq):
             raise SimulationError("schedule_many needs one args tuple per delay")
-        # ``min`` can skip a NaN, ``sum`` cannot: one pass each, at C speed.
-        if m and not (min(delays) >= 0 and sum(delays) >= 0):
-            bad = next(delay for delay in delays if not delay >= 0)
-            raise SimulationError(f"cannot schedule in the past (delay={bad})")
+        # ``min`` can skip a NaN, ``sum`` cannot, and a sum of non-negative
+        # delays is finite if every delay is: one pass each, at C speed.  (A
+        # sum that overflows finite delays finds no culprit and passes.)
+        if m and not (min(delays) >= 0 and sum(delays) < math.inf):
+            bad = next((d for d in delays if not 0 <= d < math.inf), None)
+            if bad is not None:
+                raise SimulationError(f"cannot schedule with delay={bad}: a delay "
+                                      "must be finite and >= 0")
         obs = self._obs
         t0 = obs.clock() if obs is not None else 0
         now = self._now
@@ -307,9 +312,9 @@ class Simulator:
         deliveries inline.  Refuses to jump over pending work: advancing past
         a scheduled event would execute it with a lying clock later.
         """
-        if not time >= self._now:
-            raise SimulationError(
-                f"cannot advance the clock to {time}: it is already at {self._now}")
+        if not self._now <= time < math.inf:
+            raise SimulationError(f"cannot advance the clock to {time}: it must be "
+                                  f"finite and >= the current time {self._now}")
         next_time = self.peek_time()
         if next_time is not None and next_time < time:
             raise SimulationError(

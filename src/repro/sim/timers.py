@@ -28,8 +28,9 @@ class OneShotTimer:
     """
 
     def __init__(self, sim: Simulator, duration: float, callback: Callable[[], None]):
-        if not duration > 0:
-            raise SimulationError(f"timer duration must be positive, got {duration!r}")
+        if not 0 < duration < math.inf:
+            raise SimulationError(
+                f"timer duration must be positive and finite, got {duration!r}")
         self._sim = sim
         self._duration = float(duration)
         self._callback = callback
@@ -42,8 +43,9 @@ class OneShotTimer:
 
     @duration.setter
     def duration(self, value: float) -> None:
-        if not value > 0:
-            raise SimulationError(f"timer duration must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise SimulationError(
+                f"timer duration must be positive and finite, got {value!r}")
         self._duration = float(value)
 
     @property
@@ -94,8 +96,9 @@ class PeriodicTimer:
     def __init__(self, sim: Simulator, period: float, callback: Callable[[], None],
                  jitter: float = 0.0, rng: Optional[np.random.Generator] = None,
                  phase: Optional[float] = None):
-        if not period > 0:
-            raise SimulationError("timer period must be positive")
+        if not 0 < period < math.inf:
+            raise SimulationError(
+                f"timer period must be positive and finite, got {period!r}")
         if not 0.0 <= jitter < 1.0:
             raise SimulationError("jitter must be in [0, 1)")
         self._sim = sim

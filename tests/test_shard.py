@@ -352,8 +352,8 @@ class TestSnapshotRestore:
         assert owned == sorted(worlds[0].owners)
 
     def test_restored_mirror_timers_quiesced(self):
-        # The quiesce sweep runs when the restored world is finalized: its
-        # mirrors must sleep while its owned nodes keep their timers.
+        # A restored world starts only its owned nodes: its mirrors must
+        # sleep while its owned nodes keep their timers.
         spec = self.spec()
         blob = ShardWorld.snapshot_base(spec)
         world = ShardWorld.from_snapshot(spec, 0, blob)
@@ -364,9 +364,9 @@ class TestSnapshotRestore:
         assert any(_timers_running(world.network.processes[nid]) for nid in owned)
 
     def test_restored_mirror_requiesced_after_churn_reactivation(self):
-        # Reactivation restarts timers through on_activate; the churn
-        # handler must put a mirror straight back to sleep, while an owned
-        # node switched off and on again keeps its timers.
+        # Reactivation restarts timers through on_activate; a mirror has
+        # none to restart and must stay asleep, while an owned node switched
+        # off and on again keeps its timers.
         probe = built_world(self.spec())
         victim, keeper = _mirror_ids(probe)[0], probe.owned[0]
         spec = self.spec(churn=[(0.5, victim, False), (1.0, victim, True),
@@ -378,6 +378,57 @@ class TestSnapshotRestore:
         assert network.processes[victim].active
         assert not _timers_running(network.processes[victim])
         assert _timers_running(network.processes[keeper])
+
+    def world(self, make, spec):
+        if make == "built":
+            return built_world(spec)
+        return ShardWorld.from_snapshot(spec, 0, ShardWorld.snapshot_base(spec))
+
+    @pytest.mark.parametrize("make", ["built", "restored"])
+    def test_mirrors_are_never_started(self, make):
+        world = self.world(make, self.spec())
+        mirrors = _mirror_ids(world)
+        assert mirrors and world.owned
+        for nid in mirrors:
+            process = world.network.process(nid)
+            assert process._tc_timer is None and process._ts_timer is None, (
+                f"mirror {nid} was given timers")
+
+    @pytest.mark.parametrize("make", ["built", "restored"])
+    def test_start_queues_only_owned_timers_and_the_mobility_tick(self, make):
+        # Two timers per owned node plus one mobility tick, and nothing
+        # scheduled then cancelled: the heap holds no dead mirror entries.
+        world = self.world(make, self.spec())
+        assert world.network.mobility is not None
+        expected = 2 * len(world.owned) + 1
+        assert world.sim.pending_events == expected
+        assert len(world.sim._queue) == expected
+
+    @pytest.mark.parametrize("make", ["built", "restored"])
+    def test_partitioned_start_draws_as_the_unpartitioned_start(self, make):
+        # Every mirror still takes its stream, so the root generator and
+        # each owned node's timer draws match a start with no partition.
+        spec = self.spec()
+        world = self.world(make, spec)
+        reference, _ = ShardWorld.build_base(spec)
+        reference.start()
+        assert (repr(world.sim.rng.bit_generator.state)
+                == repr(reference.sim.rng.bit_generator.state))
+        for nid in world.owned:
+            ours = world.network.process(nid)
+            theirs = reference.network.process(nid)
+            assert ours._tc_timer.time == theirs._tc_timer.time
+            assert ours._ts_timer.time == theirs._ts_timer.time
+
+    @pytest.mark.parametrize("make", ["built", "restored"])
+    def test_mirror_switched_off_and_on_gets_no_timer(self, make):
+        victim = _mirror_ids(built_world(self.spec()))[0]
+        spec = self.spec(churn=[(0.5, victim, False), (1.0, victim, True)])
+        world = self.world(make, spec)
+        world.run_round(1.5, inclusive=True)
+        process = world.network.process(victim)
+        assert world.churn.applied == 2 and process.active
+        assert process._tc_timer is None and process._ts_timer is None
 
     def test_partitioned_network_refuses_the_scan_fallback(self):
         # Sharded delivery runs on the CSR link state only: once the radio

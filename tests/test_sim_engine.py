@@ -32,18 +32,24 @@ class TestScheduling:
         assert order == [1, 2]
 
     def test_schedule_in_the_past_raises(self, simulator):
-        # A NaN time would order first in the queue and set the clock to NaN.
-        for delay in (-1.0, math.nan):
-            with pytest.raises(SimulationError):
+        # A NaN time would order first in the queue and set the clock to NaN;
+        # an infinite one would run last and leave the clock at infinity.
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(SimulationError, match=f"delay={delay}"):
                 simulator.schedule(delay, lambda: None)
-        with pytest.raises(SimulationError):
-            PeriodicTimer(simulator, math.nan, lambda: None)
+            with pytest.raises(SimulationError, match=f"delay={delay}"):
+                simulator.schedule_many([1.0, delay], lambda: None, [(), ()])
+        for period in (math.nan, math.inf):
+            with pytest.raises(SimulationError, match=str(period)):
+                PeriodicTimer(simulator, period, lambda: None)
         simulator.schedule(1.0, lambda: None)
         simulator.run()
-        for time in (0.5, math.nan):
-            with pytest.raises(SimulationError):
+        for time in (0.5, math.nan, math.inf):
+            with pytest.raises(SimulationError, match=str(time)):
                 simulator.schedule_at(time, lambda: None)
-        assert simulator.pending_events == 0
+            with pytest.raises(SimulationError, match=str(time)):
+                simulator.advance_clock(time)
+        assert simulator.pending_events == 0 and simulator.now == 1.0
 
     def test_cancelled_event_is_skipped(self, simulator):
         fired = []
@@ -370,6 +376,15 @@ class TestTimers:
         timer = OneShotTimer(simulator, 1.0, lambda: None)
         with pytest.raises(SimulationError):
             timer.duration = math.nan
+        assert timer.duration == 1.0
+
+    def test_one_shot_timer_rejects_infinite_duration(self, simulator):
+        # Unchecked, the expiration would run last and leave the clock at inf.
+        with pytest.raises(SimulationError, match="inf"):
+            OneShotTimer(simulator, math.inf, lambda: None)
+        timer = OneShotTimer(simulator, 1.0, lambda: None)
+        with pytest.raises(SimulationError, match="inf"):
+            timer.duration = math.inf
         assert timer.duration == 1.0
 
     def test_invalid_timer_parameters(self, simulator):
