@@ -261,10 +261,6 @@ class ConfigurationSampler:
         """Most recent sample, if any."""
         return self.samples[-1] if self.samples else None
 
-    def legitimate_samples(self) -> List[ConfigurationSample]:
-        """Samples on which ΠA ∧ ΠS ∧ ΠM holds."""
-        return [s for s in self.samples if s.report.legitimate]
-
     def best_effort_violations(self) -> List[TransitionRecord]:
         """Transitions where ΠT held but ΠC did not."""
         return [t for t in self.transitions if t.best_effort_violation]

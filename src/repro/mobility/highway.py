@@ -131,8 +131,3 @@ class HighwayMobility(MobilityModel):
             y = state.lane * self.lane_spacing
             new_positions[node] = (x, y)
         return new_positions
-
-    def lane_of(self, node: Hashable) -> Optional[int]:
-        """Current lane of ``node`` (``None`` before its first step)."""
-        state = self._states.get(node)
-        return state.lane if state is not None else None

@@ -40,21 +40,16 @@ def _config(config: Optional[GRPConfig], dmax: int) -> GRPConfig:
     return config if config is not None else GRPConfig(dmax=dmax)
 
 
-def _p(name: str, kind: str, default: object, description: str) -> ScenarioParameter:
-    return ScenarioParameter(name=name, kind=kind, default=default, description=description)
-
-
 # ------------------------------------------------------------ static layouts
 
 @scenario(
     "static_random",
     "Uniformly random static placement in a square area",
-    [_p("n", "int", 20, "number of nodes"),
-     _p("area", "float", 300.0, "side of the square area"),
-     _p("radio_range", "float", 110.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("static",))
+    [ScenarioParameter("n", "int", 20, "number of nodes"),
+     ScenarioParameter("area", "float", 300.0, "side of the square area"),
+     ScenarioParameter("radio_range", "float", 110.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def static_random(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                   radio_range: float, dmax: int, loss_probability: float) -> GRPDeployment:
     cfg = _config(config, dmax)
@@ -67,11 +62,10 @@ def static_random(*, seed: int, config: Optional[GRPConfig], n: int, area: float
 @scenario(
     "line_topology",
     "Chain of equally spaced static nodes",
-    [_p("n", "int", 6, "number of nodes"),
-     _p("spacing", "float", 45.0, "distance between consecutive nodes"),
-     _p("radio_range", "float", 50.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound")],
-    tags=("static", "structural"))
+    [ScenarioParameter("n", "int", 6, "number of nodes"),
+     ScenarioParameter("spacing", "float", 45.0, "distance between consecutive nodes"),
+     ScenarioParameter("radio_range", "float", 50.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound")])
 def line_topology(*, seed: int, config: Optional[GRPConfig], n: int, spacing: float,
                   radio_range: float, dmax: int) -> GRPDeployment:
     cfg = _config(config, dmax)
@@ -82,12 +76,11 @@ def line_topology(*, seed: int, config: Optional[GRPConfig], n: int, spacing: fl
 @scenario(
     "two_cluster_topology",
     "Two tight static clusters separated by a gap (merging experiment)",
-    [_p("cluster_size", "int", 3, "nodes per cluster"),
-     _p("gap", "float", 400.0, "distance between the clusters"),
-     _p("spacing", "float", 30.0, "intra-cluster node spacing"),
-     _p("radio_range", "float", 90.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound")],
-    tags=("static", "structural"))
+    [ScenarioParameter("cluster_size", "int", 3, "nodes per cluster"),
+     ScenarioParameter("gap", "float", 400.0, "distance between the clusters"),
+     ScenarioParameter("spacing", "float", 30.0, "intra-cluster node spacing"),
+     ScenarioParameter("radio_range", "float", 90.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound")])
 def two_cluster_topology(*, seed: int, config: Optional[GRPConfig], cluster_size: int,
                          gap: float, spacing: float, radio_range: float,
                          dmax: int) -> GRPDeployment:
@@ -108,13 +101,12 @@ def two_cluster_topology(*, seed: int, config: Optional[GRPConfig], cluster_size
 @scenario(
     "ring_of_clusters",
     "Static clusters on a circle, each in range of both neighbours",
-    [_p("cluster_count", "int", 4, "number of clusters on the ring"),
-     _p("cluster_size", "int", 3, "nodes per cluster"),
-     _p("ring_radius", "float", 110.0, "radius of the ring of cluster centres"),
-     _p("cluster_radius", "float", 18.0, "spread of one cluster around its centre"),
-     _p("radio_range", "float", 120.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound")],
-    tags=("static", "structural"))
+    [ScenarioParameter("cluster_count", "int", 4, "number of clusters on the ring"),
+     ScenarioParameter("cluster_size", "int", 3, "nodes per cluster"),
+     ScenarioParameter("ring_radius", "float", 110.0, "radius of the ring of cluster centres"),
+     ScenarioParameter("cluster_radius", "float", 18.0, "spread of one cluster around its centre"),
+     ScenarioParameter("radio_range", "float", 120.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound")])
 def ring_of_clusters(*, seed: int, config: Optional[GRPConfig], cluster_count: int,
                      cluster_size: int, ring_radius: float, cluster_radius: float,
                      radio_range: float, dmax: int) -> GRPDeployment:
@@ -145,14 +137,13 @@ def ring_of_clusters(*, seed: int, config: Optional[GRPConfig], cluster_count: i
 @scenario(
     "manet_waypoint",
     "Random-waypoint MANET in a square area",
-    [_p("n", "int", 20, "number of nodes"),
-     _p("area", "float", 300.0, "side of the square area"),
-     _p("radio_range", "float", 120.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("speed", "float", 2.0, "max node speed (min is half of it)"),
-     _p("pause_time", "float", 0.0, "pause at each waypoint"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile",))
+    [ScenarioParameter("n", "int", 20, "number of nodes"),
+     ScenarioParameter("area", "float", 300.0, "side of the square area"),
+     ScenarioParameter("radio_range", "float", 120.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("speed", "float", 2.0, "max node speed (min is half of it)"),
+     ScenarioParameter("pause_time", "float", 0.0, "pause at each waypoint"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                    radio_range: float, dmax: int, speed: float, pause_time: float,
                    loss_probability: float) -> GRPDeployment:
@@ -168,15 +159,14 @@ def manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area: floa
 @scenario(
     "vanet_highway",
     "Multi-lane ring-road VANET with per-lane speeds",
-    [_p("n", "int", 18, "number of vehicles"),
-     _p("road_length", "float", 1500.0, "length of the ring road"),
-     _p("radio_range", "float", 180.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("lane_count", "int", 2, "number of lanes"),
-     _p("base_speed", "float", 25.0, "nominal speed of the slowest lane"),
-     _p("spacing", "float", 40.0, "initial bumper-to-bumper spacing"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile", "vanet"))
+    [ScenarioParameter("n", "int", 18, "number of vehicles"),
+     ScenarioParameter("road_length", "float", 1500.0, "length of the ring road"),
+     ScenarioParameter("radio_range", "float", 180.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("lane_count", "int", 2, "number of lanes"),
+     ScenarioParameter("base_speed", "float", 25.0, "nominal speed of the slowest lane"),
+     ScenarioParameter("spacing", "float", 40.0, "initial bumper-to-bumper spacing"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def vanet_highway(*, seed: int, config: Optional[GRPConfig], n: int, road_length: float,
                   radio_range: float, dmax: int, lane_count: int, base_speed: float,
                   spacing: float, loss_probability: float) -> GRPDeployment:
@@ -192,13 +182,12 @@ def vanet_highway(*, seed: int, config: Optional[GRPConfig], n: int, road_length
 @scenario(
     "rpgm_scenario",
     "Reference-point group mobility: convoys moving together",
-    [_p("group_sizes", "int_tuple", (4, 4, 3), "nodes per convoy (e.g. 4+4+3)"),
-     _p("area", "float", 300.0, "side of the square area"),
-     _p("radio_range", "float", 100.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("group_speed", "float", 4.0, "speed of each convoy's reference point"),
-     _p("member_radius", "float", 30.0, "member spread around the reference point")],
-    tags=("mobile", "group"))
+    [ScenarioParameter("group_sizes", "int_tuple", (4, 4, 3), "nodes per convoy (e.g. 4+4+3)"),
+     ScenarioParameter("area", "float", 300.0, "side of the square area"),
+     ScenarioParameter("radio_range", "float", 100.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("group_speed", "float", 4.0, "speed of each convoy's reference point"),
+     ScenarioParameter("member_radius", "float", 30.0, "member spread around the reference point")])
 def rpgm_scenario(*, seed: int, config: Optional[GRPConfig], group_sizes: Tuple[int, ...],
                   area: float, radio_range: float, dmax: int, group_speed: float,
                   member_radius: float) -> GRPDeployment:
@@ -224,14 +213,13 @@ def rpgm_scenario(*, seed: int, config: Optional[GRPConfig], group_sizes: Tuple[
 @scenario(
     "large_manet_waypoint",
     "Thousand-node random-waypoint field (large-network asymptotics)",
-    [_p("n", "int", 1000, "number of nodes"),
-     _p("area", "float", 2000.0, "side of the square area"),
-     _p("radio_range", "float", 120.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("speed", "float", 10.0, "max node speed (min is half of it)"),
-     _p("pause_time", "float", 0.0, "pause at each waypoint"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile", "large"))
+    [ScenarioParameter("n", "int", 1000, "number of nodes"),
+     ScenarioParameter("area", "float", 2000.0, "side of the square area"),
+     ScenarioParameter("radio_range", "float", 120.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("speed", "float", 10.0, "max node speed (min is half of it)"),
+     ScenarioParameter("pause_time", "float", 0.0, "pause at each waypoint"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def large_manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                          radio_range: float, dmax: int, speed: float, pause_time: float,
                          loss_probability: float) -> GRPDeployment:
@@ -247,15 +235,14 @@ def large_manet_waypoint(*, seed: int, config: Optional[GRPConfig], n: int, area
 @scenario(
     "dense_highway_convoy",
     "Dense bumper-to-bumper VANET convoy across many lanes",
-    [_p("n", "int", 600, "number of vehicles"),
-     _p("road_length", "float", 3000.0, "length of the ring road"),
-     _p("radio_range", "float", 200.0, "unit-disk radio range"),
-     _p("dmax", "int", 4, "group diameter bound"),
-     _p("lane_count", "int", 6, "number of lanes"),
-     _p("base_speed", "float", 25.0, "nominal speed of the slowest lane"),
-     _p("spacing", "float", 15.0, "initial bumper-to-bumper spacing"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile", "vanet", "large"))
+    [ScenarioParameter("n", "int", 600, "number of vehicles"),
+     ScenarioParameter("road_length", "float", 3000.0, "length of the ring road"),
+     ScenarioParameter("radio_range", "float", 200.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 4, "group diameter bound"),
+     ScenarioParameter("lane_count", "int", 6, "number of lanes"),
+     ScenarioParameter("base_speed", "float", 25.0, "nominal speed of the slowest lane"),
+     ScenarioParameter("spacing", "float", 15.0, "initial bumper-to-bumper spacing"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def dense_highway_convoy(*, seed: int, config: Optional[GRPConfig], n: int,
                          road_length: float, radio_range: float, dmax: int, lane_count: int,
                          base_speed: float, spacing: float,
@@ -274,15 +261,15 @@ def dense_highway_convoy(*, seed: int, config: Optional[GRPConfig], n: int,
 @scenario(
     "manhattan_grid",
     "Urban Manhattan-grid mobility: nodes funnel down city streets",
-    [_p("n", "int", 40, "number of nodes"),
-     _p("area", "float", 600.0, "side of the square city"),
-     _p("block_size", "float", 100.0, "distance between parallel streets"),
-     _p("radio_range", "float", 100.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("speed", "float", 8.0, "travel speed along the streets"),
-     _p("turn_probability", "float", 0.5, "probability of turning at an intersection"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile", "urban"))
+    [ScenarioParameter("n", "int", 40, "number of nodes"),
+     ScenarioParameter("area", "float", 600.0, "side of the square city"),
+     ScenarioParameter("block_size", "float", 100.0, "distance between parallel streets"),
+     ScenarioParameter("radio_range", "float", 100.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("speed", "float", 8.0, "travel speed along the streets"),
+     ScenarioParameter("turn_probability", "float", 0.5,
+                       "probability of turning at an intersection"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def manhattan_grid(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                    block_size: float, radio_range: float, dmax: int, speed: float,
                    turn_probability: float, loss_probability: float) -> GRPDeployment:
@@ -299,18 +286,18 @@ def manhattan_grid(*, seed: int, config: Optional[GRPConfig], n: int, area: floa
 @scenario(
     "flash_crowd",
     "Join/leave bursts: waves of nodes power off and return together",
-    [_p("n", "int", 30, "number of nodes"),
-     _p("area", "float", 400.0, "side of the square area"),
-     _p("radio_range", "float", 130.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("speed", "float", 1.5, "max node speed (0 keeps the field static)"),
-     _p("burst_fraction", "float", 0.3, "fraction of nodes leaving per burst"),
-     _p("burst_period", "float", 30.0, "time between consecutive bursts"),
-     _p("off_time", "float", 10.0, "how long a burst stays away"),
-     _p("first_burst", "float", 40.0, "time of the first burst (after stabilization)"),
-     _p("horizon", "float", 400.0, "schedule bursts up to this simulated time"),
-     _p("loss_probability", "float", 0.0, "per-receiver message loss probability")],
-    tags=("mobile", "churn"))
+    [ScenarioParameter("n", "int", 30, "number of nodes"),
+     ScenarioParameter("area", "float", 400.0, "side of the square area"),
+     ScenarioParameter("radio_range", "float", 130.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("speed", "float", 1.5, "max node speed (0 keeps the field static)"),
+     ScenarioParameter("burst_fraction", "float", 0.3, "fraction of nodes leaving per burst"),
+     ScenarioParameter("burst_period", "float", 30.0, "time between consecutive bursts"),
+     ScenarioParameter("off_time", "float", 10.0, "how long a burst stays away"),
+     ScenarioParameter("first_burst", "float", 40.0,
+                       "time of the first burst (after stabilization)"),
+     ScenarioParameter("horizon", "float", 400.0, "schedule bursts up to this simulated time"),
+     ScenarioParameter("loss_probability", "float", 0.0, "per-receiver message loss probability")])
 def flash_crowd(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                 radio_range: float, dmax: int, speed: float, burst_fraction: float,
                 burst_period: float, off_time: float, first_burst: float, horizon: float,
@@ -353,17 +340,16 @@ def flash_crowd(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
 @scenario(
     "city_scale",
     "Hundred-thousand-node static urban field: dense hotspots over a sparse background",
-    [_p("n", "int", 100_000, "number of nodes"),
-     _p("area", "float", 30_000.0, "side of the square city"),
-     _p("radio_range", "float", 100.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("hotspot_count", "int", 12, "number of dense urban hotspots"),
-     _p("hotspot_fraction", "float", 0.6, "fraction of nodes placed in hotspots"),
-     _p("hotspot_sigma", "float", 2_000.0, "gaussian spread of one hotspot"),
-     _p("loss_probability", "float", 0.05, "per-receiver message loss probability"),
-     _p("min_delay", "float", 0.05, "minimum channel delivery delay"),
-     _p("max_delay", "float", 0.05, "maximum channel delivery delay")],
-    tags=("static", "large", "urban"))
+    [ScenarioParameter("n", "int", 100_000, "number of nodes"),
+     ScenarioParameter("area", "float", 30_000.0, "side of the square city"),
+     ScenarioParameter("radio_range", "float", 100.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("hotspot_count", "int", 12, "number of dense urban hotspots"),
+     ScenarioParameter("hotspot_fraction", "float", 0.6, "fraction of nodes placed in hotspots"),
+     ScenarioParameter("hotspot_sigma", "float", 2_000.0, "gaussian spread of one hotspot"),
+     ScenarioParameter("loss_probability", "float", 0.05, "per-receiver message loss probability"),
+     ScenarioParameter("min_delay", "float", 0.05, "minimum channel delivery delay"),
+     ScenarioParameter("max_delay", "float", 0.05, "maximum channel delivery delay")])
 def city_scale(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                radio_range: float, dmax: int, hotspot_count: int,
                hotspot_fraction: float, hotspot_sigma: float, loss_probability: float,
@@ -415,20 +401,19 @@ def _hotspot_field(rng, n: int, area: float, hotspot_count: int,
 @scenario(
     "city_scale_mobile",
     "Mega-city hotspot field where a sparse fraction of nodes circulate",
-    [_p("n", "int", 100_000, "number of nodes"),
-     _p("area", "float", 30_000.0, "side of the square city"),
-     _p("radio_range", "float", 100.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("hotspot_count", "int", 12, "number of dense urban hotspots"),
-     _p("hotspot_fraction", "float", 0.6, "fraction of nodes placed in hotspots"),
-     _p("hotspot_sigma", "float", 2_000.0, "gaussian spread of one hotspot"),
-     _p("mover_fraction", "float", 0.01, "fraction of nodes that move"),
-     _p("speed", "float", 15.0, "maximum mover speed (min is half)"),
-     _p("pause_time", "float", 5.0, "waypoint pause duration"),
-     _p("loss_probability", "float", 0.05, "per-receiver message loss probability"),
-     _p("min_delay", "float", 0.05, "minimum channel delivery delay"),
-     _p("max_delay", "float", 0.05, "maximum channel delivery delay")],
-    tags=("mobile", "large", "urban"))
+    [ScenarioParameter("n", "int", 100_000, "number of nodes"),
+     ScenarioParameter("area", "float", 30_000.0, "side of the square city"),
+     ScenarioParameter("radio_range", "float", 100.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("hotspot_count", "int", 12, "number of dense urban hotspots"),
+     ScenarioParameter("hotspot_fraction", "float", 0.6, "fraction of nodes placed in hotspots"),
+     ScenarioParameter("hotspot_sigma", "float", 2_000.0, "gaussian spread of one hotspot"),
+     ScenarioParameter("mover_fraction", "float", 0.01, "fraction of nodes that move"),
+     ScenarioParameter("speed", "float", 15.0, "maximum mover speed (min is half)"),
+     ScenarioParameter("pause_time", "float", 5.0, "waypoint pause duration"),
+     ScenarioParameter("loss_probability", "float", 0.05, "per-receiver message loss probability"),
+     ScenarioParameter("min_delay", "float", 0.05, "minimum channel delivery delay"),
+     ScenarioParameter("max_delay", "float", 0.05, "maximum channel delivery delay")])
 def city_scale_mobile(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                       radio_range: float, dmax: int, hotspot_count: int,
                       hotspot_fraction: float, hotspot_sigma: float,
@@ -465,16 +450,15 @@ def city_scale_mobile(*, seed: int, config: Optional[GRPConfig], n: int, area: f
 @scenario(
     "sparse_lossy_field",
     "Sparse intermittently-connected field over a lossy delayed channel",
-    [_p("n", "int", 40, "number of nodes"),
-     _p("area", "float", 1500.0, "side of the square area (sparse by default)"),
-     _p("radio_range", "float", 100.0, "unit-disk radio range"),
-     _p("dmax", "int", 3, "group diameter bound"),
-     _p("speed", "float", 1.0, "random-walk speed"),
-     _p("turn_interval", "float", 10.0, "time between random heading changes"),
-     _p("loss_probability", "float", 0.3, "per-receiver message loss probability"),
-     _p("min_delay", "float", 0.05, "minimum channel delivery delay"),
-     _p("max_delay", "float", 0.2, "maximum channel delivery delay")],
-    tags=("mobile", "sparse", "lossy"))
+    [ScenarioParameter("n", "int", 40, "number of nodes"),
+     ScenarioParameter("area", "float", 1500.0, "side of the square area (sparse by default)"),
+     ScenarioParameter("radio_range", "float", 100.0, "unit-disk radio range"),
+     ScenarioParameter("dmax", "int", 3, "group diameter bound"),
+     ScenarioParameter("speed", "float", 1.0, "random-walk speed"),
+     ScenarioParameter("turn_interval", "float", 10.0, "time between random heading changes"),
+     ScenarioParameter("loss_probability", "float", 0.3, "per-receiver message loss probability"),
+     ScenarioParameter("min_delay", "float", 0.05, "minimum channel delivery delay"),
+     ScenarioParameter("max_delay", "float", 0.2, "maximum channel delivery delay")])
 def sparse_lossy_field(*, seed: int, config: Optional[GRPConfig], n: int, area: float,
                        radio_range: float, dmax: int, speed: float, turn_interval: float,
                        loss_probability: float, min_delay: float,

@@ -1,15 +1,20 @@
-"""The scenario registry: named builders with declared parameter schemas.
+"""The workload catalogs: named factories with declared parameter schemas.
 
-Every workload the harness can run is registered here as a
-:class:`ScenarioDefinition`: a name, a one-line description, a typed parameter
-schema with defaults, and a builder returning a ready-to-run
-:class:`~repro.core.protocol.GRPDeployment`.  The registry is the single
-source of truth consumed by
+A :class:`Catalog` holds the :class:`Definition` entries of one kind of
+workload: a name, a one-line description, a typed parameter schema with
+defaults, and a factory.  It has two instances:
 
-* the experiment suite (default workloads and ``--scenario`` overrides),
-* the campaign layer (scenario axes of a result grid),
-* the CLI (``--scenario`` / ``--set`` / ``--sweep`` / ``--list-scenarios``),
-* the documentation (the README scenario catalog is rendered from it).
+* :data:`SCENARIOS` — where the nodes are and how they move; the factory
+  (registered with :func:`scenario`) is a builder returning a ready-to-run
+  :class:`~repro.core.protocol.GRPDeployment`;
+* :data:`repro.traffic.TRAFFIC` — what the application sends over the groups;
+  the factory is a generator class (see :mod:`repro.traffic.registry`).
+
+Each catalog is the single source of truth consumed by the experiment suite
+(default workloads and overrides), the campaign layer (grid axes), the CLIs
+(``--scenario`` / ``--set`` / ``--sweep`` / ``--list-scenarios`` and their
+``--traffic`` counterparts) and the documentation (the README catalogs are
+rendered from :meth:`Catalog.format`).
 
 Determinism contract: :func:`build` is a pure function of
 ``(spec, seed, config)`` — the same arguments always produce a bit-identical
@@ -20,14 +25,14 @@ stream from the given seed (conventionally through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, Spec
 
-__all__ = ["REQUIRED", "ScenarioParameter", "ScenarioDefinition", "register_scenario",
+__all__ = ["REQUIRED", "ScenarioParameter", "Definition", "Catalog", "SCENARIOS",
            "scenario", "get_scenario", "scenario_names", "scenario_definitions",
-           "build", "normalize_spec", "parameter_names", "format_catalog"]
+           "build", "normalize_spec", "format_catalog"]
 
 #: Sentinel default marking a parameter that every spec must provide.
 REQUIRED = object()
@@ -38,7 +43,9 @@ _FALSE_STRINGS = frozenset(("0", "false", "no", "off"))
 
 @dataclass(frozen=True)
 class ScenarioParameter:
-    """One declared scenario parameter: name, kind, default, description.
+    """One declared catalog parameter: name, kind, default, description.
+
+    Scenario and traffic definitions share this type and its coercion rules.
 
     ``kind`` is one of ``"int"``, ``"float"``, ``"bool"``, ``"str"`` and
     ``"int_tuple"`` (a ``+``-separated list on the command line, e.g.
@@ -98,26 +105,43 @@ class ScenarioParameter:
 
 
 @dataclass(frozen=True)
-class ScenarioDefinition:
-    """A registered scenario: builder plus declared parameter schema."""
+class Definition:
+    """A catalog entry: factory plus declared parameter schema.
 
+    ``kind`` names the catalog (``"scenario"`` or ``"traffic"``) in error
+    messages; ``factory`` is a scenario's builder or a traffic pattern's
+    generator class.
+    """
+
+    kind: str
     name: str
     description: str
     parameters: Tuple[ScenarioParameter, ...]
-    builder: Callable[..., object]
-    tags: Tuple[str, ...] = field(default=())
+    factory: Callable[..., object]
 
     def parameter(self, name: str) -> ScenarioParameter:
         """The declared parameter called ``name``."""
         for param in self.parameters:
             if param.name == name:
                 return param
-        raise KeyError(f"scenario {self.name!r} has no parameter {name!r}; "
+        raise KeyError(f"{self.kind} {self.name!r} has no parameter {name!r}; "
                        f"valid: {[p.name for p in self.parameters]}")
 
     def defaults(self) -> Dict[str, object]:
         """Default value of every optional parameter."""
         return {p.name: p.default for p in self.parameters if not p.required}
+
+    def coerce_params(self, explicit: Mapping[str, object]) -> Dict[str, object]:
+        """Coerce ``explicit`` through the schema, without filling defaults.
+
+        Unknown parameters raise ``ValueError``.
+        """
+        declared = {p.name: p for p in self.parameters}
+        unknown = sorted(set(explicit) - set(declared))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {unknown} for {self.kind} "
+                             f"{self.name!r}; valid: {sorted(declared)}")
+        return {name: declared[name].coerce(value) for name, value in explicit.items()}
 
     def resolve_params(self, explicit: Mapping[str, object]) -> Dict[str, object]:
         """Merge ``explicit`` over the defaults, validating and coercing.
@@ -125,90 +149,101 @@ class ScenarioDefinition:
         Unknown and missing-required parameters raise ``ValueError`` so a
         typo'd ``--set`` flag fails before any simulation runs.
         """
-        declared = {p.name: p for p in self.parameters}
-        unknown = sorted(set(explicit) - set(declared))
-        if unknown:
-            raise ValueError(f"unknown parameter(s) {unknown} for scenario {self.name!r}; "
-                             f"valid: {sorted(declared)}")
+        coerced = self.coerce_params(explicit)
         resolved: Dict[str, object] = {}
         for param in self.parameters:
-            if param.name in explicit:
-                resolved[param.name] = param.coerce(explicit[param.name])
+            if param.name in coerced:
+                resolved[param.name] = coerced[param.name]
             elif param.required:
                 raise ValueError(
-                    f"scenario {self.name!r} requires parameter {param.name!r}")
+                    f"{self.kind} {self.name!r} requires parameter {param.name!r}")
             else:
                 resolved[param.name] = param.default
         return resolved
 
 
-_REGISTRY: Dict[str, ScenarioDefinition] = {}
+class Catalog:
+    """The registered definitions of one kind of workload, by name.
 
-
-def register_scenario(definition: ScenarioDefinition) -> ScenarioDefinition:
-    """Add a definition to the registry (duplicate names are an error)."""
-    if definition.name in _REGISTRY:
-        raise ValueError(f"scenario {definition.name!r} is already registered")
-    _REGISTRY[definition.name] = definition
-    return definition
-
-
-def scenario(name: str, description: str, parameters: List[ScenarioParameter],
-             tags: Tuple[str, ...] = ()) -> Callable:
-    """Decorator registering a builder function as a scenario.
-
-    The builder is called as ``builder(seed=..., config=..., **params)`` with
-    every declared parameter resolved, and must return a
-    :class:`~repro.core.protocol.GRPDeployment`.
+    ``spec_type`` is the :class:`~repro.scenarios.spec.Spec` subclass that
+    :meth:`normalize` returns.
     """
-    def decorate(builder: Callable) -> Callable:
-        register_scenario(ScenarioDefinition(
-            name=name, description=description, parameters=tuple(parameters),
-            builder=builder, tags=tuple(tags)))
-        return builder
-    return decorate
+
+    def __init__(self, kind: str, spec_type: type):
+        self.kind = kind
+        self.spec_type = spec_type
+        self._definitions: Dict[str, Definition] = {}
+
+    def register(self, name: str, description: str,
+                 parameters: List[ScenarioParameter]) -> Callable:
+        """Decorator registering ``factory`` under ``name`` (duplicates raise)."""
+        def decorate(factory: Callable) -> Callable:
+            if name in self._definitions:
+                raise ValueError(f"{self.kind} {name!r} is already registered")
+            self._definitions[name] = Definition(
+                kind=self.kind, name=name, description=description,
+                parameters=tuple(parameters), factory=factory)
+            return factory
+        return decorate
+
+    def get(self, name: str) -> Definition:
+        """Look a definition up by name."""
+        try:
+            return self._definitions[name]
+        except KeyError:
+            raise KeyError(f"unknown {self.kind} {name!r}; "
+                           f"valid: {self.names()}") from None
+
+    def names(self) -> List[str]:
+        """Sorted names of every registered definition."""
+        return sorted(self._definitions)
+
+    def definitions(self) -> List[Definition]:
+        """Every registered definition, sorted by name."""
+        return [self._definitions[name] for name in self.names()]
+
+    def normalize(self, spec: Spec) -> Spec:
+        """Coerce the spec's explicit parameters through the catalog schema.
+
+        Defaults are *not* filled in (specs stay minimal, labels stay
+        compact), but every explicit value takes its canonical type — so
+        ``create("static_random", n=8.0)``, ``n="8"`` and ``n=8`` normalize to
+        the same spec, and label / seed-derivation / hash always describe the
+        workload that actually runs.  Unknown names or parameters raise.
+        """
+        coerced = self.get(spec.name).coerce_params(spec.param_dict)
+        return self.spec_type(name=spec.name, params=tuple(coerced.items()))
+
+    def format(self, verbose: bool = True) -> str:
+        """Human-readable catalog of every registered definition.
+
+        Printed by ``--list-scenarios`` / ``--list-traffic`` and pasted
+        (regenerated) into the README.
+        """
+        lines: List[str] = []
+        for definition in self.definitions():
+            lines.append(f"{definition.name}: {definition.description}")
+            if not verbose:
+                continue
+            for param in definition.parameters:
+                default = "required" if param.required else f"default {param.default!r}"
+                detail = f" — {param.description}" if param.description else ""
+                lines.append(f"    {param.name} ({param.kind}, {default}){detail}")
+        return "\n".join(lines)
 
 
-def get_scenario(name: str) -> ScenarioDefinition:
-    """Look a scenario up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; valid: {scenario_names()}") from None
+SCENARIOS = Catalog("scenario", ScenarioSpec)
 
-
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    return sorted(_REGISTRY)
-
-
-def scenario_definitions() -> List[ScenarioDefinition]:
-    """Every registered definition, sorted by name."""
-    return [_REGISTRY[name] for name in scenario_names()]
-
-
-def parameter_names(name: str) -> List[str]:
-    """Declared parameter names of the scenario called ``name``."""
-    return [p.name for p in get_scenario(name).parameters]
-
-
-def normalize_spec(spec: ScenarioSpec) -> ScenarioSpec:
-    """Coerce the spec's explicit parameters through the registry schema.
-
-    Defaults are *not* filled in (specs stay minimal, labels stay compact),
-    but every explicit value takes its canonical type — so
-    ``create("static_random", n=8.0)``, ``n="8"`` and ``n=8`` normalize to the
-    same spec, and label / seed-derivation / hash always describe the workload
-    that actually builds.  Unknown scenarios or parameters raise.
-    """
-    definition = get_scenario(spec.name)
-    unknown = sorted(set(spec.param_dict) - {p.name for p in definition.parameters})
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {unknown} for scenario {spec.name!r}; "
-                         f"valid: {sorted(p.name for p in definition.parameters)}")
-    coerced = {name: definition.parameter(name).coerce(value)
-               for name, value in spec.params}
-    return ScenarioSpec(name=spec.name, params=tuple(coerced.items()))
+#: Decorator registering a builder function as a scenario.  The builder is
+#: called as ``builder(seed=..., config=..., **params)`` with every declared
+#: parameter resolved, and must return a
+#: :class:`~repro.core.protocol.GRPDeployment`.
+scenario = SCENARIOS.register
+get_scenario = SCENARIOS.get
+scenario_names = SCENARIOS.names
+scenario_definitions = SCENARIOS.definitions
+normalize_spec = SCENARIOS.normalize
+format_catalog = SCENARIOS.format
 
 
 def build(spec: ScenarioSpec, seed: int = 0, config: Optional[object] = None):
@@ -223,21 +258,4 @@ def build(spec: ScenarioSpec, seed: int = 0, config: Optional[object] = None):
     """
     definition = get_scenario(spec.name)
     params = definition.resolve_params(spec.param_dict)
-    return definition.builder(seed=int(seed), config=config, **params)
-
-
-def format_catalog(verbose: bool = True) -> str:
-    """Human-readable catalog of every registered scenario.
-
-    Printed by ``--list-scenarios`` and pasted (regenerated) into the README.
-    """
-    lines: List[str] = []
-    for definition in scenario_definitions():
-        lines.append(f"{definition.name}: {definition.description}")
-        if not verbose:
-            continue
-        for param in definition.parameters:
-            default = "required" if param.required else f"default {param.default!r}"
-            detail = f" — {param.description}" if param.description else ""
-            lines.append(f"    {param.name} ({param.kind}, {default}){detail}")
-    return "\n".join(lines)
+    return definition.factory(seed=int(seed), config=config, **params)

@@ -1,14 +1,22 @@
-"""Declarative scenario specifications.
+"""Declarative workload specifications.
 
-A :class:`ScenarioSpec` names a registered scenario plus the parameter values
-that differ from the registry defaults.  Like
+A :class:`Spec` names a registered catalog entry plus the parameter values
+that differ from the catalog defaults.  Like
 :class:`repro.campaign.CampaignSpec` it is hashable (so specs can key caches
 and set-like containers) and JSON-roundtrippable (so campaign result stores
-can persist the scenario a task ran under and resume against it).
+can persist the workload a task ran under and resume against it).
 
-The spec deliberately knows nothing about the registry: validation, default
+:class:`ScenarioSpec` (where the nodes are and how they move) and
+:class:`repro.traffic.TrafficSpec` (what the application sends over the
+groups) are its two subclasses.  They stay distinct classes on purpose:
+dataclass equality compares classes, so a scenario and a traffic spec never
+compare equal, and campaign task ids, seed-stream names and spec hashes never
+confuse one for the other (see ``CampaignSpec.task_seed``).
+
+A spec deliberately knows nothing about its catalog: validation, default
 resolution and type coercion happen in :mod:`repro.scenarios.registry` when
-the spec is built.  This keeps specs cheap to create, compare and serialize.
+the workload is built.  This keeps specs cheap to create, compare and
+serialize.
 """
 
 from __future__ import annotations
@@ -16,9 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import ClassVar, Dict, Mapping, Tuple, Type, TypeVar
 
-__all__ = ["ScenarioSpec"]
+__all__ = ["Spec", "ScenarioSpec"]
+
+_S = TypeVar("_S", bound="Spec")
 
 
 def _freeze_value(value: object) -> object:
@@ -36,14 +46,17 @@ def _thaw_value(value: object) -> object:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """An immutable (scenario name, explicit parameters) pair.
+class Spec:
+    """An immutable (catalog entry name, explicit parameters) pair.
 
     ``params`` is stored as a tuple of ``(name, value)`` pairs sorted by
     parameter name, so two specs with the same parameters compare and hash
     equal whatever order they were created with.  Sequence values are frozen
     to tuples so the whole spec stays hashable.
     """
+
+    #: Catalog kind named in error messages (``"scenario"``, ``"traffic"``).
+    kind: ClassVar[str] = "spec"
 
     name: str
     params: Tuple[Tuple[str, object], ...] = ()
@@ -57,23 +70,23 @@ class ScenarioSpec:
     # --------------------------------------------------------- construction
 
     @classmethod
-    def create(cls, name: str, **params: object) -> "ScenarioSpec":
+    def create(cls: Type[_S], name: str, **params: object) -> _S:
         """Build a spec from keyword parameters."""
         return cls(name=name, params=tuple(params.items()))
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
+    def from_dict(cls: Type[_S], data: Mapping[str, object]) -> _S:
         """Inverse of :meth:`as_dict` (JSON lists are re-frozen to tuples)."""
         params = data.get("params") or {}
         if not isinstance(params, Mapping):
-            raise ValueError(f"scenario params must be a mapping, got {params!r}")
+            raise ValueError(f"{cls.kind} params must be a mapping, got {params!r}")
         return cls(name=str(data["name"]), params=tuple(params.items()))
 
-    def with_params(self, **overrides: object) -> "ScenarioSpec":
+    def with_params(self: _S, **overrides: object) -> _S:
         """A new spec with ``overrides`` merged over the current parameters."""
         merged = dict(self.params)
         merged.update(overrides)
-        return ScenarioSpec(name=self.name, params=tuple(merged.items()))
+        return type(self)(name=self.name, params=tuple(merged.items()))
 
     # --------------------------------------------------------------- access
 
@@ -115,3 +128,9 @@ class ScenarioSpec:
                 rendered = str(value)
             parts.append(f"{key}={rendered}")
         return f"{self.name}[{','.join(parts)}]"
+
+
+class ScenarioSpec(Spec):
+    """A registered scenario plus its explicit parameters."""
+
+    kind = "scenario"

@@ -5,7 +5,10 @@ inproc|mp``; the world is built once, an ``mp`` worker finalizes the build
 it inherits with the fork and an ``inproc`` host restores a pickled
 snapshot of it) and prints a deterministic summary of the merged
 fingerprint.  A spec the run cannot take (``--shards`` below 1,
-``--duration`` not above 0) exits with code 2 before anything is built.
+``--duration`` not above 0, an unknown or badly typed ``--set`` /
+``--traffic-set`` parameter, ``--traffic-set`` without ``--traffic``, a
+traffic pattern that cannot shard) exits with code 2 before anything is
+built.
 Stdout carries only protocol facts — counters, a canonical fingerprint
 digest, traffic totals — so two runs of the same spec (including an
 observed vs. unobserved pair) produce byte-identical stdout; wall-clock
@@ -24,8 +27,11 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from repro.scenarios import Definition, format_catalog, get_scenario
+from repro.traffic import get_traffic
+
 from .runner import run_sharded
-from .world import ShardSpec
+from .world import ShardSpec, ShardUnsupportedError
 
 
 def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
@@ -68,37 +74,16 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _coerce_params(scenario: str, assignments: List[str],
+def _coerce_params(definition: Definition, assignments: List[str],
                    flag: str) -> Dict[str, object]:
-    """Coerce PARAM=VALUE strings against the scenario's schema."""
-    from repro.scenarios import get_scenario
-
-    definition = get_scenario(scenario)
-    params: Dict[str, object] = {}
+    """Coerce PARAM=VALUE strings against a catalog definition's schema."""
+    params: Dict[str, str] = {}
     for assignment in assignments:
         key, sep, value = assignment.partition("=")
         if not sep or not key:
             raise ValueError(f"{flag} expects PARAM=VALUE, got {assignment!r}")
-        params[key] = definition.parameter(key).coerce(value)
-    return params
-
-
-def _coerce_traffic_params(assignments: List[str]) -> Dict[str, object]:
-    """Best-effort literal coercion for traffic overrides (int/float/str)."""
-    params: Dict[str, object] = {}
-    for assignment in assignments:
-        key, sep, value = assignment.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--traffic-set expects PARAM=VALUE, got {assignment!r}")
-        for cast in (int, float):
-            try:
-                params[key] = cast(value)
-                break
-            except ValueError:
-                continue
-        else:
-            params[key] = value
-    return params
+        params[key] = value
+    return definition.coerce_params(params)
 
 
 def _canonical(value: object) -> object:
@@ -163,26 +148,26 @@ def _obs_digest(merged: Dict[str, object]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     if args.list_scenarios:
-        from repro.scenarios import format_catalog
         print(format_catalog())
         return 0
     if not args.scenario:
         print("--scenario is required (see --list-scenarios)", file=sys.stderr)
         return 2
     try:
-        params = _coerce_params(args.scenario, args.set_params, "--set")
-        traffic_params = _coerce_traffic_params(args.traffic_set_params)
-    except (KeyError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
+        params = _coerce_params(get_scenario(args.scenario), args.set_params, "--set")
+        traffic_params = None
+        if args.traffic is not None:
+            traffic_params = _coerce_params(get_traffic(args.traffic),
+                                            args.traffic_set_params, "--traffic-set")
+        elif args.traffic_set_params:
+            raise ValueError("--traffic-set requires --traffic")
         spec = ShardSpec.create(
             args.scenario, seed=args.seed, duration=args.duration,
             shards=args.shards, params=params,
-            traffic=args.traffic, traffic_params=traffic_params or None,
+            traffic=args.traffic, traffic_params=traffic_params,
             fingerprint=not args.no_fingerprint)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except (KeyError, ValueError, ShardUnsupportedError) as exc:
+        print(exc.args[0], file=sys.stderr)  # a KeyError's str() adds quotes
         return 2
     obs = bool(args.obs or args.obs_out)
     result = run_sharded(spec, transport=args.transport, obs=obs)

@@ -111,7 +111,9 @@ class ShardSpec:
     A pure value object: every shard's world derives from this spec alone,
     so the spec must capture everything the single-process run would
     configure (scenario, churn, traffic).  A spec with ``shards < 1`` or
-    ``duration <= 0`` raises :class:`ValueError` when it is made.
+    ``duration <= 0`` raises :class:`ValueError` when it is made, and one
+    whose traffic pattern is not in :data:`SUPPORTED_TRAFFIC` raises
+    :class:`ShardUnsupportedError`.
     """
 
     scenario: str
@@ -134,6 +136,11 @@ class ShardSpec:
             raise ValueError(f"shards must be >= 1, got {self.shards!r}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        if self.traffic is not None and self.traffic[0] not in SUPPORTED_TRAFFIC:
+            raise ShardUnsupportedError(
+                f"traffic pattern {self.traffic[0]!r} draws randomness over the whole "
+                f"node census and cannot be partitioned; supported: "
+                f"{sorted(SUPPORTED_TRAFFIC)}")
 
     @classmethod
     def create(cls, scenario: str, *, seed: int, duration: float, shards: int = 1,
@@ -353,11 +360,6 @@ class ShardWorld:
         if spec.traffic is None:
             return None
         name, params = spec.traffic
-        if name not in SUPPORTED_TRAFFIC:
-            raise ShardUnsupportedError(
-                f"traffic pattern {name!r} draws randomness over the whole node "
-                f"census and cannot be partitioned; supported: "
-                f"{sorted(SUPPORTED_TRAFFIC)}")
         nodes = deployment.nodes
         owned_nodes = {nid: nodes[nid] for nid in nodes if nid in owned_set}
 

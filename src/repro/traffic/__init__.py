@@ -8,24 +8,24 @@ actually delivered — per-group goodput, end-to-end latency distributions,
 delivery ratio, staleness and cross-group leakage.
 
 Traffic workloads are values: a :class:`~repro.traffic.spec.TrafficSpec`
-(hashable, JSON-roundtrippable, mirroring ``ScenarioSpec``) names a
-registered pattern plus parameter overrides, and is usable as a campaign grid
-axis (``CampaignSpec.traffics``), an experiment override (E11) and a CLI
-surface (``--traffic`` / ``--traffic-set`` / ``--traffic-sweep`` /
-``--list-traffic``).
+(a ``Spec`` like ``ScenarioSpec``, hashable and JSON-roundtrippable) names a
+pattern of the :data:`TRAFFIC` catalog plus parameter overrides, and is
+usable as a campaign grid axis (``CampaignSpec.traffics``), an experiment
+override (E11) and a CLI surface (``--traffic`` / ``--traffic-set`` /
+``--traffic-sweep`` / ``--list-traffic``).  ``TRAFFIC`` is a
+:class:`repro.scenarios.Catalog`, the same mechanism as the scenario catalog.
 """
 
 from .generators import TrafficDriver, TrafficGenerator, attach_traffic
 from .ledger import AppMessage, DeliveryLedger
-from .registry import (TrafficDefinition, format_traffic_catalog, get_traffic,
-                       normalize_traffic_spec, register_traffic, traffic_definitions,
-                       traffic_names, traffic_parameter_names, traffic_pattern)
+from .registry import (TRAFFIC, format_traffic_catalog, get_traffic, normalize_traffic_spec,
+                       traffic_names, traffic_pattern)
 from .spec import TrafficSpec
 
 __all__ = [
     "AppMessage",
     "DeliveryLedger",
-    "TrafficDefinition",
+    "TRAFFIC",
     "TrafficDriver",
     "TrafficGenerator",
     "TrafficSpec",
@@ -33,9 +33,6 @@ __all__ = [
     "format_traffic_catalog",
     "get_traffic",
     "normalize_traffic_spec",
-    "register_traffic",
-    "traffic_definitions",
     "traffic_names",
-    "traffic_parameter_names",
     "traffic_pattern",
 ]

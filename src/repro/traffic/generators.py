@@ -37,6 +37,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Optional
 
 import numpy as np
 
+from repro.scenarios.registry import ScenarioParameter
 from repro.sim.randomness import derive_seed, generators
 
 from .ledger import AppMessage, DeliveryLedger
@@ -44,12 +45,6 @@ from .registry import get_traffic, normalize_traffic_spec, traffic_pattern
 from .spec import TrafficSpec
 
 __all__ = ["TrafficGenerator", "TrafficDriver", "attach_traffic"]
-
-
-def _p(name: str, kind: str, default: object, description: str):
-    from repro.scenarios.registry import ScenarioParameter
-    return ScenarioParameter(name=name, kind=kind, default=default,
-                             description=description)
 
 
 class TrafficGenerator:
@@ -120,7 +115,7 @@ class TrafficDriver:
         self._seq: Dict[Hashable, int] = dict.fromkeys(self.node_ids, 0)
         definition = get_traffic(self.spec.name)
         params = definition.resolve_params(self.spec.param_dict)
-        self.generator: TrafficGenerator = definition.generator(self, **params)
+        self.generator: TrafficGenerator = definition.factory(self, **params)
         self._started = False
 
     # ------------------------------------------------------------ plumbing
@@ -211,10 +206,9 @@ def attach_traffic(deployment, spec: TrafficSpec, seed: int = 0,
 @traffic_pattern(
     "periodic_beacon",
     "Every node beacons a group-scoped payload at a fixed, jittered period",
-    [_p("interval", "float", 1.0, "send period per node (seconds)"),
-     _p("jitter", "float", 0.1, "relative period jitter (desynchronizes nodes)"),
-     _p("size", "int", 64, "payload size (bytes)")],
-    tags=("steady",))
+    [ScenarioParameter("interval", "float", 1.0, "send period per node (seconds)"),
+     ScenarioParameter("jitter", "float", 0.1, "relative period jitter (desynchronizes nodes)"),
+     ScenarioParameter("size", "int", 64, "payload size (bytes)")])
 class PeriodicBeacon(TrafficGenerator):
     """The canonical group-application heartbeat (presence / telemetry)."""
 
@@ -244,12 +238,11 @@ class PeriodicBeacon(TrafficGenerator):
 @traffic_pattern(
     "bursty_pubsub",
     "A subset of publisher nodes emits message bursts at random gaps",
-    [_p("publisher_fraction", "float", 0.25, "fraction of nodes that publish"),
-     _p("mean_gap", "float", 5.0, "mean idle time between bursts (exponential)"),
-     _p("burst_size", "int", 8, "messages per burst"),
-     _p("spacing", "float", 0.02, "gap between messages inside a burst"),
-     _p("size", "int", 256, "payload size (bytes)")],
-    tags=("bursty",))
+    [ScenarioParameter("publisher_fraction", "float", 0.25, "fraction of nodes that publish"),
+     ScenarioParameter("mean_gap", "float", 5.0, "mean idle time between bursts (exponential)"),
+     ScenarioParameter("burst_size", "int", 8, "messages per burst"),
+     ScenarioParameter("spacing", "float", 0.02, "gap between messages inside a burst"),
+     ScenarioParameter("size", "int", 256, "payload size (bytes)")])
 class BurstyPubSub(TrafficGenerator):
     """Publish/subscribe-style load: quiet periods punctured by bursts.
 
@@ -297,11 +290,10 @@ class BurstyPubSub(TrafficGenerator):
 @traffic_pattern(
     "request_reply",
     "Nodes poll their group; every member answers after a service delay",
-    [_p("interval", "float", 2.0, "request period per node (seconds)"),
-     _p("reply_delay", "float", 0.05, "service time before a member replies"),
-     _p("size", "int", 128, "request payload size (bytes)"),
-     _p("reply_size", "int", 64, "reply payload size (bytes)")],
-    tags=("interactive",))
+    [ScenarioParameter("interval", "float", 2.0, "request period per node (seconds)"),
+     ScenarioParameter("reply_delay", "float", 0.05, "service time before a member replies"),
+     ScenarioParameter("size", "int", 128, "request payload size (bytes)"),
+     ScenarioParameter("reply_size", "int", 64, "reply payload size (bytes)")])
 class RequestReply(TrafficGenerator):
     """Round-trip workload: the ledger records request→first-reply latency.
 
@@ -354,11 +346,10 @@ class RequestReply(TrafficGenerator):
 @traffic_pattern(
     "state_sync",
     "Versioned state gossip: publish periodically, relay fresh versions once",
-    [_p("interval", "float", 1.5, "publish period per node (seconds)"),
-     _p("size", "int", 512, "state payload size (bytes)"),
-     _p("relay", "bool", True, "re-broadcast a version the first time it is learnt"),
-     _p("relay_delay", "float", 0.02, "delay before a relay is sent")],
-    tags=("gossip",))
+    [ScenarioParameter("interval", "float", 1.5, "publish period per node (seconds)"),
+     ScenarioParameter("size", "int", 512, "state payload size (bytes)"),
+     ScenarioParameter("relay", "bool", True, "re-broadcast a version the first time it is learnt"),
+     ScenarioParameter("relay_delay", "float", 0.02, "delay before a relay is sent")])
 class StateSync(TrafficGenerator):
     """Anti-entropy style state dissemination over the group.
 

@@ -1,15 +1,16 @@
-"""The traffic registry: named workload generators with declared schemas.
+"""The traffic catalog: named workload generators with declared schemas.
 
-Every application workload the harness can inject is registered here as a
-:class:`TrafficDefinition`: a name, a one-line description, a typed parameter
-schema with defaults (reusing :class:`repro.scenarios.ScenarioParameter` —
-the coercion rules of scenario parameters and traffic parameters are
-deliberately identical), and a generator class that drives the injection.
-The registry is the single source of truth consumed by
+:data:`TRAFFIC` is the second instance of :class:`repro.scenarios.Catalog`
+(the first is ``SCENARIOS``): each entry is a
+:class:`~repro.scenarios.Definition` whose factory is a generator class,
+instantiated as ``factory(driver, **params)`` with every declared parameter
+resolved (see :class:`repro.traffic.generators.TrafficGenerator`).  Scenario
+and traffic parameters share one schema type and one set of coercion rules.
+The catalog is the single source of truth consumed by
 
 * the experiment suite (E11's default workload and ``--traffic`` overrides),
 * the campaign layer (traffic axes of a result grid),
-* the CLI (``--traffic`` / ``--traffic-set`` / ``--traffic-sweep`` /
+* the CLIs (``--traffic`` / ``--traffic-set`` / ``--traffic-sweep`` /
   ``--list-traffic``),
 * the documentation (the README traffic catalog is rendered from it).
 
@@ -22,143 +23,17 @@ includes the spec digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Tuple
-
-from repro.scenarios.registry import ScenarioParameter
+from repro.scenarios.registry import Catalog
 
 from .spec import TrafficSpec
 
-__all__ = ["TrafficDefinition", "register_traffic", "traffic_pattern", "get_traffic",
-           "traffic_names", "traffic_definitions", "traffic_parameter_names",
+__all__ = ["TRAFFIC", "traffic_pattern", "get_traffic", "traffic_names",
            "normalize_traffic_spec", "format_traffic_catalog"]
 
+TRAFFIC = Catalog("traffic", TrafficSpec)
 
-@dataclass(frozen=True)
-class TrafficDefinition:
-    """A registered traffic pattern: generator class plus parameter schema."""
-
-    name: str
-    description: str
-    parameters: Tuple[ScenarioParameter, ...]
-    generator: Callable[..., object]
-    tags: Tuple[str, ...] = field(default=())
-
-    def parameter(self, name: str) -> ScenarioParameter:
-        """The declared parameter called ``name``."""
-        for param in self.parameters:
-            if param.name == name:
-                return param
-        raise KeyError(f"traffic {self.name!r} has no parameter {name!r}; "
-                       f"valid: {[p.name for p in self.parameters]}")
-
-    def defaults(self) -> Dict[str, object]:
-        """Default value of every optional parameter."""
-        return {p.name: p.default for p in self.parameters if not p.required}
-
-    def resolve_params(self, explicit: Mapping[str, object]) -> Dict[str, object]:
-        """Merge ``explicit`` over the defaults, validating and coercing.
-
-        Unknown and missing-required parameters raise ``ValueError`` so a
-        typo'd ``--traffic-set`` flag fails before any simulation runs.
-        """
-        declared = {p.name: p for p in self.parameters}
-        unknown = sorted(set(explicit) - set(declared))
-        if unknown:
-            raise ValueError(f"unknown parameter(s) {unknown} for traffic {self.name!r}; "
-                             f"valid: {sorted(declared)}")
-        resolved: Dict[str, object] = {}
-        for param in self.parameters:
-            if param.name in explicit:
-                resolved[param.name] = param.coerce(explicit[param.name])
-            elif param.required:
-                raise ValueError(
-                    f"traffic {self.name!r} requires parameter {param.name!r}")
-            else:
-                resolved[param.name] = param.default
-        return resolved
-
-
-_REGISTRY: Dict[str, TrafficDefinition] = {}
-
-
-def register_traffic(definition: TrafficDefinition) -> TrafficDefinition:
-    """Add a definition to the registry (duplicate names are an error)."""
-    if definition.name in _REGISTRY:
-        raise ValueError(f"traffic {definition.name!r} is already registered")
-    _REGISTRY[definition.name] = definition
-    return definition
-
-
-def traffic_pattern(name: str, description: str, parameters: List[ScenarioParameter],
-                    tags: Tuple[str, ...] = ()) -> Callable:
-    """Decorator registering a generator class as a traffic pattern.
-
-    The class is instantiated as ``generator(driver, **params)`` with every
-    declared parameter resolved; see
-    :class:`repro.traffic.generators.TrafficGenerator` for the interface.
-    """
-    def decorate(generator: Callable) -> Callable:
-        register_traffic(TrafficDefinition(
-            name=name, description=description, parameters=tuple(parameters),
-            generator=generator, tags=tuple(tags)))
-        return generator
-    return decorate
-
-
-def get_traffic(name: str) -> TrafficDefinition:
-    """Look a traffic pattern up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown traffic {name!r}; valid: {traffic_names()}") from None
-
-
-def traffic_names() -> List[str]:
-    """Sorted names of every registered traffic pattern."""
-    return sorted(_REGISTRY)
-
-
-def traffic_definitions() -> List[TrafficDefinition]:
-    """Every registered definition, sorted by name."""
-    return [_REGISTRY[name] for name in traffic_names()]
-
-
-def traffic_parameter_names(name: str) -> List[str]:
-    """Declared parameter names of the traffic pattern called ``name``."""
-    return [p.name for p in get_traffic(name).parameters]
-
-
-def normalize_traffic_spec(spec: TrafficSpec) -> TrafficSpec:
-    """Coerce the spec's explicit parameters through the registry schema.
-
-    Defaults are *not* filled in (specs stay minimal, labels stay compact),
-    but every explicit value takes its canonical type, so label /
-    seed-derivation / hash always describe the workload that actually runs.
-    Unknown patterns or parameters raise.
-    """
-    definition = get_traffic(spec.name)
-    unknown = sorted(set(spec.param_dict) - {p.name for p in definition.parameters})
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {unknown} for traffic {spec.name!r}; "
-                         f"valid: {sorted(p.name for p in definition.parameters)}")
-    coerced = {name: definition.parameter(name).coerce(value)
-               for name, value in spec.params}
-    return TrafficSpec(name=spec.name, params=tuple(coerced.items()))
-
-
-def format_traffic_catalog(verbose: bool = True) -> str:
-    """Human-readable catalog of every registered traffic pattern.
-
-    Printed by ``--list-traffic`` and pasted (regenerated) into the README.
-    """
-    lines: List[str] = []
-    for definition in traffic_definitions():
-        lines.append(f"{definition.name}: {definition.description}")
-        if not verbose:
-            continue
-        for param in definition.parameters:
-            default = "required" if param.required else f"default {param.default!r}"
-            detail = f" — {param.description}" if param.description else ""
-            lines.append(f"    {param.name} ({param.kind}, {default}){detail}")
-    return "\n".join(lines)
+traffic_pattern = TRAFFIC.register
+get_traffic = TRAFFIC.get
+traffic_names = TRAFFIC.names
+normalize_traffic_spec = TRAFFIC.normalize
+format_traffic_catalog = TRAFFIC.format

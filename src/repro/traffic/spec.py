@@ -1,108 +1,24 @@
 """Declarative traffic specifications.
 
 A :class:`TrafficSpec` names a registered workload generator plus the
-parameter values that differ from the registry defaults.  It deliberately
-mirrors :class:`repro.scenarios.ScenarioSpec`: hashable (so specs can key
-caches and set-like containers), JSON-roundtrippable (so campaign result
-stores can persist the traffic a task ran under and resume against it), and
-ignorant of the registry — validation, default resolution and type coercion
-happen in :mod:`repro.traffic.registry` when the workload is attached.
+parameter values that differ from the catalog defaults.  It is a
+:class:`repro.scenarios.spec.Spec`, like ``ScenarioSpec``: hashable,
+JSON-roundtrippable and ignorant of the catalog, which validates, resolves
+defaults and coerces types when the workload is attached.
 
-The two spec types stay distinct classes on purpose: a scenario describes
+The class exists to stay distinct from ``ScenarioSpec``: a scenario describes
 *where the nodes are and how they move*, a traffic spec describes *what the
-application sends over the groups* — campaign task ids, seed-stream names and
-spec hashes must never confuse one for the other (see
-``CampaignSpec.task_seed``).
+application sends over the groups*, and the two never compare equal.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
-
-from repro.scenarios.spec import _freeze_value, _thaw_value
+from repro.scenarios.spec import Spec
 
 __all__ = ["TrafficSpec"]
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
-    """An immutable (traffic pattern name, explicit parameters) pair.
+class TrafficSpec(Spec):
+    """A registered traffic pattern plus its explicit parameters."""
 
-    ``params`` is stored as a tuple of ``(name, value)`` pairs sorted by
-    parameter name, so two specs with the same parameters compare and hash
-    equal whatever order they were created with.  Sequence values are frozen
-    to tuples so the whole spec stays hashable.
-    """
-
-    name: str
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", str(self.name))
-        pairs = dict(self.params)
-        frozen = tuple(sorted((str(k), _freeze_value(v)) for k, v in pairs.items()))
-        object.__setattr__(self, "params", frozen)
-
-    # --------------------------------------------------------- construction
-
-    @classmethod
-    def create(cls, name: str, **params: object) -> "TrafficSpec":
-        """Build a spec from keyword parameters."""
-        return cls(name=name, params=tuple(params.items()))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TrafficSpec":
-        """Inverse of :meth:`as_dict` (JSON lists are re-frozen to tuples)."""
-        params = data.get("params") or {}
-        if not isinstance(params, Mapping):
-            raise ValueError(f"traffic params must be a mapping, got {params!r}")
-        return cls(name=str(data["name"]), params=tuple(params.items()))
-
-    def with_params(self, **overrides: object) -> "TrafficSpec":
-        """A new spec with ``overrides`` merged over the current parameters."""
-        merged = dict(self.params)
-        merged.update(overrides)
-        return TrafficSpec(name=self.name, params=tuple(merged.items()))
-
-    # --------------------------------------------------------------- access
-
-    @property
-    def param_dict(self) -> Dict[str, object]:
-        """Explicit parameters as a plain dict (copy)."""
-        return dict(self.params)
-
-    # ------------------------------------------------------------- identity
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; see :meth:`from_dict` for the inverse."""
-        return {"name": self.name,
-                "params": {k: _thaw_value(v) for k, v in self.params}}
-
-    def canonical_json(self) -> str:
-        """Canonical JSON rendering (stable across processes and platforms)."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-    def spec_key(self) -> str:
-        """Short stable digest of the spec (used in derived seed names)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
-
-    def label(self) -> str:
-        """Compact human-readable identifier, unique per distinct spec.
-
-        Used in campaign task ids and report headers, e.g.
-        ``periodic_beacon[interval=0.5]``.  Tuple values render ``+``-joined
-        to stay free of the separators the campaign layer and the CLI use.
-        """
-        if not self.params:
-            return self.name
-        parts = []
-        for key, value in self.params:
-            if isinstance(value, tuple):
-                rendered = "+".join(str(v) for v in value)
-            else:
-                rendered = str(value)
-            parts.append(f"{key}={rendered}")
-        return f"{self.name}[{','.join(parts)}]"
+    kind = "traffic"

@@ -7,9 +7,15 @@ import pytest
 from repro.core.node import GRPConfig
 from repro.mobility.manhattan import ManhattanGridMobility
 from repro.net.channel import LossyChannel
-from repro.scenarios import (ScenarioDefinition, ScenarioParameter, ScenarioSpec, build,
-                             format_catalog, get_scenario, parameter_names,
-                             register_scenario, scenario_names)
+from repro.campaign import CampaignSpec
+from repro.scenarios import (SCENARIOS, Definition, ScenarioParameter, ScenarioSpec, build,
+                             get_scenario, normalize_spec, scenario_names)
+from repro.traffic import TRAFFIC, TrafficSpec, normalize_traffic_spec
+
+#: Both catalogs, with a registered entry of each: the registry tests run
+#: once per catalog.
+CATALOGS = [pytest.param(SCENARIOS, "static_random", id="scenario"),
+            pytest.param(TRAFFIC, "periodic_beacon", id="traffic")]
 
 
 class TestScenarioSpec:
@@ -48,21 +54,51 @@ class TestScenarioSpec:
         assert spec.label() != spec.with_params(area=300.0).label()
 
     def test_normalize_spec_canonicalizes_types(self):
-        from repro.scenarios import normalize_spec
         a = normalize_spec(ScenarioSpec.create("static_random", n=8.0))
         b = normalize_spec(ScenarioSpec.create("static_random", n="8"))
         c = normalize_spec(ScenarioSpec.create("static_random", n=8))
         assert a == b == c
         assert a.param_dict["n"] == 8 and a.label() == "static_random[n=8]"
-        with pytest.raises(ValueError, match="unknown parameter"):
-            normalize_spec(ScenarioSpec.create("static_random", bogus=1))
-        with pytest.raises(KeyError):
-            normalize_spec(ScenarioSpec.create("no_such_scenario"))
 
     def test_spec_key_is_stable(self):
         spec = ScenarioSpec.create("static_random", n=9)
         assert spec.spec_key() == ScenarioSpec.create("static_random", n=9).spec_key()
         assert spec.spec_key() != ScenarioSpec.create("static_random", n=10).spec_key()
+
+
+class TestSpecIdentityPins:
+    """Literal keys, labels, hashes and seeds: a spec's identity never moves.
+
+    Campaign result stores resume against these values, so a refactor of the
+    spec or catalog code must reproduce them byte for byte.
+    """
+
+    SCENARIO = ScenarioSpec.create("rpgm_scenario", group_sizes=(4, 4, 3), area=300)
+    TRAFFIC = TrafficSpec.create("state_sync", relay="false", interval=1)
+
+    def test_scenario_spec_key_and_label(self):
+        spec = normalize_spec(self.SCENARIO)
+        assert spec.spec_key() == "5b94c4cc8632"
+        assert spec.label() == "rpgm_scenario[area=300.0,group_sizes=4+4+3]"
+
+    def test_traffic_spec_key(self):
+        assert normalize_traffic_spec(self.TRAFFIC).spec_key() == "eeb2bd88c876"
+
+    def test_campaign_hash_and_first_task_seed(self):
+        campaign = CampaignSpec(
+            name="pin", experiments=("E11",), replicates=2, root_seed=7,
+            scenarios=(normalize_spec(self.SCENARIO),),
+            traffics=(normalize_traffic_spec(self.TRAFFIC),
+                      TrafficSpec.create("periodic_beacon")))
+        assert campaign.spec_hash() == "e28ecb3d93a252e5"
+        assert campaign.expand()[0].seed == 5176796510659802171
+
+    def test_scenario_and_traffic_specs_of_one_name_differ(self):
+        assert ScenarioSpec.create("a") != TrafficSpec.create("a")
+        assert type(SCENARIOS.normalize(ScenarioSpec.create("static_random"))) \
+            is ScenarioSpec
+        assert type(TRAFFIC.normalize(TrafficSpec.create("periodic_beacon"))) \
+            is TrafficSpec
 
 
 class TestParameterCoercion:
@@ -103,20 +139,39 @@ class TestRegistry:
         for name in scenario_names():
             definition = get_scenario(name)
             assert definition.description
-            assert "dmax" in parameter_names(name)
+            assert "dmax" in [p.name for p in definition.parameters]
             for parameter in definition.parameters:
                 assert not parameter.required  # the stock catalog is runnable as-is
 
-    def test_unknown_scenario_and_parameter_raise(self):
-        with pytest.raises(KeyError, match="unknown scenario"):
-            get_scenario("does_not_exist")
+    @pytest.mark.parametrize("catalog, name", CATALOGS)
+    def test_unknown_name_and_parameter_raise(self, catalog, name):
+        with pytest.raises(KeyError, match=f"unknown {catalog.kind} 'does_not_exist'"):
+            catalog.get("does_not_exist")
+        with pytest.raises(KeyError, match=f"unknown {catalog.kind}"):
+            catalog.normalize(catalog.spec_type.create("does_not_exist"))
+        with pytest.raises(ValueError, match=f"unknown parameter.*for {catalog.kind}"):
+            catalog.normalize(catalog.spec_type.create(name, bogus=1))
         with pytest.raises(ValueError, match="unknown parameter"):
-            build(ScenarioSpec.create("static_random", bogus=1), seed=0)
+            catalog.get(name).resolve_params({"bogus": 1})
+        with pytest.raises(KeyError, match=f"{catalog.kind} '{name}' has no parameter"):
+            catalog.get(name).parameter("bogus")
 
-    def test_duplicate_registration_rejected(self):
-        definition = get_scenario("static_random")
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(definition)
+    @pytest.mark.parametrize("catalog, name", CATALOGS)
+    def test_required_parameter_enforced(self, catalog, name):
+        definition = Definition(
+            kind=catalog.kind, name="_required_demo", description="demo",
+            parameters=(ScenarioParameter("n", "int"),), factory=lambda **kw: None)
+        with pytest.raises(ValueError,
+                           match=f"{catalog.kind} '_required_demo' requires parameter 'n'"):
+            definition.resolve_params({})
+        assert definition.resolve_params({"n": "3"}) == {"n": 3}
+
+    @pytest.mark.parametrize("catalog, name", CATALOGS)
+    def test_duplicate_registration_rejected(self, catalog, name):
+        registered = catalog.get(name)
+        with pytest.raises(ValueError, match=f"{catalog.kind} '{name}' is already registered"):
+            catalog.register(name, "duplicate", [])(lambda **kw: None)
+        assert catalog.get(name) is registered
 
     def test_resolve_params_fills_defaults_and_coerces(self):
         definition = get_scenario("static_random")
@@ -124,18 +179,15 @@ class TestRegistry:
         assert params["n"] == 9
         assert params["area"] == 300.0  # registry default
 
-    def test_required_parameter_enforced(self):
-        definition = ScenarioDefinition(
-            name="_required_demo", description="demo",
-            parameters=(ScenarioParameter("n", "int"),), builder=lambda **kw: None)
-        with pytest.raises(ValueError, match="requires parameter"):
-            definition.resolve_params({})
-
-    def test_format_catalog_lists_every_scenario(self):
-        catalog = format_catalog()
-        for name in scenario_names():
-            assert name in catalog
-        assert "dmax" in catalog
+    @pytest.mark.parametrize("catalog, name", CATALOGS)
+    def test_format_lists_every_definition(self, catalog, name):
+        text = catalog.format()
+        for definition in catalog.definitions():
+            assert f"{definition.name}: {definition.description}" in text
+            for param in definition.parameters:
+                assert f"    {param.name} ({param.kind}, " in text
+        assert catalog.format(verbose=False).splitlines() == [
+            f"{d.name}: {d.description}" for d in catalog.definitions()]
 
 
 class TestBuild:

@@ -50,6 +50,30 @@ class TestSpecValidation:
         assert captured.out == ""
         assert f"{flag[2:]} must be" in captured.err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--traffic", "request_reply", "--traffic-set", "bogus=1"],
+         "unknown parameter(s) ['bogus'] for traffic 'request_reply'"),
+        (["--traffic", "request_reply", "--traffic-set", "interval=soon"],
+         "parameter 'interval' expects kind 'float'"),
+        (["--traffic", "request_reply", "--traffic-set", "interval"],
+         "--traffic-set expects PARAM=VALUE"),
+        (["--traffic-set", "interval=0.5"], "--traffic-set requires --traffic"),
+        (["--traffic", "no_such_traffic"], "unknown traffic 'no_such_traffic'"),
+        (["--traffic", "bursty_pubsub"], "traffic pattern 'bursty_pubsub'"),
+        (["--set", "bogus=1"], "unknown parameter(s) ['bogus'] for scenario 'city_scale'"),
+    ], ids=["unknown-traffic-param", "badly-typed-traffic-param",
+            "traffic-set-without-value", "traffic-set-without-traffic",
+            "unknown-traffic", "unshardable-traffic", "unknown-scenario-param"])
+    def test_cli_refuses_bad_params_before_building(self, monkeypatch, capsys,
+                                                    extra, message):
+        # Every --set / --traffic-set value goes through its catalog's schema.
+        monkeypatch.setattr(ShardWorld, "build_base", staticmethod(_refuse_build))
+        code = shard_cli(["--scenario", "city_scale", "--set", "n=20", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
 
 # ------------------------------------------------------------------- tiles
 
@@ -207,8 +231,7 @@ from repro.scenarios.registry import ScenarioParameter, scenario  # noqa: E402
 @scenario("shardtest_collision",
           "collision-channel world (sharding must refuse it)",
           [ScenarioParameter("n", "int", 6, "nodes"),
-           ScenarioParameter("dmax", "int", 3, "diameter bound")],
-          tags=("test",))
+           ScenarioParameter("dmax", "int", 3, "diameter bound")])
 def _collision_world(*, seed, config, n, dmax):
     positions = {i: (float(i * 30), 0.0) for i in range(n)}
     channel = CollisionChannel(collision_window=0.1)
@@ -219,8 +242,7 @@ def _collision_world(*, seed, config, n, dmax):
 @scenario("shardtest_subclassed_net",
           "network-subclass world (sharding must refuse it)",
           [ScenarioParameter("n", "int", 6, "nodes"),
-           ScenarioParameter("dmax", "int", 3, "diameter bound")],
-          tags=("test",))
+           ScenarioParameter("dmax", "int", 3, "diameter bound")])
 def _subclassed_world(*, seed, config, n, dmax):
     positions = {i: (float(i * 30), 0.0) for i in range(n)}
     deployment = build_grp_network(positions, config or GRPConfig(dmax=dmax),
@@ -236,8 +258,7 @@ def _subclassed_world(*, seed, config, n, dmax):
 @scenario("shardtest_asymmetric",
           "per-node-range radio world (sharding must refuse it)",
           [ScenarioParameter("n", "int", 6, "nodes"),
-           ScenarioParameter("dmax", "int", 3, "diameter bound")],
-          tags=("test",))
+           ScenarioParameter("dmax", "int", 3, "diameter bound")])
 def _asymmetric_world(*, seed, config, n, dmax):
     positions = {i: (float(i * 30), 0.0) for i in range(n)}
     radio = AsymmetricRangeRadio(50.0, ranges={0: 90.0})
@@ -248,8 +269,7 @@ def _asymmetric_world(*, seed, config, n, dmax):
 @scenario("shardtest_probabilistic",
           "stochastic-vicinity radio world (sharding must refuse it)",
           [ScenarioParameter("n", "int", 6, "nodes"),
-           ScenarioParameter("dmax", "int", 3, "diameter bound")],
-          tags=("test",))
+           ScenarioParameter("dmax", "int", 3, "diameter bound")])
 def _probabilistic_world(*, seed, config, n, dmax):
     positions = {i: (float(i * 30), 0.0) for i in range(n)}
     radio = ProbabilisticDiskRadio(40.0, 60.0, band_probability=0.5)
@@ -286,11 +306,11 @@ class TestUnsupportedWorlds:
             built_world(spec)
 
     def test_bursty_pubsub_traffic_rejected(self):
-        spec = ShardSpec.create(
-            "static_random", params={"n": 10}, seed=1, duration=1.0, shards=2,
-            traffic="bursty_pubsub")
+        # Refused when the spec is made, before any world is built.
         with pytest.raises(ShardUnsupportedError, match="bursty_pubsub"):
-            built_world(spec)
+            ShardSpec.create(
+                "static_random", params={"n": 10}, seed=1, duration=1.0, shards=2,
+                traffic="bursty_pubsub")
 
     def test_supported_world_constructs(self):
         spec = ShardSpec.create("static_random", params={"n": 10}, seed=1,
@@ -451,8 +471,7 @@ class TestSnapshotRestore:
 @scenario("shardtest_unpicklable",
           "world holding an unpicklable object (snapshot must refuse it)",
           [ScenarioParameter("n", "int", 6, "nodes"),
-           ScenarioParameter("dmax", "int", 3, "diameter bound")],
-          tags=("test",))
+           ScenarioParameter("dmax", "int", 3, "diameter bound")])
 def _unpicklable_world(*, seed, config, n, dmax):
     positions = {i: (float(i * 30), 0.0) for i in range(n)}
     deployment = build_grp_network(positions, config or GRPConfig(dmax=dmax),

@@ -43,7 +43,7 @@ SMALL_AREA = {"city_scale": {"area": 600.0, "hotspot_sigma": 100.0},
 
 #: The stock catalog (test modules register extra scenarios of their own).
 STOCK_SCENARIOS = [d.name for d in scenario_definitions()
-                   if d.builder.__module__ == "repro.scenarios.builders"]
+                   if d.factory.__module__ == "repro.scenarios.builders"]
 
 
 def small_spec(name: str) -> ScenarioSpec:
