@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_assignment(text: str, flag: str) -> Tuple[str, str]:
-    key, sep, value = text.partition("=")
-    if not sep or not key:
-        raise ValueError(f"{flag} expects PARAM=VALUE, got {text!r}")
-    return key, value
-
-
 def _expand_variants(kind: str, definition, spec_factory, name: str,
                      set_params: List[str], sweep_params: List[str],
                      set_flag: str, sweep_flag: str) -> List["object"]:
@@ -208,11 +201,11 @@ def _expand_variants(kind: str, definition, spec_factory, name: str,
     """
     base = {}
     for assignment in set_params:
-        key, value = _split_assignment(assignment, set_flag)
+        key, value = definition.split_assignment(assignment, set_flag)
         base[key] = definition.parameter(key).coerce(value)
     variants = [spec_factory(name, **base)]
     for sweep in sweep_params:
-        key, value = _split_assignment(sweep, sweep_flag)
+        key, value = definition.split_assignment(sweep, sweep_flag)
         parameter = definition.parameter(key)
         points = [parameter.coerce(v) for v in value.split(",") if v]
         if not points:

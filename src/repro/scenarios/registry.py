@@ -143,6 +143,18 @@ class Definition:
                              f"{self.name!r}; valid: {sorted(declared)}")
         return {name: declared[name].coerce(value) for name, value in explicit.items()}
 
+    @staticmethod
+    def split_assignment(text: str, flag: str) -> Tuple[str, str]:
+        """Split a command-line ``PARAM=VALUE`` given to ``flag``.
+
+        ``VALUE`` may hold further ``=`` signs; an empty ``PARAM`` or a
+        missing ``=`` raises ``ValueError``.
+        """
+        key, sep, value = text.partition("=")
+        if not sep or not key:
+            raise ValueError(f"{flag} expects PARAM=VALUE, got {text!r}")
+        return key, value
+
     def resolve_params(self, explicit: Mapping[str, object]) -> Dict[str, object]:
         """Merge ``explicit`` over the defaults, validating and coercing.
 

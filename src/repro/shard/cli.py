@@ -1,9 +1,10 @@
 """Command-line front end for sharded runs: ``python -m repro.shard``.
 
-Runs one scenario split across ``--shards`` workers (``--transport
-inproc|mp``; the world is built once, an ``mp`` worker finalizes the build
-it inherits with the fork and an ``inproc`` host restores a pickled
-snapshot of it) and prints a deterministic summary of the merged
+Runs one scenario split across ``--shards`` shards (``--transport
+inproc|mp``; the world is built once, ``mp`` forks a worker for every
+shard but 0, which finalizes the build it inherits with the fork, then runs
+shard 0 on that build in this process, and an ``inproc`` host restores a
+pickled snapshot of it) and prints a deterministic summary of the merged
 fingerprint.  A spec the run cannot take (``--shards`` below 1,
 ``--duration`` not above 0, an unknown or badly typed ``--set`` /
 ``--traffic-set`` parameter, ``--traffic-set`` without ``--traffic``, a
@@ -48,7 +49,8 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--duration", type=float, default=2.0,
                         help="Simulated seconds to run (> 0).")
     parser.add_argument("--shards", type=int, default=2,
-                        help="Number of shard workers (>= 1).")
+                        help="Number of shards (>= 1); mp runs shard 0 in "
+                             "this process and forks shards - 1 workers.")
     parser.add_argument("--transport", choices=("inproc", "mp"), default="inproc",
                         help="Worker transport: in-process reference or one "
                              "OS process per shard.")
@@ -77,13 +79,8 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 def _coerce_params(definition: Definition, assignments: List[str],
                    flag: str) -> Dict[str, object]:
     """Coerce PARAM=VALUE strings against a catalog definition's schema."""
-    params: Dict[str, str] = {}
-    for assignment in assignments:
-        key, sep, value = assignment.partition("=")
-        if not sep or not key:
-            raise ValueError(f"{flag} expects PARAM=VALUE, got {assignment!r}")
-        params[key] = value
-    return definition.coerce_params(params)
+    return definition.coerce_params(dict(
+        definition.split_assignment(assignment, flag) for assignment in assignments))
 
 
 def _canonical(value: object) -> object:

@@ -22,15 +22,18 @@ global reduction, sized for a handful of shards):
 Two transports run the same loop: ``inproc`` hosts every shard in the
 calling process (the bit-identity reference and the default for tests) and
 ``mp`` runs one OS process per shard, which is where multi-core hardware buys
-wall-clock speedup.  An ``mp`` worker is forked from the coordinator once
-the coordinator has built the world, so it starts with every module already
-imported and its job — spec, shard id, obs flag and its own private copy of
-the built world — already in memory; it finalizes that world for its shard
-and restores nothing.  ``inproc`` hosts share one process, so each restores
-its own copy from one pickled snapshot.  A worker never returns into the
-caller's code, so scripts need no ``if __name__ == "__main__"`` guard.  It
-takes every command over a ``socketpair`` and leaves with ``os._exit`` once
-its last reply is in the socket.  ``mp`` is POSIX-only.
+wall-clock speedup.  On ``mp`` the coordinator is shard 0's process: it
+forks a worker for each of shards 1 … k − 1 once it has built the world,
+then finalizes shard 0 on that same build itself and drives it in-process,
+so a k-shard run keeps k processes, not k + 1.  A worker starts with every
+module already imported and its job — spec, shard id, obs flag and its own
+private copy of the built world — already in memory; it finalizes that
+world for its shard and restores nothing.  ``inproc`` hosts share one
+process, so each restores its own copy from one pickled snapshot.  A worker
+never returns into the caller's code, so scripts need no
+``if __name__ == "__main__"`` guard.  It takes every command over a
+``socketpair`` and leaves with ``os._exit`` once its last reply is in the
+socket.  ``mp`` is POSIX-only.
 
 The merge reassembles the exact single-process result: counters sum, the
 replicated event count is subtracted ``k - 1`` times, per-shard views and
@@ -50,8 +53,9 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import Connection
-from typing import Any, Dict, Hashable, List, NoReturn, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, NoReturn, Optional, Tuple
 
 from repro.core.predicates import evaluate_configuration
 from repro.net.topology import LinkSnapshot
@@ -90,46 +94,68 @@ class ShardRunResult:
 class _InprocHost:
     """A shard living in the coordinator's own process.
 
-    With ``obs`` on, the world is restored under its own
-    :class:`ObsContext`; the capture-once contract means everything the
-    world does afterwards (windows, deliveries, protocol events) keeps
-    landing in that context even though it is deinstalled once construction
-    returns — so several in-process shards observe into disjoint contexts,
-    exactly like the mp transport's per-process ones.  The finish step
-    hands back that context's export, as the mp worker does.
+    ``make_world`` builds the shard's world when called with no argument:
+    on ``inproc`` it restores the snapshot, on ``mp`` (shard 0 only) it
+    finalizes the coordinator's own build once every worker is forked.  The
+    world is made under this host's own obs scope, as a worker's is: a
+    fresh :class:`ObsContext` with ``obs`` on, no context with it off,
+    never the one the caller installed.  The capture-once contract means
+    everything the world does afterwards (windows, deliveries, protocol
+    events) keeps landing in that scope even though it is left once
+    construction returns — so several in-process shards observe into
+    disjoint contexts, exactly like the forked workers' per-process ones.
+    With ``obs`` on, the host times the wait from the end of each step to
+    its next command as a ``shard.barrier_wait`` span, as a worker times its
+    socket waits; the finish step hands back the context's export, as a
+    worker does.
     """
 
-    def __init__(self, spec: ShardSpec, shard_id: int, snapshot: bytes,
-                 obs: bool = False):
+    def __init__(self, make_world: Callable[[], ShardWorld], obs: bool = False):
         self.obs_ctx: Optional[ObsContext] = ObsContext() if obs else None
         self.obs_export: Optional[Dict[str, Any]] = None
         t0 = time.perf_counter()
-        if self.obs_ctx is not None:
-            with observing(self.obs_ctx):
-                self.world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
-        else:
-            self.world = ShardWorld.from_snapshot(spec, shard_id, snapshot)
+        # observing(None) installs a throwaway context, switched off at once:
+        # the world captures no context, and the scope restores the caller's.
+        with observing(self.obs_ctx):
+            if self.obs_ctx is None:
+                _obs_disable()
+            self.world = make_world()
         self.build_s = time.perf_counter() - t0
         self.base_phase_s = self.world.base_phase_s
         self.peek = self.world.peek()
         self.lookahead = self.world.lookahead
         self.owners = self.world.owners
         self._out: List[OutboxEntry] = []
+        self._idle_since = self._clock()
+
+    def _clock(self) -> int:
+        return self.obs_ctx.clock() if self.obs_ctx is not None else 0
+
+    def _command(self) -> None:
+        """Close the barrier wait that ends with this command."""
+        if self.obs_ctx is not None:
+            self.obs_ctx.record_span("shard.barrier_wait", self.world.sim.now,
+                                     self._idle_since)
 
     def submit_round(self, end: float, inclusive: bool) -> None:
+        self._command()
         self._out = self.world.run_round(end, inclusive)
+        self._idle_since = self._clock()
 
     def collect_round(self) -> Tuple[List[OutboxEntry], Optional[float]]:
         out, self._out = self._out, []
         return out, self.world.peek()
 
     def submit_apply(self, round_time: float, entries: List[OutboxEntry]) -> None:
+        self._command()
         self.world.apply(round_time, entries)
+        self._idle_since = self._clock()
 
     def collect_apply(self) -> Optional[float]:
         return self.world.peek()
 
     def submit_finish(self, duration: float) -> None:
+        self._command()
         self._parts = self.world.finish(duration)
         if self.obs_ctx is not None:
             self.obs_export = self.obs_ctx.export(include_records=True)
@@ -144,16 +170,19 @@ class _InprocHost:
 def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
                   shard_id: int, obs: bool, deployment,
                   lookahead: float) -> NoReturn:
-    """Serve one shard on socket ``fd`` in a forked worker, then exit
-    without interpreter teardown.
+    """Serve one shard (1 … k − 1; the coordinator serves shard 0 itself)
+    on socket ``fd`` in a forked worker, then exit without interpreter
+    teardown.
 
     The job (spec, shard id, obs flag and the coordinator's built
-    ``(deployment, lookahead)``) arrives in memory with the fork; the fork
-    already made the world this process's private copy, so the worker
-    finalizes it in place (``ShardWorld(spec, shard_id, deployment,
-    lookahead)``) and unpickles nothing.  The worker first freezes the heap
-    it inherited, world included, so its cyclic collector never walks, and
-    so never copies, the coordinator's objects.  It closes ``inherited``,
+    ``(deployment, lookahead)``) arrives in memory with the fork; every
+    worker is forked before the coordinator finalizes shard 0, so the build
+    it inherits has no queued timer yet.  The fork already made the world
+    this process's private copy, so the worker finalizes it in place
+    (``ShardWorld(spec, shard_id, deployment, lookahead)``) and unpickles
+    nothing.  The worker first freezes the heap it inherited, world
+    included, so its cyclic collector never walks, and so never copies, the
+    coordinator's objects.  It closes ``inherited``,
     the coordinator's ends of its own socket and of the workers forked
     before it: a worker sees its coordinator die only once no other process
     holds that end open.  It installs its own obs context: a fresh
@@ -220,6 +249,8 @@ def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
 class _MpHost:
     """A shard served by a worker forked from the coordinator, a direct child.
 
+    ``mp`` builds one per shard except shard 0, which the coordinator
+    finalizes and drives itself through an :class:`_InprocHost`.
     Construction forks the worker on one end of a ``socketpair``; the child
     gets its job, the built ``base`` world included, in memory and runs
     :func:`_serve_worker`, which never returns.  Before the fork the
@@ -319,6 +350,16 @@ class _MpHost:
 
 # -------------------------------------------------------------- coordinator
 
+def _shard_0_last(shards: List[int]) -> List[int]:
+    """``shards`` in submission order: shard 0, when present, goes last.
+
+    On ``mp`` shard 0 is the coordinator's own and runs its step inside the
+    submit, so every forked worker must have its command first to overlap
+    with it.  Results are still collected in shard order.
+    """
+    return shards[1:] + shards[:1] if shards and shards[0] == 0 else shards
+
+
 def _coordinate(hosts, owners: Dict[Hashable, int], lookahead: float,
                 duration: float) -> Dict[str, int]:
     """Drive the synchronized window loop until the horizon; return stats."""
@@ -344,7 +385,7 @@ def _coordinate(hosts, owners: Dict[Hashable, int], lookahead: float,
         else:
             active = [i for i in live if peeks[i] < end]
         rounds += 1
-        for i in active:
+        for i in _shard_0_last(active):
             hosts[i].submit_round(end, inclusive)
         entries: List[OutboxEntry] = []
         for i in active:
@@ -359,7 +400,7 @@ def _coordinate(hosts, owners: Dict[Hashable, int], lookahead: float,
             for entry in entries:
                 batches.setdefault(owners[entry[2]], []).append(entry)
             targets = sorted(batches)
-            for shard in targets:
+            for shard in _shard_0_last(targets):
                 hosts[shard].submit_apply(t, batches[shard])
             for shard in targets:
                 peeks[shard] = hosts[shard].collect_apply()
@@ -494,33 +535,37 @@ def _merge_obs(spec: ShardSpec, parts: List[Dict[str, Any]],
 
 def run_sharded(spec: ShardSpec, transport: str = "inproc",
                 build: str = "snapshot", obs: bool = False) -> ShardRunResult:
-    """Execute ``spec`` across ``spec.shards`` workers and merge the result.
+    """Execute ``spec`` across ``spec.shards`` shards and merge the result.
 
     The coordinator builds the world once (:meth:`ShardWorld.build_base`).
-    ``transport='mp'`` (POSIX only) then forks one worker per shard, a
-    direct child that inherits its job and the built world, finalizes the
-    world for its shard, takes its commands over a socket, exits without
-    teardown and is reaped before this returns; it never returns into the
-    caller's code, so no ``__main__`` guard is needed.
-    ``transport='inproc'`` runs every shard in this process (deterministic
-    reference, zero IPC): its hosts share one heap, so the coordinator
-    pickles the built world once and every host restores its own copy.
-    Both transports produce the same :class:`ShardRunResult` bit for bit.
-    ``build`` only accepts ``'snapshot'``, the one build mode.
+    ``transport='mp'`` (POSIX only) then forks one worker for each of
+    shards 1 … k − 1, a direct child that inherits its job and the built
+    world, finalizes the world for its shard, takes its commands over a
+    socket, exits without teardown and is reaped before this returns; it
+    never returns into the caller's code, so no ``__main__`` guard is
+    needed.  Once every worker is forked, the coordinator finalizes shard 0
+    on its own build and runs it in this process, so ``shards=1`` forks
+    nothing.  ``transport='inproc'`` runs every shard in this process
+    (deterministic reference, zero IPC): its hosts share one heap, so the
+    coordinator pickles the built world once and every host restores its
+    own copy.  Both transports produce the same :class:`ShardRunResult` bit
+    for bit.  ``build`` only accepts ``'snapshot'``, the one build mode.
 
     ``stats`` carries the wall-clock split: ``build_s`` (host construction,
     including the one-time base build), ``run_s`` (window loop + finish),
     ``base_build_s`` (the one build, plus the pickle on ``inproc`` only),
-    ``worker_build_s`` (per-worker total construction time) and
+    ``worker_build_s`` (per-shard total construction time; on ``mp``
+    shard 0's entry is its in-process finalize) and
     ``worker_base_phase_s`` (each ``inproc`` host's snapshot unpickle, the
-    shard-independent slice of its construction; 0.0 on ``mp``, where a
-    worker restores nothing).
+    shard-independent slice of its construction; 0.0 on ``mp``, where no
+    shard restores anything).
 
-    ``obs=True`` runs every worker under its own :class:`~repro.obs.ObsContext`
+    ``obs=True`` runs every shard under its own :class:`~repro.obs.ObsContext`
     (both transports) and fills ``result.obs`` with the per-shard exports
-    plus their merged fold.  Observation never feeds back into the
-    simulation: an observed sharded run is bit-identical to the unobserved
-    one, post-run RNG states included.
+    plus their merged fold.  With ``obs=False`` no shard observes, not even
+    into a context the caller installed.  Observation never feeds back into
+    the simulation: an observed sharded run is bit-identical to the
+    unobserved one, post-run RNG states included.
     """
     if transport not in ("inproc", "mp"):
         raise ValueError(f"unknown transport {transport!r}; use 'inproc' or 'mp'")
@@ -534,17 +579,20 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
         if transport == "inproc":
             snapshot = ShardWorld.snapshot_base(spec)
             base_build_s = time.perf_counter() - t_start
-            hosts = [_InprocHost(spec, shard, snapshot, obs)
+            hosts = [_InprocHost(partial(ShardWorld.from_snapshot, spec, shard,
+                                         snapshot), obs)
                      for shard in range(spec.shards)]
         else:
             base = ShardWorld.build_base(spec)
             base_build_s = time.perf_counter() - t_start
-            # Every worker is forked before the first is awaited, so their
-            # finalizes overlap.
-            for shard in range(spec.shards):
+            # Every worker is forked before shard 0 is finalized, so each
+            # inherits a build with no queued timer, and before the first is
+            # awaited, so their finalizes overlap with shard 0's.
+            for shard in range(1, spec.shards):
                 hosts.append(_MpHost(spec, shard, base, obs,
                                      [host.conn for host in hosts]))
-            for host in hosts:
+            hosts.insert(0, _InprocHost(partial(ShardWorld, spec, 0, *base), obs))
+            for host in hosts[1:]:
                 host.await_ready()
         lookahead = hosts[0].lookahead
         for host in hosts[1:]:
@@ -552,7 +600,7 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
                 raise RuntimeError("shards disagree on channel lookahead")
         t_built = time.perf_counter()
         loop_stats = _coordinate(hosts, hosts[0].owners, lookahead, spec.duration)
-        for host in hosts:
+        for host in hosts[1:] + hosts[:1]:  # shard 0 last, as in _coordinate
             host.submit_finish(spec.duration)
         parts = [host.collect_finish() for host in hosts]
         result = _merge(spec, parts, loop_stats, transport)

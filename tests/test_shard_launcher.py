@@ -1,14 +1,18 @@
 """The ``mp`` transport's worker launcher.
 
-Each ``mp`` shard runs in a worker forked from the coordinator once the
-world is built: it inherits its job, the built world and every imported
-module, never returns into the caller's code, takes its commands over a
-socket, and is reaped by the coordinator.  These tests pin what that buys
-and what it must not lose: scripts without a ``__main__`` guard work, no
-interpreter is started, no temp file is written and no snapshot is pickled
-or restored, the caller's buffered output is not written twice, a dying or
-failing worker surfaces as an error that names it, and no worker outlives
-the run — not even a coordinator killed mid-run.
+Shards 1 … k − 1 of an ``mp`` run each run in a worker forked from the
+coordinator once the world is built: it inherits its job, the built world
+and every imported module, never returns into the caller's code, takes its
+commands over a socket, and is reaped by the coordinator.  Shard 0 runs in
+the coordinator itself, finalized on the same build once every worker is
+forked.  These tests pin what that buys and what it must not lose: a
+k-shard run forks k − 1 workers, scripts without a ``__main__`` guard work,
+no interpreter is started, no temp file is written and no snapshot is
+pickled or restored, the caller's buffered output is not written twice, a
+dying or failing worker surfaces as an error that names it, a failing
+shard 0 surfaces as its own exception, shard 0 observes only into its own
+context, and no worker outlives the run — not even a coordinator killed
+mid-run.
 """
 
 import os
@@ -22,6 +26,7 @@ import time
 
 import pytest
 
+from repro.obs import observing
 from repro.shard import ShardSpec, ShardWorld, run_sharded
 from repro.shard import runner
 
@@ -31,8 +36,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SPEC_ARGS = dict(params={"n": 200, "area": 1500.0}, seed=7, duration=2.0, shards=2)
 
 
-def city_spec():
-    return ShardSpec.create("city_scale", **SPEC_ARGS)
+def city_spec(**overrides):
+    return ShardSpec.create("city_scale", **{**SPEC_ARGS, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +123,11 @@ def test_buffered_output_is_written_once(tmp_path):
 
 
 def test_killed_coordinator_leaves_no_worker(tmp_path):
-    """A coordinator SIGKILLed mid-run leaves no worker behind.  Each worker
-    closes the coordinator's ends of its siblings' sockets, so none waits
-    on another: with shard 1 stopped, as if busy in a long window, shard 0
-    still sees its coordinator gone and exits; shard 1 exits once resumed."""
+    """A coordinator SIGKILLed mid-run leaves no worker behind.  A 3-shard
+    run forks two workers, for shards 1 and 2.  Each worker closes the
+    coordinator's ends of its siblings' sockets, so none waits on another:
+    with shard 2 stopped, as if busy in a long window, shard 1 still sees
+    its coordinator gone and exits; shard 2 exits once resumed."""
     command, env = script_command(tmp_path, f"""
         import time
         from repro.shard import ShardSpec, run_sharded
@@ -140,7 +146,8 @@ def test_killed_coordinator_leaves_no_worker(tmp_path):
 
         _MpHost.__init__ = record
         _MpHost.submit_round = stall
-        run_sharded(ShardSpec.create("city_scale", **{SPEC_ARGS!r}), transport="mp")
+        run_sharded(ShardSpec.create("city_scale", **{dict(SPEC_ARGS, shards=3)!r}),
+                    transport="mp")
     """)
     coordinator = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
                                    stderr=subprocess.DEVNULL, text=True)
@@ -151,9 +158,9 @@ def test_killed_coordinator_leaves_no_worker(tmp_path):
         os.kill(pids[1], signal.SIGSTOP)
         coordinator.kill()
         coordinator.wait()
-        assert wait_gone(pids[0]), "shard 0 outlived its coordinator"
+        assert wait_gone(pids[0]), "shard 1 outlived its coordinator"
         os.kill(pids[1], signal.SIGCONT)
-        assert wait_gone(pids[1]), "shard 1 outlived its coordinator"
+        assert wait_gone(pids[1]), "shard 2 outlived its coordinator"
     finally:
         coordinator.kill()
         coordinator.wait()
@@ -210,17 +217,97 @@ class FinalizeFailed(Exception):
     pass
 
 
+def refuse_churn_on(monkeypatch, refused):
+    """Make shard finalize raise ``FinalizeFailed`` on the shards ``refused``
+    names."""
+    install_churn = ShardWorld._install_churn
+
+    def refuse(self, churn_rows):
+        if refused(self.shard_id):
+            raise FinalizeFailed("churn refused")
+        return install_churn(self, churn_rows)
+
+    monkeypatch.setattr(ShardWorld, "_install_churn", refuse)
+
+
 def test_failed_finalize_reports_the_worker_traceback(monkeypatch):
     """A worker whose shard finalize raises reports the child's traceback
     and the exception name, not a bare exit code."""
-    def refuse(self, churn_rows):
-        raise FinalizeFailed("churn refused")
-
-    monkeypatch.setattr(ShardWorld, "_install_churn", refuse)
+    refuse_churn_on(monkeypatch, lambda shard_id: shard_id >= 1)
     with pytest.raises(RuntimeError, match="shard worker failed") as info:
         run_sharded(city_spec(), transport="mp")
     assert "Traceback" in str(info.value)
     assert "FinalizeFailed: churn refused" in str(info.value)
+
+
+def test_failed_shard_0_finalize_raises_its_own_error_and_reaps(monkeypatch):
+    """Shard 0 is finalized in the coordinator after the workers are
+    forked: its own exception propagates unwrapped, and the workers already
+    forked are killed and reaped, so no child is left."""
+    refuse_churn_on(monkeypatch, lambda shard_id: shard_id == 0)
+    with pytest.raises(FinalizeFailed, match="churn refused"):
+        run_sharded(city_spec(shards=3), transport="mp")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """Wrap ``os.fork``; return the list that each fork in the caller
+    appends its child's pid to."""
+    children = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
+
+
+def test_two_shard_mp_forks_one_worker(monkeypatch, inproc_result):
+    """The coordinator runs shard 0 itself: 2 shards fork 1 worker."""
+    children = counting_forks(monkeypatch)
+    result = run_sharded(city_spec(), transport="mp")
+    assert len(children) == 1
+    assert result.fingerprint == inproc_result.fingerprint
+
+
+def test_one_shard_mp_forks_nothing(monkeypatch):
+    """A 1-shard mp run is the coordinator alone, and equals inproc."""
+    reference = run_sharded(city_spec(shards=1), transport="inproc")
+
+    def refuse():
+        raise AssertionError("a 1-shard mp run must not fork")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    result = run_sharded(city_spec(shards=1), transport="mp")
+    assert result.fingerprint == reference.fingerprint
+    assert result.stats["worker_base_phase_s"] == [0.0]
+
+
+def test_every_observed_shard_times_its_barrier_waits():
+    """Shard 0 waits on the coordinator, the worker on its socket: both
+    exports carry their windows and the waits between them, so
+    ``shard.barrier_frac`` counts every shard."""
+    result = run_sharded(city_spec(), transport="mp", obs=True)
+    assert len(result.obs["per_shard"]) == 2
+    for blob in result.obs["per_shard"]:
+        assert blob["spans"]["shard.window"]["count"] > 0
+        assert blob["spans"]["shard.barrier_wait"]["count"] > 0
+
+
+@pytest.mark.parametrize("transport", ["mp", "inproc"])
+def test_unobserved_shard_0_leaves_the_callers_context_alone(transport):
+    """With ``obs=False`` shard 0 runs in the coordinator (every shard does
+    on inproc) but observes into no context: a context the caller
+    installed records none of its windows."""
+    with observing() as ctx:
+        run_sharded(city_spec(), transport=transport)
+    assert ctx.span_stats("shard.window") is None
+    assert ctx.span_stats("shard.barrier_wait") is None
 
 
 def test_mp_pickles_and_restores_no_snapshot(monkeypatch, inproc_result):
