@@ -13,6 +13,7 @@ from repro.net.channel import ChannelModel, LossyChannel, PerfectChannel
 from repro.net.network import Network
 from repro.net.radio import RadioModel, UnitDiskRadio
 from repro.net.topology import LinkSnapshot
+from repro.sim.collector import collector_paused
 from repro.sim.engine import Simulator
 from repro.sim.randomness import SeedSequenceFactory
 
@@ -57,20 +58,22 @@ class GRPDeployment:
         from the root generator.  A node another shard owns
         (:meth:`Network.set_partition`) is a mirror and is never started: it
         only takes its stream in turn, so every stream stays as unpartitioned.
+        Like the build, a start runs with the cyclic collector paused.
         """
         if not self._started:
-            sim, network = self.sim, self.network
-            owner_of, here = network.partition or (None, None)
-            pending = [proc for proc in network.processes.values() if not proc._started]
-            with sim.reserved_streams(len(pending)):
-                for proc in pending:
-                    if owner_of is None or owner_of[proc.node_id] == here:
-                        proc.start()
-                    else:
-                        sim.spawn_rng()
-            if network.mobility is not None:
-                network.start_mobility()
-            self._started = True
+            with collector_paused():
+                sim, network = self.sim, self.network
+                owner_of, here = network.partition or (None, None)
+                pending = [proc for proc in network.processes.values() if not proc._started]
+                with sim.reserved_streams(len(pending)):
+                    for proc in pending:
+                        if owner_of is None or owner_of[proc.node_id] == here:
+                            proc.start()
+                        else:
+                            sim.spawn_rng()
+                if network.mobility is not None:
+                    network.start_mobility()
+                self._started = True
 
     def run(self, duration: float) -> None:
         """Start if needed and advance the simulation by ``duration`` time units."""

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.sim.collector import collector_paused
+
 from .spec import ScenarioSpec, Spec
 
 __all__ = ["REQUIRED", "ScenarioParameter", "Definition", "Catalog", "SCENARIOS",
@@ -266,8 +268,11 @@ def build(spec: ScenarioSpec, seed: int = 0, config: Optional[object] = None):
     optionally forces the :class:`~repro.core.node.GRPConfig` shared by all
     nodes (experiments use it for protocol ablations); builders fall back to
     ``GRPConfig(dmax=dmax)`` when it is ``None``, exactly like the historical
-    ad-hoc builder functions.
+    ad-hoc builder functions.  The builder runs with the cyclic collector
+    paused (:class:`~repro.sim.collector.collector_paused`): it keeps nearly
+    everything it allocates, so scanning for garbage would find none.
     """
     definition = get_scenario(spec.name)
     params = definition.resolve_params(spec.param_dict)
-    return definition.factory(seed=int(seed), config=config, **params)
+    with collector_paused():
+        return definition.factory(seed=int(seed), config=config, **params)

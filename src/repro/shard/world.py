@@ -71,7 +71,6 @@ delayed application channels would report slightly lower staleness.
 
 from __future__ import annotations
 
-import gc
 import pickle
 import time
 from dataclasses import dataclass
@@ -83,6 +82,7 @@ from repro.net.network import Network
 from repro.obs import current as _obs_current
 from repro.scenarios.registry import build as build_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.collector import collector_paused
 from repro.sim.randomness import derive_seed
 from repro.traffic.generators import TrafficDriver
 from repro.traffic.spec import TrafficSpec
@@ -185,7 +185,9 @@ class ShardWorld:
     ``__init__``: the sim queue is empty, the event-seq counter is 0 and
     all RNG states are exactly post-build, so
     ``ShardWorld(spec, k, *ShardWorld.build_base(spec))`` is the
-    bit-identical in-process reference of a restored world.
+    bit-identical in-process reference of a restored world.  The build, the
+    restore and ``__init__`` all run with the cyclic collector paused
+    (:class:`~repro.sim.collector.collector_paused`).
 
     ``base_phase_s`` records how long the shard-independent half took on
     this instance — the snapshot unpickle in :meth:`from_snapshot`, 0.0 on
@@ -196,49 +198,50 @@ class ShardWorld:
                  lookahead: float, base_phase_s: float = 0.0):
         if not 0 <= shard_id < spec.shards:
             raise ValueError(f"shard_id {shard_id} out of range [0, {spec.shards})")
-        self.spec = spec
-        self.shard_id = shard_id
-        self.base_phase_s = base_phase_s
-        self.outbox = []
-        self.shared_events = 0
-        self.remote_in = 0
-        self.deployment = deployment
-        self.sim = deployment.sim
-        network = deployment.network
-        self.network = network
-        self.lookahead = lookahead
+        with collector_paused():
+            self.spec = spec
+            self.shard_id = shard_id
+            self.base_phase_s = base_phase_s
+            self.outbox = []
+            self.shared_events = 0
+            self.remote_in = 0
+            self.deployment = deployment
+            self.sim = deployment.sim
+            network = deployment.network
+            self.network = network
+            self.lookahead = lookahead
 
-        # Re-capture the process-local obs context before anything
-        # shard-specific runs: a snapshot-restored or fork-inherited
-        # deployment carries the builder process's (usually absent)
-        # handles, so without this a worker would be observationally blind.
-        obs = _obs_current()
-        self._obs = obs
-        self._obs_windows = obs.registry.counter("shard.windows") if obs else None
-        self._obs_outbox = (obs.registry.counter("shard.outbox_entries")
-                            if obs else None)
-        self._obs_remote = obs.registry.counter("shard.remote_in") if obs else None
-        deployment.sim.recapture_obs()
-        network.recapture_obs()
-        for node in deployment.nodes.values():
-            if hasattr(node, "_obs"):
-                node._obs = obs
+            # Re-capture the process-local obs context before anything
+            # shard-specific runs: a snapshot-restored or fork-inherited
+            # deployment carries the builder process's (usually absent)
+            # handles, so without this a worker would be observationally blind.
+            obs = _obs_current()
+            self._obs = obs
+            self._obs_windows = obs.registry.counter("shard.windows") if obs else None
+            self._obs_outbox = (obs.registry.counter("shard.outbox_entries")
+                                if obs else None)
+            self._obs_remote = obs.registry.counter("shard.remote_in") if obs else None
+            deployment.sim.recapture_obs()
+            network.recapture_obs()
+            for node in deployment.nodes.values():
+                if hasattr(node, "_obs"):
+                    node._obs = obs
 
-        positions = dict(network.positions)
-        self.tiles = TileMap.from_positions(positions, network.radio.max_range(),
-                                            spec.shards)
-        self.owners: Dict[Hashable, int] = self.tiles.assign(positions)
-        self.owned: List[Hashable] = sorted(
-            (nid for nid, tile in self.owners.items() if tile == shard_id), key=str)
-        owned_set = set(self.owned)
-        if spec.shards > 1:
-            network.set_partition(self.owners, shard_id, self.outbox)
+            positions = dict(network.positions)
+            self.tiles = TileMap.from_positions(positions, network.radio.max_range(),
+                                                spec.shards)
+            self.owners: Dict[Hashable, int] = self.tiles.assign(positions)
+            self.owned: List[Hashable] = sorted(
+                (nid for nid, tile in self.owners.items() if tile == shard_id), key=str)
+            owned_set = set(self.owned)
+            if spec.shards > 1:
+                network.set_partition(self.owners, shard_id, self.outbox)
 
-        self._count_mobility(network)
-        self.driver = self._attach_traffic(deployment, owned_set)
-        self.churn = self._install_churn(spec.churn)
+            self._count_mobility(network)
+            self.driver = self._attach_traffic(deployment, owned_set)
+            self.churn = self._install_churn(spec.churn)
 
-        deployment.start()
+            deployment.start()
 
     @classmethod
     def from_snapshot(cls, spec: ShardSpec, shard_id: int,
@@ -247,22 +250,12 @@ class ShardWorld:
         obs = _obs_current()
         obs_t0 = obs.clock() if obs is not None else 0
         t0 = time.perf_counter()
-        # Unpickling a 100k-node object graph triggers many full GC passes
-        # (every process/node allocation is a new container); pausing the
-        # collector for the restore is worth ~3x and is safe — the blob is a
-        # closed object graph with no cycles created mid-load that must be
-        # reclaimed before the run.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            deployment, lookahead = pickle.loads(blob)
+            with collector_paused():
+                deployment, lookahead = pickle.loads(blob)
         except Exception as exc:  # pragma: no cover - defensive
             raise ShardUnsupportedError(
                 f"world snapshot failed to restore: {exc!r}") from exc
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         base_phase_s = time.perf_counter() - t0
         if obs is not None:
             obs.record_span("shard.snapshot_restore", 0.0, obs_t0,

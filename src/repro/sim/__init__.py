@@ -1,5 +1,6 @@
 """Discrete-event simulation kernel used by the GRP reproduction."""
 
+from .collector import collector_paused
 from .engine import Event, SimulationError, Simulator
 from .process import Process
 from .randomness import SeedSequenceFactory, derive_seed, substream
@@ -18,4 +19,5 @@ __all__ = [
     "PeriodicTimer",
     "TraceRecord",
     "TraceRecorder",
+    "collector_paused",
 ]

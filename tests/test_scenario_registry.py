@@ -19,51 +19,73 @@ CATALOGS = [pytest.param(SCENARIOS, "static_random", id="scenario"),
 
 
 class TestScenarioSpec:
+    """The :class:`~repro.scenarios.spec.Spec` methods, on a scenario spec.
+
+    A spec knows nothing about its catalog, so the parameter names here need
+    not be declared by ``name``; :class:`TestTrafficSpecMethods` reruns every
+    case on a traffic spec.
+    """
+
+    catalog = SCENARIOS
+    name = "static_random"
+    int_param = "n"
+
+    def create(self, **params):
+        return self.catalog.spec_type.create(self.name, **params)
+
     def test_params_are_canonically_ordered(self):
-        a = ScenarioSpec.create("static_random", n=5, area=100.0)
-        b = ScenarioSpec.create("static_random", area=100.0, n=5)
+        a = self.create(n=5, area=100.0)
+        b = self.create(area=100.0, n=5)
         assert a == b
         assert hash(a) == hash(b)
+        assert {a, b} == {a}
         assert a.params == (("area", 100.0), ("n", 5))
 
     def test_sequence_values_freeze_to_tuples(self):
-        spec = ScenarioSpec.create("rpgm_scenario", group_sizes=[3, 2])
+        spec = self.create(group_sizes=[3, 2])
         assert spec.param_dict["group_sizes"] == (3, 2)
         hash(spec)  # hashable despite the sequence value
 
     def test_json_roundtrip_preserves_identity(self):
-        spec = ScenarioSpec.create("rpgm_scenario", group_sizes=(4, 3), area=250.0,
-                                   dmax=3)
+        spec = self.create(group_sizes=(4, 3), area=250.0, dmax=3)
         data = json.loads(json.dumps(spec.as_dict()))
-        restored = ScenarioSpec.from_dict(data)
+        restored = self.catalog.spec_type.from_dict(data)
         assert restored == spec
         assert hash(restored) == hash(spec)
         assert restored.canonical_json() == spec.canonical_json()
 
     def test_with_params_merges_and_keeps_original(self):
-        spec = ScenarioSpec.create("manet_waypoint", n=10)
+        spec = self.create(n=10)
         merged = spec.with_params(n=20, speed=5.0)
+        assert type(merged) is type(spec)
         assert merged.param_dict == {"n": 20, "speed": 5.0}
         assert spec.param_dict == {"n": 10}
 
     def test_label_is_unique_per_spec_and_readable(self):
-        plain = ScenarioSpec.create("static_random")
-        assert plain.label() == "static_random"
-        spec = ScenarioSpec.create("rpgm_scenario", group_sizes=(4, 3), area=250.0)
-        assert spec.label() == "rpgm_scenario[area=250.0,group_sizes=4+3]"
+        plain = self.create()
+        assert plain.label() == self.name
+        spec = self.create(group_sizes=(4, 3), area=250.0)
+        assert spec.label() == f"{self.name}[area=250.0,group_sizes=4+3]"
         assert spec.label() != spec.with_params(area=300.0).label()
 
     def test_normalize_spec_canonicalizes_types(self):
-        a = normalize_spec(ScenarioSpec.create("static_random", n=8.0))
-        b = normalize_spec(ScenarioSpec.create("static_random", n="8"))
-        c = normalize_spec(ScenarioSpec.create("static_random", n=8))
+        key = self.int_param
+        a, b, c = (self.catalog.normalize(self.create(**{key: v})) for v in (8.0, "8", 8))
         assert a == b == c
-        assert a.param_dict["n"] == 8 and a.label() == "static_random[n=8]"
+        assert a.param_dict[key] == 8 and a.label() == f"{self.name}[{key}=8]"
 
     def test_spec_key_is_stable(self):
-        spec = ScenarioSpec.create("static_random", n=9)
-        assert spec.spec_key() == ScenarioSpec.create("static_random", n=9).spec_key()
-        assert spec.spec_key() != ScenarioSpec.create("static_random", n=10).spec_key()
+        spec = self.create(n=9)
+        assert spec.spec_key() == self.create(n=9).spec_key()
+        assert spec.spec_key() != self.create(n=10).spec_key()
+
+
+class TestTrafficSpecMethods(TestScenarioSpec):
+    """Every :class:`TestScenarioSpec` case, on a traffic spec."""
+
+    catalog = TRAFFIC
+    name = "periodic_beacon"
+    int_param = "size"
 
 
 class TestSpecIdentityPins:

@@ -8,8 +8,6 @@ equality) and the CLI surface (``--traffic`` / ``--traffic-sweep`` /
 ``--list-traffic`` and the final campaign summary line).
 """
 
-import json
-
 import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, deterministic_report, run_campaign
@@ -26,29 +24,8 @@ from reference_backends import BRUTE_FORCE, PRODUCTION, use_backend
 
 
 class TestTrafficSpec:
-    def test_params_canonically_ordered_and_hashable(self):
-        a = TrafficSpec.create("periodic_beacon", size=32, interval=0.5)
-        b = TrafficSpec.create("periodic_beacon", interval=0.5, size=32)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert {a, b} == {a}
-
-    def test_json_roundtrip(self):
-        spec = TrafficSpec.create("bursty_pubsub", burst_size=4, mean_gap=2.5)
-        restored = TrafficSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
-        assert restored == spec
-        assert restored.canonical_json() == spec.canonical_json()
-
-    def test_label_is_compact_and_distinct(self):
-        plain = TrafficSpec.create("state_sync")
-        tuned = TrafficSpec.create("state_sync", interval=2.0)
-        assert plain.label() == "state_sync"
-        assert tuned.label() == "state_sync[interval=2.0]"
-        assert plain.spec_key() != tuned.spec_key()
-
-    def test_with_params_merges(self):
-        spec = TrafficSpec.create("periodic_beacon", interval=1.0)
-        assert spec.with_params(interval=0.2).param_dict == {"interval": 0.2}
+    # The Spec methods themselves run on both spec classes in
+    # tests/test_scenario_registry.py (TestScenarioSpec, TestTrafficSpecMethods).
 
     def test_scenario_and_traffic_specs_are_distinct_values(self):
         traffic = TrafficSpec.create("periodic_beacon", interval=1.0)
