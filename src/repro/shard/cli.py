@@ -6,7 +6,7 @@ shard but 0, which finalizes the build it inherits with the fork, then runs
 shard 0 on that build in this process, and an ``inproc`` host restores a
 pickled snapshot of it) and prints a deterministic summary of the merged
 fingerprint.  A spec the run cannot take (``--shards`` below 1,
-``--duration`` not above 0, an unknown or badly typed ``--set`` /
+``--duration`` not finite and above 0, an unknown or badly typed ``--set`` /
 ``--traffic-set`` parameter, ``--traffic-set`` without ``--traffic``, a
 traffic pattern that cannot shard) exits with code 2 before anything is
 built.
@@ -47,7 +47,7 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                         help="Pin a scenario parameter (repeatable).")
     parser.add_argument("--seed", type=int, default=42, help="Base RNG seed.")
     parser.add_argument("--duration", type=float, default=2.0,
-                        help="Simulated seconds to run (> 0).")
+                        help="Simulated seconds to run (finite, > 0).")
     parser.add_argument("--shards", type=int, default=2,
                         help="Number of shards (>= 1); mp runs shard 0 in "
                              "this process and forks shards - 1 workers.")

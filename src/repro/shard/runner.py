@@ -19,21 +19,26 @@ global reduction, sized for a handful of shards):
    entries, as scheduled events otherwise;
 5. repeat until no shard holds an event at or before the horizon.
 
-Two transports run the same loop: ``inproc`` hosts every shard in the
-calling process (the bit-identity reference and the default for tests) and
-``mp`` runs one OS process per shard, which is where multi-core hardware buys
-wall-clock speedup.  On ``mp`` the coordinator is shard 0's process: it
-forks a worker for each of shards 1 … k − 1 once it has built the world,
-then finalizes shard 0 on that same build itself and drives it in-process,
-so a k-shard run keeps k processes, not k + 1.  A worker starts with every
-module already imported and its job — spec, shard id, obs flag and its own
-private copy of the built world — already in memory; it finalizes that
-world for its shard and restores nothing.  ``inproc`` hosts share one
+One host serves every shard: :class:`_InprocHost` makes the shard's world
+under its own obs scope, runs each step the coordinator submits, times the
+barrier waits between steps and builds the finish export.  The coordinator
+drives every shard through the same ``submit``/``collect`` pair.  Two
+transports place the hosts: ``inproc`` keeps every shard's host in the
+calling process (the bit-identity reference and the default for tests), and
+``mp`` runs one OS process per shard, which is where multi-core hardware
+buys wall-clock speedup.  On ``mp`` the coordinator is shard 0's process:
+it forks a worker for each of shards 1 … k − 1 once it has built the world,
+then finalizes shard 0 on that same build in its own host, so a k-shard run
+keeps k processes, not k + 1.  A worker starts with every module already
+imported and its job — spec, shard id, obs flag and its own private copy of
+the built world — already in memory; it finalizes that world in a host of
+its own, restores nothing, and relays each command it receives over a
+``socketpair`` to that host and the host's reply back
+(:class:`_MpHost` is the coordinator's end).  ``inproc`` hosts share one
 process, so each restores its own copy from one pickled snapshot.  A worker
 never returns into the caller's code, so scripts need no
-``if __name__ == "__main__"`` guard.  It takes every command over a
-``socketpair`` and leaves with ``os._exit`` once its last reply is in the
-socket.  ``mp`` is POSIX-only.
+``if __name__ == "__main__"`` guard; it leaves with ``os._exit`` once its
+last reply is in the socket.  ``mp`` is POSIX-only.
 
 The merge reassembles the exact single-process result: counters sum, the
 replicated event count is subtracted ``k - 1`` times, per-shard views and
@@ -59,8 +64,8 @@ from typing import Any, Callable, Dict, Hashable, List, NoReturn, Optional, Tupl
 
 from repro.core.predicates import evaluate_configuration
 from repro.net.topology import LinkSnapshot
-from repro.obs import (ObsContext, disable as _obs_disable, enable as _obs_enable,
-                       merge_export_blobs, observing)
+from repro.obs import (ObsContext, disable as _obs_disable, merge_export_blobs,
+                       observing)
 
 from .world import OutboxEntry, ShardSpec, ShardWorld
 
@@ -92,27 +97,30 @@ class ShardRunResult:
 # ------------------------------------------------------------------- hosts
 
 class _InprocHost:
-    """A shard living in the coordinator's own process.
+    """The one host that serves a shard: every shard on ``inproc``, shard 0
+    on ``mp``, and each forked worker's shard through :func:`_serve_worker`.
 
     ``make_world`` builds the shard's world when called with no argument:
-    on ``inproc`` it restores the snapshot, on ``mp`` (shard 0 only) it
-    finalizes the coordinator's own build once every worker is forked.  The
-    world is made under this host's own obs scope, as a worker's is: a
-    fresh :class:`ObsContext` with ``obs`` on, no context with it off,
-    never the one the caller installed.  The capture-once contract means
-    everything the world does afterwards (windows, deliveries, protocol
-    events) keeps landing in that scope even though it is left once
-    construction returns — so several in-process shards observe into
-    disjoint contexts, exactly like the forked workers' per-process ones.
+    it restores the snapshot (``inproc``) or finalizes a build in place
+    (shard 0 on ``mp``, after every worker is forked, and each worker on
+    the copy it inherited with the fork).  The world is made under this
+    host's own obs scope: a fresh :class:`ObsContext` with ``obs`` on, no
+    context with it off, never the one the caller installed.  The
+    capture-once contract means everything the world does afterwards
+    (windows, deliveries, protocol events) keeps landing in that scope even
+    though it is left once construction returns, so every shard observes
+    into a context of its own, whichever process it lives in.
+
+    :meth:`submit` runs one step — ``"round"``, ``"apply"`` or
+    ``"finish"`` — at once and :meth:`collect` hands back its reply:
+    ``(outbox, peek)``, ``peek`` and ``(parts, obs_export)`` respectively,
+    the export (span records included) being ``None`` with ``obs`` off.
     With ``obs`` on, the host times the wait from the end of each step to
-    its next command as a ``shard.barrier_wait`` span, as a worker times its
-    socket waits; the finish step hands back the context's export, as a
-    worker does.
+    the next submit as a ``shard.barrier_wait`` span.
     """
 
     def __init__(self, make_world: Callable[[], ShardWorld], obs: bool = False):
         self.obs_ctx: Optional[ObsContext] = ObsContext() if obs else None
-        self.obs_export: Optional[Dict[str, Any]] = None
         t0 = time.perf_counter()
         # observing(None) installs a throwaway context, switched off at once:
         # the world captures no context, and the scope restores the caller's.
@@ -125,43 +133,31 @@ class _InprocHost:
         self.peek = self.world.peek()
         self.lookahead = self.world.lookahead
         self.owners = self.world.owners
-        self._out: List[OutboxEntry] = []
+        self._reply: Any = None
         self._idle_since = self._clock()
 
     def _clock(self) -> int:
         return self.obs_ctx.clock() if self.obs_ctx is not None else 0
 
-    def _command(self) -> None:
-        """Close the barrier wait that ends with this command."""
-        if self.obs_ctx is not None:
-            self.obs_ctx.record_span("shard.barrier_wait", self.world.sim.now,
-                                     self._idle_since)
-
-    def submit_round(self, end: float, inclusive: bool) -> None:
-        self._command()
-        self._out = self.world.run_round(end, inclusive)
+    def submit(self, cmd: str, *args) -> None:
+        world, ctx = self.world, self.obs_ctx
+        if ctx is not None:
+            ctx.record_span("shard.barrier_wait", world.sim.now, self._idle_since)
+        if cmd == "round":
+            self._reply = (world.run_round(*args), world.peek())
+        elif cmd == "apply":
+            world.apply(*args)
+            self._reply = world.peek()
+        elif cmd == "finish":
+            self._reply = (world.finish(*args),
+                           None if ctx is None else ctx.export(include_records=True))
+        else:  # pragma: no cover - protocol bug guard
+            raise RuntimeError(f"unknown shard command {cmd!r}")
         self._idle_since = self._clock()
 
-    def collect_round(self) -> Tuple[List[OutboxEntry], Optional[float]]:
-        out, self._out = self._out, []
-        return out, self.world.peek()
-
-    def submit_apply(self, round_time: float, entries: List[OutboxEntry]) -> None:
-        self._command()
-        self.world.apply(round_time, entries)
-        self._idle_since = self._clock()
-
-    def collect_apply(self) -> Optional[float]:
-        return self.world.peek()
-
-    def submit_finish(self, duration: float) -> None:
-        self._command()
-        self._parts = self.world.finish(duration)
-        if self.obs_ctx is not None:
-            self.obs_export = self.obs_ctx.export(include_records=True)
-
-    def collect_finish(self) -> Dict[str, Any]:
-        return self._parts
+    def collect(self) -> Any:
+        reply, self._reply = self._reply, None
+        return reply
 
     def close(self) -> None:
         pass
@@ -177,20 +173,16 @@ def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
     The job (spec, shard id, obs flag and the coordinator's built
     ``(deployment, lookahead)``) arrives in memory with the fork; every
     worker is forked before the coordinator finalizes shard 0, so the build
-    it inherits has no queued timer yet.  The fork already made the world
-    this process's private copy, so the worker finalizes it in place
-    (``ShardWorld(spec, shard_id, deployment, lookahead)``) and unpickles
-    nothing.  The worker first freezes the heap it inherited, world
-    included, so its cyclic collector never walks, and so never copies, the
-    coordinator's objects.  It closes ``inherited``,
+    it inherits has no queued timer yet.  The worker first freezes the heap
+    it inherited, world included, so its cyclic collector never walks, and
+    so never copies, the coordinator's objects.  It closes ``inherited``,
     the coordinator's ends of its own socket and of the workers forked
     before it: a worker sees its coordinator die only once no other process
-    holds that end open.  It installs its own obs context: a fresh
-    :class:`ObsContext` with ``obs`` on, none with it off, never the one the
-    coordinator had installed; finalizing re-points every component of the
-    inherited world at it.  With ``obs`` on it times its socket waits as
-    ``shard.barrier_wait`` spans and ships the context's export (span
-    records included) back with the finish parts.
+    holds that end open.  Then it serves its shard through an
+    :class:`_InprocHost` that finalizes the inherited build in place, under
+    the host's own obs scope, and unpickles nothing: it sends the host's
+    ready facts and relays every command to :meth:`_InprocHost.submit` and
+    the host's :meth:`_InprocHost.collect` back as the reply.
 
     Whatever the way out — the finish reply (exit code 0), a failure
     report or a lost coordinator (exit code 1) — everything the worker owes
@@ -205,35 +197,16 @@ def _serve_worker(fd: int, inherited: List[Any], spec: ShardSpec,
         gc.freeze()
         for other in inherited:
             other.close()
-        _obs_disable()
-        ctx = _obs_enable(ObsContext()) if obs else None
-        t0 = time.perf_counter()
-        world = ShardWorld(spec, shard_id, deployment, lookahead)
-        build_s = time.perf_counter() - t0
-        conn.send(("ready", world.peek(), world.lookahead, world.owners,
-                   build_s))
-        while True:
-            if ctx is not None:
-                wait_t0 = ctx.clock()
-                msg = conn.recv()
-                ctx.record_span("shard.barrier_wait", world.sim.now, wait_t0)
-            else:
-                msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "round":
-                out = world.run_round(msg[1], msg[2])
-                conn.send(("ok", out, world.peek()))
-            elif cmd == "apply":
-                world.apply(msg[1], msg[2])
-                conn.send(("ok", world.peek()))
-            elif cmd == "finish":
-                parts = world.finish(msg[1])
-                export = None if ctx is None else ctx.export(include_records=True)
-                conn.send(("ok", parts, export))
-                code = 0
-                break
-            else:  # pragma: no cover - protocol bug guard
-                raise RuntimeError(f"unknown shard command {cmd!r}")
+        host = _InprocHost(partial(ShardWorld, spec, shard_id, deployment,
+                                   lookahead), obs)
+        conn.send(("ready", host.peek, host.lookahead, host.owners,
+                   host.build_s, host.base_phase_s))
+        cmd = None
+        while cmd != "finish":
+            cmd, *args = conn.recv()
+            host.submit(cmd, *args)
+            conn.send(("ok", host.collect()))
+        code = 0
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -265,10 +238,12 @@ class _MpHost:
     the shard finalize and the window loop, and it leaves through
     ``os._exit``, so no exit handler or teardown runs in it.
 
-    The coordinator reaps the worker (:meth:`collect_finish`, :meth:`close`)
-    with ``os.waitpid``, so its memory shows in ``RUSAGE_CHILDREN``.  A
-    worker that dies before it replies surfaces as a :class:`RuntimeError`
-    naming the shard and the exit code.
+    :meth:`submit` sends a step to the worker's :class:`_InprocHost` and
+    :meth:`collect` returns that host's reply, the same one an in-process
+    host gives.  The coordinator reaps the worker (the ``finish`` reply's
+    :meth:`collect`, :meth:`close`) with ``os.waitpid``, so its memory shows
+    in ``RUSAGE_CHILDREN``.  A worker that dies before it replies surfaces
+    as a :class:`RuntimeError` naming the shard and the exit code.
     """
 
     def __init__(self, spec: ShardSpec, shard_id: int, base: Tuple[Any, float],
@@ -284,15 +259,11 @@ class _MpHost:
                 _serve_worker(theirs.detach(), [ours, *siblings], spec,
                               shard_id, obs, *base)
             self.conn = Connection(ours.detach())
-        self.peek: Optional[float] = None
-        self.lookahead: float = 0.0
-        self.owners: Dict[Hashable, int] = {}
-        self.build_s: float = 0.0
-        self.base_phase_s: float = 0.0  # the worker restores nothing
-        self.obs_export: Optional[Dict[str, Any]] = None
+        self._cmd: Optional[str] = None
 
     def await_ready(self) -> None:
-        _, self.peek, self.lookahead, self.owners, self.build_s = self._recv()
+        (_, self.peek, self.lookahead, self.owners, self.build_s,
+         self.base_phase_s) = self._recv()
 
     def _wait(self) -> int:
         if self.returncode is None:
@@ -304,13 +275,6 @@ class _MpHost:
         return RuntimeError(f"shard worker {self.shard_id} exited with code "
                             f"{self._wait()} before replying")
 
-    def _send(self, msg) -> None:
-        try:
-            self.conn.send(msg)
-        except OSError:
-            self._recv()  # raises the dead worker's failure report or exit code
-            raise
-
     def _recv(self):
         try:
             msg = self.conn.recv()
@@ -320,26 +284,19 @@ class _MpHost:
             raise RuntimeError(f"shard worker failed (shard {self.shard_id}):\n{msg[1]}")
         return msg
 
-    def submit_round(self, end: float, inclusive: bool) -> None:
-        self._send(("round", end, inclusive))
+    def submit(self, cmd: str, *args) -> None:
+        self._cmd = cmd
+        try:
+            self.conn.send((cmd, *args))
+        except OSError:
+            self._recv()  # raises the dead worker's failure report or exit code
+            raise
 
-    def collect_round(self) -> Tuple[List[OutboxEntry], Optional[float]]:
-        _, out, peek = self._recv()
-        return out, peek
-
-    def submit_apply(self, round_time: float, entries: List[OutboxEntry]) -> None:
-        self._send(("apply", round_time, entries))
-
-    def collect_apply(self) -> Optional[float]:
-        return self._recv()[1]
-
-    def submit_finish(self, duration: float) -> None:
-        self._send(("finish", duration))
-
-    def collect_finish(self) -> Dict[str, Any]:
-        _, parts, self.obs_export = self._recv()
-        self._wait()
-        return parts
+    def collect(self) -> Any:
+        reply = self._recv()[1]
+        if self._cmd == "finish":
+            self._wait()
+        return reply
 
     def close(self) -> None:
         self.conn.close()
@@ -386,10 +343,10 @@ def _coordinate(hosts, owners: Dict[Hashable, int], lookahead: float,
             active = [i for i in live if peeks[i] < end]
         rounds += 1
         for i in _shard_0_last(active):
-            hosts[i].submit_round(end, inclusive)
+            hosts[i].submit("round", end, inclusive)
         entries: List[OutboxEntry] = []
         for i in active:
-            out, peeks[i] = hosts[i].collect_round()
+            out, peeks[i] = hosts[i].collect()
             entries.extend(out)
         if entries:
             # Stable sort on receive time over the shard-ordered concatenation:
@@ -401,9 +358,9 @@ def _coordinate(hosts, owners: Dict[Hashable, int], lookahead: float,
                 batches.setdefault(owners[entry[2]], []).append(entry)
             targets = sorted(batches)
             for shard in _shard_0_last(targets):
-                hosts[shard].submit_apply(t, batches[shard])
+                hosts[shard].submit("apply", t, batches[shard])
             for shard in targets:
-                peeks[shard] = hosts[shard].collect_apply()
+                peeks[shard] = hosts[shard].collect()
     return {"rounds": rounds, "remote_deliveries": exchanged}
 
 
@@ -540,10 +497,10 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
     The coordinator builds the world once (:meth:`ShardWorld.build_base`).
     ``transport='mp'`` (POSIX only) then forks one worker for each of
     shards 1 … k − 1, a direct child that inherits its job and the built
-    world, finalizes the world for its shard, takes its commands over a
-    socket, exits without teardown and is reaped before this returns; it
-    never returns into the caller's code, so no ``__main__`` guard is
-    needed.  Once every worker is forked, the coordinator finalizes shard 0
+    world, finalizes the world for its shard in a host like shard 0's,
+    relays its commands from a socket to that host, exits without teardown
+    and is reaped before this returns; it never returns into the caller's
+    code, so no ``__main__`` guard is needed.  Once every worker is forked, the coordinator finalizes shard 0
     on its own build and runs it in this process, so ``shards=1`` forks
     nothing.  ``transport='inproc'`` runs every shard in this process
     (deterministic reference, zero IPC): its hosts share one heap, so the
@@ -601,12 +558,11 @@ def run_sharded(spec: ShardSpec, transport: str = "inproc",
         t_built = time.perf_counter()
         loop_stats = _coordinate(hosts, hosts[0].owners, lookahead, spec.duration)
         for host in hosts[1:] + hosts[:1]:  # shard 0 last, as in _coordinate
-            host.submit_finish(spec.duration)
-        parts = [host.collect_finish() for host in hosts]
+            host.submit("finish", spec.duration)
+        parts, exports = map(list, zip(*[host.collect() for host in hosts]))
         result = _merge(spec, parts, loop_stats, transport)
         if obs:
-            result.obs = _merge_obs(spec, parts,
-                                    [host.obs_export for host in hosts])
+            result.obs = _merge_obs(spec, parts, exports)
         result.stats["build_s"] = t_built - t_start
         result.stats["run_s"] = time.perf_counter() - t_built
         result.stats["base_build_s"] = base_build_s

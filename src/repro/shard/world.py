@@ -71,6 +71,7 @@ delayed application channels would report slightly lower staleness.
 
 from __future__ import annotations
 
+import math
 import pickle
 import time
 from dataclasses import dataclass
@@ -110,10 +111,11 @@ class ShardSpec:
 
     A pure value object: every shard's world derives from this spec alone,
     so the spec must capture everything the single-process run would
-    configure (scenario, churn, traffic).  A spec with ``shards < 1`` or
-    ``duration <= 0`` raises :class:`ValueError` when it is made, and one
-    whose traffic pattern is not in :data:`SUPPORTED_TRAFFIC` raises
-    :class:`ShardUnsupportedError`.
+    configure (scenario, churn, traffic).  A spec with ``shards < 1`` or a
+    ``duration`` not finite and above 0 raises :class:`ValueError` when it
+    is made (an infinite horizon never ends the window loop: periodic
+    timers always have an event under it), and one whose traffic pattern is
+    not in :data:`SUPPORTED_TRAFFIC` raises :class:`ShardUnsupportedError`.
     """
 
     scenario: str
@@ -134,8 +136,8 @@ class ShardSpec:
         # only after the world is built, or not at all.
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards!r}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be > 0 and finite, got {self.duration!r}")
         if self.traffic is not None and self.traffic[0] not in SUPPORTED_TRAFFIC:
             raise ShardUnsupportedError(
                 f"traffic pattern {self.traffic[0]!r} draws randomness over the whole "

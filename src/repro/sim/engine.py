@@ -95,7 +95,6 @@ class Simulator:
         self._reserved: Optional[List[np.random.Generator]] = None
         self._processed = 0
         self._pending = 0
-        self._running = False
         # Observability is captured once at construction; when disabled the
         # hot paths below pay exactly one attribute load + None test.
         obs = _obs_current()
@@ -291,10 +290,6 @@ class Simulator:
             obs.record_span("sim.schedule_many", now, t0, {"events": m})
         return events
 
-    def cancel(self, handle: Event) -> None:
-        """Cancel an event previously returned by :meth:`schedule`."""
-        handle.cancel()
-
     # -------------------------------------------------------------- execution
 
     def peek_time(self) -> Optional[float]:
@@ -370,14 +365,12 @@ class Simulator:
         executed = 0
         obs = self._obs
         t0 = obs.clock() if obs is not None else 0
-        self._running = True
         try:
             executed, bounded = self._execute(
                 math.inf if until is None else until, True, max_events)
             if bounded:
                 self._now = float(until)
         finally:
-            self._running = False
             if obs is not None:
                 obs.record_span("sim.run", self._now, t0, {"events": executed})
         return executed

@@ -24,7 +24,8 @@ def _refuse_build(spec):
 
 
 BAD_SPEC_VALUES = [("shards", 0), ("shards", -1), ("duration", 0.0),
-                   ("duration", -1.0), ("duration", float("nan"))]
+                   ("duration", -1.0), ("duration", float("nan")),
+                   ("duration", float("inf"))]
 
 
 class TestSpecValidation:
@@ -39,7 +40,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("flag, value", [("--shards", "0"),
                                              ("--duration", "0"),
-                                             ("--duration", "-1")])
+                                             ("--duration", "-1"),
+                                             ("--duration", "inf")])
     def test_cli_refuses_bad_spec_before_building(self, monkeypatch, capsys,
                                                   flag, value):
         monkeypatch.setattr(ShardWorld, "build_base", staticmethod(_refuse_build))

@@ -140,12 +140,16 @@ def test_killed_coordinator_leaves_no_worker(tmp_path):
             init(self, *args)
             pids.append(self.pid)
 
-        def stall(self, end, inclusive):
-            print(*pids, flush=True)
-            time.sleep(120)
+        submit = _MpHost.submit
+
+        def stall(self, cmd, *args):
+            if cmd == "round":
+                print(*pids, flush=True)
+                time.sleep(120)
+            submit(self, cmd, *args)
 
         _MpHost.__init__ = record
-        _MpHost.submit_round = stall
+        _MpHost.submit = stall
         run_sharded(ShardSpec.create("city_scale", **{dict(SPEC_ARGS, shards=3)!r}),
                     transport="mp")
     """)
@@ -192,14 +196,14 @@ def test_killed_worker_raises_and_every_worker_is_reaped(tmp_path):
         run_sharded(spec, transport="mp")
         print("clean run, no children:", no_children())
 
-        submit_round = _MpHost.submit_round
+        submit = _MpHost.submit
 
-        def kill_shard_1(self, end, inclusive):
-            if self.shard_id == 1:
+        def kill_shard_1(self, cmd, *args):
+            if cmd == "round" and self.shard_id == 1:
                 os.kill(self.pid, signal.SIGKILL)
-            submit_round(self, end, inclusive)
+            submit(self, cmd, *args)
 
-        _MpHost.submit_round = kill_shard_1
+        _MpHost.submit = kill_shard_1
         try:
             run_sharded(spec, transport="mp")
         except RuntimeError as exc:
@@ -297,6 +301,21 @@ def test_every_observed_shard_times_its_barrier_waits():
     for blob in result.obs["per_shard"]:
         assert blob["spans"]["shard.window"]["count"] > 0
         assert blob["spans"]["shard.barrier_wait"]["count"] > 0
+
+
+def test_worker_observes_what_an_inproc_host_observes():
+    """A forked worker serves its shard through the same host as an
+    in-process shard, so each shard's counters and event kinds match
+    between the transports; their span names differ only by the snapshot
+    restore that ``inproc`` hosts alone perform."""
+    spec = city_spec(params={"n": 400, "area": 2000.0})
+    mp, inproc = (run_sharded(spec, transport=transport, obs=True).obs["per_shard"]
+                  for transport in ("mp", "inproc"))
+    assert len(mp) == len(inproc) == 2
+    for worker, host in zip(mp, inproc):
+        assert worker["counters"] == host["counters"]
+        assert worker["events"]["kinds"] == host["events"]["kinds"]
+        assert set(worker["spans"]) ^ set(host["spans"]) == {"shard.snapshot_restore"}
 
 
 @pytest.mark.parametrize("transport", ["mp", "inproc"])
